@@ -2,9 +2,11 @@
 
 The group algebra of a finite group is a direct sum of full matrix blocks,
 one per irreducible character, of sizes d_pi with sum of squares |G|.  The
-multiset {d_pi} classifies the algebra up to *-isomorphism, and matching
-block structures of two groups produce explicit affine homeomorphisms
-between their spaces of normalized positive definite functions.  The last
+multiset {d_pi} classifies the algebra up to *-isomorphism.  A block
+decomposition is one n x n group Fourier transform between coefficient
+vectors and stacked block entries, so matching block structures of two
+groups give explicit affine homeomorphisms between their spaces of
+normalized positive definite functions as one matrix product.  The last
 section fits a black-box affine map back to its (permutation, unitary,
 transpose-flag) block description.
 """
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,13 +30,7 @@ from .errors import (
     NotAffine,
     NotIsomorphic,
 )
-from .groups import (
-    FiniteGroup,
-    algebra_coefficients,
-    algebra_matrix,
-    membership_residual,
-    same_group,
-)
+from .groups import FiniteGroup, algebra_matrix, generating_set, same_group
 from .linalg import DEFAULT_TOL, Tolerance, polar_unitary
 from .posdef import GroupFunction, convex_combine, random_p1
 
@@ -91,16 +87,35 @@ def vn_isomorphic(g: FiniteGroup, h: FiniteGroup, seed: int = 0) -> IsoVerdict:
 class BlockDecomposition:
     """Matrix units e^pi_{jk} realizing the group algebra as matrix blocks.
 
-    ``units[pi]`` has shape (d, d, n, n): the regular-representation images
-    of the matrix units of block pi.  The embedding in both directions is
-    exposed through to_algebra / from_algebra (and the coefficient-vector
-    variants), and is a verified *-isomorphism.
+    ``units[pi]`` has shape (d, d, n): the coefficient vectors of the matrix
+    units of block pi, n^2 numbers over all blocks.  Stacked over the index
+    (pi, j, k) they are the columns of ``inverse_transform``; its inverse
+    ``transform`` is the group Fourier transform, with
+    ``transform[(pi, j, k), s] = (n / d_pi) u^pi_{kj}(s^{-1})``, which takes
+    a coefficient vector to its stacked blocks.  The embedding in both
+    directions is exposed through to_coefficients / from_coefficients (and
+    the n x n matrix variants to_algebra / from_algebra), and is a verified
+    *-isomorphism.
     """
 
     group: FiniteGroup
     table: CharacterTable
     units: list[np.ndarray]
     seed: int
+    transform: np.ndarray = field(init=False, repr=False)
+    inverse_transform: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        n = self.group.order
+        dims = self.block_dims
+        offsets = np.cumsum([0] + [d * d for d in dims])
+        self._rows = [slice(a, b) for a, b in zip(offsets, offsets[1:])]
+        stacked = np.concatenate([u.reshape(-1, n) for u in self.units])
+        self.units = [stacked[rows].reshape(d, d, n) for rows, d in zip(self._rows, dims)]
+        self.inverse_transform = stacked.T
+        swapped = np.concatenate([u.transpose(1, 0, 2).reshape(-1, n) for u in self.units])
+        weights = np.repeat([n / d for d in dims], [d * d for d in dims])
+        self.transform = weights[:, None] * swapped[:, self.group.inverses]
 
     @property
     def block_dims(self) -> tuple[int, ...]:
@@ -111,15 +126,25 @@ class BlockDecomposition:
         return len(self.units)
 
     def unit_matrix(self, pi: int, j: int, k: int) -> np.ndarray:
-        return self.units[pi][j, k]
+        return algebra_matrix(self.group, self.units[pi][j, k])
 
     def unit_coeffs(self, pi: int, j: int, k: int) -> np.ndarray:
-        return algebra_coefficients(self.group, self.units[pi][j, k])
+        return self.units[pi][j, k].copy()
 
-    def to_algebra(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
-        """Matrix of sum_pi sum_jk blocks[pi][j, k] e^pi_{jk}."""
-        n = self.group.order
-        out = np.zeros((n, n), dtype=complex)
+    def _split(self, stacked: np.ndarray) -> list[np.ndarray]:
+        return [
+            stacked[rows].reshape(d, d)
+            for rows, d in zip(self._rows, self.block_dims)
+        ]
+
+    def to_coefficients(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
+        """Coefficients of sum_pi sum_jk blocks[pi][j, k] e^pi_{jk}."""
+        if len(blocks) != self.num_blocks:
+            raise DimensionMismatch(
+                f"got {len(blocks)} blocks, the decomposition has {self.num_blocks}",
+                witness={"blocks": len(blocks), "expected": self.num_blocks},
+            )
+        flat = []
         for pi, raw in enumerate(blocks):
             b = np.asarray(raw, dtype=complex)
             d = self.block_dims[pi]
@@ -128,30 +153,40 @@ class BlockDecomposition:
                     f"block {pi} has shape {b.shape}, expected {(d, d)}",
                     witness={"block": pi},
                 )
-            out += np.tensordot(b, self.units[pi], axes=2)
-        return out
+            flat.append(b.reshape(-1))
+        return self.inverse_transform @ np.concatenate(flat)
 
-    def to_coefficients(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
-        return algebra_coefficients(self.group, self.to_algebra(blocks))
+    def to_algebra(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
+        """Matrix of sum_pi sum_jk blocks[pi][j, k] e^pi_{jk}."""
+        return algebra_matrix(self.group, self.to_coefficients(blocks))
 
     def from_algebra(self, mat: np.ndarray) -> list[np.ndarray]:
-        """Block coordinates of an algebra element given as a matrix.
+        """Block coordinates of an n x n matrix by the trace formula.
 
         Entry (j, k) of block pi is tr(e^pi_{kj} x) / d_pi; the normalized
-        trace of a diagonal unit is d_pi / |G|.
+        trace of a diagonal unit is d_pi / |G|.  Only the sums
+        w(s) = sum_b x[b, s b] enter, so any matrix is accepted, and a
+        member of the algebra gets its exact coordinates.
         """
         m = np.asarray(mat, dtype=complex)
-        blocks = []
-        for pi, d in enumerate(self.block_dims):
-            b = np.empty((d, d), dtype=complex)
-            for j in range(d):
-                for k in range(d):
-                    b[j, k] = np.einsum("ij,ji->", self.units[pi][k, j], m) / d
-            blocks.append(b)
-        return blocks
+        n = self.group.order
+        if m.shape != (n, n):
+            raise DimensionMismatch(
+                f"matrix has shape {m.shape}, group order is {n}",
+                witness={"shape": list(m.shape), "order": n},
+            )
+        w = m[np.arange(n), self.group.cayley].sum(axis=1)
+        return self._split(self.transform @ (w[self.group.inverses] / n))
 
     def from_coefficients(self, coeffs) -> list[np.ndarray]:
-        return self.from_algebra(algebra_matrix(self.group, coeffs))
+        """Blocks of sum_s coeffs[s] lambda_s: one product with ``transform``."""
+        c = np.asarray(coeffs, dtype=complex)
+        if c.shape != (self.group.order,):
+            raise DimensionMismatch(
+                f"coefficients have shape {c.shape}, group order is {self.group.order}",
+                witness={"shape": list(c.shape), "order": self.group.order},
+            )
+        return self._split(self.transform @ c)
 
 
 def _random_hermitian_coeffs(group: FiniteGroup, rng: np.random.Generator) -> np.ndarray:
@@ -208,7 +243,7 @@ def block_decompose(
         d = table.dims[pi]
         p = proj.matrix
         if d == 1:
-            units.append(p.reshape(1, 1, n, n).copy())
+            units.append(proj.coeffs.reshape(1, 1, n).copy())
             continue
 
         block_units = None
@@ -241,10 +276,10 @@ def block_decompose(
                 isometries.append(u[:, :d] @ vh[:d, :])
             if not ok:
                 continue
-            block_units = np.empty((d, d, n, n), dtype=complex)
-            for j in range(d):
-                for k in range(d):
-                    block_units[j, k] = isometries[j] @ isometries[k].conj().T
+            # coefficients of e_jk = I_j I_k^*: its identity column,
+            # I_j @ conj(I_k[e, :])
+            stack = np.stack(isometries)
+            block_units = (stack @ stack[:, group.identity, :].conj().T).transpose(0, 2, 1)
             break
         if block_units is None:
             raise DecompositionFailure(
@@ -259,44 +294,60 @@ def block_decompose(
 
 
 def _verify_decomposition(decomp: BlockDecomposition, tol: Tolerance) -> None:
+    """Check that the units span a *-isomorphic copy of the blocks.
+
+    Four checks, together equivalent to the relations e_jk^* = e_kj,
+    sum_pi sum_j e^pi_jj = 1 and e^pi_jk e^rho_lm = delta_{pi rho}
+    delta_kl e^pi_jm over all pairs of units: once the transform inverts the
+    units and is multiplicative on a generating set, it is an algebra
+    isomorphism sending each unit to its matrix unit, and the adjoint check
+    makes it a *-isomorphism.  Cost O(n^3) instead of O(n^5).
+    """
     group = decomp.group
     n = group.order
-    flat = [
-        (pi, j, k, decomp.units[pi][j, k])
-        for pi in range(decomp.num_blocks)
-        for j in range(decomp.block_dims[pi])
-        for k in range(decomp.block_dims[pi])
-    ]
     bound = 10 * tol.residual_tol
-    total = np.zeros((n, n), dtype=complex)
-    for pi, j, k, e in flat:
-        adj = float(np.abs(e.conj().T - decomp.units[pi][k, j]).max())
-        member = membership_residual(group, e)
-        if adj > bound or member > bound:
+    for pi, u in enumerate(decomp.units):
+        adj = np.abs(u[:, :, group.inverses].conj() - u.transpose(1, 0, 2)).max(axis=2)
+        j, k = (int(x) for x in np.unravel_index(int(np.argmax(adj)), adj.shape))
+        if adj[j, k] > bound:
             raise DecompositionFailure(
-                f"unit ({pi},{j},{k}) fails adjoint/membership checks "
-                f"(adjoint {adj:.2e}, membership {member:.2e})",
-                witness={"unit": [pi, j, k], "adjoint": adj, "membership": member},
+                f"unit ({pi},{j},{k}) fails the adjoint check (adjoint {adj[j, k]:.2e})",
+                witness={"unit": [pi, j, k], "adjoint": float(adj[j, k])},
             )
-        if j == k:
-            total += e
-    if float(np.abs(total - np.eye(n)).max()) > bound:
+    total = sum(np.einsum("jjs->s", u) for u in decomp.units)
+    total[group.identity] -= 1.0
+    if float(np.abs(total).max()) > bound:
         raise DecompositionFailure(
             "diagonal units do not sum to the identity",
-            witness={"residual": float(np.abs(total - np.eye(n)).max())},
+            witness={"residual": float(np.abs(total).max())},
         )
-    for pi, j, k, e in flat:
-        for rho, l, m, f in flat:
-            prod = e @ f
-            expected = (
-                decomp.units[pi][j, m]
-                if (pi == rho and k == l)
-                else np.zeros((n, n))
-            )
-            if float(np.abs(prod - expected).max()) > bound:
+    gram = np.abs(decomp.transform @ decomp.inverse_transform - np.eye(n))
+    row, col = (int(x) for x in np.unravel_index(int(np.argmax(gram)), gram.shape))
+    if gram[row, col] > bound:
+        labels = [
+            [pi, j, k]
+            for pi, d in enumerate(decomp.block_dims)
+            for j in range(d)
+            for k in range(d)
+        ]
+        raise DecompositionFailure(
+            f"transform does not invert the units at row {tuple(labels[row])}, "
+            f"column {tuple(labels[col])} (residual {gram[row, col]:.2e})",
+            witness={"row": labels[row], "column": labels[col], "residual": float(gram[row, col])},
+        )
+    f = decomp.transform
+    for g in generating_set(group) or [group.identity]:
+        # F(lambda_g x) = F(lambda_g) F(x) blockwise, for every x at once
+        shifted = f[:, group.cayley[g]]
+        for pi, (rows, b) in enumerate(zip(decomp._rows, decomp._split(f[:, g]))):
+            d = b.shape[0]
+            expected = (b @ f[rows].reshape(d, d * n)).reshape(d * d, n)
+            residual = float(np.abs(shifted[rows] - expected).max())
+            if residual > bound:
                 raise DecompositionFailure(
-                    f"unit relation fails for ({pi},{j},{k}) x ({rho},{l},{m})",
-                    witness={"left": [pi, j, k], "right": [rho, l, m]},
+                    f"transform is not multiplicative at generator {g} in block {pi} "
+                    f"(residual {residual:.2e})",
+                    witness={"generator": g, "block": pi, "residual": residual},
                 )
 
 
@@ -372,17 +423,9 @@ def _matching_by_dimension(
 def _coefficient_transport(
     src: BlockDecomposition, dst: BlockDecomposition, matching: Sequence[int]
 ) -> np.ndarray:
-    n = src.group.order
-    mat = np.empty((dst.group.order, n), dtype=complex)
-    for s in range(n):
-        basis = np.zeros(n, dtype=complex)
-        basis[s] = 1.0
-        blocks = src.from_coefficients(basis)
-        pushed = [np.zeros((d, d), dtype=complex) for d in dst.block_dims]
-        for pi, b in enumerate(blocks):
-            pushed[matching[pi]] = b
-        mat[:, s] = dst.to_coefficients(pushed)
-    return mat
+    """Coefficient map carrying block pi of src onto block matching[pi] of dst."""
+    rows = np.r_[tuple(dst._rows[m] for m in matching)]
+    return dst.inverse_transform[:, rows] @ src.transform
 
 
 def construct_affine_homeomorphism(
@@ -397,18 +440,15 @@ def construct_affine_homeomorphism(
     map on coefficient vectors is linear, and its inverse is built the same
     way from the reversed matching.
     """
-    verdict = vn_isomorphic(g, h, seed)
-    if not verdict.isomorphic:
-        raise NotIsomorphic(
-            f"invariants differ: {list(verdict.invariant_g.dims)} vs "
-            f"{list(verdict.invariant_h.dims)}",
-            witness={
-                "invariant_g": list(verdict.invariant_g.dims),
-                "invariant_h": list(verdict.invariant_h.dims),
-            },
-        )
     table_g = character_table(g, seed=seed)
     table_h = character_table(h, seed=seed)
+    inv_g = vn_invariant(g, table=table_g)
+    inv_h = vn_invariant(h, table=table_h)
+    if inv_g.dims != inv_h.dims:
+        raise NotIsomorphic(
+            f"invariants differ: {list(inv_g.dims)} vs {list(inv_h.dims)}",
+            witness={"invariant_g": list(inv_g.dims), "invariant_h": list(inv_h.dims)},
+        )
     decomp_g = block_decompose(g, table_g, seed=seed, tol=tol)
     decomp_h = block_decompose(h, table_h, seed=seed, tol=tol)
     matching = _matching_by_dimension(table_g.dims, table_h.dims)

@@ -137,3 +137,19 @@ def random_unitary(rng, n):
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def loop_coefficient_transport(src, dst, matching):
+    """Coefficient transport one basis vector at a time: block pi of the
+    source decomposition is pushed onto block matching[pi] of the target."""
+    n = src.group.order
+    mat = np.empty((dst.group.order, n), dtype=complex)
+    for s in range(n):
+        basis = np.zeros(n, dtype=complex)
+        basis[s] = 1.0
+        blocks = src.from_coefficients(basis)
+        pushed = [np.zeros((d, d), dtype=complex) for d in dst.block_dims]
+        for pi, b in enumerate(blocks):
+            pushed[matching[pi]] = b
+        mat[:, s] = dst.to_coefficients(pushed)
+    return mat

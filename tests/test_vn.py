@@ -31,13 +31,21 @@ from groupstates import (
     vn_isomorphic,
 )
 from groupstates.errors import (
+    DecompositionFailure,
     DimensionMismatch,
     NotAffine,
     NotIsomorphic,
 )
-from groupstates.groups import algebra_matrix
+from groupstates.groups import algebra_matrix, validate_group
+from groupstates.linalg import DEFAULT_TOL
+from groupstates.vn import (
+    BlockDecomposition,
+    _coefficient_transport,
+    _matching_by_dimension,
+    _verify_decomposition,
+)
 
-from conftest import random_unitary
+from conftest import loop_coefficient_transport, random_unitary
 
 
 def test_invariants():
@@ -132,6 +140,95 @@ def test_block_decomposition_deterministic():
     d2 = block_decompose(g, seed=5)
     for pi in range(d1.num_blocks):
         assert np.array_equal(d1.units[pi], d2.units[pi])
+
+
+def _tampered(decomp, pi, edit):
+    units = [u.copy() for u in decomp.units]
+    edit(units[pi])
+    return BlockDecomposition(decomp.group, decomp.table, units, decomp.seed)
+
+
+def _add_phase(u):
+    u[0, 1] *= np.exp(0.3j)
+
+
+def _swap_diagonal(u):
+    u[0, 0], u[1, 1] = u[1, 1].copy(), u[0, 0].copy()
+
+
+def _perturb(u):
+    u[0, 1] += 1e-6 * np.exp(1j * np.arange(u.shape[2]))
+
+
+def _scale_pair(u):
+    u[0, 1] *= 2.0
+    u[1, 0] *= 2.0
+
+
+@pytest.mark.parametrize(
+    "edit, check",
+    [
+        (_add_phase, "adjoint"),
+        (_swap_diagonal, "multiplicative"),
+        (_perturb, "adjoint"),
+        (_scale_pair, "does not invert"),
+    ],
+)
+def test_verification_rejects_tampered_units(edit, check):
+    g = symmetric_group(3)
+    table = character_table(g)
+    decomp = block_decompose(g, table, seed=0)
+    _verify_decomposition(decomp, DEFAULT_TOL)
+    bad = _tampered(decomp, table.dims.index(2), edit)
+    with pytest.raises(DecompositionFailure, match=check):
+        _verify_decomposition(bad, DEFAULT_TOL)
+
+
+def test_block_transport_matches_basis_vector_loop():
+    s4 = symmetric_group(4)
+    perm = np.random.default_rng(11).permutation(s4.order)
+    relabelled = np.empty_like(s4.cayley)
+    relabelled[np.ix_(perm, perm)] = perm[s4.cayley]
+    pairs = [
+        (quaternion_group(), dihedral_group(4)),
+        (s4, validate_group(relabelled)),
+    ]
+    for g, h in pairs:
+        dg, dh = block_decompose(g, seed=0), block_decompose(h, seed=0)
+        matching = _matching_by_dimension(dg.block_dims, dh.block_dims)
+        fast = _coefficient_transport(dg, dh, matching)
+        assert np.abs(fast - loop_coefficient_transport(dg, dh, matching)).max() < 1e-12
+
+
+def test_from_algebra_matches_trace_formula_off_the_image():
+    g = symmetric_group(3)
+    decomp = block_decompose(g, seed=0)
+    rng = np.random.default_rng(14)
+    m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    blocks = decomp.from_algebra(m)
+    for pi, d in enumerate(decomp.block_dims):
+        for j in range(d):
+            for k in range(d):
+                literal = np.trace(decomp.unit_matrix(pi, k, j) @ m) / d
+                assert abs(blocks[pi][j, k] - literal) < 1e-12
+
+
+def test_block_count_mismatch_is_rejected():
+    g = symmetric_group(3)
+    decomp = block_decompose(g, seed=0)
+    blocks = [np.eye(d, dtype=complex) for d in decomp.block_dims]
+    for wrong in (blocks[:1], blocks + [np.eye(1)]):
+        with pytest.raises(DimensionMismatch):
+            decomp.to_coefficients(wrong)
+        with pytest.raises(DimensionMismatch):
+            decomp.to_algebra(wrong)
+
+
+def test_unit_storage_is_quadratic():
+    g = direct_product(symmetric_group(4), cyclic_group(2))
+    decomp = block_decompose(g, seed=0)
+    n = g.order
+    assert sum(u.nbytes for u in decomp.units) <= 16 * n * n
 
 
 def test_embedding_is_star_isomorphism():
