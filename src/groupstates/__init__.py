@@ -52,7 +52,6 @@ from .linalg import (
     Tolerance,
     hermitian_eig,
     is_psd,
-    kron,
     polar_unitary,
     trace_norm,
 )

@@ -226,7 +226,7 @@ def _handle_channel(args, tol) -> dict:
         return {
             "completely_positive": cert.verdict,
             "symbol_min_eigenvalue": cert.symbol_verdict.witness,
-            "choi_min_eigenvalue": cert.choi_verdict.witness,
+            "block_min_eigenvalue": cert.block_verdict.witness,
             "undecided": cert.undecided,
             "unital": ch.is_unital(ch.build_channel(fn), tol),
         }

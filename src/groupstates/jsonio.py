@@ -138,15 +138,6 @@ def descriptor_to_json(desc: AffineHomeoDescriptor) -> dict:
     }
 
 
-def descriptor_from_json(obj: dict) -> AffineHomeoDescriptor:
-    sigma = tuple(int(x) for x in _need(obj, "sigma", "descriptor"))
-    unitaries = tuple(
-        matrix_from_json(u) for u in _need(obj, "unitaries", "descriptor")
-    )
-    transpose = tuple(bool(b) for b in _need(obj, "transpose", "descriptor"))
-    return AffineHomeoDescriptor(sigma, unitaries, transpose)
-
-
 def pairs_from_json(obj: dict, group: FiniteGroup, base: Path | None = None):
     """Sampled map: {"pairs": [{"in": <function>, "out": <function>}, ...]}."""
     pairs = []

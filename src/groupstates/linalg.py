@@ -1,5 +1,5 @@
 """Dense complex-matrix kernel: Hermitian eigendecomposition, PSD tests,
-polar decomposition, trace norms, Kronecker products.
+polar decomposition, trace norms.
 
 All spectral verdicts use a dimension- and scale-aware cutoff (see
 :class:`Tolerance`), and verdicts inside the band ``|lambda_min| <= 10 *
@@ -136,8 +136,3 @@ def trace_norm(a) -> float:
     if m.size == 0:
         return 0.0
     return float(np.linalg.svd(m, compute_uv=False).sum())
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product, (i,k),(j,l) -> A[i,j] * B[k,l] with row-major blocks."""
-    return np.kron(as_matrix(a), as_matrix(b))

@@ -27,7 +27,7 @@ from .errors import (
     NotNormalized,
     NotPositiveDefinite,
 )
-from .groups import FiniteGroup, algebra_matrix, generating_set, same_group
+from .groups import FiniteGroup, algebra_matrix, same_group
 from .linalg import DEFAULT_TOL, PsdVerdict, Tolerance, hermitian_eig, is_psd, trace_norm
 
 
@@ -245,27 +245,29 @@ def gns(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> GnsRepresentation:
 
 
 def commutant_dimension(rep: GnsRepresentation, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Dimension of {X : X rep(s) = rep(s) X for generators s}.
+    """Dimension of {X : X rep(s) = rep(s) X for all s}.
 
-    Commuting with a generating set implies commuting with every rep(s).
+    For rep = sum of m_pi copies of irreducibles this is sum m_pi^2, the
+    character norm (1/|G|) sum_s |tr rep(s)|^2 (Serre, Linear
+    Representations of Finite Groups, 2.3 Thm 5).  The norm is an integer
+    in exact arithmetic; a value more than 1e-6 (relative) from one raises
+    ConvergenceFailure.  ``tol`` is unused: the rounding test needs no
+    spectral cutoff.
     """
-    g = rep.group
-    d = rep.dim
-    gens = generating_set(g) or [g.identity]
-    eye = np.eye(d)
-    blocks = [
-        np.kron(eye, rep.rep[s]) - np.kron(rep.rep[s].T, eye) for s in gens
-    ]
-    stacked = np.vstack(blocks)
-    svals = np.linalg.svd(stacked, compute_uv=False)
-    top = float(svals[0]) if svals.size else 0.0
-    cutoff = tol.eig_tol * max(stacked.shape) * max(top, 1.0)
-    return int(np.count_nonzero(svals <= cutoff))
+    traces = np.einsum("sii->s", rep.rep)
+    raw = float(np.sum(np.abs(traces) ** 2)) / rep.group.order
+    dim = round(raw)
+    if abs(raw - dim) > 1e-6 * raw:
+        raise ConvergenceFailure(
+            f"character norm {raw!r} is not an integer",
+            witness={"character_norm": raw},
+        )
+    return dim
 
 
 def is_extreme(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Extreme point test: true iff the GNS representation is irreducible,
-    i.e. its commutant is one-dimensional."""
+    i.e. its commutant is one-dimensional (character norm 1)."""
     rep = gns(fn, tol)
     return commutant_dimension(rep, tol) == 1
 

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .groups import FiniteGroup, algebra_matrix, generating_set, same_group
 from .linalg import DEFAULT_TOL, Tolerance, polar_unitary
-from .posdef import GroupFunction, convex_combine, random_p1
+from .posdef import GroupFunction, convex_combine, random_hermitian_symmetric, random_p1
 
 _CLUSTER_GAP = 1e-6
 
@@ -189,22 +189,6 @@ class BlockDecomposition:
         return self._split(self.transform @ c)
 
 
-def _random_hermitian_coeffs(group: FiniteGroup, rng: np.random.Generator) -> np.ndarray:
-    n = group.order
-    v = np.zeros(n, dtype=complex)
-    for s in range(n):
-        t = group.inv(s)
-        if s > t:
-            continue
-        if s == t:
-            v[s] = rng.normal()
-        else:
-            z = rng.normal() + 1j * rng.normal()
-            v[s] = z
-            v[t] = np.conj(z)
-    return v
-
-
 def _cluster_spectrum(evals: np.ndarray, scale: float) -> list[np.ndarray]:
     """Indices of eigenvalues grouped by gaps above the cluster threshold."""
     order = np.argsort(evals)
@@ -248,7 +232,7 @@ def block_decompose(
 
         block_units = None
         for _ in range(max_retries):
-            x = p @ algebra_matrix(group, _random_hermitian_coeffs(group, rng)) @ p
+            x = p @ algebra_matrix(group, random_hermitian_symmetric(group, rng).values) @ p
             x = (x + x.conj().T) / 2
             evals, vecs = np.linalg.eigh(x)
             scale = max(float(np.abs(evals).max()), 1.0)
@@ -264,7 +248,7 @@ def block_decompose(
                 for c in clusters
             ]
 
-            y = algebra_matrix(group, _random_hermitian_coeffs(group, rng))
+            y = algebra_matrix(group, random_hermitian_symmetric(group, rng).values)
             isometries = [minimal[0]]
             ok = True
             for j in range(1, d):

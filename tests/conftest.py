@@ -67,6 +67,22 @@ def builtin_catalog(max_order: int = 24):
     return [g for g in groups if g.order <= max_order]
 
 
+def criterion_04_groups():
+    """The groups of the CP sweep in acceptance criterion 04, all of order
+    at most 12, where the literal Choi matrix is still affordable."""
+    return [
+        cyclic_group(2), cyclic_group(3), cyclic_group(4), cyclic_group(5),
+        cyclic_group(6), cyclic_group(7), cyclic_group(8), cyclic_group(9),
+        cyclic_group(10), cyclic_group(11), cyclic_group(12),
+        symmetric_group(3), dihedral_group(4), quaternion_group(),
+        dihedral_group(5), dihedral_group(6),
+        direct_product(cyclic_group(2), cyclic_group(2)),
+        direct_product(cyclic_group(2), cyclic_group(4)),
+        direct_product(cyclic_group(2), symmetric_group(3)),
+        direct_product(cyclic_group(3), cyclic_group(3)),
+    ]
+
+
 def brute_force_conjugacy_classes(group):
     """Independent conjugation-orbit enumeration by explicit looping."""
     n = group.order
@@ -153,3 +169,37 @@ def loop_coefficient_transport(src, dst, matching):
             pushed[matching[pi]] = b
         mat[:, s] = dst.to_coefficients(pushed)
     return mat
+
+
+def literal_choi_matrix(a):
+    """Literal Choi assembly of the Schur multiplier with symbol matrix A:
+    the sum over (s, t) of A[s, t] (E_st tensor E_st), n^2 x n^2."""
+    n = a.shape[0]
+    choi = np.zeros((n * n, n * n), dtype=complex)
+    unit = np.zeros((n, n), dtype=complex)
+    for s in range(n):
+        for t in range(n):
+            if a[s, t] == 0:
+                continue
+            unit[s, t] = 1.0
+            choi += a[s, t] * np.kron(unit, unit)
+            unit[s, t] = 0.0
+    return choi
+
+
+def kron_commutant_dimension(rep, tol):
+    """Commutant dimension of a GNS representation as the null space of
+    the stacked maps X -> X rep(s) - rep(s) X over a generating set."""
+    from groupstates.groups import generating_set
+
+    g = rep.group
+    d = rep.dim
+    gens = generating_set(g) or [g.identity]
+    eye = np.eye(d)
+    stacked = np.vstack(
+        [np.kron(eye, rep.rep[s]) - np.kron(rep.rep[s].T, eye) for s in gens]
+    )
+    svals = np.linalg.svd(stacked, compute_uv=False)
+    top = float(svals[0]) if svals.size else 0.0
+    cutoff = tol.eig_tol * max(stacked.shape) * max(top, 1.0)
+    return int(np.count_nonzero(svals <= cutoff))

@@ -24,7 +24,6 @@ from groupstates import (
     convex_combine,
     cyclic_group,
     dihedral_group,
-    direct_product,
     face_membership,
     is_completely_positive,
     is_extreme,
@@ -46,7 +45,7 @@ from groupstates import (
 from groupstates.cli import dispatch
 from groupstates.groups import algebra_matrix
 
-from conftest import builtin_catalog
+from conftest import builtin_catalog, criterion_04_groups
 
 
 def _report(num, name, ok, detail=""):
@@ -117,17 +116,7 @@ def test_criterion_03_bochner_oracle():
 
 
 def test_criterion_04_cp_equivalence():
-    groups = [
-        cyclic_group(2), cyclic_group(3), cyclic_group(4), cyclic_group(5),
-        cyclic_group(6), cyclic_group(7), cyclic_group(8), cyclic_group(9),
-        cyclic_group(10), cyclic_group(11), cyclic_group(12),
-        symmetric_group(3), dihedral_group(4), quaternion_group(),
-        dihedral_group(5), dihedral_group(6),
-        direct_product(cyclic_group(2), cyclic_group(2)),
-        direct_product(cyclic_group(2), cyclic_group(4)),
-        direct_product(cyclic_group(2), symmetric_group(3)),
-        direct_product(cyclic_group(3), cyclic_group(3)),
-    ]
+    groups = criterion_04_groups()
     assert all(g.order <= 12 for g in groups)
     rng = np.random.default_rng(104)
     mismatches = 0
@@ -140,8 +129,8 @@ def test_criterion_04_cp_equivalence():
         fn = random_p1(g, rng) if i % 2 else random_hermitian_symmetric(g, rng)
         cert = is_completely_positive(build_channel(fn))  # raises on sub-check split
         verdict = is_positive_definite(fn)
-        # the Choi matrix always has structural zero eigenvalues, so only the
-        # symbol-side verdicts decide whether a sample counts
+        # random_p1 symbols of low rank put a zero eigenvalue in some Fourier
+        # block, so only the symbol-side verdicts decide whether a sample counts
         if cert.symbol_verdict.undecided or verdict.undecided:
             undecided += 1
             continue

@@ -1,3 +1,6 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,24 +8,38 @@ from groupstates import (
     GroupFunction,
     apply,
     build_channel,
+    block_decompose,
     compose,
     constant_one,
     convex_combine,
     cyclic_group,
     delta_e,
     dihedral_group,
+    direct_product,
     is_completely_positive,
     is_positive_definite,
+    is_psd,
     is_unital,
     quaternion_group,
     random_hermitian_symmetric,
     random_p1,
+    regular_representation,
     schur_symbol,
     symmetric_group,
     to_state,
 )
+from groupstates.cli import dispatch
 from groupstates.errors import GroupMismatch, NotHermitianSymmetric
 from groupstates.groups import algebra_matrix
+from groupstates.jsonio import function_to_json
+
+from conftest import criterion_04_groups, literal_choi_matrix
+
+
+def _margin_symbol(group, rng):
+    """0.3 delta_e + 0.7 (random P1 element): every Fourier block is at
+    least 0.3 times the identity, so the CP verdict has a margin."""
+    return convex_combine([0.3, 0.7], [delta_e(group), random_p1(group, rng)])
 
 
 def test_identity_channel(z4):
@@ -69,15 +86,14 @@ def test_superoperator_diagonal_action(q8):
     rng = np.random.default_rng(3)
     fn = random_p1(q8, rng)
     ch = build_channel(fn)
-    sup = ch.superoperator
-    assert sup.shape == (64, 64)
     # action on each basis element: M(lambda_s) = phi(s) lambda_s
-    from groupstates import regular_representation
-
     for s in q8.elements():
+        basis = np.zeros(8, dtype=complex)
+        basis[s] = 1.0
+        out = apply(ch, GroupFunction(q8, basis))
+        assert np.array_equal(out.values, fn(s) * basis)
         lam = regular_representation(q8, s)
-        out = (sup @ lam.reshape(-1)).reshape(8, 8)
-        assert np.abs(out - fn(s) * lam).max() < 1e-12
+        assert np.abs(algebra_matrix(q8, out.values) - fn(s) * lam).max() < 1e-12
 
 
 def test_unital_iff_normalized(q8):
@@ -104,7 +120,8 @@ def test_cp_matches_positive_definiteness_sweep():
             fn = random_p1(g, rng) if i % 2 else random_hermitian_symmetric(g, rng)
             cert = is_completely_positive(build_channel(fn))
             verdict = is_positive_definite(fn)
-            # Choi zero modes are structural; only symbol-side verdicts gate
+            # random_p1 symbols of low rank put a zero eigenvalue in some
+            # Fourier block; only symbol-side verdicts gate
             if cert.symbol_verdict.undecided or verdict.undecided:
                 continue
             assert cert.verdict == verdict.is_psd
@@ -124,10 +141,13 @@ def test_cp_negative_z2(z2):
 
 def test_cp_delta(q8):
     cert = is_completely_positive(build_channel(delta_e(q8)))
-    assert cert.verdict
-    # Choi of the delta symbol: ones exactly on the diagonal pairs
-    nz = np.argwhere(cert.choi != 0)
-    assert all(r == c for r, c in nz)
+    assert cert.verdict and not cert.undecided
+    # every Fourier block of lambda_e is an identity matrix
+    assert abs(cert.block_verdict.witness - 1.0) < 1e-12
+    # literal Choi of the delta symbol: ones exactly on the pairs (s, s)
+    choi = literal_choi_matrix(cert.schur)
+    nz = [tuple(rc) for rc in np.argwhere(choi != 0).tolist()]
+    assert nz == [(9 * s, 9 * s) for s in range(8)]
 
 
 def test_cp_requires_hermitian_symmetry(z3):
@@ -136,28 +156,102 @@ def test_cp_requires_hermitian_symmetry(z3):
         is_completely_positive(build_channel(fn))
 
 
-def test_choi_and_symbol_spectra_relate(d4):
+def test_choi_and_symbol_spectra_relate():
     rng = np.random.default_rng(6)
-    fn = random_hermitian_symmetric(d4, rng)
-    cert = is_completely_positive(build_channel(fn))
-    sym_eigs = np.linalg.eigvalsh(cert.schur)
-    choi_eigs = np.linalg.eigvalsh(cert.choi)
-    # the Choi matrix is the symbol padded by a zero kernel
-    padded = np.sort(np.concatenate([sym_eigs, np.zeros(64 - 8)]))
-    assert np.abs(np.sort(choi_eigs) - padded).max() < 1e-9
+    for g in (dihedral_group(4), quaternion_group(), symmetric_group(3),
+              direct_product(cyclic_group(2), symmetric_group(3))):
+        n = g.order
+        decomp = block_decompose(g)
+        for fn in (random_hermitian_symmetric(g, rng), random_p1(g, rng)):
+            cert = is_completely_positive(build_channel(fn))
+            sym_eigs = np.linalg.eigvalsh(cert.schur)
+            # the literal Choi matrix is the symbol padded by a zero kernel
+            choi_eigs = np.linalg.eigvalsh(literal_choi_matrix(cert.schur))
+            padded = np.sort(np.concatenate([sym_eigs, np.zeros(n * n - n)]))
+            assert np.abs(np.sort(choi_eigs) - padded).max() < 1e-9
+            # the symbol is the regular representation of sum phi(s) lambda_s:
+            # block pi appears d_pi times
+            blocks = decomp.from_coefficients(fn.values)
+            union = np.concatenate([
+                np.repeat(np.linalg.eigvalsh(b), d)
+                for b, d in zip(blocks, decomp.block_dims)
+            ])
+            assert np.abs(np.sort(union) - sym_eigs).max() < 1e-9
+            assert abs(cert.block_verdict.witness - sym_eigs[0]) < 1e-9
+
+
+def test_block_verdict_matches_literal_choi():
+    rng = np.random.default_rng(12)
+    groups = criterion_04_groups()
+    decided = {True: 0, False: 0}
+    for g in groups:
+        for fn in (random_hermitian_symmetric(g, rng), _margin_symbol(g, rng)):
+            cert = is_completely_positive(build_channel(fn))
+            if cert.undecided:
+                continue
+            # the literal Choi matrix of a CP multiplier is singular, so only
+            # its verdict is compared, never its undecided flag
+            assert is_psd(literal_choi_matrix(cert.schur)).is_psd == cert.verdict
+            assert cert.block_verdict.is_psd == cert.verdict
+            decided[cert.verdict] += 1
+    assert decided[True] >= len(groups) and decided[False] > 10
+
+
+def test_cp_margin_symbol_is_decided(tmp_path, capsys):
+    rng = np.random.default_rng(13)
+    for g in (symmetric_group(3), quaternion_group(), symmetric_group(4)):
+        fn = _margin_symbol(g, rng)
+        cert = is_completely_positive(build_channel(fn))
+        assert cert.verdict and not cert.undecided
+        assert cert.block_verdict.witness >= 0.3 - 1e-9
+        path = tmp_path / f"{g.name}.json"
+        path.write_text(json.dumps(function_to_json(fn)))
+        assert dispatch(["channel", "cp", "--fn", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["completely_positive"] and report["undecided"] is False
+        assert abs(report["block_min_eigenvalue"] - cert.block_verdict.witness) < 1e-12
+
+
+def test_cp_large_magnitude_symbol(s4):
+    # the Fourier blocks of a symbol with entries near 1e8 carry rounding
+    # far above the absolute Hermitian tolerance
+    fn = _margin_symbol(s4, np.random.default_rng(14))
+    cert = is_completely_positive(build_channel(GroupFunction(s4, 1e8 * fn.values)))
+    assert cert.verdict and not cert.undecided
+
+
+def test_cp_s5_without_quadratic_matrices():
+    # the literal Choi matrix of S5 would take 120^4 complex entries (3.3 GB)
+    s5 = symmetric_group(5)
+    fn = _margin_symbol(s5, np.random.default_rng(15))
+    channel = build_channel(fn)
+    tracemalloc.start()
+    try:
+        cert = is_completely_positive(channel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.verdict and not cert.undecided
+    assert peak < 64 * 2**20
 
 
 def test_symbol_to_channel_is_affine(s3):
     rng = np.random.default_rng(7)
     f1, f2 = random_p1(s3, rng), random_p1(s3, rng)
     t = 0.3
-    rhs = t * build_channel(f1).superoperator + (1 - t) * build_channel(f2).superoperator
+    rhs = t * schur_symbol(f1) + (1 - t) * schur_symbol(f2)
     # identical arithmetic path: entrywise mixture of symbols, exact equality
     direct = GroupFunction(s3, t * f1.values + (1 - t) * f2.values)
-    assert np.array_equal(build_channel(direct).superoperator, rhs)
+    assert np.array_equal(schur_symbol(direct), rhs)
     # the library mixer sums in a different order; agreement to rounding
     mixed = convex_combine([t, 1 - t], [f1, f2])
-    assert np.abs(build_channel(mixed).superoperator - rhs).max() < 1e-15
+    assert np.abs(schur_symbol(mixed) - rhs).max() < 1e-15
+    # the channel action on an element mixes the same way
+    elem = GroupFunction(s3, rng.normal(size=6) + 1j * rng.normal(size=6))
+    images = t * apply(build_channel(f1), elem).values + (1 - t) * apply(
+        build_channel(f2), elem
+    ).values
+    assert np.abs(apply(build_channel(mixed), elem).values - images).max() < 1e-15
 
 
 def test_unital_cp_channel_preserves_states(q8):

@@ -7,7 +7,6 @@ from groupstates.linalg import (
     Tolerance,
     hermitian_eig,
     is_psd,
-    kron,
     polar_unitary,
     trace_norm,
 )
@@ -151,39 +150,3 @@ def test_trace_norm_unitary_invariance():
         u, v = random_unitary(rng, n), random_unitary(rng, n)
         base = trace_norm(a)
         assert abs(trace_norm(u @ a @ v) - base) <= 1e-8 * max(base, 1.0)
-
-
-def test_kron_identities():
-    assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_kron_unit_indexing():
-    e12 = np.zeros((2, 2)); e12[0, 1] = 1.0
-    e11 = np.zeros((2, 2)); e11[0, 0] = 1.0
-    e22 = np.zeros((2, 2)); e22[1, 1] = 1.0
-    out = kron(e12, e22)
-    assert out[1, 3] == 1.0 and np.count_nonzero(out) == 1
-    # with both factors E_11 (x) E_22 the single 1 sits at (1, 1)
-    out2 = kron(e11, e22)
-    assert out2[1, 1] == 1.0 and np.count_nonzero(out2) == 1
-
-
-def _kron_loop_oracle(a, b):
-    p, q = a.shape
-    r, s = b.shape
-    out = np.zeros((p * r, q * s), dtype=complex)
-    for i in range(p):
-        for j in range(q):
-            for k in range(r):
-                for l in range(s):
-                    out[i * r + k, j * s + l] = a[i, j] * b[k, l]
-    return out
-
-
-def test_kron_matches_loop_oracle_and_trace():
-    rng = np.random.default_rng(12)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    out = kron(a, b)
-    assert np.abs(out - _kron_loop_oracle(a, b)).max() < 1e-14
-    assert abs(np.trace(out) - np.trace(a) * np.trace(b)) < 1e-12

@@ -11,25 +11,32 @@ from groupstates import (
     convex_combine,
     cyclic_group,
     delta_e,
+    dihedral_group,
     from_state,
     gns,
     gram_matrix,
     is_extreme,
     is_positive_definite,
     pure_state_function,
+    quaternion_group,
     random_hermitian_symmetric,
     random_p1,
+    symmetric_group,
     to_state,
     vector_state,
 )
 from groupstates.errors import (
     BadWeights,
+    ConvergenceFailure,
     GroupMismatch,
     NotHermitianSymmetric,
     NotNormalized,
     NotPositiveDefinite,
 )
-from groupstates.linalg import trace_norm
+from groupstates.linalg import DEFAULT_TOL, trace_norm
+from groupstates.posdef import GnsRepresentation, commutant_dimension
+
+from conftest import kron_commutant_dimension
 
 
 def test_gram_constant_one_z2(z2):
@@ -283,6 +290,55 @@ def test_normalized_higher_character_is_a_proper_mixture(s3):
     assert is_extreme(p1) and is_extreme(p2)
     assert not is_extreme(central)
     assert gns(central).dim == 4
+
+
+def test_commutant_dimension_matches_kron_oracle():
+    rng = np.random.default_rng(14)
+    for g in (symmetric_group(3), quaternion_group(), dihedral_group(4),
+              dihedral_group(6), symmetric_group(4)):
+        table = character_table(g)
+        decomp = block_decompose(g, table, seed=4)
+        pure = [
+            pure_state_function(decomp, pi, rng.normal(size=d) + 1j * rng.normal(size=d))
+            for pi, d in enumerate(table.dims)
+        ]
+        # (function, commutant dimension known by construction)
+        cases = [(fn, 1) for fn in pure]
+        cases += [
+            (central_state_function(table, pi), d * d)
+            for pi, d in enumerate(table.dims) if d >= 2
+        ]
+        cases += [
+            (convex_combine([0.4, 0.6], [pure[0], pure[-1]]), 2),
+            (convex_combine([0.5, 0.5], [pure[1], pure[2]]), 2),
+            (delta_e(g), sum(d * d for d in table.dims)),
+            (convex_combine([0.3, 0.7], [delta_e(g), random_p1(g, rng)]),
+             sum(d * d for d in table.dims)),
+        ]
+        for fn, expected in cases:
+            rep = gns(fn)
+            assert commutant_dimension(rep) == expected
+            assert kron_commutant_dimension(rep, DEFAULT_TOL) == expected
+
+
+def test_commutant_dimension_rejects_non_integer_norm(q8):
+    rep = gns(constant_one(q8))
+    scaled = GnsRepresentation(q8, rep.dim, 1.01 * rep.rep, rep.cyclic_vector)
+    with pytest.raises(ConvergenceFailure):
+        commutant_dimension(scaled)
+
+
+def test_extreme_on_d30():
+    d30 = dihedral_group(30)
+    table = character_table(d30)
+    decomp = block_decompose(d30, table, seed=0)
+    pi = table.dims.index(2)
+    assert is_extreme(pure_state_function(decomp, pi, np.array([1.0, 1j])))
+    assert not is_extreme(central_state_function(table, pi))
+    # a full-rank state has a 60-dimensional GNS space: its commutant as a
+    # null space of X -> X rep(s) - rep(s) X is 3600 x 3600 per generator
+    rng = np.random.default_rng(15)
+    assert not is_extreme(convex_combine([0.3, 0.7], [delta_e(d30), random_p1(d30, rng)]))
 
 
 def test_extremality_closed_under_inner_automorphisms(d4):
