@@ -46,17 +46,17 @@ class FourierMultiplierChannel:
                 witness={"orders": [self.group.order, self.symbol.group.order]},
             )
         # indexing check: the Schur matrix is constant phi(u) along the
-        # support of each lambda_u
+        # support of each lambda_u, i.e. a[u t, t] = phi(u) for all (u, t)
         a = schur_symbol(self.symbol)
-        n = self.group.order
-        t = np.arange(n)
-        for u in self.group.elements():
-            rows = self.group.cayley[u, t]
-            if not np.array_equal(a[rows, t], np.full(n, self.symbol.values[u])):
-                raise InternalDisagreement(
-                    f"Schur symbol inconsistent on lambda_{u}",
-                    witness={"element": int(u)},
-                )
+        g = self.group
+        along = a[g.cayley, np.arange(g.order)] == self.symbol.values[:, None]
+        bad = np.flatnonzero(~along.all(axis=1))
+        if bad.size:
+            u = int(bad[0])
+            raise InternalDisagreement(
+                f"Schur symbol inconsistent on lambda_{u}",
+                witness={"element": u},
+            )
 
 
 def build_channel(fn: GroupFunction) -> FourierMultiplierChannel:

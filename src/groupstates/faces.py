@@ -21,7 +21,13 @@ from .errors import (
     NotCentral,
     SizeLimitExceeded,
 )
-from .groups import FiniteGroup, generating_set, regular_representation, same_group
+from .groups import (
+    FiniteGroup,
+    algebra_matrix,
+    convolve,
+    membership_residual,
+    same_group,
+)
 from .linalg import DEFAULT_TOL, Tolerance
 from .posdef import GroupFunction, NormalState, to_state
 
@@ -60,16 +66,19 @@ class FaceChain:
         return len(self.projections)
 
 
-def _centrality_deviation(group: FiniteGroup, matrix: np.ndarray) -> float:
-    dev = 0.0
-    for s in generating_set(group) or [group.identity]:
-        lam = regular_representation(group, s)
-        dev = max(dev, float(np.abs(lam @ matrix - matrix @ lam).max()))
-    return dev
+def _centrality_deviation(group: FiniteGroup, coeffs: np.ndarray) -> float:
+    """max |c(g s g^-1) - c(s)| over all (g, s).
+
+    The commutator [lambda_g, x] has coefficients c(g^-1 v g) - c(v), so
+    this is the largest commutator entry over the whole group: x is central
+    exactly when c is a class function.
+    """
+    conj = group.cayley[group.cayley, group.inverses[:, None]]  # [g, s] = g s g^-1
+    return float(np.abs(coeffs[conj] - coeffs[None, :]).max())
 
 
-def _require_central(group: FiniteGroup, matrix: np.ndarray, tol: Tolerance) -> None:
-    dev = _centrality_deviation(group, matrix)
+def _require_central(group: FiniteGroup, coeffs: np.ndarray, tol: Tolerance) -> None:
+    dev = _centrality_deviation(group, coeffs)
     if dev > tol.residual_tol:
         raise NotCentral(
             f"projection does not commute with the regular representation "
@@ -84,11 +93,22 @@ def descriptor_from_projection(
     matrix=None,
     tol: Tolerance = DEFAULT_TOL,
 ) -> FaceDescriptor:
-    """Wrap a projection as a face descriptor, detecting centrality."""
-    from .groups import algebra_matrix
+    """Wrap a projection as a face descriptor, detecting centrality.
 
+    A ``matrix`` passed along with the coefficients must be their
+    regular-representation image; a mismatch raises ConvergenceFailure.
+    """
     c = np.asarray(coeffs, dtype=complex)
-    m = np.asarray(matrix, dtype=complex) if matrix is not None else algebra_matrix(group, c)
+    if matrix is None:
+        m = algebra_matrix(group, c)
+    else:
+        m = np.asarray(matrix, dtype=complex)
+        mismatch = membership_residual(group, m, c)
+        if mismatch > tol.residual_tol:
+            raise ConvergenceFailure(
+                f"matrix is not the image of the coefficients (residual {mismatch:.3e})",
+                witness={"membership_residual": mismatch},
+            )
     herm = float(np.abs(m - m.conj().T).max())
     idem = float(np.abs(m @ m - m).max())
     if herm > tol.residual_tol or idem > tol.residual_tol:
@@ -96,7 +116,7 @@ def descriptor_from_projection(
             f"not a projection (herm {herm:.2e}, idem {idem:.2e})",
             witness={"hermitian_residual": herm, "idempotent_residual": idem},
         )
-    central = _centrality_deviation(group, m) <= tol.residual_tol
+    central = _centrality_deviation(group, c) <= tol.residual_tol
     return FaceDescriptor(group, c, m, central, central)
 
 
@@ -158,7 +178,7 @@ def complementary_split_face(
 ) -> FaceDescriptor:
     """The complementary face, supported by 1 - p."""
     group = face.group
-    _require_central(group, face.matrix, tol)
+    _require_central(group, face.coeffs, tol)
     coeffs = -face.coeffs.copy()
     coeffs[group.identity] += 1.0
     matrix = np.eye(group.order, dtype=complex) - face.matrix
@@ -175,7 +195,11 @@ def state_decomposition(
     """Split a state across a central projection: omega = t w1 + (1-t) w2.
 
     w1 lives in Face(p), w2 in Face(1-p), and t = omega(p).  At t = 0 or
-    t = 1 the undetermined component is returned as None.
+    t = 1 the undetermined component is returned as None.  Everything runs
+    on coefficient vectors: the cuts p*phi*p / t and q*phi*q / (1 - t), with
+    q = delta_e - p, are convolutions, and the reconstruction residual is
+    the max-abs coefficient of t w1 + (1 - t) w2 - omega, which equals the
+    max-abs entry of its regular-representation matrix.
     """
     group = state.group
     if not same_group(face.group, group):
@@ -183,28 +207,27 @@ def state_decomposition(
             "face and state live on different groups",
             witness={"orders": [face.group.order, group.order]},
         )
-    _require_central(group, face.matrix, tol)
-    t = state.expectation(face.coeffs).real
+    p = face.coeffs
+    _require_central(group, p, tol)
+    t = state.expectation(p).real
     if t >= 1.0 - tol.residual_tol:
         return 1.0, state, None
     if t <= tol.residual_tol:
         return 0.0, None, state
 
-    p = face.matrix
-    q = np.eye(group.order, dtype=complex) - p
-    d = state.gram
-    cut1 = (p @ d @ p) / t
-    cut2 = (q @ d @ q) / (1.0 - t)
-    recon = float(np.abs(t * cut1 + (1.0 - t) * cut2 - d).max())
+    q = -p
+    q[group.identity] += 1.0
+    phi = state.coefficients
+    cut1 = convolve(group, convolve(group, p, phi), p) / t
+    cut2 = convolve(group, convolve(group, q, phi), q) / (1.0 - t)
+    recon = float(np.abs(t * cut1 + (1.0 - t) * cut2 - phi).max())
     if recon > tol.residual_tol:
         raise ConvergenceFailure(
             f"decomposition reconstruction residual {recon:.3e}",
             witness={"residual": recon},
         )
-    from .groups import algebra_coefficients
-
-    w1 = to_state(GroupFunction(group, algebra_coefficients(group, cut1)), tol)
-    w2 = to_state(GroupFunction(group, algebra_coefficients(group, cut2)), tol)
+    w1 = to_state(GroupFunction(group, cut1), tol)
+    w2 = to_state(GroupFunction(group, cut2), tol)
     return float(t), w1, w2
 
 

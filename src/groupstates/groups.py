@@ -373,14 +373,7 @@ def generating_set(group: FiniteGroup) -> list[int]:
 
 def convolve(group: FiniteGroup, a, b) -> np.ndarray:
     """Coefficients of the product (sum a_s lambda_s)(sum b_t lambda_t)."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    n = group.order
-    out = np.zeros(n, dtype=complex)
-    for s in range(n):
-        if a[s] != 0:
-            out[group.cayley[s]] += a[s] * b
-    return out
+    return algebra_matrix(group, a) @ np.asarray(b, dtype=complex)
 
 
 def star(group: FiniteGroup, a) -> np.ndarray:
@@ -392,7 +385,6 @@ def star(group: FiniteGroup, a) -> np.ndarray:
 def algebra_matrix(group: FiniteGroup, coeffs) -> np.ndarray:
     """Regular-representation image of sum_s coeffs[s] lambda_s."""
     c = np.asarray(coeffs, dtype=complex)
-    n = group.order
     # row t, column u carries coeff(t u^{-1})
     idx = group.cayley[:, group.inverses]
     return c[idx]
@@ -408,11 +400,16 @@ def algebra_coefficients(group: FiniteGroup, mat) -> np.ndarray:
     return m[:, group.identity].copy()
 
 
-def membership_residual(group: FiniteGroup, mat) -> float:
-    """Distance from a matrix to the regular-representation image."""
+def membership_residual(group: FiniteGroup, mat, coeffs=None) -> float:
+    """Distance from a matrix to the regular-representation image.
+
+    With ``coeffs`` given, the distance to the image of that element
+    instead, so a matrix paired with the wrong coefficients is caught too.
+    """
     m = np.asarray(mat, dtype=complex)
-    rebuilt = algebra_matrix(group, algebra_coefficients(group, m))
-    return float(np.abs(m - rebuilt).max())
+    if coeffs is None:
+        coeffs = algebra_coefficients(group, m)
+    return float(np.abs(m - algebra_matrix(group, coeffs)).max())
 
 
 def same_group(g: FiniteGroup, h: FiniteGroup) -> bool:

@@ -92,7 +92,7 @@ def hermitian_eig(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarr
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigendecomposition failed: {exc}") from exc
     scale = float(np.abs(sym).max()) if sym.size else 0.0
-    resid = float(np.abs(v @ np.diag(w) @ v.conj().T - sym).max()) if sym.size else 0.0
+    resid = float(np.abs((v * w) @ v.conj().T - sym).max()) if sym.size else 0.0
     if resid > tol.residual_tol * max(scale, 1.0):
         raise ConvergenceFailure(
             f"eigendecomposition residual {resid:.3e} exceeds tolerance",

@@ -14,7 +14,7 @@ coefficient at the cyclic vector come out as phi(s) rather than phi(s^{-1}).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -28,18 +28,25 @@ from .errors import (
     NotPositiveDefinite,
 )
 from .groups import FiniteGroup, algebra_matrix, same_group
-from .linalg import DEFAULT_TOL, PsdVerdict, Tolerance, hermitian_eig, is_psd, trace_norm
+from .linalg import DEFAULT_TOL, PsdVerdict, Tolerance, hermitian_eig, is_psd
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class GroupFunction:
-    """A complex function on the group, values indexed by element."""
+    """A complex function on the group, values indexed by element.
+
+    Immutable: ``values`` is a private read-only copy of the input and
+    cannot be reassigned, so the Gram PSD verdict that
+    :func:`is_positive_definite` computes is cached per ``Tolerance`` and
+    reused by later queries on the same object.
+    """
 
     group: FiniteGroup
     values: np.ndarray
+    _psd_verdicts: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=complex)
+        v = np.array(self.values, dtype=complex)
         if v.shape != (self.group.order,):
             raise ValueError(
                 f"expected {self.group.order} values, got shape {v.shape}"
@@ -47,7 +54,7 @@ class GroupFunction:
         if not (np.all(np.isfinite(v.real)) and np.all(np.isfinite(v.imag))):
             raise ValueError("function values contain NaN or Inf")
         v.setflags(write=False)
-        self.values = v
+        object.__setattr__(self, "values", v)
 
     def __call__(self, s: int) -> complex:
         return complex(self.values[s])
@@ -88,9 +95,16 @@ def gram_matrix(fn: GroupFunction) -> np.ndarray:
 
 
 def is_positive_definite(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> PsdVerdict:
-    """PSD verdict for the full Gram matrix, with witness eigenvalue."""
+    """PSD verdict for the full Gram matrix, with witness eigenvalue.
+
+    The Hermitian-symmetry check runs on every call; the eigen-test runs
+    once per function and tolerance, and its verdict is cached on ``fn``.
+    """
     _require_hermitian_symmetric(fn, tol)
-    return is_psd(gram_matrix(fn), tol)
+    verdict = fn._psd_verdicts.get(tol)
+    if verdict is None:
+        verdict = fn._psd_verdicts[tol] = is_psd(gram_matrix(fn), tol)
+    return verdict
 
 
 @dataclass(eq=False)
@@ -120,9 +134,10 @@ class NormalState:
 def to_state(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> NormalState:
     """Realize a normalized positive definite function as a normal state.
 
-    Membership in P1 is re-verified here rather than trusted: raises
+    Membership in P1 is verified here, never taken from the caller: raises
     NotNormalized when phi(e) != 1 and NotPositiveDefinite when the Gram
-    matrix fails the PSD test.
+    matrix fails the PSD test.  The test is :func:`is_positive_definite`,
+    so a verdict it already cached on ``fn`` is reused, not recomputed.
     """
     g = fn.group
     fe = fn.values[g.identity]
@@ -146,9 +161,15 @@ def from_state(state: NormalState) -> GroupFunction:
 
 
 def a_norm(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Fourier-algebra norm: trace norm of the density in the normalized trace."""
+    """Fourier-algebra norm: trace norm of the density in the normalized trace.
+
+    The density of a Hermitian-symmetric function is Hermitian, so its
+    trace norm is the sum of the absolute eigenvalues.
+    """
     _require_hermitian_symmetric(fn, tol)
-    return trace_norm(algebra_matrix(fn.group, fn.values)) / fn.group.order
+    density = algebra_matrix(fn.group, fn.values)
+    density = (density + density.conj().T) / 2
+    return float(np.abs(np.linalg.eigvalsh(density)).sum()) / fn.group.order
 
 
 def convex_combine(
@@ -200,19 +221,21 @@ def gns(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> GnsRepresentation:
     of the sesquilinear form induced by phi.
 
     The kernel used is the transpose of the Gram matrix, so the recovered
-    matrix coefficient is phi(s) itself.  Eigenvectors with eigenvalue above
+    matrix coefficient is phi(s) itself.  It has the Gram spectrum, shape
+    and max entry, hence the same PSD cutoff, so its one eigendecomposition
+    decides positive definiteness too.  Eigenvectors with eigenvalue above
     the cutoff are kept and rescaled to an orthonormal basis of the quotient.
     """
     g = fn.group
-    verdict = is_positive_definite(fn, tol)
-    if not verdict.is_psd:
-        raise NotPositiveDefinite(
-            f"Gram matrix has eigenvalue {verdict.witness:.3e}",
-            witness={"min_eigenvalue": verdict.witness},
-        )
+    _require_hermitian_symmetric(fn, tol)
     kernel = gram_matrix(fn).T
     w, v = hermitian_eig(kernel, tol)
     cutoff = tol.eig_cutoff(kernel)
+    if w[0] < -cutoff:
+        raise NotPositiveDefinite(
+            f"Gram matrix has eigenvalue {w[0]:.3e}",
+            witness={"min_eigenvalue": float(w[0])},
+        )
     keep = w > cutoff
     dim = int(np.count_nonzero(keep))
     if dim == 0:

@@ -203,3 +203,48 @@ def kron_commutant_dimension(rep, tol):
     top = float(svals[0]) if svals.size else 0.0
     cutoff = tol.eig_tol * max(stacked.shape) * max(top, 1.0)
     return int(np.count_nonzero(svals <= cutoff))
+
+
+def loop_convolve(group, a, b):
+    """Group-algebra product one basis element at a time: a_s b_t lands on
+    the coefficient of s t."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    out = np.zeros(group.order, dtype=complex)
+    for s in range(group.order):
+        if a[s] != 0:
+            out[group.cayley[s]] += a[s] * b
+    return out
+
+
+def dense_state_decomposition(state, face):
+    """The split of a state across a central projection, built from dense
+    n x n matrices: w1 = p D p / t and w2 = q D q / (1 - t), with D the
+    density, q = 1 - p and t = omega(p).  Components read off the column
+    at the identity; None where t is 0 or 1."""
+    from groupstates.groups import algebra_coefficients
+    from groupstates.posdef import GroupFunction, to_state
+
+    group = state.group
+    t = state.expectation(face.coeffs).real
+    if t >= 1.0 - 1e-8:
+        return 1.0, state.coefficients, None
+    if t <= 1e-8:
+        return 0.0, None, state.coefficients
+    p = face.matrix
+    q = np.eye(group.order, dtype=complex) - p
+    d = state.gram
+    w1 = to_state(GroupFunction(group, algebra_coefficients(group, p @ d @ p / t)))
+    w2 = to_state(GroupFunction(group, algebra_coefficients(group, q @ d @ q / (1 - t))))
+    return t, w1.coefficients, w2.coefficients
+
+
+def commutator_centrality_deviation(group, matrix):
+    """Largest entry of [lambda_g, m] over every group element g."""
+    from groupstates.groups import regular_representation
+
+    dev = 0.0
+    for g in range(group.order):
+        lam = regular_representation(group, g)
+        dev = max(dev, float(np.abs(lam @ matrix - matrix @ lam).max()))
+    return dev

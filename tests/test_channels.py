@@ -29,7 +29,8 @@ from groupstates import (
     to_state,
 )
 from groupstates.cli import dispatch
-from groupstates.errors import GroupMismatch, NotHermitianSymmetric
+from groupstates import channels
+from groupstates.errors import GroupMismatch, InternalDisagreement, NotHermitianSymmetric
 from groupstates.groups import algebra_matrix
 from groupstates.jsonio import function_to_json
 
@@ -293,3 +294,21 @@ def test_compose_preserves_positive_definiteness(q8):
             np.abs(schur_symbol(prod) - schur_symbol(f1) * schur_symbol(f2)).max()
             < 1e-12
         )
+
+
+def test_schur_indexing_check_names_first_bad_element(monkeypatch, s3):
+    """A Schur matrix off phi(u) along lambda_u is caught, and the witness
+    is the first element whose diagonal is wrong."""
+    fn = random_hermitian_symmetric(s3, np.random.default_rng(15))
+    real = channels.schur_symbol
+
+    def tampered(symbol):
+        a = real(symbol).copy()
+        for u in (4, 2):  # lambda_u occupies the entries (u t, t)
+            a[s3.mul(u, 3), 3] += 1e-3
+        return a
+
+    monkeypatch.setattr(channels, "schur_symbol", tampered)
+    with pytest.raises(InternalDisagreement) as info:
+        build_channel(fn)
+    assert info.value.witness == {"element": 2}

@@ -11,18 +11,23 @@ from groupstates import (
     convex_combine,
     delta_e,
     descriptor_from_projection,
+    dihedral_group,
     face_membership,
     maximal_chain_length,
     minimal_central_projections,
     pure_state_function,
+    quaternion_group,
     random_p1,
     split_faces,
     state_decomposition,
     symmetric_group,
     to_state,
 )
-from groupstates.errors import GroupMismatch, NotCentral, SizeLimitExceeded
-from groupstates.faces import FaceDescriptor
+from groupstates.errors import ConvergenceFailure, GroupMismatch, NotCentral, SizeLimitExceeded
+from groupstates.faces import FaceDescriptor, _centrality_deviation
+from groupstates.groups import algebra_matrix, generating_set, regular_representation
+
+from conftest import commutator_centrality_deviation, dense_state_decomposition
 
 
 def _face_supported_state(decomp, members, rng):
@@ -297,3 +302,65 @@ def test_faces_are_convex(q8):
         convex_combine([0.3, 0.7], [GroupFunction(q8, s1.coefficients), GroupFunction(q8, s2.coefficients)])
     )
     assert face_membership(face, mix)
+
+
+@pytest.mark.parametrize(
+    "group",
+    [symmetric_group(3), quaternion_group(), dihedral_group(6), symmetric_group(4)],
+    ids=lambda g: g.name,
+)
+def test_state_decomposition_matches_dense_oracle(group):
+    """Coefficient-space split = dense p D p / q D q split, over random
+    states and every split face, to 1e-12."""
+    table = character_table(group)
+    faces = split_faces(group, table)
+    rng = np.random.default_rng(11)
+    states = [to_state(random_p1(group, rng)) for _ in range(3)]
+    for state in states:
+        for face in faces:
+            t, w1, w2 = state_decomposition(state, face)
+            t_ref, c1, c2 = dense_state_decomposition(state, face)
+            assert abs(t - t_ref) < 1e-12
+            for got, ref in ((w1, c1), (w2, c2)):
+                assert (got is None) == (ref is None)
+                if got is not None:
+                    assert np.abs(got.coefficients - ref).max() < 1e-12
+
+
+def test_coefficient_centrality_matches_commutators(q8, s3):
+    """The class-function deviation equals the largest commutator entry with
+    the regular representation over the whole group, and decides centrality
+    as the commutators with a generating set do."""
+    def generator_deviation(group, matrix):
+        return max(
+            float(np.abs(lam @ matrix - matrix @ lam).max())
+            for lam in (regular_representation(group, s) for s in generating_set(group))
+        )
+
+    cases = []
+    for group in (q8, s3):
+        table = character_table(group)
+        cases += [(group, f.coeffs, True) for f in split_faces(group, table)]
+    decomp = block_decompose(q8, character_table(q8), seed=0)
+    two_dim = decomp.block_dims.index(2)
+    cases.append((q8, decomp.units[two_dim][0, 0], False))  # the unit e_00
+    for group, coeffs, central in cases:
+        matrix = algebra_matrix(group, coeffs)
+        dev = _centrality_deviation(group, np.asarray(coeffs, dtype=complex))
+        assert abs(dev - commutator_centrality_deviation(group, matrix)) < 1e-12
+        assert (dev <= 1e-8) == central
+        assert (generator_deviation(group, matrix) <= 1e-8) == central
+
+
+def test_descriptor_rejects_mismatched_matrix(z2):
+    """A matrix that is not the image of the coefficients is refused, with
+    the residual as witness (p_-'s coefficients with p_+'s matrix on Z2)."""
+    table = character_table(z2)
+    projs = minimal_central_projections(z2, table)
+    plus = [p for p in projs if p.coeffs[1].real > 0][0]
+    minus = [p for p in projs if p.coeffs[1].real < 0][0]
+    with pytest.raises(ConvergenceFailure) as info:
+        descriptor_from_projection(z2, minus.coeffs, plus.matrix)
+    assert abs(info.value.witness["membership_residual"] - 1.0) < 1e-12
+    face = descriptor_from_projection(z2, plus.coeffs, plus.matrix)
+    assert face.is_central

@@ -28,7 +28,7 @@ from groupstates.groups import (
     star,
 )
 
-from conftest import brute_force_conjugacy_classes
+from conftest import brute_force_conjugacy_classes, loop_convolve
 
 # a Latin square with identity that is not a group (order-5 loop)
 NONASSOC = [
@@ -210,3 +210,22 @@ def test_algebra_matrix_and_convolution_agree():
     assert np.abs(algebra_coefficients(g, algebra_matrix(g, a)) - a).max() < 1e-12
     assert membership_residual(g, algebra_matrix(g, a)) < 1e-12
     assert membership_residual(g, np.eye(8) + np.diag(np.arange(8.0))) > 0.5
+
+
+def test_convolve_matches_loop_oracle(s3, q8, d4):
+    rng = np.random.default_rng(9)
+    for g in (s3, q8, d4, cyclic_group(5)):
+        n = g.order
+        a = rng.normal(size=n) + 1j * rng.normal(size=n)
+        b = rng.normal(size=n) + 1j * rng.normal(size=n)
+        a[rng.integers(n)] = 0.0  # the loop skips zero coefficients
+        assert np.abs(convolve(g, a, b) - loop_convolve(g, a, b)).max() < 1e-12
+
+
+def test_membership_residual_against_given_coefficients(z2):
+    plus = np.array([0.5, 0.5])
+    minus = np.array([0.5, -0.5])
+    m = algebra_matrix(z2, plus)
+    assert membership_residual(z2, m) == 0.0
+    assert membership_residual(z2, m, plus) == 0.0
+    assert membership_residual(z2, m, minus) == 1.0

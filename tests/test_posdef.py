@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -33,7 +35,9 @@ from groupstates.errors import (
     NotNormalized,
     NotPositiveDefinite,
 )
-from groupstates.linalg import DEFAULT_TOL, trace_norm
+from groupstates import posdef
+from groupstates.groups import algebra_matrix
+from groupstates.linalg import DEFAULT_TOL, Tolerance, trace_norm
 from groupstates.posdef import GnsRepresentation, commutant_dimension
 
 from conftest import kron_commutant_dimension
@@ -368,3 +372,70 @@ def test_vector_state_is_p1(s4):
     fn = vector_state(s4, xi)
     assert abs(fn.values[s4.identity] - 1.0) < 1e-12
     assert is_positive_definite(fn).is_psd
+
+
+def test_a_norm_matches_trace_norm_oracle(s3, q8, d4):
+    """Sum of |eigenvalues| of the Hermitian density = its singular values."""
+    rng = np.random.default_rng(12)
+    for group in (s3, q8, d4):
+        fns = [random_p1(group, rng) for _ in range(3)]
+        fns += [random_hermitian_symmetric(group, rng) for _ in range(3)]
+        for fn in fns:
+            oracle = trace_norm(algebra_matrix(group, fn.values)) / group.order
+            assert abs(a_norm(fn) - oracle) < 1e-12 * max(1.0, oracle)
+
+
+def _count_is_psd(monkeypatch):
+    calls = []
+    real = posdef.is_psd
+
+    def counted(a, tol=DEFAULT_TOL):
+        calls.append(a.shape)
+        return real(a, tol)
+
+    monkeypatch.setattr(posdef, "is_psd", counted)
+    return calls
+
+
+def test_to_state_reuses_cached_verdict(monkeypatch, q8):
+    calls = _count_is_psd(monkeypatch)
+    fn = random_p1(q8, np.random.default_rng(13))
+    verdict = is_positive_definite(fn)
+    state = to_state(fn)
+    assert len(calls) == 1
+    assert is_positive_definite(fn) is verdict
+    assert np.array_equal(state.coefficients, fn.values)
+    # the cache is keyed by the tolerance
+    is_positive_definite(fn, Tolerance(eig_tol=1e-6))
+    assert len(calls) == 2
+
+
+def test_repeated_query_still_checks_hermitian_symmetry(monkeypatch, z2):
+    calls = _count_is_psd(monkeypatch)
+    skew = GroupFunction(z2, np.array([1.0, 0.5 + 1e-6j]))
+    for _ in range(2):
+        with pytest.raises(NotHermitianSymmetric):
+            is_positive_definite(skew)
+    assert calls == []
+
+
+def test_gns_decides_from_its_own_spectrum(monkeypatch, z2, q8):
+    calls = _count_is_psd(monkeypatch)
+    rep = gns(random_p1(q8, np.random.default_rng(14)))
+    assert rep.dim >= 1 and calls == []
+    bad = GroupFunction(z2, np.array([1.0, -1.5]))
+    with pytest.raises(NotPositiveDefinite) as info:
+        gns(bad)
+    assert abs(info.value.witness["min_eigenvalue"] - is_positive_definite(bad).witness) < 1e-12
+
+
+def test_group_function_is_immutable(z3):
+    source = np.array([1.0, 0.25, 0.25])
+    fn = GroupFunction(z3, source)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fn.values = np.zeros(3)
+    with pytest.raises(ValueError):
+        fn.values[0] = 2.0
+    # the values are a private copy, so the caller's array cannot change them
+    source[1] = 9.0
+    assert fn.values[1] == 0.25
