@@ -14,7 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceFailure, DegenerateSpectrum
-from .groups import ConjugacyPartition, FiniteGroup, algebra_matrix, conjugacy_classes
+from .groups import (
+    ConjugacyPartition,
+    FiniteGroup,
+    algebra_matrix,
+    check_projection,
+    conjugacy_classes,
+    convolve,
+)
 from .linalg import DEFAULT_TOL, Tolerance
 
 _GAP_FACTOR = 1e-6
@@ -188,8 +195,9 @@ def minimal_central_projections(
 ) -> list[CentralProjection]:
     """The projections p_pi = (d_pi/|G|) sum_s conj(chi_pi(s)) lambda_s.
 
-    Verified pairwise orthogonal, summing to the identity, central, and of
-    regular-representation rank d_pi^2.
+    Verified on coefficients: each a projection (groups.check_projection)
+    of regular-representation rank d_pi^2, read from the trace n p(e), the
+    set pairwise orthogonal and summing to the identity.
     """
     n = group.order
     projections = []
@@ -197,16 +205,15 @@ def minimal_central_projections(
     for pi in range(table.num_irreps):
         d = table.dims[pi]
         coeffs = (d / n) * np.conj(table.char_values(pi))
-        mat = algebra_matrix(group, coeffs)
-        _check_projection(mat, tol, what=f"p_{pi}")
-        rank = int(np.sum(np.linalg.eigvalsh((mat + mat.conj().T) / 2) > 0.5))
+        check_projection(group, coeffs, tol, what=f"p_{pi}")
+        rank = int(round(n * coeffs[group.identity].real))
         if rank != d * d:
             raise ConvergenceFailure(
                 f"central projection {pi} has rank {rank}, expected {d * d}",
                 witness={"irrep": pi, "rank": rank, "expected": d * d},
             )
         total += coeffs
-        projections.append(CentralProjection(coeffs, mat, (pi,)))
+        projections.append(CentralProjection(coeffs, algebra_matrix(group, coeffs), (pi,)))
 
     unit = np.zeros(n, dtype=complex)
     unit[group.identity] = 1.0
@@ -217,20 +224,10 @@ def minimal_central_projections(
         )
     for i in range(len(projections)):
         for j in range(i + 1, len(projections)):
-            prod = projections[i].matrix @ projections[j].matrix
+            prod = convolve(group, projections[i].coeffs, projections[j].coeffs)
             if float(np.abs(prod).max()) > tol.residual_tol:
                 raise ConvergenceFailure(
                     f"projections {i} and {j} are not orthogonal",
                     witness={"pair": [i, j]},
                 )
     return projections
-
-
-def _check_projection(mat: np.ndarray, tol: Tolerance, what: str) -> None:
-    herm = float(np.abs(mat - mat.conj().T).max())
-    idem = float(np.abs(mat @ mat - mat).max())
-    if herm > tol.residual_tol or idem > tol.residual_tol:
-        raise ConvergenceFailure(
-            f"{what} is not a projection (herm {herm:.2e}, idem {idem:.2e})",
-            witness={"hermitian_residual": herm, "idempotent_residual": idem},
-        )

@@ -24,6 +24,7 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     algebra_matrix,
+    check_projection,
     convolve,
     membership_residual,
     same_group,
@@ -54,7 +55,8 @@ class FaceDescriptor:
 
 @dataclass(frozen=True)
 class FaceChain:
-    """A strictly increasing chain of projections inside one block face."""
+    """A strictly increasing chain of projections inside one block face,
+    held as coefficient vectors, with their regular-representation ranks."""
 
     group: FiniteGroup
     irrep: int
@@ -109,13 +111,7 @@ def descriptor_from_projection(
                 f"matrix is not the image of the coefficients (residual {mismatch:.3e})",
                 witness={"membership_residual": mismatch},
             )
-    herm = float(np.abs(m - m.conj().T).max())
-    idem = float(np.abs(m @ m - m).max())
-    if herm > tol.residual_tol or idem > tol.residual_tol:
-        raise ConvergenceFailure(
-            f"not a projection (herm {herm:.2e}, idem {idem:.2e})",
-            witness={"hermitian_residual": herm, "idempotent_residual": idem},
-        )
+    check_projection(group, c, tol, what="face support")
     central = _centrality_deviation(group, c) <= tol.residual_tol
     return FaceDescriptor(group, c, m, central, central)
 
@@ -233,36 +229,37 @@ def state_decomposition(
 
 def block_face_chain(decomp, pi: int, tol: Tolerance = DEFAULT_TOL) -> FaceChain:
     """The canonical chain q_1 < q_2 < ... < q_d of projections under p_pi,
-    built from the diagonal matrix units of the block decomposition."""
+    built from the diagonal matrix units of the block decomposition.
+
+    Each q_j is the coefficient vector of e_11 + ... + e_jj; its
+    regular-representation rank is its trace n q_j(e).
+    """
+    if not 0 <= pi < decomp.num_blocks:
+        raise ValueError(f"irrep index {pi} out of range")
     group = decomp.group
-    d = decomp.block_dims[pi]
-    running = np.zeros((group.order, group.order), dtype=complex)
+    n = group.order
+    running = np.zeros(n, dtype=complex)
     projections = []
     ranks = []
     prev_rank = 0
-    for j in range(d):
-        running = running + decomp.unit_matrix(pi, j, j)
-        herm = float(np.abs(running - running.conj().T).max())
-        idem = float(np.abs(running @ running - running).max())
-        if herm > tol.residual_tol or idem > tol.residual_tol:
-            raise ConvergenceFailure(
-                f"chain element {j} is not a projection",
-                witness={"hermitian_residual": herm, "idempotent_residual": idem},
-            )
-        rank = int(np.sum(np.linalg.eigvalsh((running + running.conj().T) / 2) > 0.5))
+    for j in range(decomp.block_dims[pi]):
+        running = running + decomp.units[pi][j, j]
+        check_projection(group, running, tol, what=f"chain element {j}")
+        rank = int(round(n * running[group.identity].real))
         if rank <= prev_rank:
             raise ConvergenceFailure(
                 f"chain ranks not strictly increasing at step {j}",
                 witness={"rank": rank, "previous": prev_rank},
             )
         if projections:
-            order_dev = float(np.abs(projections[-1] @ running - projections[-1]).max())
+            prev = projections[-1]
+            order_dev = float(np.abs(convolve(group, prev, running) - prev).max())
             if order_dev > tol.residual_tol:
                 raise ConvergenceFailure(
                     f"chain order violated at step {j}",
                     witness={"deviation": order_dev},
                 )
-        projections.append(running.copy())
+        projections.append(running)
         ranks.append(rank)
         prev_rank = rank
     return FaceChain(group, pi, tuple(projections), tuple(ranks))
@@ -296,8 +293,8 @@ def maximal_chain_length(
     # projection of rank k inside M_d, and any strictly increasing chain of
     # projections in M_d has length at most d
     d = decomp.block_dims[pi]
-    for k, mat in enumerate(chain.projections, start=1):
-        blocks = decomp.from_algebra(mat)
+    for k, coeffs in enumerate(chain.projections, start=1):
+        blocks = decomp.from_coefficients(coeffs)
         img = blocks[pi]
         idem = float(np.abs(img @ img - img).max())
         if idem > 10 * tol.residual_tol:
@@ -305,7 +302,7 @@ def maximal_chain_length(
                 f"block image of chain element {k} is not a projection",
                 witness={"residual": idem},
             )
-        img_rank = int(np.sum(np.linalg.eigvalsh((img + img.conj().T) / 2) > 0.5))
+        img_rank = int(round(np.trace(img).real))
         if img_rank != k:
             raise ConvergenceFailure(
                 f"block image rank {img_rank} != chain position {k}",

@@ -2,8 +2,8 @@
 
 Elements are dense integer indices 0..n-1; labels are cosmetic metadata.
 The module also realizes the left regular representation and the small
-amount of group-algebra plumbing (convolution, coefficient extraction)
-that the state and channel modules build on.
+amount of group-algebra plumbing (convolution, coefficient extraction,
+the projection check) that the state and channel modules build on.
 """
 
 from __future__ import annotations
@@ -14,12 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConvergenceFailure,
     IndexOutOfRange,
     NoIdentity,
     NotAssociative,
     NotLatinSquare,
     SizeLimitExceeded,
 )
+from .linalg import DEFAULT_TOL, Tolerance
 
 DEFAULT_CLOSURE_LIMIT = 10000
 SYMMETRIC_DEGREE_LIMIT = 8
@@ -380,6 +382,26 @@ def star(group: FiniteGroup, a) -> np.ndarray:
     """Coefficients of the adjoint: (a*)(s) = conj(a(s^{-1}))."""
     a = np.asarray(a, dtype=complex)
     return np.conj(a[group.inverses])
+
+
+def check_projection(
+    group: FiniteGroup, coeffs, tol: Tolerance = DEFAULT_TOL, what: str = "element"
+) -> tuple[float, float]:
+    """Hermitian and idempotent residuals max|c - c*| and max|c c - c|.
+
+    Every regular-representation entry is a coefficient, so these are the
+    max-abs entries of the n x n residual matrices.  Raises
+    ConvergenceFailure when either exceeds ``residual_tol``.
+    """
+    c = np.asarray(coeffs, dtype=complex)
+    herm = float(np.abs(c - star(group, c)).max())
+    idem = float(np.abs(convolve(group, c, c) - c).max())
+    if herm > tol.residual_tol or idem > tol.residual_tol:
+        raise ConvergenceFailure(
+            f"{what} is not a projection (herm {herm:.2e}, idem {idem:.2e})",
+            witness={"hermitian_residual": herm, "idempotent_residual": idem},
+        )
+    return herm, idem
 
 
 def algebra_matrix(group: FiniteGroup, coeffs) -> np.ndarray:

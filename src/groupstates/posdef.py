@@ -112,18 +112,15 @@ class NormalState:
     """A normal state of the group algebra, held as its density element.
 
     ``coefficients`` are the lambda-basis coefficients of the density (equal
-    to the values of the corresponding positive definite function), ``gram``
-    is the cached regular-representation image, with entry (t, u) equal to
-    phi(t u^{-1}).  The pairing is omega(x) = tr(x . density) / |G|.
+    to the values of the corresponding positive definite function).  The
+    pairing is omega(x) = tr(x . density) / |G|.
     """
 
     group: FiniteGroup
     coefficients: np.ndarray
-    gram: np.ndarray
 
     def __post_init__(self):
         self.coefficients.setflags(write=False)
-        self.gram.setflags(write=False)
 
     def expectation(self, coeffs) -> complex:
         """omega applied to the algebra element sum_s coeffs[s] lambda_s."""
@@ -151,8 +148,7 @@ def to_state(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> NormalState:
             f"Gram matrix has eigenvalue {verdict.witness:.3e}",
             witness={"min_eigenvalue": verdict.witness, "cutoff": verdict.cutoff},
         )
-    density = algebra_matrix(g, fn.values)
-    return NormalState(g, fn.values.copy(), density)
+    return NormalState(g, fn.values.copy())
 
 
 def from_state(state: NormalState) -> GroupFunction:

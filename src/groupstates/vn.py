@@ -93,9 +93,8 @@ class BlockDecomposition:
     ``transform`` is the group Fourier transform, with
     ``transform[(pi, j, k), s] = (n / d_pi) u^pi_{kj}(s^{-1})``, which takes
     a coefficient vector to its stacked blocks.  The embedding in both
-    directions is exposed through to_coefficients / from_coefficients (and
-    the n x n matrix variants to_algebra / from_algebra), and is a verified
-    *-isomorphism.
+    directions is exposed through to_coefficients / from_coefficients, on
+    coefficient vectors only, and is a verified *-isomorphism.
     """
 
     group: FiniteGroup
@@ -125,9 +124,6 @@ class BlockDecomposition:
     def num_blocks(self) -> int:
         return len(self.units)
 
-    def unit_matrix(self, pi: int, j: int, k: int) -> np.ndarray:
-        return algebra_matrix(self.group, self.units[pi][j, k])
-
     def unit_coeffs(self, pi: int, j: int, k: int) -> np.ndarray:
         return self.units[pi][j, k].copy()
 
@@ -155,28 +151,6 @@ class BlockDecomposition:
                 )
             flat.append(b.reshape(-1))
         return self.inverse_transform @ np.concatenate(flat)
-
-    def to_algebra(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
-        """Matrix of sum_pi sum_jk blocks[pi][j, k] e^pi_{jk}."""
-        return algebra_matrix(self.group, self.to_coefficients(blocks))
-
-    def from_algebra(self, mat: np.ndarray) -> list[np.ndarray]:
-        """Block coordinates of an n x n matrix by the trace formula.
-
-        Entry (j, k) of block pi is tr(e^pi_{kj} x) / d_pi; the normalized
-        trace of a diagonal unit is d_pi / |G|.  Only the sums
-        w(s) = sum_b x[b, s b] enter, so any matrix is accepted, and a
-        member of the algebra gets its exact coordinates.
-        """
-        m = np.asarray(mat, dtype=complex)
-        n = self.group.order
-        if m.shape != (n, n):
-            raise DimensionMismatch(
-                f"matrix has shape {m.shape}, group order is {n}",
-                witness={"shape": list(m.shape), "order": n},
-            )
-        w = m[np.arange(n), self.group.cayley].sum(axis=1)
-        return self._split(self.transform @ (w[self.group.inverses] / n))
 
     def from_coefficients(self, coeffs) -> list[np.ndarray]:
         """Blocks of sum_s coeffs[s] lambda_s: one product with ``transform``."""
@@ -775,15 +749,13 @@ def verify_jordan_form(
                 witness={"deviation": dev},
             )
 
-    projections = minimal_central_projections(group, table, tol)
     sigma = []
     for pi in range(k):
         image = transform(central_state_function(table, pi))
+        # omega(p_rho) = (d_rho / n) tr B_rho of the image's density
         weights = [
-            float(
-                np.sum(proj.coeffs * image.values[group.inverses]).real
-            )
-            for proj in projections
+            float((d / n) * np.trace(b).real)
+            for d, b in zip(dims, decomp.from_coefficients(image.values))
         ]
         best = int(np.argmax(weights))
         if abs(weights[best] - 1.0) > 1e-6:

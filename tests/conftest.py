@@ -222,7 +222,7 @@ def dense_state_decomposition(state, face):
     n x n matrices: w1 = p D p / t and w2 = q D q / (1 - t), with D the
     density, q = 1 - p and t = omega(p).  Components read off the column
     at the identity; None where t is 0 or 1."""
-    from groupstates.groups import algebra_coefficients
+    from groupstates.groups import algebra_coefficients, algebra_matrix
     from groupstates.posdef import GroupFunction, to_state
 
     group = state.group
@@ -233,7 +233,7 @@ def dense_state_decomposition(state, face):
         return 0.0, None, state.coefficients
     p = face.matrix
     q = np.eye(group.order, dtype=complex) - p
-    d = state.gram
+    d = algebra_matrix(group, state.coefficients)
     w1 = to_state(GroupFunction(group, algebra_coefficients(group, p @ d @ p / t)))
     w2 = to_state(GroupFunction(group, algebra_coefficients(group, q @ d @ q / (1 - t))))
     return t, w1.coefficients, w2.coefficients
@@ -248,3 +248,37 @@ def commutator_centrality_deviation(group, matrix):
         lam = regular_representation(group, g)
         dev = max(dev, float(np.abs(lam @ matrix - matrix @ lam).max()))
     return dev
+
+
+def unit_matrix(decomp, pi, j, k):
+    """Regular-representation matrix of the matrix unit e^pi_jk."""
+    from groupstates.groups import algebra_matrix
+
+    return algebra_matrix(decomp.group, decomp.units[pi][j, k])
+
+
+def dense_from_algebra(decomp, mat):
+    """Block coordinates of an n x n matrix by the literal trace formula:
+    entry (j, k) of block pi is tr(e^pi_kj m) / d_pi."""
+    idx = decomp.group.cayley[:, decomp.group.inverses]
+    m = np.asarray(mat, dtype=complex)
+    return [
+        np.einsum("kjab,ba->jk", u[..., idx], m) / d
+        for u, d in zip(decomp.units, decomp.block_dims)
+    ]
+
+
+def dense_to_algebra(decomp, blocks):
+    """Matrix of sum_pi sum_jk blocks[pi][j, k] e^pi_jk, unit by unit."""
+    idx = decomp.group.cayley[:, decomp.group.inverses]
+    return sum(np.einsum("jk,jkab->ab", b, u[..., idx]) for u, b in zip(decomp.units, blocks))
+
+
+def dense_projection_residuals(mat):
+    """Hermitian and idempotent residuals of an n x n matrix, and the rank
+    of its Hermitian part: the number of eigenvalues above 1/2."""
+    m = np.asarray(mat, dtype=complex)
+    herm = float(np.abs(m - m.conj().T).max())
+    idem = float(np.abs(m @ m - m).max())
+    rank = int(np.sum(np.linalg.eigvalsh((m + m.conj().T) / 2) > 0.5))
+    return herm, idem, rank

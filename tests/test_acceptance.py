@@ -45,7 +45,7 @@ from groupstates import (
 from groupstates.cli import dispatch
 from groupstates.groups import algebra_matrix
 
-from conftest import builtin_catalog, criterion_04_groups
+from conftest import builtin_catalog, criterion_04_groups, dense_from_algebra, unit_matrix
 
 
 def _report(num, name, ok, detail=""):
@@ -163,8 +163,11 @@ def test_criterion_05_bijection_and_affinity():
         for _ in range(50):
             f1, f2 = random_p1(g, rng), random_p1(g, rng)
             t = float(rng.uniform())
-            mixed = to_state(convex_combine([t, 1 - t], [f1, f2])).gram
-            split = t * to_state(f1).gram + (1 - t) * to_state(f2).gram
+            mixed, d1, d2 = (
+                algebra_matrix(g, to_state(fn).coefficients)
+                for fn in (convex_combine([t, 1 - t], [f1, f2]), f1, f2)
+            )
+            split = t * d1 + (1 - t) * d2
             worst_affine = max(worst_affine, float(np.abs(mixed - split).max()))
     ok = worst_rt < 1e-10 and worst_affine < 1e-10
     _report(
@@ -261,7 +264,7 @@ def test_criterion_08_block_decomposition():
         decomp = block_decompose(g, table, seed=0)
         n = g.order
         units = [
-            (pi, j, k, decomp.unit_matrix(pi, j, k))
+            (pi, j, k, unit_matrix(decomp, pi, j, k))
             for pi, d in enumerate(decomp.block_dims)
             for j in range(d)
             for k in range(d)
@@ -269,7 +272,7 @@ def test_criterion_08_block_decomposition():
         for pi, j, k, e in units:
             for rho, l, m, f in units:
                 expected = (
-                    decomp.unit_matrix(pi, j, m)
+                    unit_matrix(decomp, pi, j, m)
                     if pi == rho and k == l
                     else 0.0
                 )
@@ -280,9 +283,9 @@ def test_criterion_08_block_decomposition():
             b = rng.normal(size=n) + 1j * rng.normal(size=n)
             x, y = algebra_matrix(g, a), algebra_matrix(g, b)
             bx, by, bxy = (
-                decomp.from_algebra(x),
-                decomp.from_algebra(y),
-                decomp.from_algebra(x @ y),
+                dense_from_algebra(decomp, x),
+                dense_from_algebra(decomp, y),
+                dense_from_algebra(decomp, x @ y),
             )
             for pi in range(decomp.num_blocks):
                 worst_mult = max(

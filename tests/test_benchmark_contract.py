@@ -10,8 +10,13 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+from groupstates import character_table, cyclic_group, minimal_central_projections, to_state
 from groupstates.channels import ChoiCertificate
-from groupstates.vn import BlockDecomposition
+from groupstates.faces import FaceDescriptor
+from groupstates.posdef import delta_e
+from groupstates.vn import BlockDecomposition, block_decompose
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -40,3 +45,18 @@ def test_rebound_method_and_read_fields_exist():
     assert "from_coefficients" in BlockDecomposition.__dict__
     fields = {f.name for f in dataclasses.fields(ChoiCertificate)}
     assert {"verdict", "symbol_verdict"} <= fields
+
+
+def test_fields_read_by_the_workloads_exist():
+    # the classify checks read projection and face matrices and unit shapes;
+    # state_queries wraps projections as FaceDescriptor, positionally, and
+    # reads state coefficients
+    g = cyclic_group(3)
+    table = character_table(g)
+    p = minimal_central_projections(g, table)[0]
+    assert p.matrix.shape == (3, 3)
+    face = FaceDescriptor(g, p.coeffs, p.matrix, True, True, irreps=p.irreps)
+    assert face.matrix is p.matrix
+    assert np.array_equal(to_state(delta_e(g)).coefficients, delta_e(g).values)
+    units = block_decompose(g, table, seed=0).units
+    assert sorted(u.shape for u in units) == [(1, 1, 3)] * 3

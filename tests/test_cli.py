@@ -198,6 +198,19 @@ def test_faces_cli(tmp_path, capsys):
     assert abs(report["t"] - 0.25) < 1e-9  # two of eight dimensions
 
 
+def test_faces_member_rejects_non_projection(tmp_path, capsys):
+    g = quaternion_group()
+    proj_path = tmp_path / "twice.json"
+    proj_path.write_text(json.dumps(function_to_json(GroupFunction(g, 2.0 * delta_e(g).values))))
+    state_path = tmp_path / "state.json"
+    state_path.write_text(json.dumps(function_to_json(delta_e(g))))
+    code, report = run_json(
+        capsys, "faces", "member", "--proj", str(proj_path), "--state", str(state_path)
+    )
+    assert code == 1 and report["error"] == "ConvergenceFailure"
+    assert report["witness"] == {"hermitian_residual": 0.0, "idempotent_residual": 2.0}
+
+
 def test_vn_cli(tmp_path, capsys):
     q8 = _write_group(tmp_path, "q8.json", "quaternion8")
     d4 = _write_group(tmp_path, "d4.json", "dihedral:4")

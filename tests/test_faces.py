@@ -25,9 +25,19 @@ from groupstates import (
 )
 from groupstates.errors import ConvergenceFailure, GroupMismatch, NotCentral, SizeLimitExceeded
 from groupstates.faces import FaceDescriptor, _centrality_deviation
-from groupstates.groups import algebra_matrix, generating_set, regular_representation
+from groupstates.groups import (
+    algebra_matrix,
+    check_projection,
+    generating_set,
+    regular_representation,
+)
 
-from conftest import commutator_centrality_deviation, dense_state_decomposition
+from conftest import (
+    commutator_centrality_deviation,
+    dense_projection_residuals,
+    dense_state_decomposition,
+    unit_matrix,
+)
 
 
 def _face_supported_state(decomp, members, rng):
@@ -162,7 +172,7 @@ def test_complement_requires_central(q8):
     # a minimal (non-central) projection inside the 2-dim block
     from groupstates.groups import algebra_coefficients
 
-    mat = decomp.unit_matrix(two_dim, 0, 0)
+    mat = unit_matrix(decomp, two_dim, 0, 0)
     face = FaceDescriptor(
         q8, algebra_coefficients(q8, mat), mat, is_central=False, is_split=False
     )
@@ -185,7 +195,7 @@ def test_chain_structure_d4(d4):
     chain = block_face_chain(decomp, pi)
     assert chain.length == 2
     assert chain.ranks == (2, 4)  # regular-representation ranks grow by d
-    q1, q2 = chain.projections
+    q1, q2 = (algebra_matrix(d4, q) for q in chain.projections)
     assert np.abs(q1 @ q2 - q1).max() < 1e-9
 
 
@@ -234,7 +244,7 @@ def test_state_decomposition_requires_central(q8):
     two_dim = table.dims.index(2)
     from groupstates.groups import algebra_coefficients
 
-    mat = decomp.unit_matrix(two_dim, 0, 0)
+    mat = unit_matrix(decomp, two_dim, 0, 0)
     face = FaceDescriptor(
         q8, algebra_coefficients(q8, mat), mat, is_central=False, is_split=False
     )
@@ -364,3 +374,66 @@ def test_descriptor_rejects_mismatched_matrix(z2):
     assert abs(info.value.witness["membership_residual"] - 1.0) < 1e-12
     face = descriptor_from_projection(z2, plus.coeffs, plus.matrix)
     assert face.is_central
+
+
+def test_block_face_chain_rejects_out_of_range_irrep(s3):
+    decomp = block_decompose(s3, character_table(s3), seed=0)
+    for pi in (9, decomp.num_blocks, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            block_face_chain(decomp, pi)
+
+
+def _non_hermitian_idempotent(group):
+    """e_00 + e_01 in the first block of dimension 2: idempotent, not
+    self-adjoint."""
+    decomp = block_decompose(group, character_table(group), seed=0)
+    pi = decomp.block_dims.index(2)
+    blocks = [np.zeros((d, d), dtype=complex) for d in decomp.block_dims]
+    blocks[pi][0, :] = 1.0
+    return decomp.to_coefficients(blocks)
+
+
+def test_descriptor_rejects_non_projections(s3):
+    twice = 2.0 * delta_e(s3).values
+    with pytest.raises(ConvergenceFailure) as info:
+        descriptor_from_projection(s3, twice)
+    assert info.value.witness == {"hermitian_residual": 0.0, "idempotent_residual": 2.0}
+
+    with pytest.raises(ConvergenceFailure) as info:
+        descriptor_from_projection(s3, _non_hermitian_idempotent(s3))
+    witness = info.value.witness
+    assert set(witness) == {"hermitian_residual", "idempotent_residual"}
+    assert witness["hermitian_residual"] > 0.1 and witness["idempotent_residual"] < 1e-12
+
+
+def _coefficient_residuals(group, coeffs):
+    try:
+        return check_projection(group, coeffs)
+    except ConvergenceFailure as exc:
+        return exc.witness["hermitian_residual"], exc.witness["idempotent_residual"]
+
+
+@pytest.mark.parametrize("name", ["s3", "q8", "d4"])
+def test_projection_check_matches_dense_oracle(name, request):
+    """The coefficient residuals equal the max-abs entries of the n x n
+    residual matrices, on projections and non-projections alike, and the
+    chain ranks read from the trace equal the eigenvalue count."""
+    group = request.getfixturevalue(name)
+    table = character_table(group)
+    decomp = block_decompose(group, table, seed=0)
+    rng = np.random.default_rng(15)
+    candidates = [p.coeffs for p in minimal_central_projections(group, table)]
+    candidates += [f.coeffs for f in split_faces(group, table)]
+    candidates += [2.0 * delta_e(group).values, _non_hermitian_idempotent(group)]
+    candidates.append(rng.normal(size=group.order) + 1j * rng.normal(size=group.order))
+    for coeffs in candidates:
+        herm, idem, _ = dense_projection_residuals(algebra_matrix(group, coeffs))
+        fast = _coefficient_residuals(group, coeffs)
+        assert abs(fast[0] - herm) < 1e-12 and abs(fast[1] - idem) < 1e-12
+    for pi in range(decomp.num_blocks):
+        chain = block_face_chain(decomp, pi)
+        for coeffs, rank in zip(chain.projections, chain.ranks):
+            herm, idem, dense_rank = dense_projection_residuals(algebra_matrix(group, coeffs))
+            fast = _coefficient_residuals(group, coeffs)
+            assert abs(fast[0] - herm) < 1e-12 and abs(fast[1] - idem) < 1e-12
+            assert rank == dense_rank

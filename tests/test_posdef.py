@@ -93,20 +93,21 @@ def test_bochner_agreement_sample(z4):
 
 def test_to_state_constant_one(z4):
     st = to_state(constant_one(z4))
-    assert np.linalg.matrix_rank(st.gram, tol=1e-10) == 1
-    assert abs(np.trace(st.gram) / 4 - 1.0) < 1e-12
+    density = algebra_matrix(z4, st.coefficients)
+    assert np.linalg.matrix_rank(density, tol=1e-10) == 1
+    assert abs(np.trace(density) / 4 - 1.0) < 1e-12
 
 
 def test_to_state_tracial(q8):
     st = to_state(delta_e(q8))
-    assert np.array_equal(st.gram, np.eye(8))
+    assert np.array_equal(algebra_matrix(q8, st.coefficients), np.eye(8))
     assert from_state(st).values[q8.identity] == 1.0
 
 
 def test_to_state_midpoint_z2(z2):
     fn = GroupFunction(z2, np.array([1.0, 0.0]))
     st = to_state(fn)
-    assert np.array_equal(st.gram, np.eye(2))
+    assert np.array_equal(algebra_matrix(z2, st.coefficients), np.eye(2))
 
 
 def test_state_pairing_identity(q8):
@@ -134,8 +135,10 @@ def test_to_state_affine(d4):
         f1, f2 = random_p1(d4, rng), random_p1(d4, rng)
         t = float(rng.uniform())
         mixed = convex_combine([t, 1 - t], [f1, f2])
-        lhs = to_state(mixed).gram
-        rhs = t * to_state(f1).gram + (1 - t) * to_state(f2).gram
+        lhs, d1, d2 = (
+            algebra_matrix(d4, to_state(fn).coefficients) for fn in (mixed, f1, f2)
+        )
+        rhs = t * d1 + (1 - t) * d2
         assert np.abs(lhs - rhs).max() < 1e-10
 
 
@@ -184,7 +187,9 @@ def test_a_norm_matches_state_trace_distance(q8):
         f1, f2 = random_p1(q8, rng), random_p1(q8, rng)
         diff = GroupFunction(q8, f1.values - f2.values)
         direct = a_norm(diff)
-        via_states = trace_norm(to_state(f1).gram - to_state(f2).gram) / q8.order
+        d1 = algebra_matrix(q8, to_state(f1).coefficients)
+        d2 = algebra_matrix(q8, to_state(f2).coefficients)
+        via_states = trace_norm(d1 - d2) / q8.order
         assert abs(direct - via_states) < 1e-9
 
 
