@@ -42,7 +42,6 @@ from .groups import (
     direct_product,
     from_permutation_generators,
     quaternion_group,
-    regular_representation,
     symmetric_group,
     validate_group,
 )
@@ -53,7 +52,6 @@ from .linalg import (
     hermitian_eig,
     is_psd,
     polar_unitary,
-    trace_norm,
 )
 from .posdef import (
     GnsRepresentation,

@@ -10,6 +10,7 @@ row orthogonality and are rounded to exact integers, then re-verified.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,16 +69,22 @@ class CentralProjection:
     """A central projection p = sum_s coeffs[s] lambda_s in the group algebra.
 
     ``irreps`` lists the irreducible blocks it supports; a singleton marks a
-    minimal central projection.
+    minimal central projection.  ``matrix``, the read-only n x n
+    regular-representation image, is built the first time it is read.
     """
 
+    group: FiniteGroup
     coeffs: np.ndarray
-    matrix: np.ndarray
     irreps: tuple[int, ...]
 
     def __post_init__(self):
         self.coeffs.setflags(write=False)
-        self.matrix.setflags(write=False)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        m = algebra_matrix(self.group, self.coeffs)
+        m.setflags(write=False)
+        return m
 
     @property
     def is_minimal(self) -> bool:
@@ -213,7 +220,7 @@ def minimal_central_projections(
                 witness={"irrep": pi, "rank": rank, "expected": d * d},
             )
         total += coeffs
-        projections.append(CentralProjection(coeffs, algebra_matrix(group, coeffs), (pi,)))
+        projections.append(CentralProjection(group, coeffs, (pi,)))
 
     unit = np.zeros(n, dtype=complex)
     unit[group.identity] = 1.0

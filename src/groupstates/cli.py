@@ -204,7 +204,7 @@ def _handle_posdef(args, tol) -> dict:
     if args.subcommand == "extreme":
         rep = pd.gns(fn, tol)
         return {
-            "extreme": pd.commutant_dimension(rep, tol) == 1,
+            "extreme": pd.commutant_dimension(rep) == 1,
             "gns_dimension": rep.dim,
         }
     return {"a_norm": pd.a_norm(fn, tol)}
@@ -241,13 +241,15 @@ def _handle_faces(args, tol, seed: int) -> dict:
         group = io.load_group(args.path)
         table = character_table(group, seed=seed, tol=tol)
         descriptors = fc.split_faces(group, table, tol)
+        n, e = group.order, group.identity
         return {
             "num_split_faces": len(descriptors),
             "num_minimal": sum(
                 1 for d in descriptors if d.irreps is not None and len(d.irreps) == 1
             ),
             "faces": [
-                {"irreps": list(d.irreps), "rank": int(round(np.real(np.trace(d.matrix))))}
+                # the regular-representation rank is the trace n c(e)
+                {"irreps": list(d.irreps), "rank": int(round(n * d.coeffs[e].real))}
                 for d in descriptors
             ],
         }
@@ -359,7 +361,7 @@ def _handle_vn(args, tol, seed: int) -> dict:
     # fit
     obj = io.load_json(args.samples)
     base = Path(args.samples).parent
-    group = io._resolve_group(obj.get("group"), base)
+    group = io._resolve_group(io._need(obj, "group", "samples"), base)
     pairs = io.pairs_from_json(obj, group, base)
     decomp = vn.block_decompose(group, seed=seed, tol=tol)
     fitted = vn.fit_affine_map_from_pairs(group, pairs, tol)
@@ -450,7 +452,7 @@ def _demo_faces_tour(tol, seed: int) -> dict:
     worst = 0.0
     for _ in range(20):
         state = pd.to_state(pd.random_p1(s3, rng), tol)
-        face = fc.descriptor_from_projection(s3, minimal[0].coeffs, minimal[0].matrix, tol)
+        face = fc.descriptor_from_projection(s3, minimal[0].coeffs, tol=tol)
         t, w1, w2 = fc.state_decomposition(state, face, tol)
         if w1 is not None and w2 is not None:
             recon = t * w1.coefficients + (1 - t) * w2.coefficients

@@ -10,6 +10,7 @@ block dimension through the rank argument in the block image.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from .groups import (
     algebra_matrix,
     check_projection,
     convolve,
-    membership_residual,
     same_group,
 )
 from .linalg import DEFAULT_TOL, Tolerance
@@ -35,22 +35,40 @@ from .posdef import GroupFunction, NormalState, to_state
 SPLIT_FACE_IRREP_LIMIT = 20
 
 
-@dataclass(eq=False)
 class FaceDescriptor:
-    """A face given by its supporting projection (coefficients + matrix)."""
+    """A face given by the coefficient vector of its supporting projection.
 
-    group: FiniteGroup
-    coeffs: np.ndarray
-    matrix: np.ndarray
-    is_central: bool
-    is_split: bool
-    irreps: tuple[int, ...] | None = None
+    ``matrix`` is the read-only n x n regular-representation image of the
+    coefficients, built the first time it is read; a matrix passed in is
+    kept as is (made read-only), not rebuilt.
+    """
 
-    def __post_init__(self):
-        self.coeffs.setflags(write=False)
-        self.matrix.setflags(write=False)
-        if self.is_split != self.is_central:
+    def __init__(
+        self,
+        group: FiniteGroup,
+        coeffs: np.ndarray,
+        matrix: np.ndarray | None,
+        is_central: bool,
+        is_split: bool,
+        irreps: tuple[int, ...] | None = None,
+    ):
+        if is_split != is_central:
             raise ValueError("a face is split exactly when its projection is central")
+        coeffs.setflags(write=False)
+        if matrix is not None:
+            matrix.setflags(write=False)
+            self.__dict__["matrix"] = matrix
+        self.group = group
+        self.coeffs = coeffs
+        self.is_central = is_central
+        self.is_split = is_split
+        self.irreps = irreps
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        m = algebra_matrix(self.group, self.coeffs)
+        m.setflags(write=False)
+        return m
 
 
 @dataclass(frozen=True)
@@ -90,30 +108,14 @@ def _require_central(group: FiniteGroup, coeffs: np.ndarray, tol: Tolerance) -> 
 
 
 def descriptor_from_projection(
-    group: FiniteGroup,
-    coeffs,
-    matrix=None,
-    tol: Tolerance = DEFAULT_TOL,
+    group: FiniteGroup, coeffs, *, tol: Tolerance = DEFAULT_TOL
 ) -> FaceDescriptor:
-    """Wrap a projection as a face descriptor, detecting centrality.
-
-    A ``matrix`` passed along with the coefficients must be their
-    regular-representation image; a mismatch raises ConvergenceFailure.
-    """
+    """Wrap a projection, given by its coefficients, as a face descriptor,
+    detecting centrality."""
     c = np.asarray(coeffs, dtype=complex)
-    if matrix is None:
-        m = algebra_matrix(group, c)
-    else:
-        m = np.asarray(matrix, dtype=complex)
-        mismatch = membership_residual(group, m, c)
-        if mismatch > tol.residual_tol:
-            raise ConvergenceFailure(
-                f"matrix is not the image of the coefficients (residual {mismatch:.3e})",
-                witness={"membership_residual": mismatch},
-            )
     check_projection(group, c, tol, what="face support")
     central = _centrality_deviation(group, c) <= tol.residual_tol
-    return FaceDescriptor(group, c, m, central, central)
+    return FaceDescriptor(group, c, None, central, central)
 
 
 def face_membership(
@@ -159,13 +161,9 @@ def split_faces(
     for mask in range(2**k):
         members = tuple(pi for pi in range(k) if mask >> pi & 1)
         coeffs = np.zeros(n, dtype=complex)
-        matrix = np.zeros((n, n), dtype=complex)
         for pi in members:
             coeffs = coeffs + minimal[pi].coeffs
-            matrix = matrix + minimal[pi].matrix
-        faces.append(
-            FaceDescriptor(group, coeffs, matrix, True, True, irreps=members)
-        )
+        faces.append(FaceDescriptor(group, coeffs, None, True, True, irreps=members))
     return faces
 
 
@@ -177,10 +175,9 @@ def complementary_split_face(
     _require_central(group, face.coeffs, tol)
     coeffs = -face.coeffs.copy()
     coeffs[group.identity] += 1.0
-    matrix = np.eye(group.order, dtype=complex) - face.matrix
     # subset bookkeeping is only well-defined relative to the full
     # enumeration, so the complement carries no irreps tag
-    return FaceDescriptor(group, coeffs, matrix, True, True, irreps=None)
+    return FaceDescriptor(group, coeffs, None, True, True, irreps=None)
 
 
 def state_decomposition(
@@ -269,7 +266,6 @@ def maximal_chain_length(
     group: FiniteGroup,
     table: CharacterTable,
     pi: int,
-    trials: int = 20,
     seed: int = 0,
     tol: Tolerance = DEFAULT_TOL,
     decomp=None,
@@ -279,14 +275,14 @@ def maximal_chain_length(
 
     The chain is built explicitly from the block decomposition; maximality
     is certified by the rank bound inside the d x d block image rather than
-    by search (``trials`` is the decomposition retry budget).
+    by search.
     """
     from .vn import block_decompose
 
     if not 0 <= pi < table.num_irreps:
         raise ValueError(f"irrep index {pi} out of range")
     if decomp is None:
-        decomp = block_decompose(group, table, seed=seed, max_retries=trials, tol=tol)
+        decomp = block_decompose(group, table, seed=seed, tol=tol)
     chain = block_face_chain(decomp, pi, tol)
 
     # certification in the block image: each chain element must be a

@@ -1,9 +1,9 @@
 """Finite groups as dense Cayley tables.
 
 Elements are dense integer indices 0..n-1; labels are cosmetic metadata.
-The module also realizes the left regular representation and the small
-amount of group-algebra plumbing (convolution, coefficient extraction,
-the projection check) that the state and channel modules build on.
+The module also holds the small amount of group-algebra plumbing
+(convolution, adjoint, the projection check, the regular-representation
+image of a coefficient vector) that the state and channel modules build on.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import (
     ConvergenceFailure,
-    IndexOutOfRange,
     NoIdentity,
     NotAssociative,
     NotLatinSquare,
@@ -324,24 +323,6 @@ def conjugacy_classes(group: FiniteGroup) -> ConjugacyPartition:
     )
 
 
-def regular_representation(group: FiniteGroup, s: int) -> np.ndarray:
-    """Left translation operator as a 0/1 permutation matrix.
-
-    Row t has its 1 in column s^{-1} t, so the matrix sends the point mass
-    at u to the point mass at s u.
-    """
-    n = group.order
-    if not (0 <= s < n):
-        raise IndexOutOfRange(
-            f"element index {s} out of range for order {n}",
-            witness={"index": s, "order": n},
-        )
-    mat = np.zeros((n, n), dtype=complex)
-    cols = group.cayley[group.inverses[s]]
-    mat[np.arange(n), cols] = 1.0
-    return mat
-
-
 def generating_set(group: FiniteGroup) -> list[int]:
     """A small generating set, greedily built in element order."""
     n = group.order
@@ -410,28 +391,6 @@ def algebra_matrix(group: FiniteGroup, coeffs) -> np.ndarray:
     # row t, column u carries coeff(t u^{-1})
     idx = group.cayley[:, group.inverses]
     return c[idx]
-
-
-def algebra_coefficients(group: FiniteGroup, mat) -> np.ndarray:
-    """Coefficient vector of an algebra element given as a matrix.
-
-    Reads the column at the identity index; valid only when the matrix is
-    in the image of the regular representation (see membership_residual).
-    """
-    m = np.asarray(mat, dtype=complex)
-    return m[:, group.identity].copy()
-
-
-def membership_residual(group: FiniteGroup, mat, coeffs=None) -> float:
-    """Distance from a matrix to the regular-representation image.
-
-    With ``coeffs`` given, the distance to the image of that element
-    instead, so a matrix paired with the wrong coefficients is caught too.
-    """
-    m = np.asarray(mat, dtype=complex)
-    if coeffs is None:
-        coeffs = algebra_coefficients(group, m)
-    return float(np.abs(m - algebra_matrix(group, coeffs)).max())
 
 
 def same_group(g: FiniteGroup, h: FiniteGroup) -> bool:

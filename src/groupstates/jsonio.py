@@ -32,6 +32,8 @@ def load_json(path: str | Path) -> dict:
 
 
 def _need(obj: dict, key: str, where: str):
+    if not isinstance(obj, dict):
+        raise InputFormatError(f"{where}: expected a JSON object")
     if key not in obj:
         raise InputFormatError(f"{where}: missing key {key!r}")
     return obj[key]
@@ -87,8 +89,11 @@ def function_from_json(
         raise InputFormatError("function JSON must be an object")
     if group is None:
         group = _resolve_group(_need(obj, "group", "function"), base)
-    re = np.asarray(_need(obj, "re", "function"), dtype=float)
-    im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
+    try:
+        re = np.asarray(_need(obj, "re", "function"), dtype=float)
+        im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputFormatError(f"function values must be lists of numbers: {exc}") from exc
     if re.shape != (group.order,) or im.shape != (group.order,):
         raise InputFormatError(
             f"function length {re.shape} does not match group order {group.order}"
@@ -108,16 +113,6 @@ def matrix_to_json(mat: np.ndarray) -> dict:
         "re": m.real.reshape(-1).tolist(),
         "im": m.imag.reshape(-1).tolist(),
     }
-
-
-def matrix_from_json(obj: dict) -> np.ndarray:
-    rows = int(_need(obj, "rows", "matrix"))
-    cols = int(_need(obj, "cols", "matrix"))
-    re = np.asarray(_need(obj, "re", "matrix"), dtype=float)
-    im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
-    if re.size != rows * cols or im.size != rows * cols:
-        raise InputFormatError("matrix value length does not match rows*cols")
-    return (re + 1j * im).reshape(rows, cols)
 
 
 def table_to_json(table) -> dict:
@@ -140,8 +135,11 @@ def descriptor_to_json(desc: AffineHomeoDescriptor) -> dict:
 
 def pairs_from_json(obj: dict, group: FiniteGroup, base: Path | None = None):
     """Sampled map: {"pairs": [{"in": <function>, "out": <function>}, ...]}."""
+    entries = _need(obj, "pairs", "samples")
+    if not isinstance(entries, list):
+        raise InputFormatError("samples: 'pairs' must be a list")
     pairs = []
-    for i, entry in enumerate(_need(obj, "pairs", "samples")):
+    for i, entry in enumerate(entries):
         fin = function_from_json(_need(entry, "in", f"pair {i}"), group=group, base=base)
         fout = function_from_json(_need(entry, "out", f"pair {i}"), group=group, base=base)
         pairs.append((fin, fout))

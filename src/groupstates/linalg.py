@@ -1,5 +1,5 @@
 """Dense complex-matrix kernel: Hermitian eigendecomposition, PSD tests,
-polar decomposition, trace norms.
+polar decomposition.
 
 All spectral verdicts use a dimension- and scale-aware cutoff (see
 :class:`Tolerance`), and verdicts inside the band ``|lambda_min| <= 10 *
@@ -129,10 +129,3 @@ def polar_unitary(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         )
     return u @ vh
 
-
-def trace_norm(a) -> float:
-    """Sum of singular values."""
-    m = as_matrix(a)
-    if m.size == 0:
-        return 0.0
-    return float(np.linalg.svd(m, compute_uv=False).sum())

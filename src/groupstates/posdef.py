@@ -263,15 +263,14 @@ def gns(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> GnsRepresentation:
     return GnsRepresentation(g, dim, rep, cyclic)
 
 
-def commutant_dimension(rep: GnsRepresentation, tol: Tolerance = DEFAULT_TOL) -> int:
+def commutant_dimension(rep: GnsRepresentation) -> int:
     """Dimension of {X : X rep(s) = rep(s) X for all s}.
 
     For rep = sum of m_pi copies of irreducibles this is sum m_pi^2, the
     character norm (1/|G|) sum_s |tr rep(s)|^2 (Serre, Linear
     Representations of Finite Groups, 2.3 Thm 5).  The norm is an integer
     in exact arithmetic; a value more than 1e-6 (relative) from one raises
-    ConvergenceFailure.  ``tol`` is unused: the rounding test needs no
-    spectral cutoff.
+    ConvergenceFailure.
     """
     traces = np.einsum("sii->s", rep.rep)
     raw = float(np.sum(np.abs(traces) ** 2)) / rep.group.order
@@ -288,17 +287,16 @@ def is_extreme(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Extreme point test: true iff the GNS representation is irreducible,
     i.e. its commutant is one-dimensional (character norm 1)."""
     rep = gns(fn, tol)
-    return commutant_dimension(rep, tol) == 1
+    return commutant_dimension(rep) == 1
 
 
 # --------------------------------------------------------------------------
 # samplers (seeded, used by property tests, demos and the CLI)
 # --------------------------------------------------------------------------
 
-def random_hermitian_symmetric(
-    group: FiniteGroup, rng: np.random.Generator, scale: float = 1.0
-) -> GroupFunction:
-    """Random phi with phi(s^{-1}) = conj(phi(s)) and phi(e) = 1."""
+def random_hermitian_symmetric(group: FiniteGroup, rng: np.random.Generator) -> GroupFunction:
+    """Random phi with phi(s^{-1}) = conj(phi(s)) and phi(e) = 1, other
+    values standard normal (complex ones in each part)."""
     n = group.order
     v = np.zeros(n, dtype=complex)
     for s in range(n):
@@ -306,9 +304,9 @@ def random_hermitian_symmetric(
         if s > t:
             continue
         if s == t:
-            v[s] = rng.normal(scale=scale)
+            v[s] = rng.normal()
         else:
-            z = rng.normal(scale=scale) + 1j * rng.normal(scale=scale)
+            z = rng.normal() + 1j * rng.normal()
             v[s] = z
             v[t] = np.conj(z)
     v[group.identity] = 1.0

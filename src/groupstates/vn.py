@@ -35,6 +35,12 @@ from .linalg import DEFAULT_TOL, Tolerance, polar_unitary
 from .posdef import GroupFunction, convex_combine, random_hermitian_symmetric, random_p1
 
 _CLUSTER_GAP = 1e-6
+# resamples per block before block_decompose gives up
+_MAX_RETRIES = 20
+# random mixtures tested for affinity, and held-out samples the fitted
+# descriptor must reproduce, in verify_jordan_form
+_AFFINITY_SAMPLES = 8
+_HOLDOUT_SAMPLES = 12
 
 
 @dataclass(frozen=True)
@@ -179,7 +185,6 @@ def block_decompose(
     group: FiniteGroup,
     table: CharacterTable | None = None,
     seed: int = 0,
-    max_retries: int = 20,
     tol: Tolerance = DEFAULT_TOL,
 ) -> BlockDecomposition:
     """Construct matrix units for every block, deterministically from a seed.
@@ -199,13 +204,13 @@ def block_decompose(
     units: list[np.ndarray] = []
     for pi, proj in enumerate(projections):
         d = table.dims[pi]
-        p = proj.matrix
         if d == 1:
             units.append(proj.coeffs.reshape(1, 1, n).copy())
             continue
+        p = proj.matrix
 
         block_units = None
-        for _ in range(max_retries):
+        for _ in range(_MAX_RETRIES):
             x = p @ algebra_matrix(group, random_hermitian_symmetric(group, rng).values) @ p
             x = (x + x.conj().T) / 2
             evals, vecs = np.linalg.eigh(x)
@@ -241,8 +246,8 @@ def block_decompose(
             break
         if block_units is None:
             raise DecompositionFailure(
-                f"no usable spectrum for block {pi} after {max_retries} retries",
-                witness={"irrep": pi, "retries": max_retries},
+                f"no usable spectrum for block {pi} after {_MAX_RETRIES} retries",
+                witness={"irrep": pi, "retries": _MAX_RETRIES},
             )
         units.append(block_units)
 
@@ -313,6 +318,8 @@ def pure_state_function(
     decomp: BlockDecomposition, pi: int, vector
 ) -> GroupFunction:
     """The pure state living in block pi with unit vector ``vector``."""
+    if not 0 <= pi < decomp.num_blocks:
+        raise ValueError(f"irrep index {pi} out of range")
     v = np.asarray(vector, dtype=complex)
     d = decomp.block_dims[pi]
     if v.shape != (d,):
@@ -320,7 +327,10 @@ def pure_state_function(
             f"vector has shape {v.shape}, block dimension is {d}",
             witness={"block": pi},
         )
-    v = v / np.linalg.norm(v)
+    norm = np.linalg.norm(v)
+    if norm == 0:
+        raise ValueError("the state vector is zero")
+    v = v / norm
     n = decomp.group.order
     blocks = [np.zeros((dd, dd), dtype=complex) for dd in decomp.block_dims]
     blocks[pi] = (n / d) * np.outer(v, v.conj())
@@ -329,6 +339,8 @@ def pure_state_function(
 
 def central_state_function(table: CharacterTable, pi: int) -> GroupFunction:
     """The normalized-trace state of block pi, phi = conj(chi_pi) / d_pi."""
+    if not 0 <= pi < table.num_irreps:
+        raise ValueError(f"irrep index {pi} out of range")
     return GroupFunction(
         table.group, np.conj(table.char_values(pi)) / table.dims[pi]
     )
@@ -662,33 +674,20 @@ def _fit_block_map(
     The Choi matrix of a unitary conjugation is rank one with top eigenvalue
     d; for the transpose form the same holds after pre-transposing.
     """
-    def choi(images: np.ndarray) -> np.ndarray:
-        c = np.zeros((d * d, d * d), dtype=complex)
-        for j in range(d):
-            for k in range(d):
-                e = np.zeros((d, d), dtype=complex)
-                e[j, k] = 1.0
-                c += np.kron(e, images[j, k])
-        return (c + c.conj().T) / 2
-
     def extract(images: np.ndarray) -> tuple[np.ndarray, float] | None:
-        c = choi(images)
-        w, v = np.linalg.eigh(c)
+        # Choi matrix sum_jk E_jk (x) M(E_jk): entry ((j, a), (k, b)) is
+        # M(E_jk)[a, b]
+        c = images.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+        w, v = np.linalg.eigh((c + c.conj().T) / 2)
         rest = float(np.abs(w[:-1]).max()) if d > 1 else 0.0
         if abs(w[-1] - d) > 1e-6 * d or rest > 1e-6 * d:
             return None
         vec = v[:, -1] * np.sqrt(d)
         u = vec.reshape(d, d).T
         u = polar_unitary(u, tol)
-        resid = 0.0
-        for j in range(d):
-            for k in range(d):
-                e = np.zeros((d, d), dtype=complex)
-                e[j, k] = 1.0
-                resid = max(
-                    resid, float(np.abs(u @ e @ u.conj().T - images[j, k]).max())
-                )
-        return u, resid
+        # u E_jk u* is the outer product of columns j and k of u
+        conjugated = np.einsum("aj,bk->jkab", u, u.conj())
+        return u, float(np.abs(conjugated - images).max())
 
     straight = extract(unit_images)
     transposed_images = np.transpose(unit_images, (1, 0, 2, 3))
@@ -717,8 +716,6 @@ def verify_jordan_form(
     decomp: BlockDecomposition,
     seed: int = 0,
     tol: Tolerance = DEFAULT_TOL,
-    affinity_samples: int = 8,
-    holdout_samples: int = 12,
 ) -> AffineHomeoDescriptor:
     """Fit a black-box affine self-map of P1(G) to a block descriptor.
 
@@ -735,7 +732,7 @@ def verify_jordan_form(
     n = group.order
     rng = np.random.default_rng(seed)
 
-    for _ in range(affinity_samples):
+    for _ in range(_AFFINITY_SAMPLES):
         f1 = random_p1(group, rng)
         f2 = random_p1(group, rng)
         t = float(rng.uniform(0.2, 0.8))
@@ -797,7 +794,7 @@ def verify_jordan_form(
 
     desc = AffineHomeoDescriptor(tuple(sigma), tuple(unitaries), tuple(transpose))
     worst = 0.0
-    for _ in range(holdout_samples):
+    for _ in range(_HOLDOUT_SAMPLES):
         fn = random_p1(group, rng)
         reproduced = apply_descriptor(desc, fn, decomp)
         worst = max(worst, float(np.abs(reproduced.values - transform(fn).values).max()))

@@ -222,7 +222,7 @@ def dense_state_decomposition(state, face):
     n x n matrices: w1 = p D p / t and w2 = q D q / (1 - t), with D the
     density, q = 1 - p and t = omega(p).  Components read off the column
     at the identity; None where t is 0 or 1."""
-    from groupstates.groups import algebra_coefficients, algebra_matrix
+    from groupstates.groups import algebra_matrix
     from groupstates.posdef import GroupFunction, to_state
 
     group = state.group
@@ -241,8 +241,6 @@ def dense_state_decomposition(state, face):
 
 def commutator_centrality_deviation(group, matrix):
     """Largest entry of [lambda_g, m] over every group element g."""
-    from groupstates.groups import regular_representation
-
     dev = 0.0
     for g in range(group.order):
         lam = regular_representation(group, g)
@@ -282,3 +280,49 @@ def dense_projection_residuals(mat):
     idem = float(np.abs(m @ m - m).max())
     rank = int(np.sum(np.linalg.eigvalsh((m + m.conj().T) / 2) > 0.5))
     return herm, idem, rank
+
+
+def regular_representation(group, s):
+    """Left translation by s as a 0/1 permutation matrix: row t has its 1
+    in column s^-1 t, so the point mass at u goes to the one at s u."""
+    from groupstates.errors import IndexOutOfRange
+
+    n = group.order
+    if not (0 <= s < n):
+        raise IndexOutOfRange(
+            f"element index {s} out of range for order {n}",
+            witness={"index": s, "order": n},
+        )
+    mat = np.zeros((n, n), dtype=complex)
+    mat[np.arange(n), group.cayley[group.inverses[s]]] = 1.0
+    return mat
+
+
+def algebra_coefficients(group, mat):
+    """Coefficients of an algebra element given as a matrix: its column at
+    the identity.  Valid only on the regular-representation image."""
+    return np.asarray(mat, dtype=complex)[:, group.identity].copy()
+
+
+def membership_residual(group, mat, coeffs=None):
+    """Distance from a matrix to the regular-representation image of
+    ``coeffs``, or of its own identity column when none are given."""
+    from groupstates.groups import algebra_matrix
+
+    m = np.asarray(mat, dtype=complex)
+    if coeffs is None:
+        coeffs = algebra_coefficients(group, m)
+    return float(np.abs(m - algebra_matrix(group, coeffs)).max())
+
+
+def trace_norm(a):
+    """Sum of singular values."""
+    m = np.asarray(a, dtype=complex)
+    return float(np.linalg.svd(m, compute_uv=False).sum()) if m.size else 0.0
+
+
+def matrix_from_json(obj):
+    """Inverse of jsonio.matrix_to_json."""
+    re = np.asarray(obj["re"], dtype=float)
+    im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
+    return (re + 1j * im).reshape(obj["rows"], obj["cols"])

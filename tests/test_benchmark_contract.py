@@ -12,9 +12,17 @@ from pathlib import Path
 
 import numpy as np
 
-from groupstates import character_table, cyclic_group, minimal_central_projections, to_state
+from groupstates import (
+    character_table,
+    cyclic_group,
+    minimal_central_projections,
+    split_faces,
+    symmetric_group,
+    to_state,
+)
 from groupstates.channels import ChoiCertificate
 from groupstates.faces import FaceDescriptor
+from groupstates.groups import algebra_matrix
 from groupstates.posdef import delta_e
 from groupstates.vn import BlockDecomposition, block_decompose
 
@@ -60,3 +68,21 @@ def test_fields_read_by_the_workloads_exist():
     assert np.array_equal(to_state(delta_e(g)).coefficients, delta_e(g).values)
     units = block_decompose(g, table, seed=0).units
     assert sorted(u.shape for u in units) == [(1, 1, 3)] * 3
+
+
+def test_lazy_matrices_match_their_coefficients():
+    # .matrix of projections and faces is built on first read; the classify
+    # checks read its trace as the regular-representation rank
+    g = symmetric_group(3)
+    table = character_table(g)
+    minimal = minimal_central_projections(g, table)
+    for p in minimal:
+        assert np.array_equal(p.matrix, algebra_matrix(g, p.coeffs))
+        assert not p.matrix.flags.writeable
+        assert round(np.trace(p.matrix).real) == table.dims[p.irreps[0]] ** 2
+        face = FaceDescriptor(g, p.coeffs, p.matrix, True, True, irreps=p.irreps)
+        assert face.matrix is p.matrix
+    for f in split_faces(g, table, minimal=minimal):
+        assert np.array_equal(f.matrix, algebra_matrix(g, f.coeffs))
+        assert not f.matrix.flags.writeable
+        assert round(np.trace(f.matrix).real) == sum(table.dims[pi] ** 2 for pi in f.irreps)

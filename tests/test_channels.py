@@ -23,7 +23,6 @@ from groupstates import (
     quaternion_group,
     random_hermitian_symmetric,
     random_p1,
-    regular_representation,
     schur_symbol,
     symmetric_group,
     to_state,
@@ -34,7 +33,7 @@ from groupstates.errors import GroupMismatch, InternalDisagreement, NotHermitian
 from groupstates.groups import algebra_matrix
 from groupstates.jsonio import function_to_json
 
-from conftest import criterion_04_groups, literal_choi_matrix
+from conftest import criterion_04_groups, literal_choi_matrix, regular_representation
 
 
 def _margin_symbol(group, rng):

@@ -14,10 +14,10 @@ from groupstates import (
     symmetric_group,
     validate_group,
 )
-from groupstates.groups import convolve, regular_representation
+from groupstates.groups import convolve
 from groupstates.jsonio import table_to_json
 
-from conftest import builtin_catalog, regular_rep_dims_oracle
+from conftest import builtin_catalog, regular_rep_dims_oracle, regular_representation
 
 
 def _structure_constants_convolution_oracle(group, partition):

@@ -7,7 +7,6 @@ from groupstates.jsonio import (
     function_to_json,
     group_to_json,
     load_function,
-    matrix_from_json,
 )
 from groupstates import (
     GroupFunction,
@@ -18,6 +17,8 @@ from groupstates import (
     quaternion_group,
     random_p1,
 )
+
+from conftest import matrix_from_json
 
 
 def run(capsys, *argv):
@@ -73,11 +74,22 @@ def test_group_validate_nonassociative(tmp_path, capsys):
 
 
 def test_malformed_json_exits_2(tmp_path, capsys):
-    path = tmp_path / "mangled.json"
-    path.write_text("{not json")
-    code, report = run_json(capsys, "group", "validate", "--in", str(path))
-    assert code == 2
-    assert report["error"] == "InputFormatError"
+    _write_group(tmp_path, "s3.json", "symmetric:3")
+    fit_group = {"group": "s3.json"}
+    cases = [
+        (("group", "validate", "--in"), "{not json"),
+        (("posdef", "check", "--fn"), {"group": "s3.json", "re": {"a": 1}}),
+        (("vn", "fit", "--map"), [fit_group]),
+        (("vn", "fit", "--map"), {**fit_group, "pairs": 5}),
+        (("vn", "fit", "--map"), {**fit_group, "pairs": [5]}),
+    ]
+    for i, (command, content) in enumerate(cases):
+        path = tmp_path / f"mangled{i}.json"
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+        capsys.readouterr()
+        code, report = run_json(capsys, *command, str(path))
+        assert code == 2, command
+        assert report["error"] == "InputFormatError"
 
 
 def test_chartable_deterministic(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,11 @@ from groupstates import (
     character_table,
     complementary_split_face,
     convex_combine,
+    cyclic_group,
     delta_e,
     descriptor_from_projection,
     dihedral_group,
+    direct_product,
     face_membership,
     maximal_chain_length,
     minimal_central_projections,
@@ -29,13 +33,14 @@ from groupstates.groups import (
     algebra_matrix,
     check_projection,
     generating_set,
-    regular_representation,
 )
 
 from conftest import (
+    algebra_coefficients,
     commutator_centrality_deviation,
     dense_projection_residuals,
     dense_state_decomposition,
+    regular_representation,
     unit_matrix,
 )
 
@@ -75,11 +80,28 @@ def test_z2_character_memberships(z2):
     projs = minimal_central_projections(z2, table)
     plus = [p for p in projs if p.coeffs[1].real > 0][0]
     minus = [p for p in projs if p.coeffs[1].real < 0][0]
-    face_plus = descriptor_from_projection(z2, plus.coeffs, plus.matrix)
-    face_minus = descriptor_from_projection(z2, minus.coeffs, minus.matrix)
+    face_plus = descriptor_from_projection(z2, plus.coeffs)
+    face_minus = descriptor_from_projection(z2, minus.coeffs)
     chi = to_state(GroupFunction(z2, np.array([1.0, 1.0])))
     assert face_membership(face_plus, chi)
     assert not face_membership(face_minus, chi)
+    # tol is keyword-only: a third positional argument is refused
+    with pytest.raises(TypeError):
+        descriptor_from_projection(z2, plus.coeffs, plus.matrix)
+
+
+def test_split_faces_hold_no_dense_matrices():
+    # 1024 faces on S4 x Z2 (n = 48); a dense matrix per face would be 37 MB
+    g = direct_product(symmetric_group(4), cyclic_group(2))
+    table = character_table(g)
+    tracemalloc.start()
+    try:
+        faces = split_faces(g, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(faces) == 1024
+    assert peak < 4 * 2**20
 
 
 def test_face_membership_group_mismatch(z2, z3):
@@ -170,8 +192,6 @@ def test_complement_requires_central(q8):
     decomp = block_decompose(q8, table, seed=0)
     two_dim = table.dims.index(2)
     # a minimal (non-central) projection inside the 2-dim block
-    from groupstates.groups import algebra_coefficients
-
     mat = unit_matrix(decomp, two_dim, 0, 0)
     face = FaceDescriptor(
         q8, algebra_coefficients(q8, mat), mat, is_central=False, is_split=False
@@ -215,7 +235,7 @@ def test_state_decomposition_tracial_z2(z2):
     table = character_table(z2)
     projs = minimal_central_projections(z2, table)
     plus = [p for p in projs if p.coeffs[1].real > 0][0]
-    face = descriptor_from_projection(z2, plus.coeffs, plus.matrix)
+    face = descriptor_from_projection(z2, plus.coeffs)
     t, w1, w2 = state_decomposition(to_state(delta_e(z2)), face)
     assert abs(t - 0.5) < 1e-12
     assert np.abs(w1.coefficients - np.array([1.0, 1.0])).max() < 1e-10
@@ -242,8 +262,6 @@ def test_state_decomposition_requires_central(q8):
     table = character_table(q8)
     decomp = block_decompose(q8, table, seed=0)
     two_dim = table.dims.index(2)
-    from groupstates.groups import algebra_coefficients
-
     mat = unit_matrix(decomp, two_dim, 0, 0)
     face = FaceDescriptor(
         q8, algebra_coefficients(q8, mat), mat, is_central=False, is_split=False
@@ -360,20 +378,6 @@ def test_coefficient_centrality_matches_commutators(q8, s3):
         assert abs(dev - commutator_centrality_deviation(group, matrix)) < 1e-12
         assert (dev <= 1e-8) == central
         assert (generator_deviation(group, matrix) <= 1e-8) == central
-
-
-def test_descriptor_rejects_mismatched_matrix(z2):
-    """A matrix that is not the image of the coefficients is refused, with
-    the residual as witness (p_-'s coefficients with p_+'s matrix on Z2)."""
-    table = character_table(z2)
-    projs = minimal_central_projections(z2, table)
-    plus = [p for p in projs if p.coeffs[1].real > 0][0]
-    minus = [p for p in projs if p.coeffs[1].real < 0][0]
-    with pytest.raises(ConvergenceFailure) as info:
-        descriptor_from_projection(z2, minus.coeffs, plus.matrix)
-    assert abs(info.value.witness["membership_residual"] - 1.0) < 1e-12
-    face = descriptor_from_projection(z2, plus.coeffs, plus.matrix)
-    assert face.is_central
 
 
 def test_block_face_chain_rejects_out_of_range_irrep(s3):

@@ -9,7 +9,6 @@ from groupstates import (
     direct_product,
     from_permutation_generators,
     quaternion_group,
-    regular_representation,
     symmetric_group,
     validate_group,
 )
@@ -20,15 +19,19 @@ from groupstates.errors import (
     SizeLimitExceeded,
 )
 from groupstates.groups import (
-    algebra_coefficients,
     algebra_matrix,
     convolve,
     generating_set,
-    membership_residual,
     star,
 )
 
-from conftest import brute_force_conjugacy_classes, loop_convolve
+from conftest import (
+    algebra_coefficients,
+    brute_force_conjugacy_classes,
+    loop_convolve,
+    membership_residual,
+    regular_representation,
+)
 
 # a Latin square with identity that is not a group (order-5 loop)
 NONASSOC = [

@@ -8,10 +8,9 @@ from groupstates.linalg import (
     hermitian_eig,
     is_psd,
     polar_unitary,
-    trace_norm,
 )
 
-from conftest import random_hermitian, random_unitary
+from conftest import random_hermitian, random_unitary, trace_norm
 
 
 def test_tolerance_must_be_positive():

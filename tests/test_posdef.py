@@ -37,10 +37,10 @@ from groupstates.errors import (
 )
 from groupstates import posdef
 from groupstates.groups import algebra_matrix
-from groupstates.linalg import DEFAULT_TOL, Tolerance, trace_norm
+from groupstates.linalg import DEFAULT_TOL, Tolerance
 from groupstates.posdef import GnsRepresentation, commutant_dimension
 
-from conftest import kron_commutant_dimension
+from conftest import kron_commutant_dimension, trace_norm
 
 
 def test_gram_constant_one_z2(z2):

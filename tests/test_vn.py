@@ -30,7 +30,9 @@ from groupstates import (
     vn_invariant,
     vn_isomorphic,
 )
+from groupstates.characters import CharacterTable
 from groupstates.errors import (
+    ConvergenceFailure,
     DecompositionFailure,
     DimensionMismatch,
     NotAffine,
@@ -46,10 +48,12 @@ from groupstates.vn import (
 )
 
 from conftest import (
+    algebra_coefficients,
     dense_from_algebra,
     dense_to_algebra,
     loop_coefficient_transport,
     random_unitary,
+    regular_representation,
     unit_matrix,
 )
 
@@ -147,6 +151,41 @@ def test_block_decomposition_deterministic():
     for pi in range(d1.num_blocks):
         assert np.array_equal(d1.units[pi], d2.units[pi])
 
+
+
+@pytest.mark.parametrize("maker", [lambda: symmetric_group(3), lambda: symmetric_group(4), quaternion_group])
+def test_block_decompose_rejects_scaled_character_row(maker):
+    """A caller's table is checked through its central projections: one
+    d >= 2 row scaled by 1 + 1e-3 is refused."""
+    g = maker()
+    table = character_table(g)
+    rows = [pi for pi, d in enumerate(table.dims) if d >= 2]
+    assert rows
+    for pi in rows:
+        chars = table.chars.copy()
+        chars[pi] *= 1 + 1e-3
+        tampered = CharacterTable(g, table.partition, table.dims, chars)
+        with pytest.raises(ConvergenceFailure):
+            block_decompose(g, tampered, seed=0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda decomp, table: pure_state_function(decomp, -1, np.ones(2)),
+        lambda decomp, table: pure_state_function(decomp, decomp.num_blocks, np.ones(2)),
+        lambda decomp, table: pure_state_function(decomp, 4, np.zeros(2)),
+        lambda decomp, table: central_state_function(table, -1),
+        lambda decomp, table: central_state_function(table, table.num_irreps),
+    ],
+    ids=["pure-negative", "pure-past-end", "pure-zero-vector", "central-negative", "central-past-end"],
+)
+def test_state_constructors_reject_bad_block_or_vector(build):
+    g = quaternion_group()
+    table = character_table(g)
+    decomp = block_decompose(g, table, seed=0)
+    with pytest.raises(ValueError, match="out of range|zero"):
+        build(decomp, table)
 
 def _tampered(decomp, pi, edit):
     units = [u.copy() for u in decomp.units]
@@ -497,9 +536,6 @@ def test_descriptor_map_satisfies_defining_equation():
             body = b.T if d.transpose[pi] else b
             pushed[d.sigma[pi]] = u @ body @ u.conj().T
         return dense_to_algebra(decomp, pushed)
-
-    from groupstates import regular_representation
-    from groupstates.groups import algebra_coefficients
 
     for s in g.elements():
         lam_star = regular_representation(g, g.inv(s))
