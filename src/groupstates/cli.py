@@ -221,14 +221,14 @@ def _handle_channel(args, tol) -> dict:
         payload["unital"] = ch.is_unital(channel, tol)
         return payload
     if args.subcommand == "cp":
-        fn = io.load_function(args.fn)
-        cert = ch.is_completely_positive(ch.build_channel(fn), tol)
+        channel = ch.build_channel(io.load_function(args.fn))
+        cert = ch.is_completely_positive(channel, tol)
         return {
             "completely_positive": cert.verdict,
             "symbol_min_eigenvalue": cert.symbol_verdict.witness,
             "block_min_eigenvalue": cert.block_verdict.witness,
             "undecided": cert.undecided,
-            "unital": ch.is_unital(ch.build_channel(fn), tol),
+            "unital": ch.is_unital(channel, tol),
         }
     channel = ch.build_channel(io.load_function(args.channel))
     elem = _load_function_near(args.elem, channel.group)

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     ConvergenceFailure,
+    DimensionMismatch,
     NoIdentity,
     NotAssociative,
     NotLatinSquare,
@@ -372,9 +373,15 @@ def check_projection(
 
     Every regular-representation entry is a coefficient, so these are the
     max-abs entries of the n x n residual matrices.  Raises
-    ConvergenceFailure when either exceeds ``residual_tol``.
+    DimensionMismatch when ``coeffs`` is not one value per element, and
+    ConvergenceFailure when either residual exceeds ``residual_tol``.
     """
     c = np.asarray(coeffs, dtype=complex)
+    if c.shape != (group.order,):
+        raise DimensionMismatch(
+            f"{what} has coefficient shape {c.shape}, group order is {group.order}",
+            witness={"shape": list(c.shape), "order": group.order},
+        )
     herm = float(np.abs(c - star(group, c)).max())
     idem = float(np.abs(convolve(group, c, c) - c).max())
     if herm > tol.residual_tol or idem > tol.residual_tol:

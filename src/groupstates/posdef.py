@@ -322,15 +322,10 @@ def vector_state(group: FiniteGroup, xi) -> GroupFunction:
     return GroupFunction(group, vals)
 
 
-def random_p1(
-    group: FiniteGroup,
-    rng: np.random.Generator,
-    components: int | None = None,
-) -> GroupFunction:
-    """Dirichlet mixture of random vector states: samples all of P1."""
+def random_p1(group: FiniteGroup, rng: np.random.Generator) -> GroupFunction:
+    """Dirichlet mixture of 1..n random vector states: samples all of P1."""
     n = group.order
-    m = components if components is not None else int(rng.integers(1, n + 1))
-    weights = rng.dirichlet(np.ones(m))
+    weights = rng.dirichlet(np.ones(int(rng.integers(1, n + 1))))
     vals = np.zeros(n, dtype=complex)
     for w in weights:
         xi = rng.normal(size=n) + 1j * rng.normal(size=n)

@@ -32,7 +32,13 @@ from .errors import (
 )
 from .groups import FiniteGroup, algebra_matrix, generating_set, same_group
 from .linalg import DEFAULT_TOL, Tolerance, polar_unitary
-from .posdef import GroupFunction, convex_combine, random_hermitian_symmetric, random_p1
+from .posdef import (
+    GroupFunction,
+    convex_combine,
+    gram_matrix,
+    random_hermitian_symmetric,
+    random_p1,
+)
 
 _CLUSTER_GAP = 1e-6
 # resamples per block before block_decompose gives up
@@ -189,17 +195,25 @@ def block_decompose(
 ) -> BlockDecomposition:
     """Construct matrix units for every block, deterministically from a seed.
 
-    For each minimal central projection, the spectral projections of a
-    random self-adjoint element of the block give the minimal projections;
-    partial isometries between them come from polar decompositions of
-    sandwiched random elements.  Spectral collisions trigger a resample,
-    then DecompositionFailure once the retry budget is exhausted.
+    Each block p_pi C[G] has dimension d^2; an orthonormal basis of it is the
+    QR of p_pi applied to d^2 random vectors.  Right multiplication by a
+    random self-adjoint element commutes with the left action, and its
+    compression to the block has d eigenvalues of multiplicity d.  One
+    eigenspace is a minimal left ideal; with W an orthonormal basis of it,
+    rho(s) = W^* lambda_s W is an irreducible unitary representation, and
+    Schur orthogonality gives the units
+    e_jk = (d/n) sum_s conj(rho(s)_jk) lambda_s (Serre, Linear
+    Representations of Finite Groups, 2.2 and 2.6).  Every spectral step is
+    on a d^2 x d^2 matrix.  Spectral collisions trigger a resample, then
+    DecompositionFailure once the retry budget is exhausted.
     """
     if table is None:
         table = character_table(group, seed=seed)
     projections = minimal_central_projections(group, table, tol)
     rng = np.random.default_rng(seed)
     n = group.order
+    # row s, column t holds s^{-1} t: (lambda_s w)(t) = w(s^{-1} t)
+    translate = group.cayley[group.inverses]
 
     units: list[np.ndarray] = []
     for pi, proj in enumerate(projections):
@@ -207,42 +221,20 @@ def block_decompose(
         if d == 1:
             units.append(proj.coeffs.reshape(1, 1, n).copy())
             continue
-        p = proj.matrix
 
         block_units = None
         for _ in range(_MAX_RETRIES):
-            x = p @ algebra_matrix(group, random_hermitian_symmetric(group, rng).values) @ p
-            x = (x + x.conj().T) / 2
-            evals, vecs = np.linalg.eigh(x)
-            scale = max(float(np.abs(evals).max()), 1.0)
-            nonzero = np.abs(evals) > _CLUSTER_GAP * scale
-            if int(nonzero.sum()) != d * d:
-                continue
-            clusters = _cluster_spectrum(evals[nonzero], scale)
+            sketch = algebra_matrix(group, proj.coeffs) @ rng.normal(size=(n, d * d))
+            basis = np.linalg.qr(sketch)[0]
+            y = gram_matrix(random_hermitian_symmetric(group, rng))
+            evals, vecs = np.linalg.eigh(basis.conj().T @ y @ basis)
+            clusters = _cluster_spectrum(evals, max(float(np.abs(evals).max()), 1.0))
             if len(clusters) != d or any(len(c) != d for c in clusters):
                 continue
-            sub = vecs[:, nonzero]
-            minimal = [
-                np.ascontiguousarray(sub[:, c] @ sub[:, c].conj().T)
-                for c in clusters
-            ]
-
-            y = algebra_matrix(group, random_hermitian_symmetric(group, rng).values)
-            isometries = [minimal[0]]
-            ok = True
-            for j in range(1, d):
-                b = minimal[j] @ y @ minimal[0]
-                u, s, vh = np.linalg.svd(b)
-                if s[d - 1] <= _CLUSTER_GAP * max(float(s[0]), 1.0):
-                    ok = False
-                    break
-                isometries.append(u[:, :d] @ vh[:d, :])
-            if not ok:
-                continue
-            # coefficients of e_jk = I_j I_k^*: its identity column,
-            # I_j @ conj(I_k[e, :])
-            stack = np.stack(isometries)
-            block_units = (stack @ stack[:, group.identity, :].conj().T).transpose(0, 2, 1)
+            w = basis @ vecs[:, clusters[0]]
+            # rho[s] = W^* lambda_s W, one batched product over the gather
+            rho = w.conj().T @ w[translate]
+            block_units = (d / n) * rho.conj().transpose(1, 2, 0)
             break
         if block_units is None:
             raise DecompositionFailure(

@@ -40,6 +40,11 @@ def s4():
 
 
 @pytest.fixture(scope="session")
+def s5():
+    return symmetric_group(5)
+
+
+@pytest.fixture(scope="session")
 def d4():
     return dihedral_group(4)
 
@@ -253,6 +258,91 @@ def unit_matrix(decomp, pi, j, k):
     from groupstates.groups import algebra_matrix
 
     return algebra_matrix(decomp.group, decomp.units[pi][j, k])
+
+
+def dense_block_decompose(group, table=None, seed=0, tol=None):
+    """Matrix units built in the full n-dimensional space: the spectral
+    projections of p X p for a random self-adjoint X give the minimal
+    projections of each block, and polar decompositions of sandwiched
+    random elements give the partial isometries between them."""
+    from groupstates.characters import character_table, minimal_central_projections
+    from groupstates.errors import DecompositionFailure
+    from groupstates.groups import algebra_matrix
+    from groupstates.linalg import DEFAULT_TOL
+    from groupstates.posdef import random_hermitian_symmetric
+    from groupstates.vn import (
+        _CLUSTER_GAP,
+        _MAX_RETRIES,
+        BlockDecomposition,
+        _cluster_spectrum,
+        _verify_decomposition,
+    )
+
+    tol = DEFAULT_TOL if tol is None else tol
+    if table is None:
+        table = character_table(group, seed=seed)
+    projections = minimal_central_projections(group, table, tol)
+    rng = np.random.default_rng(seed)
+    n = group.order
+
+    units = []
+    for pi, proj in enumerate(projections):
+        d = table.dims[pi]
+        if d == 1:
+            units.append(proj.coeffs.reshape(1, 1, n).copy())
+            continue
+        p = proj.matrix
+
+        block_units = None
+        for _ in range(_MAX_RETRIES):
+            x = p @ algebra_matrix(group, random_hermitian_symmetric(group, rng).values) @ p
+            x = (x + x.conj().T) / 2
+            evals, vecs = np.linalg.eigh(x)
+            scale = max(float(np.abs(evals).max()), 1.0)
+            nonzero = np.abs(evals) > _CLUSTER_GAP * scale
+            if int(nonzero.sum()) != d * d:
+                continue
+            clusters = _cluster_spectrum(evals[nonzero], scale)
+            if len(clusters) != d or any(len(c) != d for c in clusters):
+                continue
+            sub = vecs[:, nonzero]
+            minimal = [
+                np.ascontiguousarray(sub[:, c] @ sub[:, c].conj().T)
+                for c in clusters
+            ]
+
+            y = algebra_matrix(group, random_hermitian_symmetric(group, rng).values)
+            isometries = [minimal[0]]
+            ok = True
+            for j in range(1, d):
+                b = minimal[j] @ y @ minimal[0]
+                u, s, vh = np.linalg.svd(b)
+                if s[d - 1] <= _CLUSTER_GAP * max(float(s[0]), 1.0):
+                    ok = False
+                    break
+                isometries.append(u[:, :d] @ vh[:d, :])
+            if not ok:
+                continue
+            # coefficients of e_jk = I_j I_k^*: its identity column,
+            # I_j @ conj(I_k[e, :])
+            stack = np.stack(isometries)
+            block_units = (stack @ stack[:, group.identity, :].conj().T).transpose(0, 2, 1)
+            break
+        if block_units is None:
+            raise DecompositionFailure(
+                f"no usable spectrum for block {pi} after {_MAX_RETRIES} retries",
+                witness={"irrep": pi, "retries": _MAX_RETRIES},
+            )
+        units.append(block_units)
+
+    decomp = BlockDecomposition(group, table, units, seed)
+    _verify_decomposition(decomp, tol)
+    return decomp
+
+
+def block_spectra(decomp, coeffs):
+    """Sorted eigenvalues of each Hermitian block of an element."""
+    return [np.linalg.eigvalsh((b + b.conj().T) / 2) for b in decomp.from_coefficients(coeffs)]
 
 
 def dense_from_algebra(decomp, mat):

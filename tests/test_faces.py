@@ -27,7 +27,13 @@ from groupstates import (
     symmetric_group,
     to_state,
 )
-from groupstates.errors import ConvergenceFailure, GroupMismatch, NotCentral, SizeLimitExceeded
+from groupstates.errors import (
+    ConvergenceFailure,
+    DimensionMismatch,
+    GroupMismatch,
+    NotCentral,
+    SizeLimitExceeded,
+)
 from groupstates.faces import FaceDescriptor, _centrality_deviation
 from groupstates.groups import (
     algebra_matrix,
@@ -408,6 +414,18 @@ def test_descriptor_rejects_non_projections(s3):
     witness = info.value.witness
     assert set(witness) == {"hermitian_residual", "idempotent_residual"}
     assert witness["hermitian_residual"] > 0.1 and witness["idempotent_residual"] < 1e-12
+
+
+@pytest.mark.parametrize("length", [3, 9])
+@pytest.mark.parametrize(
+    "check",
+    [check_projection, descriptor_from_projection],
+    ids=["check_projection", "descriptor_from_projection"],
+)
+def test_projection_check_rejects_wrong_coefficient_length(s3, check, length):
+    with pytest.raises(DimensionMismatch) as info:
+        check(s3, np.ones(length))
+    assert info.value.witness == {"shape": [length], "order": 6}
 
 
 def _coefficient_residuals(group, coeffs):

@@ -1,5 +1,10 @@
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupstates import (
     AffineHomeoDescriptor,
@@ -24,6 +29,7 @@ from groupstates import (
     pure_state_function,
     quaternion_group,
     random_descriptor,
+    random_hermitian_symmetric,
     random_p1,
     symmetric_group,
     verify_jordan_form,
@@ -49,6 +55,8 @@ from groupstates.vn import (
 
 from conftest import (
     algebra_coefficients,
+    block_spectra,
+    dense_block_decompose,
     dense_from_algebra,
     dense_to_algebra,
     loop_coefficient_transport,
@@ -151,6 +159,88 @@ def test_block_decomposition_deterministic():
     for pi in range(d1.num_blocks):
         assert np.array_equal(d1.units[pi], d2.units[pi])
 
+
+
+def _diagonal_sum_residual(decomp, projections):
+    """Largest deviation of sum_j e^pi_jj from p_pi over all blocks."""
+    return max(
+        float(np.abs(np.einsum("jjs->s", u) - p.coeffs).max())
+        for u, p in zip(decomp.units, projections)
+    )
+
+
+@pytest.mark.parametrize(
+    "maker",
+    [
+        lambda: symmetric_group(3),
+        quaternion_group,
+        lambda: dihedral_group(6),
+        lambda: symmetric_group(4),
+        lambda: direct_product(symmetric_group(4), cyclic_group(2)),
+    ],
+    ids=["S3", "Q8", "D6", "S4", "S4xZ2"],
+)
+def test_block_decompose_agrees_with_dense_construction(maker):
+    """Units from one irreducible representation per block and units from
+    the full-space spectral construction differ by a unitary per block:
+    both pass verification, refine the same central projections and give
+    every Hermitian element the same block spectra."""
+    g = maker()
+    table = character_table(g)
+    projections = minimal_central_projections(g, table)
+    built = [block_decompose(g, table, seed=0), dense_block_decompose(g, table, seed=0)]
+    for decomp in built:
+        _verify_decomposition(decomp, DEFAULT_TOL)
+        assert _diagonal_sum_residual(decomp, projections) < 1e-10
+    rng = np.random.default_rng(21)
+    for _ in range(5):
+        c = random_hermitian_symmetric(g, rng).values
+        for fast, dense in zip(*(block_spectra(decomp, c) for decomp in built)):
+            assert np.abs(fast - dense).max() < 1e-9
+
+
+def test_block_decompose_s5_memory(s5):
+    # one n x n matrix is 230 kB on S5; per-block n x n work peaks near 8 MB
+    table = character_table(s5)
+    tracemalloc.start()
+    try:
+        decomp = block_decompose(s5, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert decomp.block_dims == table.dims
+    assert peak < 4 * 2**20
+
+
+_SEED_GROUPS = {
+    "S3": lambda: symmetric_group(3),
+    "Q8": quaternion_group,
+    "D6": lambda: dihedral_group(6),
+    "S4": lambda: symmetric_group(4),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _seed_zero_reference(name):
+    """Group, seed-0 table and projections, one fixed Hermitian element and
+    its seed-0 block spectra."""
+    g = _SEED_GROUPS[name]()
+    decomp = block_decompose(g, seed=0)
+    coeffs = random_hermitian_symmetric(g, np.random.default_rng(31)).values
+    projections = minimal_central_projections(g, decomp.table)
+    return g, decomp.table, projections, coeffs, block_spectra(decomp, coeffs)
+
+
+@pytest.mark.parametrize("name", sorted(_SEED_GROUPS))
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_block_structure_is_stable_under_seed(name, seed):
+    g, table, projections, coeffs, spectra = _seed_zero_reference(name)
+    decomp = block_decompose(g, seed=seed)
+    assert decomp.block_dims == table.dims
+    assert _diagonal_sum_residual(decomp, projections) < 1e-10
+    for got, expected in zip(block_spectra(decomp, coeffs), spectra):
+        assert np.abs(got - expected).max() < 1e-9
 
 
 @pytest.mark.parametrize("maker", [lambda: symmetric_group(3), lambda: symmetric_group(4), quaternion_group])
