@@ -1,11 +1,13 @@
 """Fourier multiplier channels on the group von Neumann algebra.
 
 The channel with symbol phi sends lambda_s to phi(s) lambda_s.  Complete
-positivity is certified twice, by independently coded paths: the PSD test
-of the Schur symbol matrix phi(s t^{-1}) and the PSD test of every Fourier
-block of phi (Bochner/Plancherel: phi is positive definite exactly when
-each block of sum_s phi(s) lambda_s is PSD).  Disagreement between the two
-outside the undecided band signals a convention bug and raises.
+positivity is certified twice, by independently coded paths: the dense PSD
+test of the Schur symbol matrix phi(s t^{-1}) and the PSD test of every
+Fourier block of phi (Bochner/Plancherel: phi is positive definite exactly
+when each block of sum_s phi(s) lambda_s is PSD).  The blocks come from
+the group's cached block decomposition, built once when there is none.
+Both tests use the same cutoff, so disagreement between them outside the
+undecided band signals a convention bug and raises.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .errors import GroupMismatch, InternalDisagreement
 from .groups import FiniteGroup, same_group
 from .linalg import DEFAULT_TOL, PsdVerdict, Tolerance, is_psd
 from .posdef import GroupFunction, _require_hermitian_symmetric
-from .vn import block_decompose
+from .vn import block_decompose, cached_block_decomposition
 
 
 def schur_symbol(fn: GroupFunction) -> np.ndarray:
@@ -101,19 +103,17 @@ class ChoiCertificate:
 
 
 def _block_verdict(ch: FourierMultiplierChannel, tol: Tolerance) -> PsdVerdict:
-    """PSD verdict over the Fourier blocks of the symbol: PSD iff every
-    block is, with witness and cutoff taken from the lowest block."""
-    blocks = block_decompose(ch.group, tol=tol).from_coefficients(ch.symbol.values)
-    # Hermitian in exact arithmetic once the symbol is; rounding in the
-    # transform grows with the magnitude of the values, so symmetrize
-    verdicts = [is_psd((b + b.conj().T) / 2, tol) for b in blocks]
-    lowest = min(verdicts, key=lambda v: v.witness)
-    return PsdVerdict(
-        is_psd=all(v.is_psd for v in verdicts),
-        witness=lowest.witness,
-        undecided=any(v.undecided for v in verdicts),
-        cutoff=lowest.cutoff,
-    )
+    """PSD verdict over the Fourier blocks of the symbol
+    (``BlockDecomposition.psd_verdict``): the smallest block eigenvalue
+    against the Schur matrix's own cutoff ``eig_tol * n * max|phi|``.
+
+    Reads the group's cached decomposition; only when none was verified at
+    ``tol`` or tighter is one built, and the group keeps it.
+    """
+    decomp = cached_block_decomposition(ch.group, tol)
+    if decomp is None:
+        decomp = block_decompose(ch.group, tol=tol)
+    return decomp.psd_verdict(ch.symbol.values, tol)
 
 
 def is_completely_positive(

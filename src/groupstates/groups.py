@@ -8,8 +8,10 @@ image of a coefficient vector) that the state and channel modules build on.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,13 +25,22 @@ from .errors import (
 )
 from .linalg import DEFAULT_TOL, Tolerance
 
+if TYPE_CHECKING:
+    from .vn import BlockDecomposition
+
 DEFAULT_CLOSURE_LIMIT = 10000
 SYMMETRIC_DEGREE_LIMIT = 8
 
 
 @dataclass(eq=False)
 class FiniteGroup:
-    """A finite group: Cayley table, identity, inverses, optional labels."""
+    """A finite group: Cayley table, identity, inverses, optional labels.
+
+    ``_block_decomposition`` is the verified decomposition that
+    :func:`groupstates.vn.block_decompose` last built for this group, or
+    None; the PSD, A-norm and CP queries read its Fourier blocks when its
+    tolerance allows (see ``vn.cached_block_decomposition``).
+    """
 
     order: int
     cayley: np.ndarray
@@ -37,6 +48,9 @@ class FiniteGroup:
     inverses: np.ndarray
     labels: tuple[str, ...] | None = None
     name: str = "group"
+    _block_decomposition: BlockDecomposition | None = field(
+        default=None, init=False, repr=False
+    )
 
     def __post_init__(self):
         self.cayley = np.ascontiguousarray(self.cayley, dtype=np.int64)
@@ -59,6 +73,27 @@ class FiniteGroup:
     @property
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.cayley, self.cayley.T))
+
+    @functools.cached_property
+    def _generators(self) -> tuple[int, ...]:
+        # computed once per group, see generating_set
+        gens: list[int] = []
+        inside = np.zeros(self.order, dtype=bool)
+        inside[self.identity] = True
+        for s in range(self.order):
+            if inside[s]:
+                continue
+            gens.append(s)
+            # the generated subgroup: close the previous one under right
+            # multiplication by every generator (finite, so inverses follow)
+            frontier = np.flatnonzero(inside)
+            while frontier.size:
+                step = np.unique(self.cayley[np.ix_(frontier, gens)])
+                frontier = step[~inside[step]]
+                inside[frontier] = True
+            if inside.all():
+                break
+        return tuple(gens)
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
@@ -325,28 +360,10 @@ def conjugacy_classes(group: FiniteGroup) -> ConjugacyPartition:
 
 
 def generating_set(group: FiniteGroup) -> list[int]:
-    """A small generating set, greedily built in element order."""
-    n = group.order
-    gens: list[int] = []
-    generated = {group.identity}
-    for s in range(n):
-        if s in generated:
-            continue
-        gens.append(s)
-        frontier = list(generated | {s})
-        generated.add(s)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for b in list(generated):
-                    for c in (group.mul(a, b), group.mul(b, a)):
-                        if c not in generated:
-                            generated.add(c)
-                            nxt.append(c)
-            frontier = nxt
-        if len(generated) == n:
-            break
-    return gens
+    """A small generating set, greedily built in element order: each
+    element outside the subgroup generated so far is added.  Computed once
+    per group and kept on it."""
+    return list(group._generators)
 
 
 # --------------------------------------------------------------------------

@@ -53,6 +53,16 @@ class PsdVerdict:
     def __bool__(self) -> bool:
         return self.is_psd
 
+    @classmethod
+    def from_witness(cls, wmin: float, cutoff: float) -> PsdVerdict:
+        """PSD iff ``wmin >= -cutoff``; undecided inside ``|wmin| <= 10 * cutoff``."""
+        return cls(
+            is_psd=wmin >= -cutoff,
+            witness=wmin,
+            undecided=abs(wmin) <= 10.0 * cutoff,
+            cutoff=cutoff,
+        )
+
 
 def as_matrix(a) -> np.ndarray:
     """Coerce to a finite complex matrix; reject NaN/Inf and non-2d input."""
@@ -105,14 +115,8 @@ def is_psd(a, tol: Tolerance = DEFAULT_TOL) -> PsdVerdict:
     """PSD test with witness: true iff the minimum eigenvalue >= -cutoff."""
     m = as_matrix(a)
     w, _ = hermitian_eig(m, tol)
-    cutoff = tol.eig_cutoff(m)
     wmin = float(w[0]) if w.size else 0.0
-    return PsdVerdict(
-        is_psd=wmin >= -cutoff,
-        witness=wmin,
-        undecided=abs(wmin) <= 10.0 * cutoff,
-        cutoff=cutoff,
-    )
+    return PsdVerdict.from_witness(wmin, tol.eig_cutoff(m))
 
 
 def polar_unitary(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

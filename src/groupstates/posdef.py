@@ -36,7 +36,7 @@ class GroupFunction:
     """A complex function on the group, values indexed by element.
 
     Immutable: ``values`` is a private read-only copy of the input and
-    cannot be reassigned, so the Gram PSD verdict that
+    cannot be reassigned, so the PSD verdict that
     :func:`is_positive_definite` computes is cached per ``Tolerance`` and
     reused by later queries on the same object.
     """
@@ -95,15 +95,28 @@ def gram_matrix(fn: GroupFunction) -> np.ndarray:
 
 
 def is_positive_definite(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> PsdVerdict:
-    """PSD verdict for the full Gram matrix, with witness eigenvalue.
+    """PSD verdict for phi, with witness eigenvalue.
 
-    The Hermitian-symmetry check runs on every call; the eigen-test runs
-    once per function and tolerance, and its verdict is cached on ``fn``.
+    When the group holds a block decomposition verified at ``tol`` or
+    tighter (``vn.cached_block_decomposition``), the verdict is read from
+    the Fourier blocks of phi (``BlockDecomposition.psd_verdict``: phi is
+    positive definite iff every block is PSD); otherwise it is the
+    eigen-test of the full Gram matrix.  Both see the same spectrum with
+    the same cutoff.  The Hermitian-symmetry check runs on every call; the
+    eigen-test runs once per function and tolerance, and its verdict is
+    cached on ``fn``.
     """
+    from .vn import cached_block_decomposition
+
     _require_hermitian_symmetric(fn, tol)
     verdict = fn._psd_verdicts.get(tol)
     if verdict is None:
-        verdict = fn._psd_verdicts[tol] = is_psd(gram_matrix(fn), tol)
+        decomp = cached_block_decomposition(fn.group, tol)
+        if decomp is None:
+            verdict = is_psd(gram_matrix(fn), tol)
+        else:
+            verdict = decomp.psd_verdict(fn.values, tol)
+        fn._psd_verdicts[tol] = verdict
     return verdict
 
 
@@ -132,9 +145,12 @@ def to_state(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> NormalState:
     """Realize a normalized positive definite function as a normal state.
 
     Membership in P1 is verified here, never taken from the caller: raises
-    NotNormalized when phi(e) != 1 and NotPositiveDefinite when the Gram
-    matrix fails the PSD test.  The test is :func:`is_positive_definite`,
-    so a verdict it already cached on ``fn`` is reused, not recomputed.
+    NotNormalized when phi(e) != 1 and NotPositiveDefinite when phi fails
+    the PSD test, whose witness is the smallest eigenvalue of the Gram
+    matrix (equal to the smallest Fourier-block eigenvalue).  The test is
+    :func:`is_positive_definite`, on the Fourier blocks when the group
+    holds a decomposition and on the Gram matrix otherwise, so a verdict
+    it already cached on ``fn`` is reused, not recomputed.
     """
     g = fn.group
     fe = fn.values[g.identity]
@@ -160,9 +176,20 @@ def a_norm(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> float:
     """Fourier-algebra norm: trace norm of the density in the normalized trace.
 
     The density of a Hermitian-symmetric function is Hermitian, so its
-    trace norm is the sum of the absolute eigenvalues.
+    trace norm is the sum of the absolute eigenvalues.  When the group
+    holds a block decomposition verified at ``tol`` or tighter this is
+    sum_pi (d_pi / n) ||B_pi||_1 over the Fourier blocks B_pi of phi;
+    otherwise the eigenvalues are those of the dense n x n density.
     """
+    from .vn import cached_block_decomposition
+
     _require_hermitian_symmetric(fn, tol)
+    decomp = cached_block_decomposition(fn.group, tol)
+    if decomp is not None:
+        # block pi contributes d_pi times each of its d_pi eigenvalues
+        dims = decomp.block_dims
+        evals = np.concatenate(decomp.block_spectra(fn.values))
+        return float(np.repeat(dims, dims) @ np.abs(evals)) / fn.group.order
     density = algebra_matrix(fn.group, fn.values)
     density = (density + density.conj().T) / 2
     return float(np.abs(np.linalg.eigvalsh(density)).sum()) / fn.group.order

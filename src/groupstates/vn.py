@@ -31,7 +31,7 @@ from .errors import (
     NotIsomorphic,
 )
 from .groups import FiniteGroup, algebra_matrix, generating_set, same_group
-from .linalg import DEFAULT_TOL, Tolerance, polar_unitary
+from .linalg import DEFAULT_TOL, PsdVerdict, Tolerance, polar_unitary
 from .posdef import (
     GroupFunction,
     convex_combine,
@@ -107,6 +107,8 @@ class BlockDecomposition:
     a coefficient vector to its stacked blocks.  The embedding in both
     directions is exposed through to_coefficients / from_coefficients, on
     coefficient vectors only, and is a verified *-isomorphism.
+    ``verified_tol`` is the tolerance :func:`block_decompose` verified it
+    at, None for one built by hand.
     """
 
     group: FiniteGroup
@@ -115,6 +117,7 @@ class BlockDecomposition:
     seed: int
     transform: np.ndarray = field(init=False, repr=False)
     inverse_transform: np.ndarray = field(init=False, repr=False)
+    verified_tol: Tolerance | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         n = self.group.order
@@ -127,6 +130,15 @@ class BlockDecomposition:
         swapped = np.concatenate([u.transpose(1, 0, 2).reshape(-1, n) for u in self.units])
         weights = np.repeat([n / d for d in dims], [d * d for d in dims])
         self.transform = weights[:, None] * swapped[:, self.group.inverses]
+        # stacked rows of the blocks of each dimension, so that equal-size
+        # blocks are diagonalised in one batched call
+        same_dim: dict[int, list[int]] = {}
+        for pi, d in enumerate(dims):
+            same_dim.setdefault(d, []).append(pi)
+        self._same_dim = [
+            (d, blocks, np.r_[tuple(self._rows[pi] for pi in blocks)])
+            for d, blocks in same_dim.items()
+        ]
 
     @property
     def block_dims(self) -> tuple[int, ...]:
@@ -164,15 +176,51 @@ class BlockDecomposition:
             flat.append(b.reshape(-1))
         return self.inverse_transform @ np.concatenate(flat)
 
-    def from_coefficients(self, coeffs) -> list[np.ndarray]:
-        """Blocks of sum_s coeffs[s] lambda_s: one product with ``transform``."""
+    def _stacked(self, coeffs) -> np.ndarray:
         c = np.asarray(coeffs, dtype=complex)
         if c.shape != (self.group.order,):
             raise DimensionMismatch(
                 f"coefficients have shape {c.shape}, group order is {self.group.order}",
                 witness={"shape": list(c.shape), "order": self.group.order},
             )
-        return self._split(self.transform @ c)
+        return self.transform @ c
+
+    def from_coefficients(self, coeffs) -> list[np.ndarray]:
+        """Blocks of sum_s coeffs[s] lambda_s: one product with ``transform``."""
+        return self._split(self._stacked(coeffs))
+
+    def block_spectra(self, coeffs) -> list[np.ndarray]:
+        """Ascending eigenvalues of each block of sum_s coeffs[s] lambda_s.
+
+        The blocks of Hermitian-symmetric coefficients are Hermitian in
+        exact arithmetic; rounding in the transform grows with the
+        magnitude of the coefficients, so each block is symmetrized first.
+        """
+        stacked = self._stacked(coeffs)
+        spectra: list[np.ndarray] = [None] * self.num_blocks
+        for d, blocks, rows in self._same_dim:
+            b = stacked[rows].reshape(len(blocks), d, d)
+            evals = np.linalg.eigvalsh((b + b.conj().transpose(0, 2, 1)) / 2)
+            for pi, w in zip(blocks, evals):
+                spectra[pi] = w
+        return spectra
+
+    def psd_verdict(self, coeffs, tol: Tolerance = DEFAULT_TOL) -> PsdVerdict:
+        """PSD verdict of phi = coeffs from its Fourier blocks.
+
+        The regular representation of sum_s phi(s) lambda_s is the direct
+        sum of block pi taken d_pi times, and the Gram and Schur matrices
+        of phi are that matrix up to transposition and relabelling, so the
+        three spectra coincide (Serre, 6.2).  The witness is the smallest
+        block eigenvalue; the cutoff is the Gram matrix's,
+        ``eig_tol * n * max|phi|``, since every Gram entry is a value of
+        phi.  Verdict, cutoff and undecided flag therefore equal the dense
+        test's, and the witness equals it up to rounding.
+        """
+        c = np.asarray(coeffs, dtype=complex)
+        wmin = min(float(w[0]) for w in self.block_spectra(c))
+        cutoff = tol.eig_tol * self.group.order * float(np.abs(c).max())
+        return PsdVerdict.from_witness(wmin, cutoff)
 
 
 def _cluster_spectrum(evals: np.ndarray, scale: float) -> list[np.ndarray]:
@@ -206,6 +254,9 @@ def block_decompose(
     Representations of Finite Groups, 2.2 and 2.6).  Every spectral step is
     on a d^2 x d^2 matrix.  Spectral collisions trigger a resample, then
     DecompositionFailure once the retry budget is exhausted.
+
+    Always builds; once verified, the result is kept on ``group`` for
+    :func:`cached_block_decomposition`, replacing any earlier one.
     """
     if table is None:
         table = character_table(group, seed=seed)
@@ -245,6 +296,20 @@ def block_decompose(
 
     decomp = BlockDecomposition(group, table, units, seed)
     _verify_decomposition(decomp, tol)
+    decomp.verified_tol = tol
+    group._block_decomposition = decomp
+    return decomp
+
+
+def cached_block_decomposition(
+    group: FiniteGroup, tol: Tolerance = DEFAULT_TOL
+) -> BlockDecomposition | None:
+    """The decomposition :func:`block_decompose` last verified for
+    ``group``, or None when there is none or it was verified at a looser
+    ``residual_tol`` than ``tol``'s."""
+    decomp = group._block_decomposition
+    if decomp is None or decomp.verified_tol.residual_tol > tol.residual_tol:
+        return None
     return decomp
 
 

@@ -340,9 +340,61 @@ def dense_block_decompose(group, table=None, seed=0, tol=None):
     return decomp
 
 
-def block_spectra(decomp, coeffs):
-    """Sorted eigenvalues of each Hermitian block of an element."""
-    return [np.linalg.eigvalsh((b + b.conj().T) / 2) for b in decomp.from_coefficients(coeffs)]
+def gram_psd_verdict(fn, tol=None):
+    """The dense Gram eigen-test: linalg.is_psd of the n x n Gram matrix."""
+    from groupstates.linalg import DEFAULT_TOL, is_psd
+    from groupstates.posdef import gram_matrix
+
+    return is_psd(gram_matrix(fn), DEFAULT_TOL if tol is None else tol)
+
+
+def dense_a_norm(fn):
+    """A-norm from the dense n x n density: its absolute eigenvalues
+    summed and divided by n."""
+    from groupstates.groups import algebra_matrix
+
+    density = algebra_matrix(fn.group, fn.values)
+    density = (density + density.conj().T) / 2
+    return float(np.abs(np.linalg.eigvalsh(density)).sum()) / fn.group.order
+
+
+def rebuilt_block_verdict(group, coeffs, tol=None):
+    """Fourier-block PSD verdict from a decomposition rebuilt for this call:
+    every symmetrized block through linalg.is_psd, PSD iff each block's
+    smallest eigenvalue clears the Gram cutoff eig_tol * n * max|phi|."""
+    from groupstates.linalg import DEFAULT_TOL, PsdVerdict, is_psd
+    from groupstates.vn import block_decompose
+
+    tol = DEFAULT_TOL if tol is None else tol
+    blocks = block_decompose(group, tol=tol).from_coefficients(coeffs)
+    wmin = min(is_psd((b + b.conj().T) / 2, tol).witness for b in blocks)
+    cutoff = tol.eig_tol * group.order * float(np.abs(coeffs).max())
+    return PsdVerdict(wmin >= -cutoff, wmin, abs(wmin) <= 10 * cutoff, cutoff)
+
+
+def closure_generating_set(group):
+    """Greedy generating set in element order, each generated subgroup
+    closed under products in both orders one element pair at a time."""
+    gens = []
+    generated = {group.identity}
+    for s in range(group.order):
+        if s in generated:
+            continue
+        gens.append(s)
+        frontier = list(generated | {s})
+        generated.add(s)
+        while frontier:
+            nxt = []
+            for a in frontier:
+                for b in list(generated):
+                    for c in (group.mul(a, b), group.mul(b, a)):
+                        if c not in generated:
+                            generated.add(c)
+                            nxt.append(c)
+            frontier = nxt
+        if len(generated) == group.order:
+            break
+    return gens
 
 
 def dense_from_algebra(decomp, mat):

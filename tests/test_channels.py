@@ -9,6 +9,7 @@ from groupstates import (
     apply,
     build_channel,
     block_decompose,
+    central_state_function,
     compose,
     constant_one,
     convex_combine,
@@ -20,6 +21,7 @@ from groupstates import (
     is_positive_definite,
     is_psd,
     is_unital,
+    pure_state_function,
     quaternion_group,
     random_hermitian_symmetric,
     random_p1,
@@ -32,8 +34,15 @@ from groupstates import channels
 from groupstates.errors import GroupMismatch, InternalDisagreement, NotHermitianSymmetric
 from groupstates.groups import algebra_matrix
 from groupstates.jsonio import function_to_json
+from groupstates.linalg import Tolerance
+from groupstates.vn import cached_block_decomposition
 
-from conftest import criterion_04_groups, literal_choi_matrix, regular_representation
+from conftest import (
+    criterion_04_groups,
+    literal_choi_matrix,
+    rebuilt_block_verdict,
+    regular_representation,
+)
 
 
 def _margin_symbol(group, rng):
@@ -195,6 +204,52 @@ def test_block_verdict_matches_literal_choi():
             assert cert.block_verdict.is_psd == cert.verdict
             decided[cert.verdict] += 1
     assert decided[True] >= len(groups) and decided[False] > 10
+
+
+def test_block_verdict_of_pure_and_central_states():
+    # the Fourier blocks of these CP symbols are zero up to rounding except
+    # one; each block is judged against the Schur matrix's cutoff, not a
+    # cutoff scaled by its own rounding noise
+    rng = np.random.default_rng(17)
+    for g in (quaternion_group(), symmetric_group(3), symmetric_group(4)):
+        decomp = block_decompose(g)
+        fns = [central_state_function(decomp.table, pi) for pi in range(decomp.num_blocks)]
+        for pi, d in enumerate(decomp.block_dims):
+            fns += [pure_state_function(decomp, pi, e) for e in np.eye(d)]
+            fns.append(pure_state_function(decomp, pi, rng.normal(size=d) + 1j * rng.normal(size=d)))
+        for fn in fns:
+            cert = is_completely_positive(build_channel(fn))
+            assert cert.verdict and cert.block_verdict.is_psd
+            assert cert.block_verdict.cutoff == cert.symbol_verdict.cutoff
+            assert abs(cert.block_verdict.witness - cert.symbol_verdict.witness) < 1e-12
+
+
+def test_block_verdict_reads_the_cached_decomposition(monkeypatch):
+    built = []
+    real = channels.block_decompose
+
+    def counted(group, *args, **kwargs):
+        built.append(group)
+        return real(group, *args, **kwargs)
+
+    monkeypatch.setattr(channels, "block_decompose", counted)
+    rng = np.random.default_rng(18)
+    g = symmetric_group(4)
+    assert cached_block_decomposition(g) is None
+    fns = [random_hermitian_symmetric(g, rng), _margin_symbol(g, rng), random_p1(g, rng)]
+    for fn in fns:
+        cert = is_completely_positive(build_channel(fn))
+        oracle = rebuilt_block_verdict(g, fn.values)
+        assert cert.block_verdict.is_psd == oracle.is_psd
+        assert cert.block_verdict.undecided == oracle.undecided
+        assert cert.block_verdict.cutoff == oracle.cutoff
+        assert abs(cert.block_verdict.witness - oracle.witness) < 1e-12
+    # built once, on the first certificate, and kept by the group
+    assert built == [g]
+    # a certificate at a tighter residual tolerance builds its own
+    tight = Tolerance(residual_tol=1e-9)
+    is_completely_positive(build_channel(fns[0]), tight)
+    assert built == [g, g] and cached_block_decomposition(g, tight) is not None
 
 
 def test_cp_margin_symbol_is_decided(tmp_path, capsys):

@@ -28,6 +28,7 @@ from groupstates.groups import (
 from conftest import (
     algebra_coefficients,
     brute_force_conjugacy_classes,
+    closure_generating_set,
     loop_convolve,
     membership_residual,
     regular_representation,
@@ -192,6 +193,21 @@ def test_generating_set_generates():
                             new.append(c)
             frontier = new
         assert len(seen) == g.order
+
+
+def test_generating_set_matches_closure_oracle():
+    ladder = (
+        symmetric_group(3), quaternion_group(), dihedral_group(6), symmetric_group(4),
+        direct_product(symmetric_group(4), cyclic_group(2)), dihedral_group(30),
+        symmetric_group(5), cyclic_group(1), cyclic_group(12),
+    )
+    for g in ladder:
+        gens = generating_set(g)
+        assert gens == closure_generating_set(g)
+        # kept on the group; each caller gets its own list
+        assert vars(g)["_generators"] == tuple(gens)
+        gens.append(-1)
+        assert generating_set(g) == closure_generating_set(g)
 
 
 def test_algebra_matrix_and_convolution_agree():

@@ -1,7 +1,10 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupstates import (
     GroupFunction,
@@ -14,6 +17,7 @@ from groupstates import (
     cyclic_group,
     delta_e,
     dihedral_group,
+    direct_product,
     from_state,
     gns,
     gram_matrix,
@@ -39,8 +43,9 @@ from groupstates import posdef
 from groupstates.groups import algebra_matrix
 from groupstates.linalg import DEFAULT_TOL, Tolerance
 from groupstates.posdef import GnsRepresentation, commutant_dimension
+from groupstates.vn import BlockDecomposition, cached_block_decomposition
 
-from conftest import kron_commutant_dimension, trace_norm
+from conftest import dense_a_norm, gram_psd_verdict, kron_commutant_dimension, trace_norm
 
 
 def test_gram_constant_one_z2(z2):
@@ -379,15 +384,102 @@ def test_vector_state_is_p1(s4):
     assert is_positive_definite(fn).is_psd
 
 
-def test_a_norm_matches_trace_norm_oracle(s3, q8, d4):
-    """Sum of |eigenvalues| of the Hermitian density = its singular values."""
+def test_a_norm_matches_trace_norm_oracle():
+    """Sum of |eigenvalues| of the Hermitian density = its singular values,
+    on the dense density of a fresh group and on the Fourier blocks once
+    the group holds a decomposition."""
     rng = np.random.default_rng(12)
-    for group in (s3, q8, d4):
+    for group in (symmetric_group(3), quaternion_group(), dihedral_group(4)):
         fns = [random_p1(group, rng) for _ in range(3)]
         fns += [random_hermitian_symmetric(group, rng) for _ in range(3)]
-        for fn in fns:
-            oracle = trace_norm(algebra_matrix(group, fn.values)) / group.order
-            assert abs(a_norm(fn) - oracle) < 1e-12 * max(1.0, oracle)
+        for path in ("dense", "blocks"):
+            if path == "blocks":
+                block_decompose(group)
+            assert (cached_block_decomposition(group) is None) == (path == "dense")
+            for fn in fns:
+                oracle = trace_norm(algebra_matrix(group, fn.values)) / group.order
+                assert abs(a_norm(fn) - oracle) < 1e-12 * max(1.0, oracle)
+
+
+def _ladder_inputs(group, decomp, rng):
+    """random_p1, random_hermitian_symmetric, a pure state, a central
+    state, a two-block mix and an indefinite spike delta_e + c delta_s."""
+    dims = decomp.block_dims
+    k = len(dims)
+
+    def pure(pi):
+        v = rng.normal(size=dims[pi]) + 1j * rng.normal(size=dims[pi])
+        return pure_state_function(decomp, pi, v)
+
+    a, b = (int(x) for x in rng.choice(k, size=2, replace=False))
+    involution = next(
+        s for s in group.elements()
+        if s != group.identity and group.inv(s) == s
+    )
+    spike = np.zeros(group.order, dtype=complex)
+    spike[group.identity] = 1.0
+    spike[involution] = float(rng.uniform(1.5, 3.0))
+    return [
+        random_p1(group, rng),
+        random_hermitian_symmetric(group, rng),
+        pure(int(rng.integers(k))),
+        central_state_function(decomp.table, int(rng.integers(k))),
+        convex_combine([0.4, 0.6], [pure(a), pure(b)]),
+        GroupFunction(group, spike),
+    ]
+
+
+def test_blockwise_psd_matches_gram_oracle():
+    rng = np.random.default_rng(31)
+    ladder = (
+        symmetric_group(3), quaternion_group(), dihedral_group(6), symmetric_group(4),
+        direct_product(symmetric_group(4), cyclic_group(2)),
+    )
+    seen = {"psd": 0, "not psd": 0, "undecided": 0}
+    for group in ladder:
+        decomp = block_decompose(group)
+        assert cached_block_decomposition(group) is decomp
+        for fn in _ladder_inputs(group, decomp, rng):
+            verdict = is_positive_definite(fn)
+            oracle = gram_psd_verdict(fn)
+            assert verdict.is_psd == oracle.is_psd
+            assert verdict.cutoff == oracle.cutoff
+            assert verdict.undecided == oracle.undecided
+            assert abs(verdict.witness - oracle.witness) < 1e-12
+            dense = dense_a_norm(fn)
+            assert abs(a_norm(fn) - dense) < 1e-12 * max(1.0, dense)
+            seen["psd" if verdict.is_psd else "not psd"] += 1
+            seen["undecided"] += verdict.undecided
+    assert min(seen.values()) >= len(ladder)
+
+
+@functools.lru_cache(maxsize=None)
+def _decomposed(name):
+    group = {
+        "S3": symmetric_group(3), "Q8": quaternion_group(), "D6": dihedral_group(6),
+    }[name]
+    return block_decompose(group)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(["S3", "Q8", "D6"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    weight=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_fourier_and_gram_verdicts_agree_outside_the_band(name, seed, weight):
+    # a mix of a state and an arbitrary Hermitian-symmetric function lands
+    # on either side of the PSD boundary
+    decomp = _decomposed(name)
+    rng = np.random.default_rng(seed)
+    state = random_p1(decomp.group, rng)
+    other = random_hermitian_symmetric(decomp.group, rng)
+    fn = GroupFunction(decomp.group, weight * state.values + (1 - weight) * other.values)
+    fourier = decomp.psd_verdict(fn.values)
+    gram = gram_psd_verdict(fn)
+    if not (fourier.undecided or gram.undecided):
+        assert fourier.is_psd == gram.is_psd
+    assert abs(fourier.witness - gram.witness) < 1e-12 * max(1.0, abs(gram.witness))
 
 
 def _count_is_psd(monkeypatch):
@@ -402,17 +494,66 @@ def _count_is_psd(monkeypatch):
     return calls
 
 
-def test_to_state_reuses_cached_verdict(monkeypatch, q8):
+def _count_psd_verdicts(monkeypatch):
+    calls = []
+    real = BlockDecomposition.psd_verdict
+
+    def counted(self, coeffs, tol=DEFAULT_TOL):
+        calls.append(tol)
+        return real(self, coeffs, tol)
+
+    monkeypatch.setattr(BlockDecomposition, "psd_verdict", counted)
+    return calls
+
+
+def test_to_state_reuses_cached_verdict(monkeypatch):
+    # a freshly built group holds no decomposition: the Gram path
+    q8 = quaternion_group()
+    assert cached_block_decomposition(q8) is None
     calls = _count_is_psd(monkeypatch)
     fn = random_p1(q8, np.random.default_rng(13))
     verdict = is_positive_definite(fn)
     state = to_state(fn)
-    assert len(calls) == 1
+    assert calls == [(8, 8)]
     assert is_positive_definite(fn) is verdict
     assert np.array_equal(state.coefficients, fn.values)
     # the cache is keyed by the tolerance
     is_positive_definite(fn, Tolerance(eig_tol=1e-6))
     assert len(calls) == 2
+
+
+def test_to_state_reuses_cached_block_verdict(monkeypatch):
+    # once the group holds a decomposition: the Fourier-block path, with
+    # no Gram matrix
+    q8 = quaternion_group()
+    block_decompose(q8)
+    gram_calls = _count_is_psd(monkeypatch)
+    block_calls = _count_psd_verdicts(monkeypatch)
+    fn = random_p1(q8, np.random.default_rng(13))
+    verdict = is_positive_definite(fn)
+    state = to_state(fn)
+    assert len(block_calls) == 1 and gram_calls == []
+    assert is_positive_definite(fn) is verdict
+    assert np.array_equal(state.coefficients, fn.values)
+    # the cache is keyed by the tolerance
+    is_positive_definite(fn, Tolerance(eig_tol=1e-6))
+    assert block_calls == [DEFAULT_TOL, Tolerance(eig_tol=1e-6)] and gram_calls == []
+
+
+def test_decomposition_at_looser_tolerance_is_not_reused(monkeypatch):
+    q8 = quaternion_group()
+    loose = Tolerance(residual_tol=1e-6)
+    decomp = block_decompose(q8, tol=loose)
+    assert cached_block_decomposition(q8) is None
+    assert cached_block_decomposition(q8, loose) is decomp
+    gram_calls = _count_is_psd(monkeypatch)
+    block_calls = _count_psd_verdicts(monkeypatch)
+    fn = random_p1(q8, np.random.default_rng(16))
+    is_positive_definite(fn)
+    a_norm(fn)
+    assert len(gram_calls) == 1 and block_calls == []
+    is_positive_definite(fn, loose)
+    assert len(gram_calls) == 1 and block_calls == [loose]
 
 
 def test_repeated_query_still_checks_hermitian_symmetry(monkeypatch, z2):

@@ -1,5 +1,7 @@
 import functools
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -36,6 +38,7 @@ from groupstates import (
     vn_invariant,
     vn_isomorphic,
 )
+from groupstates import vn
 from groupstates.characters import CharacterTable
 from groupstates.errors import (
     ConvergenceFailure,
@@ -49,13 +52,13 @@ from groupstates.linalg import DEFAULT_TOL
 from groupstates.vn import (
     BlockDecomposition,
     _coefficient_transport,
+    cached_block_decomposition,
     _matching_by_dimension,
     _verify_decomposition,
 )
 
 from conftest import (
     algebra_coefficients,
-    block_spectra,
     dense_block_decompose,
     dense_from_algebra,
     dense_to_algebra,
@@ -160,6 +163,43 @@ def test_block_decomposition_deterministic():
         assert np.array_equal(d1.units[pi], d2.units[pi])
 
 
+def test_block_decompose_keeps_its_verified_result_on_the_group():
+    g = quaternion_group()
+    assert cached_block_decomposition(g) is None
+    first = block_decompose(g, seed=1)
+    assert first.verified_tol == DEFAULT_TOL
+    assert cached_block_decomposition(g) is first
+    # it always builds, and the group keeps the last one
+    second = block_decompose(g, seed=1)
+    assert second is not first and cached_block_decomposition(g) is second
+    assert all(np.array_equal(a, b) for a, b in zip(first.units, second.units))
+
+
+def test_failed_verification_leaves_the_cache_alone(monkeypatch):
+    g = symmetric_group(3)
+    kept = block_decompose(g)
+
+    def reject(decomp, tol):
+        raise DecompositionFailure("rejected", witness={})
+
+    monkeypatch.setattr(vn, "_verify_decomposition", reject)
+    with pytest.raises(DecompositionFailure):
+        block_decompose(g, seed=1)
+    assert cached_block_decomposition(g) is kept
+
+
+def test_decomposition_cache_does_not_keep_the_group_alive():
+    # the group and its decomposition point at each other; the cycle is
+    # still collected once nothing else holds the group
+    g = symmetric_group(4)
+    block_decompose(g)
+    assert is_positive_definite(random_p1(g, np.random.default_rng(3))).is_psd
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
+
+
 
 def _diagonal_sum_residual(decomp, projections):
     """Largest deviation of sum_j e^pi_jj from p_pi over all blocks."""
@@ -195,7 +235,7 @@ def test_block_decompose_agrees_with_dense_construction(maker):
     rng = np.random.default_rng(21)
     for _ in range(5):
         c = random_hermitian_symmetric(g, rng).values
-        for fast, dense in zip(*(block_spectra(decomp, c) for decomp in built)):
+        for fast, dense in zip(*(decomp.block_spectra(c) for decomp in built)):
             assert np.abs(fast - dense).max() < 1e-9
 
 
@@ -228,7 +268,7 @@ def _seed_zero_reference(name):
     decomp = block_decompose(g, seed=0)
     coeffs = random_hermitian_symmetric(g, np.random.default_rng(31)).values
     projections = minimal_central_projections(g, decomp.table)
-    return g, decomp.table, projections, coeffs, block_spectra(decomp, coeffs)
+    return g, decomp.table, projections, coeffs, decomp.block_spectra(coeffs)
 
 
 @pytest.mark.parametrize("name", sorted(_SEED_GROUPS))
@@ -239,7 +279,7 @@ def test_block_structure_is_stable_under_seed(name, seed):
     decomp = block_decompose(g, seed=seed)
     assert decomp.block_dims == table.dims
     assert _diagonal_sum_residual(decomp, projections) < 1e-10
-    for got, expected in zip(block_spectra(decomp, coeffs), spectra):
+    for got, expected in zip(decomp.block_spectra(coeffs), spectra):
         assert np.abs(got - expected).max() < 1e-9
 
 
