@@ -202,11 +202,9 @@ def _handle_posdef(args, tol) -> dict:
             report["in_p1"] = True
         return report
     if args.subcommand == "extreme":
-        rep = pd.gns(fn, tol)
-        return {
-            "extreme": pd.commutant_dimension(rep) == 1,
-            "gns_dimension": rep.dim,
-        }
+        # the dual verdict of is_extreme, with the GNS space it was read from
+        extreme, rep = pd._extremality(fn, tol)
+        return {"extreme": extreme, "gns_dimension": rep.dim}
     return {"a_norm": pd.a_norm(fn, tol)}
 
 

@@ -37,9 +37,10 @@ class FiniteGroup:
     """A finite group: Cayley table, identity, inverses, optional labels.
 
     ``_block_decomposition`` is the verified decomposition that
-    :func:`groupstates.vn.block_decompose` last built for this group, or
-    None; the PSD, A-norm and CP queries read its Fourier blocks when its
-    tolerance allows (see ``vn.cached_block_decomposition``).
+    :func:`groupstates.vn.block_decompose` keeps for this group (the one
+    verified at the tightest ``residual_tol``), or None; the PSD, A-norm,
+    CP and extremality queries read its Fourier blocks when its tolerance
+    allows (see ``vn.cached_block_decomposition``).
     """
 
     order: int

@@ -23,6 +23,7 @@ from .errors import (
     BadWeights,
     ConvergenceFailure,
     GroupMismatch,
+    InternalDisagreement,
     NotHermitianSymmetric,
     NotNormalized,
     NotPositiveDefinite,
@@ -221,22 +222,63 @@ def convex_combine(
     return GroupFunction(base, mixed)
 
 
+# complex entries one chunk of the stacked unitarity check in gns gathers
+# (1 MiB): a full-rank S5 state (dim = n = 120) is checked 4 elements at a
+# time, where one (n, dim, dim) array would take 27.6 MB
+_UNITARITY_CHUNK_ENTRIES = 2**16
+
+
+def _regular_traces(translate: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """tr(lambda_s m) = sum_t m[s^{-1} t, t] for every s, as one n x n
+    gather; ``translate[s, t]`` is the index of s^{-1} t."""
+    n = len(m)
+    return np.take(m, translate * n + np.arange(n)).sum(axis=1)
+
+
 @dataclass(eq=False)
 class GnsRepresentation:
     """The cyclic unitary representation built from a state.
 
-    ``rep[s]`` is a dim x dim unitary, the cyclic vector satisfies
-    <rep(s) xi, xi> = phi(s) (inner product linear in the first slot).
+    The GNS space is the quotient of the group algebra by the null space of
+    the form phi induces.  ``project`` (dim x n) sends a coefficient vector
+    to its class in an orthonormal basis, ``lift`` (n x dim) sends a basis
+    vector back to a representative, and rho(s) = project . lambda_s . lift
+    is built on demand by :meth:`matrix`; no (n, dim, dim) array is held.
+    The cyclic vector satisfies <rho(s) xi, xi> = phi(s) (inner product
+    linear in the first slot), and ``character[s]`` = tr rho(s).
     """
 
     group: FiniteGroup
     dim: int
-    rep: np.ndarray
+    project: np.ndarray
+    lift: np.ndarray
     cyclic_vector: np.ndarray
+    character: np.ndarray
+
+    def matrix(self, s: int) -> np.ndarray:
+        """The dim x dim unitary rho(s)."""
+        g = self.group
+        return self.project @ self.lift[g.cayley[g.inverses[s]]]
 
     def matrix_coefficient(self, s: int) -> complex:
         xi = self.cyclic_vector
-        return complex(np.vdot(xi, self.rep[s] @ xi))
+        return complex(np.vdot(xi, self.matrix(s) @ xi))
+
+
+def _unitarity_deviation(rep: GnsRepresentation, translate: np.ndarray) -> float:
+    """max over s of max|rho(s)^* rho(s) - 1|, one stacked product per chunk
+    of elements."""
+    n, dim = rep.lift.shape
+    step = max(1, _UNITARITY_CHUNK_ENTRIES // (n * dim))
+    eye = np.eye(dim)
+    dev = 0.0
+    for start in range(0, n, step):
+        rho = rep.project @ rep.lift[translate[start:start + step]]
+        # a contiguous adjoint keeps the stacked product on BLAS
+        gram = np.ascontiguousarray(rho.conj().transpose(0, 2, 1)) @ rho
+        gram -= eye
+        dev = max(dev, float(np.abs(gram).max()))
+    return dev
 
 
 def gns(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> GnsRepresentation:
@@ -248,6 +290,12 @@ def gns(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> GnsRepresentation:
     and max entry, hence the same PSD cutoff, so its one eigendecomposition
     decides positive definiteness too.  Eigenvectors with eigenvalue above
     the cutoff are kept and rescaled to an orthonormal basis of the quotient.
+
+    The character is read from the kept spectral projector K = V_k V_k^*:
+    tr rho(s) = tr(lambda_s K), one O(n^2) gather.  Verification covers
+    every s: the matrix coefficients <rho(s) xi, xi> = phi(s) as one gather
+    and product, and the unitarity of rho(s) as stacked products over
+    chunks of elements; either failing raises ConvergenceFailure.
     """
     g = fn.group
     _require_hermitian_symmetric(fn, tol)
@@ -267,40 +315,34 @@ def gns(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> GnsRepresentation:
     vk = v[:, keep]
     project = roots[:, None] * vk.conj().T     # class of a coefficient vector
     lift = vk * (1.0 / roots)[None, :]         # orthonormal class representatives
-
-    n = g.order
-    rep = np.empty((n, dim, dim), dtype=complex)
-    inv_rows = g.cayley[g.inverses]            # row s = left translation index map
-    for s in range(n):
-        rep[s] = project @ lift[inv_rows[s], :]
     cyclic = project[:, g.identity].copy()
+    translate = g.cayley[g.inverses]           # row s = left translation index map
+    character = _regular_traces(translate, vk @ vk.conj().T)
+    rep = GnsRepresentation(g, dim, project, lift, cyclic, character)
 
-    rep_dev = max(
-        float(np.abs(rep[s].conj().T @ rep[s] - np.eye(dim)).max()) for s in range(n)
-    )
-    coeff_dev = max(
-        abs(complex(np.vdot(cyclic, rep[s] @ cyclic)) - fn(s)) for s in range(n)
-    )
+    # <rho(s) xi, xi> = sum_t (xi^* project)[t] (lift xi)[s^{-1} t]
+    coefficients = (lift @ cyclic)[translate] @ (cyclic.conj() @ project)
+    coeff_dev = float(np.abs(coefficients - fn.values).max())
+    rep_dev = _unitarity_deviation(rep, translate)
     if rep_dev > tol.residual_tol or coeff_dev > tol.residual_tol:
         raise ConvergenceFailure(
             f"GNS verification failed (unitarity {rep_dev:.2e}, "
             f"coefficient {coeff_dev:.2e})",
             witness={"unitarity": rep_dev, "coefficient": coeff_dev},
         )
-    return GnsRepresentation(g, dim, rep, cyclic)
+    return rep
 
 
 def commutant_dimension(rep: GnsRepresentation) -> int:
-    """Dimension of {X : X rep(s) = rep(s) X for all s}.
+    """Dimension of {X : X rho(s) = rho(s) X for all s}.
 
-    For rep = sum of m_pi copies of irreducibles this is sum m_pi^2, the
-    character norm (1/|G|) sum_s |tr rep(s)|^2 (Serre, Linear
-    Representations of Finite Groups, 2.3 Thm 5).  The norm is an integer
-    in exact arithmetic; a value more than 1e-6 (relative) from one raises
-    ConvergenceFailure.
+    For rho = sum of m_pi copies of irreducibles this is sum m_pi^2, the
+    character norm (1/|G|) sum_s |chi(s)|^2 of ``rep.character`` (Serre,
+    Linear Representations of Finite Groups, 2.3 Thm 5).  The norm is an
+    integer in exact arithmetic; a value more than 1e-6 (relative) from one
+    raises ConvergenceFailure.
     """
-    traces = np.einsum("sii->s", rep.rep)
-    raw = float(np.sum(np.abs(traces) ** 2)) / rep.group.order
+    raw = float(np.sum(np.abs(rep.character) ** 2)) / rep.group.order
     dim = round(raw)
     if abs(raw - dim) > 1e-6 * raw:
         raise ConvergenceFailure(
@@ -310,11 +352,44 @@ def commutant_dimension(rep: GnsRepresentation) -> int:
     return dim
 
 
-def is_extreme(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Extreme point test: true iff the GNS representation is irreducible,
-    i.e. its commutant is one-dimensional (character norm 1)."""
+def _block_ranks(fn: GroupFunction, tol: Tolerance) -> list[int]:
+    """rank B_pi of every Fourier block of phi: the block eigenvalues above
+    the Gram cutoff eig_tol * n * max|phi|.  Reads the group's cached
+    decomposition and builds one only when none is cached."""
+    from .vn import block_decompose, cached_block_decomposition
+
+    decomp = cached_block_decomposition(fn.group, tol)
+    if decomp is None:
+        decomp = block_decompose(fn.group, tol=tol)
+    cutoff = tol.eig_tol * fn.group.order * float(np.abs(fn.values).max())
+    return [int(np.count_nonzero(w > cutoff)) for w in decomp.block_spectra(fn.values)]
+
+
+def _extremality(fn: GroupFunction, tol: Tolerance) -> tuple[bool, GnsRepresentation]:
+    """The verdict of :func:`is_extreme` and the GNS representation it
+    was read from."""
     rep = gns(fn, tol)
-    return commutant_dimension(rep) == 1
+    commutant = commutant_dimension(rep)
+    ranks = _block_ranks(fn, tol)
+    if (commutant == 1) != (sum(ranks) == 1):
+        raise InternalDisagreement(
+            "character-norm and Fourier-block extremality checks disagree",
+            witness={"commutant_dimension": commutant, "block_ranks": ranks},
+        )
+    return commutant == 1, rep
+
+
+def is_extreme(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """Extreme point test: true iff the GNS representation is irreducible.
+
+    Two independent verdicts, like the CP certificate.  The first is the
+    character norm of the GNS representation (:func:`commutant_dimension`
+    equal to 1).  The second reads the Fourier blocks of phi: the GNS
+    representation holds block pi's irreducible rank(B_pi) times, so it is
+    irreducible iff sum_pi rank(B_pi) = 1.  Differing verdicts raise
+    InternalDisagreement with both counts as witness.
+    """
+    return _extremality(fn, tol)[0]
 
 
 # --------------------------------------------------------------------------
@@ -341,20 +416,26 @@ def random_hermitian_symmetric(group: FiniteGroup, rng: np.random.Generator) -> 
 
 
 def vector_state(group: FiniteGroup, xi) -> GroupFunction:
-    """phi(s) = <lambda_s xi, xi> for a unit vector xi; always in P1."""
+    """phi(s) = <lambda_s xi, xi> = tr(lambda_s xi xi^*) for the unit vector
+    along xi; always in P1."""
     x = np.asarray(xi, dtype=complex)
     x = x / np.linalg.norm(x)
-    inv_rows = group.cayley[group.inverses]
-    vals = np.array([np.vdot(x, x[inv_rows[s]]) for s in group.elements()])
-    return GroupFunction(group, vals)
+    outer = np.outer(x, x.conj())
+    return GroupFunction(group, _regular_traces(group.cayley[group.inverses], outer))
 
 
 def random_p1(group: FiniteGroup, rng: np.random.Generator) -> GroupFunction:
-    """Dirichlet mixture of 1..n random vector states: samples all of P1."""
+    """Dirichlet mixture of 1..n random vector states: samples all of P1.
+
+    Draws the weights, then m complex Gaussian vectors from one
+    ``normal(size=(m, 2, n))`` (the stream of m pairs of ``normal(size=n)``,
+    real parts first), and reads phi(s) = tr(lambda_s M) from the mixed
+    density M = sum_i w_i xi_i xi_i^* of the normalized vectors.
+    """
     n = group.order
     weights = rng.dirichlet(np.ones(int(rng.integers(1, n + 1))))
-    vals = np.zeros(n, dtype=complex)
-    for w in weights:
-        xi = rng.normal(size=n) + 1j * rng.normal(size=n)
-        vals += w * vector_state(group, xi).values
-    return GroupFunction(group, vals)
+    draws = rng.normal(size=(weights.size, 2, n))
+    xi = draws[:, 0] + 1j * draws[:, 1]
+    xi /= np.linalg.norm(xi, axis=1, keepdims=True)
+    density = (weights[:, None] * xi).T @ xi.conj()
+    return GroupFunction(group, _regular_traces(group.cayley[group.inverses], density))

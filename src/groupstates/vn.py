@@ -256,7 +256,8 @@ def block_decompose(
     DecompositionFailure once the retry budget is exhausted.
 
     Always builds; once verified, the result is kept on ``group`` for
-    :func:`cached_block_decomposition`, replacing any earlier one.
+    :func:`cached_block_decomposition`, replacing an earlier one verified
+    at the same or a looser ``residual_tol``; a tighter one is kept.
     """
     if table is None:
         table = character_table(group, seed=seed)
@@ -297,16 +298,18 @@ def block_decompose(
     decomp = BlockDecomposition(group, table, units, seed)
     _verify_decomposition(decomp, tol)
     decomp.verified_tol = tol
-    group._block_decomposition = decomp
+    kept = group._block_decomposition
+    if kept is None or kept.verified_tol.residual_tol >= tol.residual_tol:
+        group._block_decomposition = decomp
     return decomp
 
 
 def cached_block_decomposition(
     group: FiniteGroup, tol: Tolerance = DEFAULT_TOL
 ) -> BlockDecomposition | None:
-    """The decomposition :func:`block_decompose` last verified for
-    ``group``, or None when there is none or it was verified at a looser
-    ``residual_tol`` than ``tol``'s."""
+    """The decomposition :func:`block_decompose` keeps for ``group`` (the
+    tightest it verified, the latest among equals), or None when there is
+    none or it was verified at a looser ``residual_tol`` than ``tol``'s."""
     decomp = group._block_decomposition
     if decomp is None or decomp.verified_tol.residual_tol > tol.residual_tol:
         return None

@@ -1,6 +1,7 @@
 """Shared fixtures and independent oracles used across the test suite."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -192,9 +193,70 @@ def literal_choi_matrix(a):
     return choi
 
 
+@dataclass(eq=False)
+class DenseGns:
+    """A GNS representation held as the (n, dim, dim) array of all rho(s)."""
+
+    group: object
+    dim: int
+    rep: np.ndarray
+    cyclic_vector: np.ndarray
+
+
+def dense_gns(fn, tol=None):
+    """The literal GNS construction: rho(s) = project . lambda_s . lift built
+    for every s in a loop, each checked for unitarity and for its matrix
+    coefficient <rho(s) xi, xi> = phi(s) with one vdot."""
+    from groupstates.errors import ConvergenceFailure, NotPositiveDefinite
+    from groupstates.linalg import DEFAULT_TOL, hermitian_eig
+    from groupstates.posdef import _require_hermitian_symmetric, gram_matrix
+
+    tol = DEFAULT_TOL if tol is None else tol
+    g = fn.group
+    _require_hermitian_symmetric(fn, tol)
+    kernel = gram_matrix(fn).T
+    w, v = hermitian_eig(kernel, tol)
+    cutoff = tol.eig_cutoff(kernel)
+    if w[0] < -cutoff:
+        raise NotPositiveDefinite(
+            f"Gram matrix has eigenvalue {w[0]:.3e}",
+            witness={"min_eigenvalue": float(w[0])},
+        )
+    keep = w > cutoff
+    dim = int(np.count_nonzero(keep))
+    if dim == 0:
+        raise NotPositiveDefinite("form has rank zero", witness={})
+    roots = np.sqrt(w[keep])
+    vk = v[:, keep]
+    project = roots[:, None] * vk.conj().T
+    lift = vk * (1.0 / roots)[None, :]
+
+    n = g.order
+    rep = np.empty((n, dim, dim), dtype=complex)
+    inv_rows = g.cayley[g.inverses]
+    for s in range(n):
+        rep[s] = project @ lift[inv_rows[s], :]
+    cyclic = project[:, g.identity].copy()
+
+    rep_dev = max(
+        float(np.abs(rep[s].conj().T @ rep[s] - np.eye(dim)).max()) for s in range(n)
+    )
+    coeff_dev = max(
+        abs(complex(np.vdot(cyclic, rep[s] @ cyclic)) - fn(s)) for s in range(n)
+    )
+    if rep_dev > tol.residual_tol or coeff_dev > tol.residual_tol:
+        raise ConvergenceFailure(
+            f"GNS verification failed (unitarity {rep_dev:.2e}, "
+            f"coefficient {coeff_dev:.2e})",
+            witness={"unitarity": rep_dev, "coefficient": coeff_dev},
+        )
+    return DenseGns(g, dim, rep, cyclic)
+
+
 def kron_commutant_dimension(rep, tol):
-    """Commutant dimension of a GNS representation as the null space of
-    the stacked maps X -> X rep(s) - rep(s) X over a generating set."""
+    """Commutant dimension of a dense GNS representation (``dense_gns``) as
+    the null space of the stacked maps X -> X rep(s) - rep(s) X over a
+    generating set."""
     from groupstates.groups import generating_set
 
     g = rep.group
@@ -208,6 +270,31 @@ def kron_commutant_dimension(rep, tol):
     top = float(svals[0]) if svals.size else 0.0
     cutoff = tol.eig_tol * max(stacked.shape) * max(top, 1.0)
     return int(np.count_nonzero(svals <= cutoff))
+
+
+def loop_vector_state(group, xi):
+    """phi(s) = <lambda_s xi, xi> for the unit vector along xi, one vdot
+    per element."""
+    from groupstates.posdef import GroupFunction
+
+    x = np.asarray(xi, dtype=complex)
+    x = x / np.linalg.norm(x)
+    inv_rows = group.cayley[group.inverses]
+    return GroupFunction(group, np.array([np.vdot(x, x[inv_rows[s]]) for s in group.elements()]))
+
+
+def loop_random_p1(group, rng):
+    """Dirichlet mixture of 1..n random vector states, one vector state
+    (two normal(size=n) draws) per component."""
+    from groupstates.posdef import GroupFunction
+
+    n = group.order
+    weights = rng.dirichlet(np.ones(int(rng.integers(1, n + 1))))
+    vals = np.zeros(n, dtype=complex)
+    for w in weights:
+        xi = rng.normal(size=n) + 1j * rng.normal(size=n)
+        vals += w * loop_vector_state(group, xi).values
+    return GroupFunction(group, vals)
 
 
 def loop_convolve(group, a, b):

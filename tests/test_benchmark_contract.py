@@ -23,6 +23,7 @@ from groupstates import (
 from groupstates.channels import ChoiCertificate
 from groupstates.faces import FaceDescriptor
 from groupstates.groups import algebra_matrix
+from groupstates import posdef
 from groupstates.posdef import delta_e
 from groupstates.vn import BlockDecomposition, block_decompose
 
@@ -68,6 +69,10 @@ def test_fields_read_by_the_workloads_exist():
     assert np.array_equal(to_state(delta_e(g)).coefficients, delta_e(g).values)
     units = block_decompose(g, table, seed=0).units
     assert sorted(u.shape for u in units) == [(1, 1, 3)] * 3
+    # the certify workload and the envelope probe read the GNS dimension
+    # and call is_extreme
+    assert type(posdef.gns(delta_e(g)).dim) is int
+    assert callable(posdef.is_extreme)
 
 
 def test_lazy_matrices_match_their_coefficients():

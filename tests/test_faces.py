@@ -214,6 +214,26 @@ def test_chain_lengths(z4, s3, d4, q8, s4):
             assert maximal_chain_length(g, table, pi, decomp=decomp) == d
 
 
+def test_chain_lengths_share_one_decomposition(monkeypatch):
+    # without a decomposition passed in, the chains of every block read the
+    # one the group keeps once the first of them has built it
+    from groupstates import vn
+
+    calls = []
+    real = vn.block_decompose
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].order)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(vn, "block_decompose", counted)
+    s4 = symmetric_group(4)
+    table = character_table(s4)
+    lengths = [maximal_chain_length(s4, table, pi) for pi in range(table.num_irreps)]
+    assert lengths == list(table.dims)
+    assert len(calls) <= 1
+
+
 def test_chain_structure_d4(d4):
     table = character_table(d4)
     decomp = block_decompose(d4, table, seed=0)

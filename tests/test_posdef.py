@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,17 +36,26 @@ from groupstates.errors import (
     BadWeights,
     ConvergenceFailure,
     GroupMismatch,
+    InternalDisagreement,
     NotHermitianSymmetric,
     NotNormalized,
     NotPositiveDefinite,
 )
-from groupstates import posdef
+from groupstates import posdef, vn
 from groupstates.groups import algebra_matrix
 from groupstates.linalg import DEFAULT_TOL, Tolerance
-from groupstates.posdef import GnsRepresentation, commutant_dimension
+from groupstates.posdef import commutant_dimension
 from groupstates.vn import BlockDecomposition, cached_block_decomposition
 
-from conftest import dense_a_norm, gram_psd_verdict, kron_commutant_dimension, trace_norm
+from conftest import (
+    dense_a_norm,
+    dense_gns,
+    gram_psd_verdict,
+    kron_commutant_dimension,
+    loop_random_p1,
+    loop_vector_state,
+    trace_norm,
+)
 
 
 def test_gram_constant_one_z2(z2):
@@ -237,7 +247,7 @@ def test_gns_character_z3(z3):
     rep = gns(fn)
     assert rep.dim == 1
     for s in z3.elements():
-        assert abs(rep.rep[s][0, 0] - fn(s)) < 1e-10
+        assert abs(rep.matrix(s)[0, 0] - fn(s)) < 1e-10
 
 
 def test_gns_of_trace_is_regular(q8):
@@ -246,7 +256,8 @@ def test_gns_of_trace_is_regular(q8):
     # same character as the regular representation
     for s in q8.elements():
         expected = 8.0 if s == q8.identity else 0.0
-        assert abs(np.trace(rep.rep[s]) - expected) < 1e-9
+        assert abs(np.trace(rep.matrix(s)) - expected) < 1e-9
+        assert abs(rep.character[s] - expected) < 1e-9
 
 
 def test_gns_q8_half_character_dim_four(q8):
@@ -263,9 +274,9 @@ def test_gns_invariants_random(d4):
     for s in d4.elements():
         for t in d4.elements():
             assert (
-                np.abs(rep.rep[s] @ rep.rep[t] - rep.rep[d4.mul(s, t)]).max() < 1e-9
+                np.abs(rep.matrix(s) @ rep.matrix(t) - rep.matrix(d4.mul(s, t))).max() < 1e-9
             )
-    assert np.abs(rep.rep[d4.identity] - np.eye(rep.dim)).max() < 1e-10
+    assert np.abs(rep.matrix(d4.identity) - np.eye(rep.dim)).max() < 1e-10
     for s in d4.elements():
         assert abs(rep.matrix_coefficient(s) - fn(s)) < 1e-10
 
@@ -307,6 +318,10 @@ def test_normalized_higher_character_is_a_proper_mixture(s3):
 
 
 def test_commutant_dimension_matches_kron_oracle():
+    """Three routes to the commutant dimension agree: the kron null space
+    on the dense GNS representation, the character norm read from the kept
+    spectral projector, and sum_pi rank(B_pi)^2 over the Fourier blocks.
+    The GNS representation itself matches the dense construction."""
     rng = np.random.default_rng(14)
     for g in (symmetric_group(3), quaternion_group(), dihedral_group(4),
               dihedral_group(6), symmetric_group(4)):
@@ -316,11 +331,11 @@ def test_commutant_dimension_matches_kron_oracle():
             pure_state_function(decomp, pi, rng.normal(size=d) + 1j * rng.normal(size=d))
             for pi, d in enumerate(table.dims)
         ]
-        # (function, commutant dimension known by construction)
+        # (function, commutant dimension known by construction, or None)
         cases = [(fn, 1) for fn in pure]
         cases += [
             (central_state_function(table, pi), d * d)
-            for pi, d in enumerate(table.dims) if d >= 2
+            for pi, d in enumerate(table.dims)
         ]
         cases += [
             (convex_combine([0.4, 0.6], [pure[0], pure[-1]]), 2),
@@ -329,17 +344,85 @@ def test_commutant_dimension_matches_kron_oracle():
             (convex_combine([0.3, 0.7], [delta_e(g), random_p1(g, rng)]),
              sum(d * d for d in table.dims)),
         ]
+        # two pure states of the largest block: one block of rank 2
+        top = int(np.argmax(table.dims))
+        second = pure_state_function(decomp, top, rng.normal(size=table.dims[top]))
+        cases.append((convex_combine([0.5, 0.5], [pure[top], second]), 4))
+        cases += [(random_p1(g, rng), None) for _ in range(3)]
         for fn, expected in cases:
             rep = gns(fn)
-            assert commutant_dimension(rep) == expected
-            assert kron_commutant_dimension(rep, DEFAULT_TOL) == expected
+            dense = dense_gns(fn)
+            assert rep.dim == dense.dim
+            for s in g.elements():
+                assert np.abs(rep.matrix(s) - dense.rep[s]).max() < 1e-10
+            routes = {
+                commutant_dimension(rep),
+                kron_commutant_dimension(dense, DEFAULT_TOL),
+                sum(r * r for r in posdef._block_ranks(fn, DEFAULT_TOL)),
+            }
+            assert len(routes) == 1
+            assert expected is None or routes == {expected}
 
 
 def test_commutant_dimension_rejects_non_integer_norm(q8):
     rep = gns(constant_one(q8))
-    scaled = GnsRepresentation(q8, rep.dim, 1.01 * rep.rep, rep.cyclic_vector)
+    scaled = dataclasses.replace(rep, character=1.01 * rep.character)
     with pytest.raises(ConvergenceFailure):
         commutant_dimension(scaled)
+
+
+def test_is_extreme_raises_when_the_routes_disagree(monkeypatch, q8):
+    pure = constant_one(q8)
+    mixed = delta_e(q8)
+    assert is_extreme(pure) and not is_extreme(mixed)
+    with monkeypatch.context() as m:
+        m.setattr(posdef, "commutant_dimension", lambda rep: 2)
+        with pytest.raises(InternalDisagreement) as info:
+            is_extreme(pure)
+        witness = info.value.witness
+        assert witness["commutant_dimension"] == 2
+        assert sorted(witness["block_ranks"]) == [0, 0, 0, 0, 1]
+    with monkeypatch.context() as m:
+        m.setattr(posdef, "_block_ranks", lambda fn, tol: [1, 0, 0, 0, 0])
+        with pytest.raises(InternalDisagreement) as info:
+            is_extreme(mixed)
+        assert info.value.witness["commutant_dimension"] == 8
+
+
+def test_is_extreme_builds_a_decomposition_only_when_none_is_cached(monkeypatch):
+    calls = []
+    real = vn.block_decompose
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].order)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(vn, "block_decompose", counted)
+    d6 = dihedral_group(6)
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        is_extreme(random_p1(d6, rng))
+    assert calls == [12]
+    assert cached_block_decomposition(d6) is not None
+
+
+def test_is_extreme_holds_no_per_element_stack(s5):
+    """A full-rank S5 state has a 120-dimensional GNS space: one
+    (n, dim, dim) complex array of every rho(s) is 120^3 * 16 B = 27.6 MB.
+    The unitarity check works through chunks of 2^16 entries, and the
+    measured tracemalloc peak is about 4.9 MB (1 MiB chunks, x86_64), so
+    10 MB leaves room for numpy's temporaries."""
+    block_decompose(s5)
+    rng = np.random.default_rng(21)
+    fn = convex_combine([0.3, 0.7], [delta_e(s5), random_p1(s5, rng)])
+    tracemalloc.start()
+    try:
+        extreme = is_extreme(fn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not extreme and gns(fn).dim == 120
+    assert peak < 10 * 2**20
 
 
 def test_extreme_on_d30():
@@ -374,6 +457,19 @@ def test_extremality_closed_under_inner_automorphisms(d4):
                 ),
             )
             assert is_extreme(twisted) == verdict
+
+
+def test_samplers_match_their_loop_versions():
+    """random_p1 and vector_state read the same draws as the loops that
+    take one vdot per element and one vector state per component."""
+    for g in (symmetric_group(3), quaternion_group(), dihedral_group(6), symmetric_group(4)):
+        for seed in range(10):
+            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert np.abs(random_p1(g, fast).values - loop_random_p1(g, slow).values).max() < 1e-12
+            assert fast.bit_generator.state == slow.bit_generator.state
+            xi = fast.normal(size=g.order) + 1j * fast.normal(size=g.order)
+            fn, oracle = vector_state(g, xi), loop_vector_state(g, xi)
+            assert np.abs(fn.values - oracle.values).max() < 1e-12
 
 
 def test_vector_state_is_p1(s4):
@@ -554,6 +650,17 @@ def test_decomposition_at_looser_tolerance_is_not_reused(monkeypatch):
     assert len(gram_calls) == 1 and block_calls == []
     is_positive_definite(fn, loose)
     assert len(gram_calls) == 1 and block_calls == [loose]
+
+
+def test_looser_decomposition_keeps_the_tighter_one():
+    q8 = quaternion_group()
+    tight = block_decompose(q8)
+    loose = block_decompose(q8, tol=Tolerance(residual_tol=1e-6))
+    assert cached_block_decomposition(q8) is tight
+    assert cached_block_decomposition(q8, Tolerance(residual_tol=1e-6)) is tight
+    # an equally tight one replaces it
+    again = block_decompose(q8)
+    assert loose is not tight and cached_block_decomposition(q8) is again
 
 
 def test_repeated_query_still_checks_hermitian_symmetry(monkeypatch, z2):
