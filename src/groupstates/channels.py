@@ -20,7 +20,7 @@ from .errors import GroupMismatch, InternalDisagreement
 from .groups import FiniteGroup, same_group
 from .linalg import DEFAULT_TOL, PsdVerdict, Tolerance, is_psd
 from .posdef import GroupFunction, _require_hermitian_symmetric
-from .vn import block_decompose, cached_block_decomposition
+from .vn import kept_block_decomposition
 
 
 def schur_symbol(fn: GroupFunction) -> np.ndarray:
@@ -107,13 +107,9 @@ def _block_verdict(ch: FourierMultiplierChannel, tol: Tolerance) -> PsdVerdict:
     (``BlockDecomposition.psd_verdict``): the smallest block eigenvalue
     against the Schur matrix's own cutoff ``eig_tol * n * max|phi|``.
 
-    Reads the group's cached decomposition; only when none was verified at
-    ``tol`` or tighter is one built, and the group keeps it.
+    Reads the group's kept decomposition (``vn.kept_block_decomposition``).
     """
-    decomp = cached_block_decomposition(ch.group, tol)
-    if decomp is None:
-        decomp = block_decompose(ch.group, tol=tol)
-    return decomp.psd_verdict(ch.symbol.values, tol)
+    return kept_block_decomposition(ch.group, tol).psd_verdict(ch.symbol.values, tol)
 
 
 def is_completely_positive(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import inf
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from .groups import (
     algebra_matrix,
     check_projection,
     conjugacy_classes,
-    convolve,
 )
 from .linalg import DEFAULT_TOL, Tolerance
 
@@ -116,14 +116,60 @@ def _class_sum_matrices(structure: np.ndarray) -> np.ndarray:
     return structure.transpose(0, 2, 1).astype(float)
 
 
+@dataclass(eq=False)
+class KeptTable:
+    """A character table a group keeps for one seed, with the
+    ``residual_tol`` it was verified at, and the coefficient vectors of its
+    minimal central projections, one row each, once verified (at
+    ``projections_tol``).  Held in ``FiniteGroup._character_tables``."""
+
+    table: CharacterTable
+    residual_tol: float
+    projections: np.ndarray | None = None
+    projections_tol: float = inf
+
+
+def _same_partition(a: ConjugacyPartition, b: ConjugacyPartition) -> bool:
+    return a is b or (
+        a.classes == b.classes
+        and a.class_reps == b.class_reps
+        and a.class_sizes == b.class_sizes
+        and np.array_equal(a.class_of, b.class_of)
+    )
+
+
 def character_table(
     group: FiniteGroup,
     seed: int = 0,
     tol: Tolerance = DEFAULT_TOL,
     partition: ConjugacyPartition | None = None,
 ) -> CharacterTable:
+    """The character table, computed once per group, seed and partition.
+
+    The group keeps the last table built for each seed.  It is returned
+    again when the partition matches and it was verified at ``tol`` or
+    tighter: the build is deterministic, so a fresh one would hold the
+    same values bit for bit.  Otherwise the table is built, verified and
+    kept.
+    """
     if partition is None:
         partition = conjugacy_classes(group)
+    kept = group._character_tables.get(seed)
+    if kept is not None and _same_partition(kept.table.partition, partition):
+        if kept.residual_tol <= tol.residual_tol:
+            return kept.table
+        # the same values, now verified at a tighter tolerance
+        _build_table(group, seed, tol, partition)
+        kept.residual_tol = tol.residual_tol
+        return kept.table
+    table = _build_table(group, seed, tol, partition)
+    group._character_tables[seed] = KeptTable(table, tol.residual_tol)
+    return table
+
+
+def _build_table(
+    group: FiniteGroup, seed: int, tol: Tolerance, partition: ConjugacyPartition
+) -> CharacterTable:
     k = partition.num_classes
     n = group.order
     sizes = np.array(partition.class_sizes, dtype=float)
@@ -204,37 +250,58 @@ def minimal_central_projections(
 
     Verified on coefficients: each a projection (groups.check_projection)
     of regular-representation rank d_pi^2, read from the trace n p(e), the
-    set pairwise orthogonal and summing to the identity.
+    set pairwise orthogonal and summing to the identity.  For a table the
+    group keeps (see :func:`character_table`) the verified coefficients
+    are kept with it and reused at ``tol`` or looser; each call returns
+    fresh ``CentralProjection`` objects over them.
     """
+    kept = next(
+        (rec for rec in group._character_tables.values() if rec.table is table), None
+    )
+    if kept is not None and kept.projections_tol <= tol.residual_tol:
+        coeffs = kept.projections
+    else:
+        coeffs = _verified_projections(group, table, tol)
+        if kept is not None:
+            kept.projections, kept.projections_tol = coeffs, tol.residual_tol
+    return [CentralProjection(group, c, (pi,)) for pi, c in enumerate(coeffs)]
+
+
+def _verified_projections(
+    group: FiniteGroup, table: CharacterTable, tol: Tolerance
+) -> np.ndarray:
+    """Coefficients of the minimal central projections, one row per irrep,
+    read-only, after the checks of :func:`minimal_central_projections`."""
     n = group.order
-    projections = []
-    total = np.zeros(n, dtype=complex)
-    for pi in range(table.num_irreps):
+    coeffs = np.conj(table.chars[:, table.partition.class_of]) * (
+        np.array(table.dims)[:, None] / n
+    )
+    for pi, c in enumerate(coeffs):
         d = table.dims[pi]
-        coeffs = (d / n) * np.conj(table.char_values(pi))
-        check_projection(group, coeffs, tol, what=f"p_{pi}")
-        rank = int(round(n * coeffs[group.identity].real))
+        check_projection(group, c, tol, what=f"p_{pi}")
+        rank = int(round(n * c[group.identity].real))
         if rank != d * d:
             raise ConvergenceFailure(
                 f"central projection {pi} has rank {rank}, expected {d * d}",
                 witness={"irrep": pi, "rank": rank, "expected": d * d},
             )
-        total += coeffs
-        projections.append(CentralProjection(group, coeffs, (pi,)))
 
-    unit = np.zeros(n, dtype=complex)
-    unit[group.identity] = 1.0
-    if float(np.abs(total - unit).max()) > tol.residual_tol:
+    total = coeffs.sum(axis=0)
+    total[group.identity] -= 1.0
+    if float(np.abs(total).max()) > tol.residual_tol:
         raise ConvergenceFailure(
             "minimal central projections do not sum to the identity",
-            witness={"residual": float(np.abs(total - unit).max())},
+            witness={"residual": float(np.abs(total).max())},
         )
-    for i in range(len(projections)):
-        for j in range(i + 1, len(projections)):
-            prod = convolve(group, projections[i].coeffs, projections[j].coeffs)
-            if float(np.abs(prod).max()) > tol.residual_tol:
-                raise ConvergenceFailure(
-                    f"projections {i} and {j} are not orthogonal",
-                    witness={"pair": [i, j]},
-                )
-    return projections
+    for i in range(len(coeffs) - 1):
+        # p_i p_j for every j > i: one regular-representation matrix per i
+        prods = np.abs(algebra_matrix(group, coeffs[i]) @ coeffs[i + 1:].T).max(axis=0)
+        bad = np.flatnonzero(prods > tol.residual_tol)
+        if bad.size:
+            j = i + 1 + int(bad[0])
+            raise ConvergenceFailure(
+                f"projections {i} and {j} are not orthogonal",
+                witness={"pair": [i, j]},
+            )
+    coeffs.setflags(write=False)
+    return coeffs

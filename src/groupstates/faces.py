@@ -262,15 +262,6 @@ def block_face_chain(decomp, pi: int, tol: Tolerance = DEFAULT_TOL) -> FaceChain
     return FaceChain(group, pi, tuple(projections), tuple(ranks))
 
 
-def _same_characters(a: CharacterTable, b: CharacterTable, tol: Tolerance) -> bool:
-    """Same dims and, row by row, the same character values on every element."""
-    if a.dims != b.dims:
-        return False
-    values_a = a.chars[:, a.partition.class_of]
-    values_b = b.chars[:, b.partition.class_of]
-    return float(np.abs(values_a - values_b).max()) <= tol.residual_tol
-
-
 def maximal_chain_length(
     group: FiniteGroup,
     table: CharacterTable,
@@ -284,18 +275,16 @@ def maximal_chain_length(
 
     The chain is built explicitly from the block decomposition; maximality
     is certified by the rank bound inside the d x d block image rather than
-    by search.  Without ``decomp``, the group's cached decomposition is used
-    when its table has the same dims and characters as ``table`` within
-    ``residual_tol``; otherwise one is built (and then kept on the group).
+    by search.  Without ``decomp``, the group's kept decomposition is used
+    when it was built from ``table`` at ``seed``; otherwise one is built (and
+    then kept on the group), see ``vn.kept_block_decomposition``.
     """
-    from .vn import block_decompose, cached_block_decomposition
+    from .vn import kept_block_decomposition
 
     if not 0 <= pi < table.num_irreps:
         raise ValueError(f"irrep index {pi} out of range")
     if decomp is None:
-        decomp = cached_block_decomposition(group, tol)
-        if decomp is None or not _same_characters(decomp.table, table, tol):
-            decomp = block_decompose(group, table, seed=seed, tol=tol)
+        decomp = kept_block_decomposition(group, tol, table, seed)
     chain = block_face_chain(decomp, pi, tol)
 
     # certification in the block image: each chain element must be a

@@ -26,21 +26,41 @@ from .errors import (
 from .linalg import DEFAULT_TOL, Tolerance
 
 if TYPE_CHECKING:
+    from .characters import KeptTable
     from .vn import BlockDecomposition
 
 DEFAULT_CLOSURE_LIMIT = 10000
 SYMMETRIC_DEGREE_LIMIT = 8
+# permutations on at most this many points have int64 mixed-radix keys
+_RADIX_KEY_POINTS = 15
+# entries of one chunk of the product gather in _permutation_table
+_GATHER_ENTRIES = 2**20
 
 
 @dataclass(eq=False)
 class FiniteGroup:
     """A finite group: Cayley table, identity, inverses, optional labels.
 
-    ``_block_decomposition`` is the verified decomposition that
-    :func:`groupstates.vn.block_decompose` keeps for this group (the one
-    verified at the tightest ``residual_tol``), or None; the PSD, A-norm,
-    CP and extremality queries read its Fourier blocks when its tolerance
-    allows (see ``vn.cached_block_decomposition``).
+    The group also keeps the verified structure built for it, so each piece
+    is computed once per group; every kept value is what a fresh build
+    with the same arguments returns, bit for bit, and is served only at
+    the tolerance it was verified at or a looser one.
+
+    - ``_character_tables`` maps a seed to the ``characters.KeptTable``
+      that :func:`groupstates.characters.character_table` built, with the
+      coefficient vectors of its minimal central projections once
+      :func:`groupstates.characters.minimal_central_projections` has
+      verified them.  Only coefficient arrays are kept, never n x n
+      matrices.
+    - ``_block_decomposition`` is the decomposition that
+      :func:`groupstates.vn.block_decompose` verified at the tightest
+      ``residual_tol`` (the latest among equals), or None; the PSD,
+      A-norm, CP, extremality, chain and homeomorphism layers read it
+      through ``vn.kept_block_decomposition`` and
+      ``vn.cached_block_decomposition``.
+
+    The kept structure points back at the group; the garbage collector
+    frees the cycle once nothing else holds the group.
     """
 
     order: int
@@ -49,6 +69,9 @@ class FiniteGroup:
     inverses: np.ndarray
     labels: tuple[str, ...] | None = None
     name: str = "group"
+    _character_tables: dict[int, KeptTable] = field(
+        default_factory=dict, init=False, repr=False
+    )
     _block_decomposition: BlockDecomposition | None = field(
         default=None, init=False, repr=False
     )
@@ -78,26 +101,35 @@ class FiniteGroup:
     @functools.cached_property
     def _generators(self) -> tuple[int, ...]:
         # computed once per group, see generating_set
-        gens: list[int] = []
-        inside = np.zeros(self.order, dtype=bool)
-        inside[self.identity] = True
-        for s in range(self.order):
-            if inside[s]:
-                continue
-            gens.append(s)
-            # the generated subgroup: close the previous one under right
-            # multiplication by every generator (finite, so inverses follow)
-            frontier = np.flatnonzero(inside)
-            while frontier.size:
-                step = np.unique(self.cayley[np.ix_(frontier, gens)])
-                frontier = step[~inside[step]]
-                inside[frontier] = True
-            if inside.all():
-                break
-        return tuple(gens)
+        return _closure_generators(self.cayley, self.identity)
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
+
+
+def _closure_generators(table: np.ndarray, identity: int) -> tuple[int, ...]:
+    """Each element outside the closure of the earlier ones under right
+    multiplication, in element order: a generating set whose left-normed
+    products reach every element.  Needs only a table and its identity, so
+    validate_group runs it before associativity is known."""
+    n = len(table)
+    gens: list[int] = []
+    inside = np.zeros(n, dtype=bool)
+    inside[identity] = True
+    for s in range(n):
+        if inside[s]:
+            continue
+        gens.append(s)
+        # the generated subgroup: close the previous one under right
+        # multiplication by every generator (finite, so inverses follow)
+        frontier = np.flatnonzero(inside)
+        while frontier.size:
+            step = np.unique(table[np.ix_(frontier, gens)])
+            frontier = step[~inside[step]]
+            inside[frontier] = True
+        if inside.all():
+            break
+    return tuple(gens)
 
 
 @dataclass(frozen=True)
@@ -117,8 +149,12 @@ class ConjugacyPartition:
 def validate_group(cayley, labels=None, name: str = "group") -> FiniteGroup:
     """Check a multiplication table and build the group it defines.
 
-    Verifies the Latin-square property, existence of a two-sided identity,
-    and associativity over all triples; computes inverses.
+    Verifies the Latin-square property and the existence of a two-sided
+    identity, then associativity by Light's test: (x a) y = x (a y) for
+    every x, y and every a in a generating set.  The elements a passing it
+    are closed under products and the identity passes it, so it covers
+    every element (Clifford and Preston, Algebraic Theory of Semigroups I,
+    1.2); the cost is O(n^2 |gens|) instead of n^3.  Computes inverses.
     """
     table = np.asarray(cayley, dtype=np.int64)
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
@@ -136,54 +172,74 @@ def validate_group(cayley, labels=None, name: str = "group") -> FiniteGroup:
             witness={"position": [int(bad[0]), int(bad[1])]},
         )
     ref = np.arange(n)
-    for i in range(n):
-        if not np.array_equal(np.sort(table[i]), ref):
-            raise NotLatinSquare(
-                f"row {i} is not a permutation", witness={"row": i}
-            )
-        if not np.array_equal(np.sort(table[:, i]), ref):
-            raise NotLatinSquare(
-                f"column {i} is not a permutation", witness={"column": i}
-            )
+    bad_rows = np.flatnonzero((np.sort(table, axis=1) != ref).any(axis=1))
+    bad_cols = np.flatnonzero((np.sort(table, axis=0) != ref[:, None]).any(axis=0))
+    # the first offending index; at equal index the row is reported
+    row = int(bad_rows[0]) if bad_rows.size else n
+    col = int(bad_cols[0]) if bad_cols.size else n
+    if row < n and row <= col:
+        raise NotLatinSquare(f"row {row} is not a permutation", witness={"row": row})
+    if col < n:
+        raise NotLatinSquare(f"column {col} is not a permutation", witness={"column": col})
 
-    identity = -1
-    for e in range(n):
-        if np.array_equal(table[e], ref) and np.array_equal(table[:, e], ref):
-            identity = e
-            break
-    if identity < 0:
+    two_sided = (table == ref).all(axis=1) & (table == ref[:, None]).all(axis=0)
+    if not two_sided.any():
         raise NoIdentity("no two-sided identity element", witness={})
+    identity = int(np.argmax(two_sided))
 
-    # associativity: (a b) c == a (b c), one O(n^2) slab per a
-    for a in range(n):
-        lhs = table[table[a], :]
-        rhs = table[a][table]
+    gens = _closure_generators(table, identity)
+    for a in gens:
+        # (x a) y against x (a y) for every x, y
+        lhs = table[table[:, a]]
+        rhs = table[:, table[a]]
         if not np.array_equal(lhs, rhs):
-            b, c = np.argwhere(lhs != rhs)[0]
+            x, y = (int(v) for v in np.argwhere(lhs != rhs)[0])
             raise NotAssociative(
-                f"(a*b)*c != a*(b*c) for (a,b,c)=({a},{int(b)},{int(c)})",
-                witness={"triple": [a, int(b), int(c)]},
+                f"(a*b)*c != a*(b*c) for (a,b,c)=({x},{a},{y})",
+                witness={"triple": [x, a, y]},
             )
 
-    inverses = np.empty(n, dtype=np.int64)
-    for s in range(n):
-        inverses[s] = int(np.nonzero(table[s] == identity)[0][0])
+    inverses = np.argmax(table == identity, axis=1)
 
     if labels is not None:
         labels = tuple(str(x) for x in labels)
         if len(labels) != n:
             raise ValueError(f"got {len(labels)} labels for {n} elements")
-    return FiniteGroup(n, table, identity, inverses, labels, name)
+    group = FiniteGroup(n, table, identity, inverses, labels, name)
+    # the closure generating_set would compute from the same table
+    group._generators = gens
+    return group
 
 
-def _table_from_model(elems, op, labels, name) -> FiniteGroup:
-    index = {x: i for i, x in enumerate(elems)}
-    n = len(elems)
+def _permutation_keys(perms: np.ndarray) -> np.ndarray:
+    """One sortable key per permutation along the last axis of ``perms``:
+    its mixed-radix value in base m, or, for m > 15 points where m^m
+    overflows int64, its bytes (compared lexicographically)."""
+    m = perms.shape[-1]
+    if m <= _RADIX_KEY_POINTS:
+        return perms @ (m ** np.arange(m - 1, -1, -1, dtype=np.int64))
+    rows = np.ascontiguousarray(perms, dtype=np.int64)
+    return rows.view(np.dtype((np.void, 8 * m)))[..., 0]
+
+
+def _permutation_table(perms: np.ndarray) -> np.ndarray:
+    """Cayley table of a composition-closed set of permutations, one per
+    row of ``perms``: entry [i, j] is the row of perms[i] o perms[j].
+
+    All products are one (n, n, m) gather, taken in row chunks of at most
+    _GATHER_ENTRIES entries, and each is found by its key with searchsorted.
+    """
+    n, m = perms.shape
+    keys = _permutation_keys(perms)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
     table = np.empty((n, n), dtype=np.int64)
-    for i, x in enumerate(elems):
-        for j, y in enumerate(elems):
-            table[i, j] = index[op(x, y)]
-    return validate_group(table, labels=labels, name=name)
+    step = max(1, _GATHER_ENTRIES // max(1, n * m))
+    for start in range(0, n, step):
+        # (p o q)[t] = p[q[t]] for every p in the chunk and every q
+        products = perms[start:start + step][:, perms]
+        table[start:start + step] = order[np.searchsorted(sorted_keys, _permutation_keys(products))]
+    return table
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -199,37 +255,29 @@ def dihedral_group(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("dihedral parameter must be positive")
 
-    def op(x, y):
-        i, f = x
-        j, g = y
-        return ((i + j) % n if f == 0 else (i - j) % n, f ^ g)
-
-    elems = [(i, f) for f in (0, 1) for i in range(n)]
-    labels = tuple(f"r^{i}" if f == 0 else f"s*r^{i}" for i, f in elems)
-    return _table_from_model(elems, op, labels, f"D{n}")
+    # element f * n + i is r^i (f = 0) or s*r^i (f = 1)
+    i, f = np.arange(2 * n) % n, np.arange(2 * n) // n
+    sign = np.where(f == 0, 1, -1)
+    table = (i[:, None] + sign[:, None] * i[None, :]) % n + n * (f[:, None] ^ f[None, :])
+    labels = tuple(f"r^{a}" if b == 0 else f"s*r^{a}" for a, b in zip(i, f))
+    return validate_group(table, labels=labels, name=f"D{n}")
 
 
-_QUATERNION_AXIS = {
-    (0, 0): (1, 0), (0, 1): (1, 1), (0, 2): (1, 2), (0, 3): (1, 3),
-    (1, 0): (1, 1), (1, 1): (-1, 0), (1, 2): (1, 3), (1, 3): (-1, 2),
-    (2, 0): (1, 2), (2, 1): (-1, 3), (2, 2): (-1, 0), (2, 3): (1, 1),
-    (3, 0): (1, 3), (3, 1): (1, 2), (3, 2): (-1, 1), (3, 3): (-1, 0),
-}
+# unit products of the axes 1, i, j, k: axis_a * axis_b = SIGN[a, b] * axis_{AXIS[a, b]}
+_QUATERNION_SIGN = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, -1, -1, 1], [1, 1, -1, -1]])
+_QUATERNION_AXIS = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
 
 
 def quaternion_group() -> FiniteGroup:
     """The unit quaternions {±1, ±i, ±j, ±k}, in that element order."""
-
-    def op(x, y):
-        sx, ax = x
-        sy, ay = y
-        sz, az = _QUATERNION_AXIS[(ax, ay)]
-        return (sx * sy * sz, az)
-
-    elems = [(s, a) for a in range(4) for s in (1, -1)]
+    # element 2 * axis + (sign < 0)
+    axis, neg = np.arange(8) // 2, np.arange(8) % 2
+    sign = np.where(neg == 0, 1, -1)
+    product_sign = sign[:, None] * sign[None, :] * _QUATERNION_SIGN[np.ix_(axis, axis)]
+    table = 2 * _QUATERNION_AXIS[np.ix_(axis, axis)] + (product_sign < 0)
     base = ["1", "i", "j", "k"]
-    labels = tuple(base[a] if s == 1 else "-" + base[a] for s, a in elems)
-    return _table_from_model(elems, op, labels, "Q8")
+    labels = tuple(("-" if b else "") + base[a] for a, b in zip(axis, neg))
+    return validate_group(table, labels=labels, name="Q8")
 
 
 def symmetric_group(n: int) -> FiniteGroup:
@@ -242,12 +290,10 @@ def symmetric_group(n: int) -> FiniteGroup:
             witness={"degree": n, "limit": SYMMETRIC_DEGREE_LIMIT},
         )
 
-    def op(p, q):
-        return tuple(p[q[i]] for i in range(n))
-
-    elems = list(itertools.permutations(range(n)))
-    labels = tuple("".join(map(str, p)) for p in elems)
-    return _table_from_model(elems, op, labels, f"S{n}")
+    # lexicographic order, which is also the order of the mixed-radix keys
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    labels = tuple("".join(map(str, p)) for p in perms.tolist())
+    return validate_group(_permutation_table(perms), labels=labels, name=f"S{n}")
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
@@ -303,32 +349,31 @@ def from_permutation_generators(
         if len(p) != m or sorted(p) != list(range(m)):
             raise ValueError(f"generator {p} is not a permutation of 0..{m - 1}")
 
-    ident = tuple(range(m))
-    index: dict[tuple[int, ...], int] = {ident: 0}
-    elems = [ident]
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for p in gens:
-                z = tuple(p[x[i]] for i in range(m))
-                if z not in index:
-                    if len(elems) >= max_order:
-                        raise SizeLimitExceeded(
-                            f"closure exceeds {max_order} elements",
-                            witness={"limit": max_order},
-                        )
-                    index[z] = len(elems)
-                    elems.append(z)
-                    nxt.append(z)
-        frontier = nxt
+    # breadth first, one layer at a time: the products p o x for x in the
+    # frontier and p in gens, new ones in order of first appearance
+    gen_arr = np.array(gens, dtype=np.int64)
+    frontier = np.arange(m, dtype=np.int64)[None, :]
+    layers = [frontier]
+    known = _permutation_keys(frontier)
+    while frontier.size:
+        candidates = gen_arr[:, frontier].transpose(1, 0, 2).reshape(len(frontier) * len(gens), m)
+        keys = _permutation_keys(candidates)
+        _, first = np.unique(keys, return_index=True)
+        first.sort()
+        first = first[~np.isin(keys[first], known)]
+        if known.size + first.size > max_order:
+            raise SizeLimitExceeded(
+                f"closure exceeds {max_order} elements",
+                witness={"limit": max_order},
+            )
+        frontier = candidates[first]
+        layers.append(frontier)
+        known = np.concatenate([known, keys[first]])
+    elems = np.concatenate(layers)
 
     n = len(elems)
-    table = np.empty((n, n), dtype=np.int64)
-    for i, x in enumerate(elems):
-        for j, y in enumerate(elems):
-            table[i, j] = index[tuple(x[y[t]] for t in range(m))]
-    labels = tuple("".join(map(str, p)) for p in elems) if m <= 10 else None
+    table = _permutation_table(elems)
+    labels = tuple("".join(map(str, p)) for p in elems.tolist()) if m <= 10 else None
     return validate_group(table, labels=labels, name=f"perm{n}")
 
 

@@ -354,13 +354,11 @@ def commutant_dimension(rep: GnsRepresentation) -> int:
 
 def _block_ranks(fn: GroupFunction, tol: Tolerance) -> list[int]:
     """rank B_pi of every Fourier block of phi: the block eigenvalues above
-    the Gram cutoff eig_tol * n * max|phi|.  Reads the group's cached
-    decomposition and builds one only when none is cached."""
-    from .vn import block_decompose, cached_block_decomposition
+    the Gram cutoff eig_tol * n * max|phi|, on the group's kept
+    decomposition (``vn.kept_block_decomposition``)."""
+    from .vn import kept_block_decomposition
 
-    decomp = cached_block_decomposition(fn.group, tol)
-    if decomp is None:
-        decomp = block_decompose(fn.group, tol=tol)
+    decomp = kept_block_decomposition(fn.group, tol)
     cutoff = tol.eig_tol * fn.group.order * float(np.abs(fn.values).max())
     return [int(np.count_nonzero(w > cutoff)) for w in decomp.block_spectra(fn.values)]
 

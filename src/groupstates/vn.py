@@ -194,13 +194,18 @@ class BlockDecomposition:
 
         The blocks of Hermitian-symmetric coefficients are Hermitian in
         exact arithmetic; rounding in the transform grows with the
-        magnitude of the coefficients, so each block is symmetrized first.
+        magnitude of the coefficients, so each block is symmetrized first;
+        a 1 x 1 block's eigenvalue is then the real part of its entry.
         """
         stacked = self._stacked(coeffs)
         spectra: list[np.ndarray] = [None] * self.num_blocks
         for d, blocks, rows in self._same_dim:
             b = stacked[rows].reshape(len(blocks), d, d)
-            evals = np.linalg.eigvalsh((b + b.conj().transpose(0, 2, 1)) / 2)
+            if d == 1:
+                # the symmetrized 1 x 1 block is its real part, exactly
+                evals = b.real.reshape(len(blocks), 1)
+            else:
+                evals = np.linalg.eigvalsh((b + b.conj().transpose(0, 2, 1)) / 2)
             for pi, w in zip(blocks, evals):
                 spectra[pi] = w
         return spectra
@@ -313,6 +318,25 @@ def cached_block_decomposition(
     decomp = group._block_decomposition
     if decomp is None or decomp.verified_tol.residual_tol > tol.residual_tol:
         return None
+    return decomp
+
+
+def kept_block_decomposition(
+    group: FiniteGroup,
+    tol: Tolerance = DEFAULT_TOL,
+    table: CharacterTable | None = None,
+    seed: int = 0,
+) -> BlockDecomposition:
+    """The decomposition ``group`` keeps, else a fresh one that it then keeps.
+
+    Without ``table`` any kept decomposition verified at ``tol`` or tighter
+    serves (the verdict-only callers).  With ``table`` it must also have
+    been built from that very table at ``seed``, so that it equals
+    ``block_decompose(group, table, seed=seed, tol=tol)`` bit for bit.
+    """
+    decomp = cached_block_decomposition(group, tol)
+    if decomp is None or (table is not None and (decomp.table is not table or decomp.seed != seed)):
+        decomp = block_decompose(group, table, seed=seed, tol=tol)
     return decomp
 
 
@@ -468,7 +492,8 @@ def construct_affine_homeomorphism(
 
     Densities are pushed through the block identification; the resulting
     map on coefficient vectors is linear, and its inverse is built the same
-    way from the reversed matching.
+    way from the reversed matching.  Tables and decompositions a group
+    already keeps for ``seed`` are reused (see kept_block_decomposition).
     """
     table_g = character_table(g, seed=seed)
     table_h = character_table(h, seed=seed)
@@ -479,8 +504,8 @@ def construct_affine_homeomorphism(
             f"invariants differ: {list(inv_g.dims)} vs {list(inv_h.dims)}",
             witness={"invariant_g": list(inv_g.dims), "invariant_h": list(inv_h.dims)},
         )
-    decomp_g = block_decompose(g, table_g, seed=seed, tol=tol)
-    decomp_h = block_decompose(h, table_h, seed=seed, tol=tol)
+    decomp_g = kept_block_decomposition(g, tol, table_g, seed)
+    decomp_h = kept_block_decomposition(h, tol, table_h, seed)
     matching = _matching_by_dimension(table_g.dims, table_h.dims)
     reverse = tuple(int(x) for x in np.argsort(np.asarray(matching)))
 

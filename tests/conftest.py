@@ -1,5 +1,6 @@
 """Shared fixtures and independent oracles used across the test suite."""
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -13,6 +14,7 @@ from groupstates import (
     quaternion_group,
     symmetric_group,
 )
+from groupstates.vn import block_decompose as _block_decompose
 
 
 @pytest.fixture(scope="session")
@@ -448,12 +450,13 @@ def dense_a_norm(fn):
 def rebuilt_block_verdict(group, coeffs, tol=None):
     """Fourier-block PSD verdict from a decomposition rebuilt for this call:
     every symmetrized block through linalg.is_psd, PSD iff each block's
-    smallest eigenvalue clears the Gram cutoff eig_tol * n * max|phi|."""
+    smallest eigenvalue clears the Gram cutoff eig_tol * n * max|phi|.
+    It calls block_decompose as bound when this module was imported, so a
+    test counting the library's calls does not count the oracle's."""
     from groupstates.linalg import DEFAULT_TOL, PsdVerdict, is_psd
-    from groupstates.vn import block_decompose
 
     tol = DEFAULT_TOL if tol is None else tol
-    blocks = block_decompose(group, tol=tol).from_coefficients(coeffs)
+    blocks = _block_decompose(group, tol=tol).from_coefficients(coeffs)
     wmin = min(is_psd((b + b.conj().T) / 2, tol).witness for b in blocks)
     cutoff = tol.eig_tol * group.order * float(np.abs(coeffs).max())
     return PsdVerdict(wmin >= -cutoff, wmin, abs(wmin) <= 10 * cutoff, cutoff)
@@ -482,6 +485,102 @@ def closure_generating_set(group):
         if len(generated) == group.order:
             break
     return gens
+
+
+def first_nonassociative_triple(table):
+    """The first (a, b, c) in lexicographic order with (a b) c != a (b c),
+    over all n^3 triples, or None: one O(n^2) slab per a."""
+    table = np.asarray(table)
+    for a in range(len(table)):
+        lhs = table[table[a], :]
+        rhs = table[a][table]
+        if not np.array_equal(lhs, rhs):
+            b, c = np.argwhere(lhs != rhs)[0]
+            return a, int(b), int(c)
+    return None
+
+
+def _model_table(elems, op):
+    """Cayley table of a model: one op call and one dict lookup per pair."""
+    index = {x: i for i, x in enumerate(elems)}
+    n = len(elems)
+    table = np.empty((n, n), dtype=np.int64)
+    for i, x in enumerate(elems):
+        for j, y in enumerate(elems):
+            table[i, j] = index[op(x, y)]
+    return table
+
+
+_QUATERNION_UNITS = {
+    (0, 0): (1, 0), (0, 1): (1, 1), (0, 2): (1, 2), (0, 3): (1, 3),
+    (1, 0): (1, 1), (1, 1): (-1, 0), (1, 2): (1, 3), (1, 3): (-1, 2),
+    (2, 0): (1, 2), (2, 1): (-1, 3), (2, 2): (-1, 0), (2, 3): (1, 1),
+    (3, 0): (1, 3), (3, 1): (1, 2), (3, 2): (-1, 1), (3, 3): (-1, 0),
+}
+
+
+def model_group_table(kind, n=None):
+    """(table, labels) of the dihedral, quaternion or symmetric model,
+    built pair by pair from tuples as the library once did."""
+    if kind == "dihedral":
+        def op(x, y):
+            i, f = x
+            j, g = y
+            return ((i + j) % n if f == 0 else (i - j) % n, f ^ g)
+
+        elems = [(i, f) for f in (0, 1) for i in range(n)]
+        labels = tuple(f"r^{i}" if f == 0 else f"s*r^{i}" for i, f in elems)
+    elif kind == "quaternion":
+        def op(x, y):
+            sz, az = _QUATERNION_UNITS[(x[1], y[1])]
+            return (x[0] * y[0] * sz, az)
+
+        elems = [(s, a) for a in range(4) for s in (1, -1)]
+        base = ["1", "i", "j", "k"]
+        labels = tuple(base[a] if s == 1 else "-" + base[a] for s, a in elems)
+    elif kind == "symmetric":
+        def op(p, q):
+            return tuple(p[q[i]] for i in range(n))
+
+        elems = list(itertools.permutations(range(n)))
+        labels = tuple("".join(map(str, p)) for p in elems)
+    else:
+        raise ValueError(kind)
+    return _model_table(elems, op), labels
+
+
+def tuple_permutation_closure(gens):
+    """(elements, table) of the breadth-first closure of permutation
+    generators, one tuple composition per element pair."""
+    gens = [tuple(int(x) for x in p) for p in gens]
+    m = len(gens[0])
+    ident = tuple(range(m))
+    index = {ident: 0}
+    elems = [ident]
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for p in gens:
+                z = tuple(p[x[i]] for i in range(m))
+                if z not in index:
+                    index[z] = len(elems)
+                    elems.append(z)
+                    nxt.append(z)
+        frontier = nxt
+    table = _model_table(elems, lambda x, y: tuple(x[y[t]] for t in range(m)))
+    return elems, table
+
+
+def identity_and_inverses(table):
+    """The two-sided identity and every inverse, read entry by entry."""
+    table = np.asarray(table).tolist()
+    n = len(table)
+    e = next(
+        s for s in range(n)
+        if all(table[s][t] == t and table[t][s] == t for t in range(n))
+    )
+    return e, [next(t for t in range(n) if table[s][t] == e) for s in range(n)]
 
 
 def dense_from_algebra(decomp, mat):

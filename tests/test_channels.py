@@ -30,7 +30,7 @@ from groupstates import (
     to_state,
 )
 from groupstates.cli import dispatch
-from groupstates import channels
+from groupstates import channels, vn
 from groupstates.errors import GroupMismatch, InternalDisagreement, NotHermitianSymmetric
 from groupstates.groups import algebra_matrix
 from groupstates.jsonio import function_to_json
@@ -226,13 +226,13 @@ def test_block_verdict_of_pure_and_central_states():
 
 def test_block_verdict_reads_the_cached_decomposition(monkeypatch):
     built = []
-    real = channels.block_decompose
+    real = vn.block_decompose
 
     def counted(group, *args, **kwargs):
         built.append(group)
         return real(group, *args, **kwargs)
 
-    monkeypatch.setattr(channels, "block_decompose", counted)
+    monkeypatch.setattr(vn, "block_decompose", counted)
     rng = np.random.default_rng(18)
     g = symmetric_group(4)
     assert cached_block_decomposition(g) is None

@@ -14,7 +14,7 @@ from groupstates import (
     symmetric_group,
     validate_group,
 )
-from groupstates.groups import convolve
+from groupstates.groups import ConjugacyPartition, convolve
 from groupstates.jsonio import table_to_json
 
 from conftest import builtin_catalog, regular_rep_dims_oracle, regular_representation
@@ -177,3 +177,103 @@ def test_projections_q8_ranks_and_resolution():
         for s in g.elements():
             lam = regular_representation(g, s)
             assert np.abs(lam @ p.matrix - p.matrix @ lam).max() < 1e-10
+
+
+def _count_table_and_projection_work(monkeypatch):
+    """Counts the eigen-solves of the table build and the projection checks."""
+    from groupstates import characters
+
+    work = {"eig": 0, "check_projection": 0}
+    real_eig, real_check = np.linalg.eig, characters.check_projection
+
+    def eig(*args, **kwargs):
+        work["eig"] += 1
+        return real_eig(*args, **kwargs)
+
+    def check(*args, **kwargs):
+        work["check_projection"] += 1
+        return real_check(*args, **kwargs)
+
+    monkeypatch.setattr(characters.np.linalg, "eig", eig)
+    monkeypatch.setattr(characters, "check_projection", check)
+    return work
+
+
+def test_second_table_and_projection_calls_do_no_work(monkeypatch):
+    g = symmetric_group(4)
+    work = _count_table_and_projection_work(monkeypatch)
+    table = character_table(g)
+    first = minimal_central_projections(g, table)
+    assert work["eig"] >= 1 and work["check_projection"] == table.num_irreps
+    done = dict(work)
+    assert character_table(g) is table
+    # an explicit partition equal to the group's own is the same call
+    assert character_table(g, partition=conjugacy_classes(g)) is table
+    again = minimal_central_projections(g, table)
+    assert work == done
+    # fresh projection objects over the verified coefficients, so a matrix
+    # read from one of them is not pinned to the group
+    first[0].matrix
+    assert all(p is not q and np.array_equal(p.coeffs, q.coeffs) for p, q in zip(first, again))
+    assert "matrix" not in vars(again[0])
+    assert not again[0].coeffs.flags.writeable
+
+
+def test_kept_table_and_projections_match_a_fresh_build():
+    for make in (lambda: symmetric_group(4), quaternion_group, lambda: symmetric_group(5)):
+        g, fresh = make(), make()
+        for seed in (0, 7):
+            table = character_table(g, seed=seed)
+            minimal_central_projections(g, table)
+            kept = character_table(g, seed=seed)
+            built = character_table(fresh, seed=seed)
+            assert kept.dims == built.dims and np.array_equal(kept.chars, built.chars)
+            for p, q in zip(minimal_central_projections(g, kept),
+                            minimal_central_projections(fresh, built)):
+                assert np.array_equal(p.coeffs, q.coeffs)
+            fresh = make()
+
+
+def test_kept_table_is_not_served_across_seed_tolerance_or_group(monkeypatch):
+    from groupstates.linalg import Tolerance
+
+    g = quaternion_group()
+    loose = Tolerance(residual_tol=1e-6)
+    work = _count_table_and_projection_work(monkeypatch)
+
+    def costs(call):
+        before = dict(work)
+        value = call()
+        return value, {k: work[k] - before[k] for k in work}
+
+    table, spent = costs(lambda: character_table(g, tol=loose))
+    assert spent["eig"] >= 1
+    # verified at a looser tolerance: the default tolerance builds again
+    tight, spent = costs(lambda: character_table(g))
+    assert spent["eig"] >= 1 and np.array_equal(tight.chars, table.chars)
+    assert costs(lambda: character_table(g))[1]["eig"] == 0
+    # another seed builds its own
+    other_seed, spent = costs(lambda: character_table(g, seed=7))
+    assert spent["eig"] >= 1 and other_seed is not tight
+    # another group object with an equal table builds its own
+    h = quaternion_group()
+    other_group, spent = costs(lambda: character_table(h))
+    assert spent["eig"] >= 1 and other_group.group is h
+    # projections verified at a looser tolerance are verified again
+    assert costs(lambda: minimal_central_projections(g, tight, loose))[1]["check_projection"] == 5
+    assert costs(lambda: minimal_central_projections(g, tight))[1]["check_projection"] == 5
+    assert costs(lambda: minimal_central_projections(g, tight, loose))[1]["check_projection"] == 0
+    # a table the group does not keep is always verified
+    assert costs(lambda: minimal_central_projections(h, tight))[1]["check_projection"] == 5
+    assert costs(lambda: minimal_central_projections(h, tight))[1]["check_projection"] == 5
+    # a partition listing the classes in another order builds its own table
+    part = conjugacy_classes(g)
+    classes = part.classes[:1] + part.classes[:0:-1]
+    class_of = np.empty(g.order, dtype=np.int64)
+    for ci, members in enumerate(classes):
+        class_of[list(members)] = ci
+    shuffled = ConjugacyPartition(
+        classes, class_of, tuple(map(len, classes)), tuple(map(min, classes))
+    )
+    reordered, spent = costs(lambda: character_table(g, partition=shuffled))
+    assert spent["eig"] >= 1 and reordered.partition is shuffled

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupstates import (
     build_named,
@@ -29,9 +31,13 @@ from conftest import (
     algebra_coefficients,
     brute_force_conjugacy_classes,
     closure_generating_set,
+    first_nonassociative_triple,
+    identity_and_inverses,
     loop_convolve,
     membership_residual,
+    model_group_table,
     regular_representation,
+    tuple_permutation_closure,
 )
 
 # a Latin square with identity that is not a group (order-5 loop)
@@ -248,3 +254,119 @@ def test_membership_residual_against_given_coefficients(z2):
     assert membership_residual(z2, m) == 0.0
     assert membership_residual(z2, m, plus) == 0.0
     assert membership_residual(z2, m, minus) == 1.0
+
+
+@pytest.mark.parametrize(
+    "build, kind, n",
+    [(symmetric_group, "symmetric", n) for n in range(1, 7)]
+    + [(dihedral_group, "dihedral", n) for n in range(1, 31)]
+    + [(lambda _: quaternion_group(), "quaternion", None)],
+)
+def test_builders_match_the_model_tables(build, kind, n):
+    g = build(n)
+    table, labels = model_group_table(kind, n)
+    identity, inverses = identity_and_inverses(table)
+    assert np.array_equal(g.cayley, table)
+    assert g.labels == labels
+    assert g.identity == identity and g.inverses.tolist() == inverses
+
+
+@pytest.mark.parametrize(
+    "gens, order",
+    [
+        ([(1, 0, 2, 3), (1, 2, 3, 0)], 24),
+        ([(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)], 120),
+        # A4, a proper subgroup of S4
+        ([(1, 2, 0, 3), (0, 2, 3, 1)], 12),
+        # D20 on 20 points, past the int64 mixed-radix keys
+        ([tuple((i + 1) % 20 for i in range(20)), tuple((-i) % 20 for i in range(20))], 40),
+    ],
+)
+def test_permutation_closure_matches_the_tuple_closure(gens, order):
+    g = from_permutation_generators(gens)
+    elems, table = tuple_permutation_closure(gens)
+    identity, inverses = identity_and_inverses(table)
+    assert g.order == order
+    assert np.array_equal(g.cayley, table)
+    expected = tuple("".join(map(str, p)) for p in elems) if len(gens[0]) <= 10 else None
+    assert g.labels == expected
+    assert g.identity == identity == 0 and g.inverses.tolist() == inverses
+
+
+def test_permutation_closure_cap_counts_every_element():
+    # S4 has 24 elements: a cap of 24 admits it, 23 refuses it
+    gens = [(1, 0, 2, 3), (1, 2, 3, 0)]
+    assert from_permutation_generators(gens, max_order=24).order == 24
+    with pytest.raises(SizeLimitExceeded):
+        from_permutation_generators(gens, max_order=23)
+
+
+def test_ladder_tables_pass_both_associativity_tests():
+    ladder = (
+        symmetric_group(3), quaternion_group(), dihedral_group(6), symmetric_group(4),
+        direct_product(symmetric_group(4), cyclic_group(2)), dihedral_group(30),
+        symmetric_group(5),
+    )
+    for g in ladder:
+        assert first_nonassociative_triple(g.cayley) is None
+        again = validate_group(g.cayley)
+        assert again.identity == g.identity
+        assert np.array_equal(again.inverses, g.inverses)
+
+
+def _intercalates(table, identity):
+    """(r1, r2, c1, c2) of every 2 x 2 subsquare [[a, b], [b, a]] off the
+    identity's row and column: swapping a and b in it keeps a Latin square
+    with the same identity."""
+    n = len(table)
+    others = [s for s in range(n) if s != identity]
+    spots = []
+    for i, r1 in enumerate(others):
+        for r2 in others[i + 1:]:
+            # sigma(c): the column where row r2 holds the value row r1 has at c
+            where = np.argsort(table[r2])
+            sigma = where[table[r1]]
+            for c1 in others:
+                c2 = int(sigma[c1])
+                if c1 < c2 and c2 != identity and sigma[c2] == c1:
+                    spots.append((r1, r2, c1, c2))
+    return spots
+
+
+_SWAP_TABLES = [
+    (g.cayley, _intercalates(g.cayley, g.identity))
+    for g in (
+        cyclic_group(4), cyclic_group(6), cyclic_group(8),
+        direct_product(cyclic_group(2), cyclic_group(2)), symmetric_group(3),
+        quaternion_group(), dihedral_group(4), dihedral_group(6), symmetric_group(4),
+    )
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_light_test_agrees_with_all_triples(data):
+    table, spots = data.draw(st.sampled_from(_SWAP_TABLES))
+    table = table.copy()
+    if data.draw(st.booleans()):
+        r1, r2, c1, c2 = data.draw(st.sampled_from(spots))
+        table[[r1, r1, r2, r2], [c1, c2, c1, c2]] = table[[r1, r1, r2, r2], [c2, c1, c2, c1]]
+    oracle = first_nonassociative_triple(table)
+    if oracle is None:
+        assert np.array_equal(validate_group(table).cayley, table)
+    else:
+        with pytest.raises(NotAssociative) as err:
+            validate_group(table)
+        x, a, y = err.value.witness["triple"]
+        assert table[table[x, a], y] != table[x, table[a, y]]
+
+
+def test_swapped_tables_include_both_verdicts():
+    # the property above sees both verdicts
+    verdicts = set()
+    for table, spots in _SWAP_TABLES:
+        for r1, r2, c1, c2 in spots[:3]:
+            t = table.copy()
+            t[[r1, r1, r2, r2], [c1, c2, c1, c2]] = t[[r1, r1, r2, r2], [c2, c1, c2, c1]]
+            verdicts.add(first_nonassociative_triple(t) is None)
+    assert verdicts == {True, False}

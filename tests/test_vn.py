@@ -17,6 +17,7 @@ from groupstates import (
     canonical_phase,
     central_state_function,
     character_table,
+    conjugacy_classes,
     construct_affine_homeomorphism,
     convex_combine,
     cyclic_group,
@@ -695,3 +696,81 @@ def test_canonical_phase():
     assert np.abs(canonical_phase(u) - canonical_phase(phased)).max() < 1e-12
     fixed = canonical_phase(u)
     assert abs(fixed[0, 0].imag) < 1e-12 and fixed[0, 0].real > 0
+
+
+def _relabelled(group, seed):
+    """The same group with its elements renamed by a seeded permutation."""
+    perm = np.random.default_rng(seed).permutation(group.order)
+    table = np.empty_like(group.cayley)
+    table[np.ix_(perm, perm)] = perm[group.cayley]
+    return validate_group(table)
+
+
+@pytest.mark.parametrize(
+    "maker",
+    [lambda: symmetric_group(3), quaternion_group, lambda: dihedral_group(30), lambda: symmetric_group(5)],
+)
+def test_homeomorphism_on_kept_structure_matches_fresh_copies(maker, monkeypatch):
+    g, h = maker(), _relabelled(maker(), 3)
+    # the source keeps the table, projections and decomposition classify builds
+    table = character_table(g, partition=conjugacy_classes(g))
+    minimal_central_projections(g, table)
+    block_decompose(g, table)
+    construct_affine_homeomorphism(h, g)
+    built = []
+    real = vn.block_decompose
+
+    def counted(group, *args, **kwargs):
+        built.append(group)
+        return real(group, *args, **kwargs)
+
+    monkeypatch.setattr(vn, "block_decompose", counted)
+    kept = construct_affine_homeomorphism(g, h)
+    assert built == []
+    fresh = construct_affine_homeomorphism(maker(), _relabelled(maker(), 3))
+    assert built and kept.matching == fresh.matching
+    assert np.array_equal(kept.forward_matrix, fresh.forward_matrix)
+    assert np.array_equal(kept.backward_matrix, fresh.backward_matrix)
+
+
+def test_homeomorphism_at_another_seed_builds_its_own_decomposition(monkeypatch):
+    g, h = quaternion_group(), dihedral_group(4)
+    construct_affine_homeomorphism(g, h, seed=0)
+    built = []
+    real = vn.block_decompose
+
+    def counted(group, *args, **kwargs):
+        built.append(kwargs.get("seed"))
+        return real(group, *args, **kwargs)
+
+    monkeypatch.setattr(vn, "block_decompose", counted)
+    other = construct_affine_homeomorphism(g, h, seed=5)
+    assert built == [5, 5]
+    fresh = construct_affine_homeomorphism(quaternion_group(), dihedral_group(4), seed=5)
+    assert np.array_equal(other.forward_matrix, fresh.forward_matrix)
+
+
+def test_kept_structure_does_not_keep_the_group_alive():
+    g = symmetric_group(4)
+    table = character_table(g)
+    minimal_central_projections(g, table)
+    construct_affine_homeomorphism(g, symmetric_group(4))
+    assert vars(g)["_character_tables"][0].projections is not None
+    refs = [weakref.ref(x) for x in (g, table, g._block_decomposition)]
+    del g, table
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+
+
+def test_block_spectra_read_one_dimensional_blocks_exactly():
+    rng = np.random.default_rng(12)
+    for g in (symmetric_group(4), dihedral_group(30)):
+        decomp = block_decompose(g)
+        for fn in (random_p1(g, rng), random_hermitian_symmetric(g, rng)):
+            spectra = decomp.block_spectra(fn.values)
+            for b, w in zip(decomp.from_coefficients(fn.values), spectra):
+                symmetrized = (b + b.conj().T) / 2
+                if b.shape == (1, 1):
+                    assert np.array_equal(w, np.linalg.eigvalsh(symmetrized))
+                else:
+                    assert np.abs(w - np.linalg.eigvalsh(symmetrized)).max() < 1e-12
