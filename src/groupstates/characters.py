@@ -9,10 +9,8 @@ row orthogonality and are rounded to exact integers, then re-verified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from math import inf
-
 import numpy as np
 
 from .errors import ConvergenceFailure, DegenerateSpectrum
@@ -37,12 +35,20 @@ class CharacterTable:
     ``chars[pi][c]`` is the value of the pi-th irreducible character at the
     representative of class c.  Rows are sorted canonically by (dimension,
     lexicographic order of the rounded row), so the table is deterministic.
+
+    ``_projections`` holds the ``residual_tol`` and the read-only
+    coefficients, one row per irrep, of the minimal central projections
+    once :func:`minimal_central_projections` has verified them for
+    ``group``; a table made any other way starts without them.
     """
 
     group: FiniteGroup
     partition: ConjugacyPartition
     dims: tuple[int, ...]
     chars: np.ndarray
+    _projections: tuple[float, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         self.chars.setflags(write=False)
@@ -116,28 +122,6 @@ def _class_sum_matrices(structure: np.ndarray) -> np.ndarray:
     return structure.transpose(0, 2, 1).astype(float)
 
 
-@dataclass(eq=False)
-class KeptTable:
-    """A character table a group keeps for one seed, with the
-    ``residual_tol`` it was verified at, and the coefficient vectors of its
-    minimal central projections, one row each, once verified (at
-    ``projections_tol``).  Held in ``FiniteGroup._character_tables``."""
-
-    table: CharacterTable
-    residual_tol: float
-    projections: np.ndarray | None = None
-    projections_tol: float = inf
-
-
-def _same_partition(a: ConjugacyPartition, b: ConjugacyPartition) -> bool:
-    return a is b or (
-        a.classes == b.classes
-        and a.class_reps == b.class_reps
-        and a.class_sizes == b.class_sizes
-        and np.array_equal(a.class_of, b.class_of)
-    )
-
-
 def character_table(
     group: FiniteGroup,
     seed: int = 0,
@@ -146,24 +130,25 @@ def character_table(
 ) -> CharacterTable:
     """The character table, computed once per group, seed and partition.
 
-    The group keeps the last table built for each seed.  It is returned
-    again when the partition matches and it was verified at ``tol`` or
-    tighter: the build is deterministic, so a fresh one would hold the
-    same values bit for bit.  Otherwise the table is built, verified and
-    kept.
+    The group keeps the last table built for each seed, with the
+    ``residual_tol`` it was verified at.  It is returned again when it was
+    built on the very partition object given (the group's own, which
+    :func:`groupstates.groups.conjugacy_classes` returns, by default) and
+    verified at ``tol`` or tighter: the build is deterministic, so a fresh
+    one would hold the same values bit for bit.  Otherwise the table is
+    built, verified and kept.
     """
     if partition is None:
         partition = conjugacy_classes(group)
-    kept = group._character_tables.get(seed)
-    if kept is not None and _same_partition(kept.table.partition, partition):
-        if kept.residual_tol <= tol.residual_tol:
-            return kept.table
-        # the same values, now verified at a tighter tolerance
-        _build_table(group, seed, tol, partition)
-        kept.residual_tol = tol.residual_tol
-        return kept.table
+    table, verified_tol = group._character_tables.get(seed, (None, 0.0))
+    if table is not None and table.partition is partition:
+        if verified_tol > tol.residual_tol:
+            # the same values, now verified at a tighter tolerance
+            _build_table(group, seed, tol, partition)
+            group._character_tables[seed] = (table, tol.residual_tol)
+        return table
     table = _build_table(group, seed, tol, partition)
-    group._character_tables[seed] = KeptTable(table, tol.residual_tol)
+    group._character_tables[seed] = (table, tol.residual_tol)
     return table
 
 
@@ -250,20 +235,18 @@ def minimal_central_projections(
 
     Verified on coefficients: each a projection (groups.check_projection)
     of regular-representation rank d_pi^2, read from the trace n p(e), the
-    set pairwise orthogonal and summing to the identity.  For a table the
-    group keeps (see :func:`character_table`) the verified coefficients
-    are kept with it and reused at ``tol`` or looser; each call returns
-    fresh ``CentralProjection`` objects over them.
+    set pairwise orthogonal and summing to the identity.  When ``group``
+    is the table's own group the verified coefficients are kept on the
+    table and reused at ``tol`` or looser; each call returns fresh
+    ``CentralProjection`` objects over them.
     """
-    kept = next(
-        (rec for rec in group._character_tables.values() if rec.table is table), None
-    )
-    if kept is not None and kept.projections_tol <= tol.residual_tol:
-        coeffs = kept.projections
+    own = group is table.group
+    if own and table._projections is not None and table._projections[0] <= tol.residual_tol:
+        coeffs = table._projections[1]
     else:
         coeffs = _verified_projections(group, table, tol)
-        if kept is not None:
-            kept.projections, kept.projections_tol = coeffs, tol.residual_tol
+        if own:
+            object.__setattr__(table, "_projections", (tol.residual_tol, coeffs))
     return [CentralProjection(group, c, (pi,)) for pi, c in enumerate(coeffs)]
 
 

@@ -26,13 +26,11 @@ from .errors import (
 from .linalg import DEFAULT_TOL, Tolerance
 
 if TYPE_CHECKING:
-    from .characters import KeptTable
+    from .characters import CharacterTable
     from .vn import BlockDecomposition
 
 DEFAULT_CLOSURE_LIMIT = 10000
 SYMMETRIC_DEGREE_LIMIT = 8
-# permutations on at most this many points have int64 mixed-radix keys
-_RADIX_KEY_POINTS = 15
 # entries of one chunk of the product gather in _permutation_table
 _GATHER_ENTRIES = 2**20
 
@@ -46,8 +44,11 @@ class FiniteGroup:
     with the same arguments returns, bit for bit, and is served only at
     the tolerance it was verified at or a looser one.
 
-    - ``_character_tables`` maps a seed to the ``characters.KeptTable``
-      that :func:`groupstates.characters.character_table` built, with the
+    - ``_conjugacy`` is the partition :func:`conjugacy_classes` returns,
+      and ``_generators`` the set :func:`generating_set` returns.
+    - ``_character_tables`` maps a seed to the table
+      :func:`groupstates.characters.character_table` built and the
+      ``residual_tol`` it was verified at.  The table holds the
       coefficient vectors of its minimal central projections once
       :func:`groupstates.characters.minimal_central_projections` has
       verified them.  Only coefficient arrays are kept, never n x n
@@ -69,7 +70,7 @@ class FiniteGroup:
     inverses: np.ndarray
     labels: tuple[str, ...] | None = None
     name: str = "group"
-    _character_tables: dict[int, KeptTable] = field(
+    _character_tables: dict[int, tuple[CharacterTable, float]] = field(
         default_factory=dict, init=False, repr=False
     )
     _block_decomposition: BlockDecomposition | None = field(
@@ -102,6 +103,11 @@ class FiniteGroup:
     def _generators(self) -> tuple[int, ...]:
         # computed once per group, see generating_set
         return _closure_generators(self.cayley, self.identity)
+
+    @functools.cached_property
+    def _conjugacy(self) -> ConjugacyPartition:
+        # computed once per group, see conjugacy_classes
+        return _conjugation_orbits(self)
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
@@ -213,13 +219,9 @@ def validate_group(cayley, labels=None, name: str = "group") -> FiniteGroup:
 
 def _permutation_keys(perms: np.ndarray) -> np.ndarray:
     """One sortable key per permutation along the last axis of ``perms``:
-    its mixed-radix value in base m, or, for m > 15 points where m^m
-    overflows int64, its bytes (compared lexicographically)."""
-    m = perms.shape[-1]
-    if m <= _RADIX_KEY_POINTS:
-        return perms @ (m ** np.arange(m - 1, -1, -1, dtype=np.int64))
+    the bytes of its int64 row, compared lexicographically."""
     rows = np.ascontiguousarray(perms, dtype=np.int64)
-    return rows.view(np.dtype((np.void, 8 * m)))[..., 0]
+    return rows.view(np.dtype((np.void, 8 * perms.shape[-1])))[..., 0]
 
 
 def _permutation_table(perms: np.ndarray) -> np.ndarray:
@@ -290,7 +292,7 @@ def symmetric_group(n: int) -> FiniteGroup:
             witness={"degree": n, "limit": SYMMETRIC_DEGREE_LIMIT},
         )
 
-    # lexicographic order, which is also the order of the mixed-radix keys
+    # lexicographic order
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
     labels = tuple("".join(map(str, p)) for p in perms.tolist())
     return validate_group(_permutation_table(perms), labels=labels, name=f"S{n}")
@@ -378,7 +380,12 @@ def from_permutation_generators(
 
 
 def conjugacy_classes(group: FiniteGroup) -> ConjugacyPartition:
-    """Orbits of the conjugation action, identity class first."""
+    """Orbits of the conjugation action, identity class first.  Computed
+    once per group and kept on it, so every call returns the same object."""
+    return group._conjugacy
+
+
+def _conjugation_orbits(group: FiniteGroup) -> ConjugacyPartition:
     n = group.order
     table, inv = group.cayley, group.inverses
     all_g = np.arange(n)

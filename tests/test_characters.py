@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -263,9 +264,11 @@ def test_kept_table_is_not_served_across_seed_tolerance_or_group(monkeypatch):
     assert costs(lambda: minimal_central_projections(g, tight, loose))[1]["check_projection"] == 5
     assert costs(lambda: minimal_central_projections(g, tight))[1]["check_projection"] == 5
     assert costs(lambda: minimal_central_projections(g, tight, loose))[1]["check_projection"] == 0
-    # a table the group does not keep is always verified
+    # a table of another group, or a copy of a kept one, is always verified
     assert costs(lambda: minimal_central_projections(h, tight))[1]["check_projection"] == 5
     assert costs(lambda: minimal_central_projections(h, tight))[1]["check_projection"] == 5
+    copy = dataclasses.replace(tight)
+    assert costs(lambda: minimal_central_projections(g, copy))[1]["check_projection"] == 5
     # a partition listing the classes in another order builds its own table
     part = conjugacy_classes(g)
     classes = part.classes[:1] + part.classes[:0:-1]
