@@ -202,9 +202,9 @@ def _handle_posdef(args, tol) -> dict:
             report["in_p1"] = True
         return report
     if args.subcommand == "extreme":
-        # the dual verdict of is_extreme, with the GNS space it was read from
-        extreme, rep = pd._extremality(fn, tol)
-        return {"extreme": extreme, "gns_dimension": rep.dim}
+        # the dual verdict of is_extreme, with the GNS dimension (Gram rank)
+        extreme, dim = pd._extremality(fn, tol)
+        return {"extreme": extreme, "gns_dimension": dim}
     return {"a_norm": pd.a_norm(fn, tol)}
 
 
@@ -464,10 +464,17 @@ def _demo_faces_tour(tol, seed: int) -> dict:
     }
 
 
+# built by the first dispatch, not at import; parse_args keeps no state
+# between calls, so one parser serves every call in the process
+_parser: argparse.ArgumentParser | None = None
+
+
 def dispatch(argv) -> int:
-    parser = _build_parser()
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     tol = Tolerance(eig_tol=args.eig_tol, residual_tol=args.residual_tol)

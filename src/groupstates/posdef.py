@@ -29,7 +29,7 @@ from .errors import (
     NotPositiveDefinite,
 )
 from .groups import FiniteGroup, algebra_matrix, same_group
-from .linalg import DEFAULT_TOL, PsdVerdict, Tolerance, hermitian_eig, is_psd
+from .linalg import DEFAULT_TOL, PsdVerdict, Tolerance, is_psd
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,7 +52,7 @@ class GroupFunction:
             raise ValueError(
                 f"expected {self.group.order} values, got shape {v.shape}"
             )
-        if not (np.all(np.isfinite(v.real)) and np.all(np.isfinite(v.imag))):
+        if not np.isfinite(v).all():
             raise ValueError("function values contain NaN or Inf")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -86,6 +86,12 @@ def _require_hermitian_symmetric(fn: GroupFunction, tol: Tolerance) -> None:
             f"phi(s^-1) != conj(phi(s)), max deviation {dev:.3e}",
             witness={"deviation": dev},
         )
+
+
+def _gram_cutoff(fn: GroupFunction, tol: Tolerance) -> float:
+    """The Gram matrix's eigenvalue cutoff, eig_tol * n * max|phi|: every
+    Gram entry is a value of phi."""
+    return tol.eig_tol * fn.group.order * float(np.abs(fn.values).max())
 
 
 def gram_matrix(fn: GroupFunction) -> np.ndarray:
@@ -222,12 +228,6 @@ def convex_combine(
     return GroupFunction(base, mixed)
 
 
-# complex entries one chunk of the stacked unitarity check in gns gathers
-# (1 MiB): a full-rank S5 state (dim = n = 120) is checked 4 elements at a
-# time, where one (n, dim, dim) array would take 27.6 MB
-_UNITARITY_CHUNK_ENTRIES = 2**16
-
-
 def _regular_traces(translate: np.ndarray, m: np.ndarray) -> np.ndarray:
     """tr(lambda_s m) = sum_t m[s^{-1} t, t] for every s, as one n x n
     gather; ``translate[s, t]`` is the index of s^{-1} t."""
@@ -265,72 +265,104 @@ class GnsRepresentation:
         return complex(np.vdot(xi, self.matrix(s) @ xi))
 
 
-def _unitarity_deviation(rep: GnsRepresentation, translate: np.ndarray) -> float:
-    """max over s of max|rho(s)^* rho(s) - 1|, one stacked product per chunk
-    of elements."""
-    n, dim = rep.lift.shape
-    step = max(1, _UNITARITY_CHUNK_ENTRIES // (n * dim))
-    eye = np.eye(dim)
-    dev = 0.0
-    for start in range(0, n, step):
-        rho = rep.project @ rep.lift[translate[start:start + step]]
-        # a contiguous adjoint keeps the stacked product on BLAS
-        gram = np.ascontiguousarray(rho.conj().transpose(0, 2, 1)) @ rho
-        gram -= eye
-        dev = max(dev, float(np.abs(gram).max()))
-    return dev
-
-
 def gns(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> GnsRepresentation:
-    """GNS construction: quotient of the group algebra by the null space
-    of the sesquilinear form induced by phi.
+    """GNS construction in block form, on the group's kept decomposition
+    (``vn.kept_block_decomposition``).
 
-    The kernel used is the transpose of the Gram matrix, so the recovered
-    matrix coefficient is phi(s) itself.  It has the Gram spectrum, shape
-    and max entry, hence the same PSD cutoff, so its one eigendecomposition
-    decides positive definiteness too.  Eigenvectors with eigenvalue above
-    the cutoff are kept and rescaled to an orthonormal basis of the quotient.
+    The form <a, b> = sum_s (b^* a)_s phi(s) is tau(b^* a D) with density
+    D = sum_s conj(phi(s)) lambda_s, so in Fourier blocks it is
+    sum_pi (d_pi / n) tr(B_pi^* A_pi C_pi), C_pi the blocks of conj(phi)
+    (those of phi give the representation of conj(phi)).  Left translation
+    acts on the row index only, so the GNS representation is the sum of
+    rho_pi (x) 1 on C^{d_pi} (x) ran(C_pi): dim = sum_pi d_pi rank(C_pi)
+    and the character is sum_pi rank(C_pi) chi_pi, from the decomposition's
+    table.  With C_pi = V diag(w) V^* (one batched ``eigh`` per block
+    dimension) and w above the Gram cutoff eig_tol * n * max|phi|,
+    ``project`` is the transform's rows rotated by V and scaled by
+    sqrt(d w / n), ``lift`` the inverse transform's columns rotated the same
+    way and scaled by sqrt(n / (d w)).  A block eigenvalue below -cutoff
+    raises NotPositiveDefinite with it as witness: the Gram spectrum is the
+    union of the block spectra.
 
-    The character is read from the kept spectral projector K = V_k V_k^*:
-    tr rho(s) = tr(lambda_s K), one O(n^2) gather.  Verification covers
-    every s: the matrix coefficients <rho(s) xi, xi> = phi(s) as one gather
-    and product, and the unitarity of rho(s) as stacked products over
-    chunks of elements; either failing raises ConvergenceFailure.
+    The matrix coefficients <rho(s) xi, xi> = phi(s) are checked on every s
+    (one gather and product); a deviation above ``residual_tol`` raises
+    ConvergenceFailure.  Unitarity is not checked per element.  It follows
+    from what ``_verify_decomposition`` checked on the transform to
+    beta = 10 * residual_tol per entry: it inverts its units, its adjoint
+    is its inverse up to the weights d/n, and it is multiplicative on the
+    generating set.  An n x n residual with entries at most beta has
+    operator norm at most n beta, a word of length l in the generators adds
+    l of them, and ``project`` against ``lift`` scales an error by at most
+    sqrt(kappa), kappa the ratio of the largest to the smallest kept
+    d w / n.  So, to first order in beta,
+
+        max_s ||rho(s)^* rho(s) - 1|| <= 8 sqrt(kappa) l n beta,
+
+    with l the longest word an element needs in the generating set.
     """
+    from .vn import kept_block_decomposition
+
     g = fn.group
+    n = g.order
     _require_hermitian_symmetric(fn, tol)
-    kernel = gram_matrix(fn).T
-    w, v = hermitian_eig(kernel, tol)
-    cutoff = tol.eig_cutoff(kernel)
-    if w[0] < -cutoff:
+    decomp = kept_block_decomposition(g, tol)
+    cutoff = _gram_cutoff(fn, tol)
+    spectra = decomp.block_eigh(np.conj(fn.values))
+    wmin = min(float(w[:, 0].min()) for _, _, _, w, _ in spectra)
+    if wmin < -cutoff:
         raise NotPositiveDefinite(
-            f"Gram matrix has eigenvalue {w[0]:.3e}",
-            witness={"min_eigenvalue": float(w[0])},
+            f"Gram matrix has eigenvalue {wmin:.3e}",
+            witness={"min_eigenvalue": wmin},
         )
-    keep = w > cutoff
-    dim = int(np.count_nonzero(keep))
-    if dim == 0:
+    ranks = np.zeros(decomp.num_blocks)
+    project, lift = [], []
+    for d, blocks, rows, w, v in spectra:
+        keep = w > cutoff
+        if not keep.any():
+            continue
+        ranks[blocks] = keep.sum(axis=1)
+        # stacked rows in (block, k, j) order, so that rotating index k is
+        # one batched product: row (b, m, j) of project is
+        # sum_k v[b, k, m] F[(b, j, k)], and of lift^T
+        # sum_k conj(v[b, k, m]) F^{-1}^T[(b, j, k)]
+        swapped = rows.reshape(-1, d, d).transpose(0, 2, 1).ravel()
+        f = decomp.transform[swapped].reshape(-1, d, d * n)
+        finv = decomp.inverse_transform.T[swapped].reshape(-1, d, d * n)
+        scale = np.sqrt(d * w[keep] / n)[:, None]
+        project.append(((v.transpose(0, 2, 1) @ f)[keep] * scale).reshape(-1, n))
+        lift.append(((v.conj().transpose(0, 2, 1) @ finv)[keep] / scale).reshape(-1, n))
+    if not project:
         raise NotPositiveDefinite("form has rank zero", witness={})
-    roots = np.sqrt(w[keep])
-    vk = v[:, keep]
-    project = roots[:, None] * vk.conj().T     # class of a coefficient vector
-    lift = vk * (1.0 / roots)[None, :]         # orthonormal class representatives
+    project = np.concatenate(project)
+    lift = np.ascontiguousarray(np.concatenate(lift).T)
+    table = decomp.table
+    character = (ranks @ table.chars)[table.partition.class_of]
     cyclic = project[:, g.identity].copy()
-    translate = g.cayley[g.inverses]           # row s = left translation index map
-    character = _regular_traces(translate, vk @ vk.conj().T)
-    rep = GnsRepresentation(g, dim, project, lift, cyclic, character)
+    rep = GnsRepresentation(g, len(project), project, lift, cyclic, character)
 
     # <rho(s) xi, xi> = sum_t (xi^* project)[t] (lift xi)[s^{-1} t]
+    translate = g.cayley[g.inverses]
     coefficients = (lift @ cyclic)[translate] @ (cyclic.conj() @ project)
     coeff_dev = float(np.abs(coefficients - fn.values).max())
-    rep_dev = _unitarity_deviation(rep, translate)
-    if rep_dev > tol.residual_tol or coeff_dev > tol.residual_tol:
+    if coeff_dev > tol.residual_tol:
         raise ConvergenceFailure(
-            f"GNS verification failed (unitarity {rep_dev:.2e}, "
-            f"coefficient {coeff_dev:.2e})",
-            witness={"unitarity": rep_dev, "coefficient": coeff_dev},
+            f"GNS verification failed (coefficient {coeff_dev:.2e})",
+            witness={"coefficient": coeff_dev},
         )
     return rep
+
+
+def _integer_character_norm(character: np.ndarray, order: int) -> int:
+    """(1/|G|) sum_s |chi(s)|^2, an integer in exact arithmetic; a value
+    more than 1e-6 (relative) from one raises ConvergenceFailure."""
+    raw = float(np.sum(np.abs(character) ** 2)) / order
+    dim = round(raw)
+    if abs(raw - dim) > 1e-6 * raw:
+        raise ConvergenceFailure(
+            f"character norm {raw!r} is not an integer",
+            witness={"character_norm": raw},
+        )
+    return dim
 
 
 def commutant_dimension(rep: GnsRepresentation) -> int:
@@ -342,14 +374,28 @@ def commutant_dimension(rep: GnsRepresentation) -> int:
     integer in exact arithmetic; a value more than 1e-6 (relative) from one
     raises ConvergenceFailure.
     """
-    raw = float(np.sum(np.abs(rep.character) ** 2)) / rep.group.order
-    dim = round(raw)
-    if abs(raw - dim) > 1e-6 * raw:
-        raise ConvergenceFailure(
-            f"character norm {raw!r} is not an integer",
-            witness={"character_norm": raw},
+    return _integer_character_norm(rep.character, rep.group.order)
+
+
+def _gram_character(fn: GroupFunction, tol: Tolerance) -> tuple[int, np.ndarray]:
+    """GNS dimension and character from the Gram kernel alone, with no
+    Fourier input: one ``eigh`` of the symmetrized kernel, the rank above
+    the Gram cutoff, and tr rho(s) = tr(lambda_s K) for the kept spectral
+    projector K, one O(n^2) gather.  Raises NotPositiveDefinite with the
+    smallest kernel eigenvalue as witness."""
+    g = fn.group
+    kernel = gram_matrix(fn).T
+    w, v = np.linalg.eigh((kernel + kernel.conj().T) / 2)
+    cutoff = _gram_cutoff(fn, tol)
+    if w[0] < -cutoff:
+        raise NotPositiveDefinite(
+            f"Gram matrix has eigenvalue {w[0]:.3e}",
+            witness={"min_eigenvalue": float(w[0])},
         )
-    return dim
+    vk = v[:, w > cutoff]
+    if vk.shape[1] == 0:
+        raise NotPositiveDefinite("form has rank zero", witness={})
+    return vk.shape[1], _regular_traces(g.cayley[g.inverses], vk @ vk.conj().T)
 
 
 def _block_ranks(fn: GroupFunction, tol: Tolerance) -> list[int]:
@@ -359,33 +405,47 @@ def _block_ranks(fn: GroupFunction, tol: Tolerance) -> list[int]:
     from .vn import kept_block_decomposition
 
     decomp = kept_block_decomposition(fn.group, tol)
-    cutoff = tol.eig_tol * fn.group.order * float(np.abs(fn.values).max())
+    cutoff = _gram_cutoff(fn, tol)
     return [int(np.count_nonzero(w > cutoff)) for w in decomp.block_spectra(fn.values)]
 
 
-def _extremality(fn: GroupFunction, tol: Tolerance) -> tuple[bool, GnsRepresentation]:
-    """The verdict of :func:`is_extreme` and the GNS representation it
-    was read from."""
-    rep = gns(fn, tol)
-    commutant = commutant_dimension(rep)
+def _extremality(fn: GroupFunction, tol: Tolerance) -> tuple[bool, int]:
+    """The verdict of :func:`is_extreme` and the GNS dimension, the rank of
+    the Gram kernel."""
+    from .vn import kept_block_decomposition
+
+    _require_hermitian_symmetric(fn, tol)
+    rank, character = _gram_character(fn, tol)
+    commutant = _integer_character_norm(character, fn.group.order)
     ranks = _block_ranks(fn, tol)
+    dims = kept_block_decomposition(fn.group, tol).block_dims
+    witness = {"commutant_dimension": commutant, "gram_rank": rank, "block_ranks": ranks}
     if (commutant == 1) != (sum(ranks) == 1):
         raise InternalDisagreement(
             "character-norm and Fourier-block extremality checks disagree",
-            witness={"commutant_dimension": commutant, "block_ranks": ranks},
+            witness=witness,
         )
-    return commutant == 1, rep
+    if rank != sum(d * r for d, r in zip(dims, ranks)):
+        raise InternalDisagreement(
+            "Gram rank differs from sum_pi d_pi rank(B_pi)", witness=witness
+        )
+    return commutant == 1, rank
 
 
 def is_extreme(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Extreme point test: true iff the GNS representation is irreducible.
 
-    Two independent verdicts, like the CP certificate.  The first is the
-    character norm of the GNS representation (:func:`commutant_dimension`
-    equal to 1).  The second reads the Fourier blocks of phi: the GNS
-    representation holds block pi's irreducible rank(B_pi) times, so it is
+    Two independent verdicts, like the CP certificate, and no GNS
+    representation is built.  The first reads only the Gram kernel: the
+    character norm of the GNS representation, its character taken from the
+    kernel's kept spectral projector, equal to 1.  The second reads the
+    Fourier blocks B_pi of phi: the GNS representation has
+    sum_pi rank(B_pi) irreducible summands and dimension
+    sum_pi d_pi rank(B_pi) (see :func:`gns`; the blocks of conj(phi) it is
+    built from have the ranks of the conjugate blocks), so it is
     irreducible iff sum_pi rank(B_pi) = 1.  Differing verdicts raise
-    InternalDisagreement with both counts as witness.
+    InternalDisagreement with both counts as witness, and so does a Gram
+    rank other than sum_pi d_pi rank(B_pi).
     """
     return _extremality(fn, tol)[0]
 

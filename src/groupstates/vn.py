@@ -91,6 +91,15 @@ def vn_isomorphic(g: FiniteGroup, h: FiniteGroup, seed: int = 0) -> IsoVerdict:
     return IsoVerdict(inv_g.dims == inv_h.dims, inv_g, inv_h)
 
 
+def _blocks_by_dim(dims: Sequence[int]) -> dict[int, list[int]]:
+    """Block indices grouped by dimension, in index order within a group
+    and in order of first appearance across groups."""
+    by_dim: dict[int, list[int]] = {}
+    for pi, d in enumerate(dims):
+        by_dim.setdefault(d, []).append(pi)
+    return by_dim
+
+
 # --------------------------------------------------------------------------
 # numerical block decomposition
 # --------------------------------------------------------------------------
@@ -132,12 +141,9 @@ class BlockDecomposition:
         self.transform = weights[:, None] * swapped[:, self.group.inverses]
         # stacked rows of the blocks of each dimension, so that equal-size
         # blocks are diagonalised in one batched call
-        same_dim: dict[int, list[int]] = {}
-        for pi, d in enumerate(dims):
-            same_dim.setdefault(d, []).append(pi)
         self._same_dim = [
             (d, blocks, np.r_[tuple(self._rows[pi] for pi in blocks)])
-            for d, blocks in same_dim.items()
+            for d, blocks in _blocks_by_dim(dims).items()
         ]
 
     @property
@@ -209,6 +215,27 @@ class BlockDecomposition:
             for pi, w in zip(blocks, evals):
                 spectra[pi] = w
         return spectra
+
+    def block_eigh(self, coeffs) -> list[tuple[int, list[int], np.ndarray, np.ndarray, np.ndarray]]:
+        """Eigendecompositions of the symmetrized blocks of
+        sum_s coeffs[s] lambda_s, one batched ``eigh`` per block dimension.
+
+        One (d, blocks, rows, w, v) per dimension: ``blocks`` the indices of
+        the blocks of that dimension, ``rows`` their stacked rows, ``w``
+        (blocks, d) the ascending eigenvalues and ``v`` (blocks, d, d) the
+        eigenvectors as columns.  A 1 x 1 block's eigenvalue is the real
+        part of its entry.
+        """
+        stacked = self._stacked(coeffs)
+        out = []
+        for d, blocks, rows in self._same_dim:
+            b = stacked[rows].reshape(len(blocks), d, d)
+            if d == 1:
+                w, v = b.real.reshape(len(blocks), 1), np.ones_like(b)
+            else:
+                w, v = np.linalg.eigh((b + b.conj().transpose(0, 2, 1)) / 2)
+            out.append((d, blocks, rows, w, v))
+        return out
 
     def psd_verdict(self, coeffs, tol: Tolerance = DEFAULT_TOL) -> PsdVerdict:
         """PSD verdict of phi = coeffs from its Fourier blocks.
@@ -463,9 +490,7 @@ class AffineHomeomorphism:
 def _matching_by_dimension(
     dims_g: Sequence[int], dims_h: Sequence[int]
 ) -> tuple[int, ...]:
-    by_dim: dict[int, list[int]] = {}
-    for pi, d in enumerate(dims_h):
-        by_dim.setdefault(d, []).append(pi)
+    by_dim = _blocks_by_dim(dims_h)
     matching = []
     cursor = {d: 0 for d in by_dim}
     for d in dims_g:
@@ -583,12 +608,17 @@ class AffineHomeoDescriptor:
 
     Block pi maps onto block sigma[pi] by x -> u x u* or x -> u x^T u*.
     For 1-dimensional blocks the unitary is an irrelevant phase and the
-    transpose flag is canonicalized to False.
+    transpose flag is canonicalized to False.  The action on stacked block
+    entries is fixed at construction (``_stacked_action``): per block
+    dimension, the stacked rows the blocks are read from (transposes folded
+    into the order), the rows their images land in, and the unitaries and
+    their adjoints stacked.
     """
 
     sigma: tuple[int, ...]
     unitaries: tuple[np.ndarray, ...]
     transpose: tuple[bool, ...]
+    _stacked_action: list = field(init=False, repr=False)
 
     def __post_init__(self):
         k = len(self.sigma)
@@ -620,6 +650,19 @@ class AffineHomeoDescriptor:
             flag if dims[pi] >= 2 else False
             for pi, flag in enumerate(self.transpose)
         )
+        offsets = np.cumsum([0] + [d * d for d in dims])
+        self._stacked_action = []
+        for d, blocks in _blocks_by_dim(dims).items():
+            entries = np.arange(d * d)
+            flipped = entries.reshape(d, d).T.ravel()
+            src = np.concatenate([
+                offsets[pi] + (flipped if self.transpose[pi] else entries) for pi in blocks
+            ])
+            dst = np.concatenate([offsets[self.sigma[pi]] + entries for pi in blocks])
+            u = np.stack([np.asarray(self.unitaries[pi], dtype=complex) for pi in blocks])
+            self._stacked_action.append(
+                (d, src, dst, u, np.ascontiguousarray(u.conj().transpose(0, 2, 1)))
+            )
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -635,7 +678,9 @@ def apply_descriptor(
 
     The density transforms blockwise as B -> u B u* (or u B^T u*), landing
     in block sigma[pi]; transposition preserves positivity, so the image
-    stays inside P1.
+    stays inside P1.  In stacked coordinates: one product with
+    ``transform``, one gather, batched product and scatter per block
+    dimension, and one product with ``inverse_transform``.
     """
     if desc.dims != decomp.block_dims:
         raise DimensionMismatch(
@@ -643,13 +688,11 @@ def apply_descriptor(
             f"{decomp.block_dims}",
             witness={"descriptor": list(desc.dims), "decomposition": list(decomp.block_dims)},
         )
-    blocks = decomp.from_coefficients(fn.values)
-    pushed = [np.zeros((d, d), dtype=complex) for d in decomp.block_dims]
-    for pi, b in enumerate(blocks):
-        u = desc.unitaries[pi]
-        body = b.T if desc.transpose[pi] else b
-        pushed[desc.sigma[pi]] = u @ body @ u.conj().T
-    return GroupFunction(decomp.group, decomp.to_coefficients(pushed))
+    stacked = decomp._stacked(fn.values)
+    pushed = np.empty_like(stacked)
+    for d, src, dst, u, u_adj in desc._stacked_action:
+        pushed[dst] = (u @ stacked[src].reshape(-1, d, d) @ u_adj).reshape(-1)
+    return GroupFunction(decomp.group, decomp.inverse_transform @ pushed)
 
 
 def inverse_descriptor(desc: AffineHomeoDescriptor) -> AffineHomeoDescriptor:
@@ -678,10 +721,7 @@ def random_descriptor(
     dims = decomp.block_dims
     k = len(dims)
     sigma = np.arange(k)
-    by_dim: dict[int, list[int]] = {}
-    for pi, d in enumerate(dims):
-        by_dim.setdefault(d, []).append(pi)
-    for d, idxs in by_dim.items():
+    for idxs in _blocks_by_dim(dims).values():
         perm = rng.permutation(len(idxs))
         for a, b in zip(idxs, perm):
             sigma[a] = idxs[b]

@@ -57,6 +57,20 @@ def q8():
     return quaternion_group()
 
 
+# the benchmark ladder: label -> groups.build_named kind
+LADDER = {
+    "S3": "symmetric:3", "Q8": "quaternion8", "D6": "dihedral:6", "S4": "symmetric:4",
+    "S4xZ2": "product:symmetric:4,cyclic:2", "D30": "dihedral:30", "S5": "symmetric:5",
+}
+
+
+def ladder_group(name):
+    """A group of the benchmark ladder by its label."""
+    from groupstates.groups import build_named
+
+    return build_named(LADDER[name])
+
+
 def builtin_catalog(max_order: int = 24):
     """Every named constructor instance with order up to the bound."""
     groups = []
@@ -253,6 +267,132 @@ def dense_gns(fn, tol=None):
             witness={"unitarity": rep_dev, "coefficient": coeff_dev},
         )
     return DenseGns(g, dim, rep, cyclic)
+
+
+# complex entries one chunk of the stacked unitarity check in gram_gns
+# gathers (1 MiB): a full-rank S5 state (dim = n = 120) is checked 4
+# elements at a time, where one (n, dim, dim) array would take 27.6 MB
+_UNITARITY_CHUNK_ENTRIES = 2**16
+
+
+def unitarity_deviation(rep):
+    """max over s of max|rho(s)^* rho(s) - 1| of a GnsRepresentation, one
+    stacked product per chunk of elements."""
+    g = rep.group
+    translate = g.cayley[g.inverses]
+    n, dim = rep.lift.shape
+    step = max(1, _UNITARITY_CHUNK_ENTRIES // (n * dim))
+    eye = np.eye(dim)
+    dev = 0.0
+    for start in range(0, n, step):
+        rho = rep.project @ rep.lift[translate[start:start + step]]
+        # a contiguous adjoint keeps the stacked product on BLAS
+        gram = np.ascontiguousarray(rho.conj().transpose(0, 2, 1)) @ rho
+        gram -= eye
+        dev = max(dev, float(np.abs(gram).max()))
+    return dev
+
+
+def gram_gns(fn, tol=None):
+    """The GNS construction from the Gram kernel, batched: one
+    linalg.hermitian_eig of the transposed Gram matrix, eigenvectors above
+    the Gram cutoff rescaled to project/lift, the character read from the
+    kept spectral projector, and every s checked for its matrix coefficient
+    (one gather) and for unitarity (stacked products over chunks)."""
+    from groupstates.errors import ConvergenceFailure, NotPositiveDefinite
+    from groupstates.linalg import DEFAULT_TOL, hermitian_eig
+    from groupstates.posdef import (
+        GnsRepresentation,
+        _regular_traces,
+        _require_hermitian_symmetric,
+        gram_matrix,
+    )
+
+    tol = DEFAULT_TOL if tol is None else tol
+    g = fn.group
+    _require_hermitian_symmetric(fn, tol)
+    kernel = gram_matrix(fn).T
+    w, v = hermitian_eig(kernel, tol)
+    cutoff = tol.eig_cutoff(kernel)
+    if w[0] < -cutoff:
+        raise NotPositiveDefinite(
+            f"Gram matrix has eigenvalue {w[0]:.3e}",
+            witness={"min_eigenvalue": float(w[0])},
+        )
+    keep = w > cutoff
+    dim = int(np.count_nonzero(keep))
+    if dim == 0:
+        raise NotPositiveDefinite("form has rank zero", witness={})
+    roots = np.sqrt(w[keep])
+    vk = v[:, keep]
+    project = roots[:, None] * vk.conj().T
+    lift = vk * (1.0 / roots)[None, :]
+    cyclic = project[:, g.identity].copy()
+    translate = g.cayley[g.inverses]
+    character = _regular_traces(translate, vk @ vk.conj().T)
+    rep = GnsRepresentation(g, dim, project, lift, cyclic, character)
+
+    coefficients = (lift @ cyclic)[translate] @ (cyclic.conj() @ project)
+    coeff_dev = float(np.abs(coefficients - fn.values).max())
+    rep_dev = unitarity_deviation(rep)
+    if rep_dev > tol.residual_tol or coeff_dev > tol.residual_tol:
+        raise ConvergenceFailure(
+            f"GNS verification failed (unitarity {rep_dev:.2e}, "
+            f"coefficient {coeff_dev:.2e})",
+            witness={"unitarity": rep_dev, "coefficient": coeff_dev},
+        )
+    return rep
+
+
+def word_length(group):
+    """The longest word in the generating set (groups.generating_set) an
+    element needs: the depth of a breadth-first search from the identity,
+    one right multiplication by a generator per step."""
+    from groupstates.groups import generating_set
+
+    gens = generating_set(group) or [group.identity]
+    seen = np.zeros(group.order, dtype=bool)
+    seen[group.identity] = True
+    frontier = np.array([group.identity])
+    depth = 0
+    while not seen.all():
+        frontier = np.unique(group.cayley[frontier][:, gens])
+        frontier = frontier[~seen[frontier]]
+        seen[frontier] = True
+        depth += 1
+    return max(depth, 1)
+
+
+def gns_unitarity_bound(fn, decomp, tol=None):
+    """The unitarity bound the posdef.gns docstring states for the
+    block-form representation of ``fn``: 8 sqrt(kappa) l n beta, with
+    beta = 10 residual_tol, l = word_length(group) and kappa the ratio of
+    the largest to the smallest kept d w / n over the blocks of conj(phi)."""
+    from groupstates.linalg import DEFAULT_TOL
+
+    tol = DEFAULT_TOL if tol is None else tol
+    n = fn.group.order
+    cutoff = tol.eig_tol * n * float(np.abs(fn.values).max())
+    scales = np.concatenate([
+        d * w[w > cutoff] / n for d, _, _, w, _ in decomp.block_eigh(np.conj(fn.values))
+    ])
+    kappa = float(scales.max() / scales.min())
+    return 8 * np.sqrt(kappa) * word_length(fn.group) * n * 10 * tol.residual_tol
+
+
+def loop_apply_descriptor(desc, fn, decomp):
+    """The descriptor's action one block at a time: each block of phi,
+    transposed where flagged, conjugated by its unitary and placed in block
+    sigma[pi]."""
+    from groupstates.posdef import GroupFunction
+
+    blocks = decomp.from_coefficients(fn.values)
+    pushed = [np.zeros((d, d), dtype=complex) for d in decomp.block_dims]
+    for pi, b in enumerate(blocks):
+        u = desc.unitaries[pi]
+        body = b.T if desc.transpose[pi] else b
+        pushed[desc.sigma[pi]] = u @ body @ u.conj().T
+    return GroupFunction(decomp.group, decomp.to_coefficients(pushed))
 
 
 def kron_commutant_dimension(rep, tol):

@@ -326,3 +326,40 @@ def test_seed_changes_nothing_structural(tmp_path, capsys):
     _, r1 = run_json(capsys, "vn", "invariant", "--in", str(path), "--seed", "1")
     _, r2 = run_json(capsys, "vn", "invariant", "--in", str(path), "--seed", "99")
     assert r1["invariant"] == r2["invariant"]
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_calls(monkeypatch, capsys):
+    from groupstates import cli
+
+    builds = []
+    real = cli._build_parser
+
+    def counted():
+        builds.append(1)
+        return real()
+
+    seen = []
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "_build_parser", counted)
+    monkeypatch.setattr(cli, "_handle_chartable",
+                        lambda args, tol: seen.append((args.seed, tol.eig_tol)) or {})
+    assert dispatch(["chartable", "--in", "g.json", "--seed", "7", "--eig-tol", "1e-6"]) == 0
+    assert dispatch(["chartable", "--in", "g.json"]) == 0
+    capsys.readouterr()
+    assert seen == [(7, 1e-6), (0, 1e-9)]
+    assert builds == [1]
+
+
+def test_parser_error_leaves_the_next_command_unchanged(monkeypatch, tmp_path, capsys):
+    from groupstates import cli
+
+    path = _write_group(tmp_path, "q8.json", "quaternion8")
+    monkeypatch.setattr(cli, "_parser", None)
+    capsys.readouterr()
+    first = run(capsys, "group", "classes", "--in", str(path))
+    bad = ["group", "classes", "--in", str(path), "--format", "text", "--seed", "x"]
+    assert dispatch(bad) == 2
+    assert dispatch(["vn", "frobnicate"]) == 2
+    capsys.readouterr()
+    assert run(capsys, "group", "classes", "--in", str(path)) == first
+    assert first[0] == 0 and json.loads(first[1])["num_classes"] == 5

@@ -48,13 +48,18 @@ from groupstates.posdef import commutant_dimension
 from groupstates.vn import BlockDecomposition, cached_block_decomposition
 
 from conftest import (
+    LADDER,
     dense_a_norm,
     dense_gns,
+    gns_unitarity_bound,
+    gram_gns,
     gram_psd_verdict,
     kron_commutant_dimension,
+    ladder_group,
     loop_random_p1,
     loop_vector_state,
     trace_norm,
+    unitarity_deviation,
 )
 
 
@@ -319,9 +324,11 @@ def test_normalized_higher_character_is_a_proper_mixture(s3):
 
 def test_commutant_dimension_matches_kron_oracle():
     """Three routes to the commutant dimension agree: the kron null space
-    on the dense GNS representation, the character norm read from the kept
-    spectral projector, and sum_pi rank(B_pi)^2 over the Fourier blocks.
-    The GNS representation itself matches the dense construction."""
+    on the dense GNS representation, the character norm of the block-form
+    representation, and sum_pi rank(B_pi)^2 over the Fourier blocks.  The
+    batched Gram construction matches the dense one matrix for matrix, and
+    the block form is unitarily equivalent to both through the canonical
+    map between their quotients."""
     rng = np.random.default_rng(14)
     for g in (symmetric_group(3), quaternion_group(), dihedral_group(4),
               dihedral_group(6), symmetric_group(4)):
@@ -352,11 +359,24 @@ def test_commutant_dimension_matches_kron_oracle():
         for fn, expected in cases:
             rep = gns(fn)
             dense = dense_gns(fn)
-            assert rep.dim == dense.dim
+            batched = gram_gns(fn)
+            assert rep.dim == dense.dim == batched.dim
+            # the block form is the Gram construction in another basis: the
+            # map sending the class of a coefficient vector to its class is
+            # unitary, fixes the cyclic vector and intertwines every rho(s)
+            intertwiner = rep.project @ batched.lift
+            eye = np.eye(rep.dim)
+            assert np.abs(intertwiner.conj().T @ intertwiner - eye).max() < 1e-10
+            assert np.abs(intertwiner @ batched.cyclic_vector - rep.cyclic_vector).max() < 1e-10
             for s in g.elements():
-                assert np.abs(rep.matrix(s) - dense.rep[s]).max() < 1e-10
+                assert np.abs(batched.matrix(s) - dense.rep[s]).max() < 1e-10
+                assert np.abs(
+                    intertwiner @ dense.rep[s] - rep.matrix(s) @ intertwiner
+                ).max() < 1e-10
+            gram_character = posdef._gram_character(fn, DEFAULT_TOL)[1]
             routes = {
                 commutant_dimension(rep),
+                posdef._integer_character_norm(gram_character, g.order),
                 kron_commutant_dimension(dense, DEFAULT_TOL),
                 sum(r * r for r in posdef._block_ranks(fn, DEFAULT_TOL)),
             }
@@ -376,7 +396,7 @@ def test_is_extreme_raises_when_the_routes_disagree(monkeypatch, q8):
     mixed = delta_e(q8)
     assert is_extreme(pure) and not is_extreme(mixed)
     with monkeypatch.context() as m:
-        m.setattr(posdef, "commutant_dimension", lambda rep: 2)
+        m.setattr(posdef, "_integer_character_norm", lambda character, order: 2)
         with pytest.raises(InternalDisagreement) as info:
             is_extreme(pure)
         witness = info.value.witness
@@ -387,6 +407,129 @@ def test_is_extreme_raises_when_the_routes_disagree(monkeypatch, q8):
         with pytest.raises(InternalDisagreement) as info:
             is_extreme(mixed)
         assert info.value.witness["commutant_dimension"] == 8
+
+
+def test_is_extreme_raises_when_gram_rank_and_block_ranks_disagree(monkeypatch, q8):
+    """A rank in the 2-dimensional block where the pure state constant_one
+    has its rank in a 1-dimensional one: both verdicts still say extreme,
+    but sum_pi d_pi rank(B_pi) = 2 differs from the Gram rank 1."""
+    pure = constant_one(q8)
+    dims = vn.kept_block_decomposition(q8).block_dims
+    moved = [int(d == 2) for d in dims]
+    monkeypatch.setattr(posdef, "_block_ranks", lambda fn, tol: moved)
+    with pytest.raises(InternalDisagreement) as info:
+        is_extreme(pure)
+    witness = info.value.witness
+    assert witness["gram_rank"] == 1 and witness["block_ranks"] == moved
+    assert witness["commutant_dimension"] == 1
+
+
+def test_is_extreme_builds_no_gns(monkeypatch):
+    calls = []
+    real = posdef.gns
+    monkeypatch.setattr(posdef, "gns", lambda *args: calls.append(args) or real(*args))
+    rng = np.random.default_rng(23)
+    for g in (quaternion_group(), symmetric_group(4)):
+        decomp = block_decompose(g)
+        assert is_extreme(pure_state_function(decomp, len(decomp.block_dims) - 1,
+                                              rng.normal(size=decomp.block_dims[-1])))
+        assert not is_extreme(random_p1(g, rng))
+        assert not is_extreme(delta_e(g))
+    assert calls == []
+
+
+def _gns_cases(group, decomp, rng):
+    """(label, function): a pure state per block, the normalized character
+    of every block, a low-rank mix of two pure states and two full-rank
+    states (a delta_e mixture and delta_e itself)."""
+    dims = decomp.block_dims
+
+    def pure(pi):
+        v = rng.normal(size=dims[pi]) + 1j * rng.normal(size=dims[pi])
+        return pure_state_function(decomp, pi, v)
+
+    cases = [("pure", pure(pi)) for pi in range(len(dims))]
+    cases += [("character", central_state_function(decomp.table, pi)) for pi in range(len(dims))]
+    a, b = (int(x) for x in rng.choice(len(dims), size=2, replace=False))
+    cases.append(("low rank", convex_combine([0.3, 0.7], [pure(a), pure(b)])))
+    cases.append(("full rank", convex_combine([0.4, 0.6], [delta_e(group), random_p1(group, rng)])))
+    cases.append(("full rank", delta_e(group)))
+    return cases
+
+
+@pytest.mark.parametrize("name", list(LADDER))
+def test_block_gns_matches_gram_oracle(name):
+    """On every ladder group the block-form GNS has the Gram construction's
+    dimension and character, the matrix coefficients phi(s) at every s,
+    and every rho(s) unitary within the bound its docstring states."""
+    group = ladder_group(name)
+    decomp = block_decompose(group)
+    rng = np.random.default_rng(41)
+    n = group.order
+    translate = group.cayley[group.inverses]
+    for label, fn in _gns_cases(group, decomp, rng):
+        rep = gns(fn)
+        oracle = gram_gns(fn)
+        assert rep.dim == oracle.dim, label
+        assert np.abs(rep.character - oracle.character).max() < 1e-10, label
+        if label == "full rank":
+            assert rep.dim == n
+        # <rho(s) xi, xi> with rho(s) = project lambda_s lift, one s at a time
+        xi = rep.cyclic_vector
+        coefficients = [np.vdot(xi, rep.project @ (rep.lift[translate[s]] @ xi)) for s in range(n)]
+        assert np.abs(np.array(coefficients) - fn.values).max() < 1e-10, label
+        deviation = unitarity_deviation(rep)
+        assert deviation <= gns_unitarity_bound(fn, decomp), label
+        assert deviation < 1e-10, label
+
+
+def test_block_gns_rejects_indefinite_with_the_gram_witness():
+    rng = np.random.default_rng(43)
+    for g in (symmetric_group(3), quaternion_group(), symmetric_group(4), dihedral_group(30)):
+        block_decompose(g)
+        for _ in range(3):
+            fn = random_hermitian_symmetric(g, rng)
+            gram_min = float(np.linalg.eigvalsh(gram_matrix(fn))[0])
+            assert gram_min < 0
+            with pytest.raises(NotPositiveDefinite) as info:
+                gns(fn)
+            assert abs(info.value.witness["min_eigenvalue"] - gram_min) < 1e-10
+            with pytest.raises(NotPositiveDefinite) as info:
+                gram_gns(fn)
+            assert abs(info.value.witness["min_eigenvalue"] - gram_min) < 1e-10
+
+
+def test_zero_function_has_rank_zero(q8):
+    zero = GroupFunction(q8, np.zeros(8))
+    for call in (gns, gram_gns, is_extreme):
+        with pytest.raises(NotPositiveDefinite, match="rank zero"):
+            call(zero)
+
+
+def test_block_gns_on_s6():
+    """S6 (n = 720, largest block 16): a rank-2 state against the Gram
+    oracle, and a full-rank state whose representation is the regular one."""
+    s6 = symmetric_group(6)
+    decomp = block_decompose(s6)
+    rng = np.random.default_rng(47)
+    top = int(np.argmax(decomp.block_dims))
+    d = decomp.block_dims[top]
+    rank_two = convex_combine([0.5, 0.5], [
+        pure_state_function(decomp, top, rng.normal(size=d) + 1j * rng.normal(size=d)),
+        pure_state_function(decomp, 0, np.ones(1)),
+    ])
+    rep = gns(rank_two)
+    oracle = gram_gns(rank_two)
+    assert rep.dim == oracle.dim == d + 1
+    assert np.abs(rep.character - oracle.character).max() < 1e-10
+    assert not is_extreme(rank_two)
+
+    full = convex_combine([0.5, 0.5], [delta_e(s6), random_p1(s6, rng)])
+    rep = gns(full)
+    regular = np.zeros(720)
+    regular[s6.identity] = 720
+    assert rep.dim == 720
+    assert np.abs(rep.character - regular).max() < 1e-8
 
 
 def test_is_extreme_builds_a_decomposition_only_when_none_is_cached(monkeypatch):
@@ -409,9 +552,8 @@ def test_is_extreme_builds_a_decomposition_only_when_none_is_cached(monkeypatch)
 def test_is_extreme_holds_no_per_element_stack(s5):
     """A full-rank S5 state has a 120-dimensional GNS space: one
     (n, dim, dim) complex array of every rho(s) is 120^3 * 16 B = 27.6 MB.
-    The unitarity check works through chunks of 2^16 entries, and the
-    measured tracemalloc peak is about 4.9 MB (1 MiB chunks, x86_64), so
-    10 MB leaves room for numpy's temporaries."""
+    is_extreme builds no representation; its largest arrays are n x n
+    (230 kB), so 10 MB leaves room for numpy's temporaries."""
     block_decompose(s5)
     rng = np.random.default_rng(21)
     fn = convex_combine([0.3, 0.7], [delta_e(s5), random_p1(s5, rng)])
@@ -680,6 +822,17 @@ def test_gns_decides_from_its_own_spectrum(monkeypatch, z2, q8):
     with pytest.raises(NotPositiveDefinite) as info:
         gns(bad)
     assert abs(info.value.witness["min_eigenvalue"] - is_positive_definite(bad).witness) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [
+    complex(np.nan, 0.0), complex(0.25, np.nan), complex(np.inf, 0.0), complex(0.25, -np.inf),
+])
+def test_group_function_rejects_non_finite_values(z3, bad):
+    """A NaN or an infinity in the real or in the imaginary part alone."""
+    values = np.array([1.0, bad, 0.25], dtype=complex)
+    assert np.isfinite(values.real).all() or np.isfinite(values.imag).all()
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        GroupFunction(z3, values)
 
 
 def test_group_function_is_immutable(z3):

@@ -59,10 +59,13 @@ from groupstates.vn import (
 )
 
 from conftest import (
+    LADDER,
     algebra_coefficients,
     dense_block_decompose,
     dense_from_algebra,
     dense_to_algebra,
+    ladder_group,
+    loop_apply_descriptor,
     loop_coefficient_transport,
     random_unitary,
     regular_representation,
@@ -537,6 +540,25 @@ def test_descriptor_inverse_roundtrip():
         fn = random_p1(g, rng)
         back = apply_descriptor(inv, apply_descriptor(desc, fn, decomp), decomp)
         assert np.abs(back.values - fn.values).max() < 1e-9
+
+
+@pytest.mark.parametrize("name", list(LADDER))
+def test_stacked_descriptor_action_matches_the_block_loop(name):
+    """The stacked action is bit for bit the per-block loop, transpose
+    flags included, and the inverse descriptor undoes it."""
+    g = ladder_group(name)
+    decomp = block_decompose(g)
+    rng = np.random.default_rng(19)
+    flags = set()
+    for _ in range(6):
+        desc = random_descriptor(decomp, rng)
+        flags.update(desc.transpose[pi] for pi, d in enumerate(decomp.block_dims) if d >= 2)
+        fn = random_p1(g, rng)
+        out = apply_descriptor(desc, fn, decomp)
+        assert np.array_equal(out.values, loop_apply_descriptor(desc, fn, decomp).values)
+        back = apply_descriptor(inverse_descriptor(desc), out, decomp)
+        assert np.abs(back.values - fn.values).max() < 1e-9
+    assert flags == {False, True}
 
 
 def test_descriptor_validation():
