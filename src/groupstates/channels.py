@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GroupMismatch, InternalDisagreement
-from .groups import FiniteGroup, same_group
+from .groups import FiniteGroup, algebra_matrix, same_group
 from .linalg import DEFAULT_TOL, PsdVerdict, Tolerance, is_psd
 from .posdef import GroupFunction, _require_hermitian_symmetric
 from .vn import kept_block_decomposition
@@ -26,12 +26,12 @@ from .vn import kept_block_decomposition
 def schur_symbol(fn: GroupFunction) -> np.ndarray:
     """The |G| x |G| matrix with entry (s, t) = phi(s t^{-1}).
 
-    This is the channel-side convention; the Gram matrix of the state side
-    uses phi(s_k^{-1} s_j) and lives in the posdef module.
+    This is the regular-representation image of sum_s phi(s) lambda_s
+    (``groups.algebra_matrix``, which owns the index convention); the Gram
+    matrix of the state side uses phi(s_k^{-1} s_j) and lives in the posdef
+    module.
     """
-    g = fn.group
-    idx = g.cayley[:, g.inverses]  # [s, t] = s t^{-1}
-    return fn.values[idx]
+    return algebra_matrix(fn.group, fn.values)
 
 
 @dataclass(eq=False)
@@ -91,9 +91,7 @@ def is_unital(ch: FourierMultiplierChannel, tol: Tolerance = DEFAULT_TOL) -> boo
 class ChoiCertificate:
     """Dual CP certificate: symbol PSD check and Fourier-block PSD check."""
 
-    schur: np.ndarray
     verdict: bool
-    min_eigenvalue: float
     symbol_verdict: PsdVerdict
     block_verdict: PsdVerdict
 
@@ -117,8 +115,7 @@ def is_completely_positive(
 ) -> ChoiCertificate:
     """CP certificate; verdict must match is_positive_definite(symbol)."""
     _require_hermitian_symmetric(ch.symbol, tol)
-    a = schur_symbol(ch.symbol)
-    symbol_verdict = is_psd(a, tol)
+    symbol_verdict = is_psd(schur_symbol(ch.symbol), tol)
     block_verdict = _block_verdict(ch, tol)
     if symbol_verdict.is_psd != block_verdict.is_psd and not (
         symbol_verdict.undecided or block_verdict.undecided
@@ -131,9 +128,7 @@ def is_completely_positive(
             },
         )
     return ChoiCertificate(
-        schur=a,
         verdict=symbol_verdict.is_psd,
-        min_eigenvalue=symbol_verdict.witness,
         symbol_verdict=symbol_verdict,
         block_verdict=block_verdict,
     )

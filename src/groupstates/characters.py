@@ -92,10 +92,6 @@ class CentralProjection:
         m.setflags(write=False)
         return m
 
-    @property
-    def is_minimal(self) -> bool:
-        return len(self.irreps) == 1
-
 
 def class_sum_structure_constants(
     group: FiniteGroup, partition: ConjugacyPartition | None = None

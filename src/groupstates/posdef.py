@@ -109,9 +109,12 @@ def is_positive_definite(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> Psd
     the Fourier blocks of phi (``BlockDecomposition.psd_verdict``: phi is
     positive definite iff every block is PSD); otherwise it is the
     eigen-test of the full Gram matrix.  Both see the same spectrum with
-    the same cutoff.  The Hermitian-symmetry check runs on every call; the
-    eigen-test runs once per function and tolerance, and its verdict is
-    cached on ``fn``.
+    the same cutoff.  The dense path stays for a group without one, such
+    as a freshly loaded one: decomposing S5 costs about 12 ms against about
+    4 ms for its Gram test (one BLAS thread), so building a decomposition
+    here would slow the CLI.  The Hermitian-symmetry check runs on every
+    call; the eigen-test runs once per function and tolerance, and its
+    verdict is cached on ``fn``.
     """
     from .vn import cached_block_decomposition
 
@@ -186,7 +189,8 @@ def a_norm(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> float:
     trace norm is the sum of the absolute eigenvalues.  When the group
     holds a block decomposition verified at ``tol`` or tighter this is
     sum_pi (d_pi / n) ||B_pi||_1 over the Fourier blocks B_pi of phi;
-    otherwise the eigenvalues are those of the dense n x n density.
+    otherwise the eigenvalues are those of the dense n x n density, which
+    costs less than building a decomposition (see is_positive_definite).
     """
     from .vn import cached_block_decomposition
 
@@ -259,10 +263,6 @@ class GnsRepresentation:
         """The dim x dim unitary rho(s)."""
         g = self.group
         return self.project @ self.lift[g.cayley[g.inverses[s]]]
-
-    def matrix_coefficient(self, s: int) -> complex:
-        xi = self.cyclic_vector
-        return complex(np.vdot(xi, self.matrix(s) @ xi))
 
 
 def gns(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> GnsRepresentation:

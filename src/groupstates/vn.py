@@ -13,6 +13,7 @@ transpose-flag) block description.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -194,6 +195,14 @@ class BlockDecomposition:
     def from_coefficients(self, coeffs) -> list[np.ndarray]:
         """Blocks of sum_s coeffs[s] lambda_s: one product with ``transform``."""
         return self._split(self._stacked(coeffs))
+
+    def _block_states(self, pi: int, densities: np.ndarray) -> np.ndarray:
+        """Coefficients of the states whose densities (m, d, d) live in block
+        pi, one row each: density B is the block (n / d) B, embedded by one
+        product with the block's columns of ``inverse_transform``."""
+        d = self.block_dims[pi]
+        scaled = (self.group.order / d) * densities.reshape(-1, d * d)
+        return scaled @ self.inverse_transform[:, self._rows[pi]].T
 
     def block_spectra(self, coeffs) -> list[np.ndarray]:
         """Ascending eigenvalues of each block of sum_s coeffs[s] lambda_s.
@@ -442,10 +451,7 @@ def pure_state_function(
     if norm == 0:
         raise ValueError("the state vector is zero")
     v = v / norm
-    n = decomp.group.order
-    blocks = [np.zeros((dd, dd), dtype=complex) for dd in decomp.block_dims]
-    blocks[pi] = (n / d) * np.outer(v, v.conj())
-    return GroupFunction(decomp.group, decomp.to_coefficients(blocks))
+    return GroupFunction(decomp.group, decomp._block_states(pi, np.outer(v, v.conj()))[0])
 
 
 def central_state_function(table: CharacterTable, pi: int) -> GroupFunction:
@@ -749,45 +755,37 @@ def canonical_phase(u: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return u.copy()
 
 
-def _density_frame(d: int) -> list[np.ndarray]:
-    """d^2 density matrices spanning M_d: E_jj and two-level superpositions."""
-    frame = []
-    for j in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[j, j] = 1.0
-        frame.append(e)
-    for j in range(d):
-        for k in range(j + 1, d):
-            re = np.zeros((d, d), dtype=complex)
-            re[j, j] = re[k, k] = 0.5
-            re[j, k] = re[k, j] = 0.5
-            frame.append(re)
-            im = np.zeros((d, d), dtype=complex)
-            im[j, j] = im[k, k] = 0.5
-            im[k, j] = 0.5j
-            im[j, k] = -0.5j
-            frame.append(im)
+@functools.cache
+def _density_frame(d: int) -> np.ndarray:
+    """d^2 density matrices spanning M_d, stacked (d^2, d, d): the E_jj, then
+    for each j < k in row-major order (E_jj + E_kk + A) / 2 and
+    (E_jj + E_kk + B) / 2, with A = E_jk + E_kj and B = i(E_kj - E_jk).
+    Built once per d and read-only: a build costs about 55 us, a tenth of
+    a Q8 fit when repeated for every block of every fit."""
+    j, k = np.triu_indices(d, 1)
+    p = np.arange(len(j))
+    pairs = np.zeros((len(j), 2, d, d), dtype=complex)
+    pairs[p, :, j, j] = pairs[p, :, k, k] = 0.5
+    pairs[p, 0, j, k] = pairs[p, 0, k, j] = 0.5
+    pairs[p, 1, k, j] = 0.5j
+    pairs[p, 1, j, k] = -0.5j
+    diag = np.eye(d)[:, :, None] * np.eye(d)[:, None, :]
+    frame = np.concatenate([diag, pairs.reshape(-1, d, d)])
+    frame.setflags(write=False)
     return frame
 
 
-def _matrix_unit_images(
-    frame_images: list[np.ndarray], d: int
-) -> np.ndarray:
-    """Images M(E_jk) of all matrix units, from images of the frame."""
-    out = np.empty((d, d, d, d), dtype=complex)
+def _matrix_unit_images(frame_images: np.ndarray, d: int) -> np.ndarray:
+    """Images M(E_jk) of all matrix units from the images (d^2, d, d) of
+    :func:`_density_frame`, by polarisation: 2 M(frame) - M(E_jj) - M(E_kk)
+    is M(A) or M(B), and E_jk = (A + i B) / 2, E_kj = (A - i B) / 2."""
     diag = frame_images[:d]
-    pos = d
-    for j in range(d):
-        out[j, j] = diag[j]
-    for j in range(d):
-        for k in range(j + 1, d):
-            m_re = 2.0 * frame_images[pos] - diag[j] - diag[k]
-            m_im = 2.0 * frame_images[pos + 1] - diag[j] - diag[k]
-            pos += 2
-            # E_jk = (A + i B) / 2 and E_kj = (A - i B) / 2 where
-            # A = E_jk + E_kj and B = i(E_kj - E_jk)
-            out[j, k] = (m_re + 1j * m_im) / 2.0
-            out[k, j] = (m_re - 1j * m_im) / 2.0
+    j, k = np.triu_indices(d, 1)
+    m = 2.0 * frame_images[d:].reshape(len(j), 2, d, d) - diag[j, None] - diag[k, None]
+    out = np.empty((d, d, d, d), dtype=complex)
+    out[np.arange(d), np.arange(d)] = diag
+    out[j, k] = (m[:, 0] + 1j * m[:, 1]) / 2.0
+    out[k, j] = (m[:, 0] - 1j * m[:, 1]) / 2.0
     return out
 
 
@@ -844,14 +842,17 @@ def verify_jordan_form(
 ) -> AffineHomeoDescriptor:
     """Fit a black-box affine self-map of P1(G) to a block descriptor.
 
-    Affinity is verified on random mixtures first; the block permutation is
-    read off the images of the central block states; each block's unitary
-    and transpose flag are fitted from the images of a spanning frame of
-    block-supported states.  The result reproduces the map on held-out
-    samples to 1e-7 or FitFailure is raised.
+    Affinity is verified on random mixtures first.  Then the map is read in
+    one pass of n calls, on the d^2 states of a spanning frame of each
+    block (:func:`_density_frame`), embedded by one product per block and
+    read back by one product with ``transform``.  The block permutation is
+    read off the images of the central block states, each the mean image
+    of its block's diagonal frame states; after the support, permutation
+    and dimension checks, each block's unitary and transpose flag are
+    fitted from its frame images.  The result reproduces the map on
+    held-out samples to 1e-7 or FitFailure is raised.
     """
     group = decomp.group
-    table = decomp.table
     dims = decomp.block_dims
     k = len(dims)
     n = group.order
@@ -871,13 +872,21 @@ def verify_jordan_form(
                 witness={"deviation": dev},
             )
 
+    # row (pi, i) of ``images``: the stacked blocks of the image of frame
+    # state i of block pi; the frame of block pi fills the rows of block pi
+    states = np.concatenate(
+        [decomp._block_states(pi, _density_frame(d)) for pi, d in enumerate(dims)]
+    )
+    images = np.stack([transform(GroupFunction(group, c)).values for c in states])
+    images = images @ decomp.transform.T
+
     sigma = []
-    for pi in range(k):
-        image = transform(central_state_function(table, pi))
-        # omega(p_rho) = (d_rho / n) tr B_rho of the image's density
+    for pi, rows in enumerate(decomp._rows):
+        # the central state of block pi is the mean of its diagonal frame
+        # states; omega(p_rho) = (d_rho / n) tr B_rho of its image's density
+        central = images[rows.start:rows.start + dims[pi]].mean(axis=0)
         weights = [
-            float((d / n) * np.trace(b).real)
-            for d, b in zip(dims, decomp.from_coefficients(image.values))
+            float((d / n) * np.trace(b).real) for d, b in zip(dims, decomp._split(central))
         ]
         best = int(np.argmax(weights))
         if abs(weights[best] - 1.0) > 1e-6:
@@ -904,15 +913,8 @@ def verify_jordan_form(
             unitaries.append(np.ones((1, 1), dtype=complex))
             transpose.append(False)
             continue
-        frame = _density_frame(d)
-        images = []
-        for rho in frame:
-            blocks = [np.zeros((dd, dd), dtype=complex) for dd in dims]
-            blocks[pi] = (n / d) * rho
-            fn = GroupFunction(group, decomp.to_coefficients(blocks))
-            out_blocks = decomp.from_coefficients(transform(fn).values)
-            images.append((d / n) * out_blocks[sigma[pi]])
-        unit_images = _matrix_unit_images(images, d)
+        frame_images = (d / n) * images[decomp._rows[pi], decomp._rows[sigma[pi]]]
+        unit_images = _matrix_unit_images(frame_images.reshape(d * d, d, d), d)
         u, flag = _fit_block_map(unit_images, d, tol)
         unitaries.append(u)
         transpose.append(flag)

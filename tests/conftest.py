@@ -293,6 +293,12 @@ def unitarity_deviation(rep):
     return dev
 
 
+def matrix_coefficient(rep, s):
+    """<rho(s) xi, xi> of a GnsRepresentation, from ``rep.matrix(s)``."""
+    xi = rep.cyclic_vector
+    return complex(np.vdot(xi, rep.matrix(s) @ xi))
+
+
 def gram_gns(fn, tol=None):
     """The GNS construction from the Gram kernel, batched: one
     linalg.hermitian_eig of the transposed Gram matrix, eigenvectors above

@@ -1,8 +1,10 @@
-"""The names the traced benchmark run rebinds must exist in the package.
+"""The names the traced benchmark run rebinds must exist in the package,
+and the calls its workloads make must keep working.
 
 ``perfbench/spans.py`` wraps package functions by name when a traced run
-starts; a name that no longer exists would break that run, not this suite.
-The module is loaded from its file and only its tables are read.
+starts; a name that no longer exists, or a call whose arguments no longer
+fit, would break that run, not this suite.  The module is loaded from its
+file and only its tables are read.
 """
 
 import dataclasses
@@ -23,7 +25,7 @@ from groupstates import (
 from groupstates.channels import ChoiCertificate
 from groupstates.faces import FaceDescriptor
 from groupstates.groups import algebra_matrix
-from groupstates import posdef
+from groupstates import posdef, vn
 from groupstates.posdef import delta_e
 from groupstates.vn import BlockDecomposition, block_decompose
 
@@ -91,3 +93,22 @@ def test_lazy_matrices_match_their_coefficients():
         assert np.array_equal(f.matrix, algebra_matrix(g, f.coeffs))
         assert not f.matrix.flags.writeable
         assert round(np.trace(f.matrix).real) == sum(table.dims[pi] ** 2 for pi in f.irreps)
+
+
+def test_vn_calls_made_by_the_workloads():
+    # the state_queries and certify workloads call these vn functions
+    # positionally, with these argument shapes, and read these fields
+    g = symmetric_group(3)
+    table = character_table(g)
+    decomp = vn.block_decompose(g, table)
+    rng = np.random.default_rng(0)
+    dims = decomp.block_dims
+    for pi, d in enumerate(dims):
+        v = rng.normal(size=d) + 1j * rng.normal(size=d)
+        assert vn.pure_state_function(decomp, pi, v).values.shape == (g.order,)
+        assert vn.central_state_function(table, pi).values.shape == (g.order,)
+    desc = vn.random_descriptor(decomp, rng)
+    fn = posdef.GroupFunction(g, vn.pure_state_function(decomp, 0, np.ones(1)).values)
+    assert vn.apply_descriptor(desc, fn, decomp).values.shape == (g.order,)
+    fit = vn.verify_jordan_form(lambda f: vn.apply_descriptor(desc, f, decomp), decomp, seed=7)
+    assert (fit.sigma, fit.transpose) == (desc.sigma, desc.transpose)

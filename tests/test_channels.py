@@ -145,7 +145,7 @@ def test_cp_negative_z2(z2):
     fn = GroupFunction(z2, np.array([1.0, -1.5]))
     cert = is_completely_positive(build_channel(fn))
     assert not cert.verdict
-    assert abs(cert.min_eigenvalue - (-0.5)) < 1e-12
+    assert abs(cert.symbol_verdict.witness - (-0.5)) < 1e-12
 
 
 def test_cp_delta(q8):
@@ -154,7 +154,7 @@ def test_cp_delta(q8):
     # every Fourier block of lambda_e is an identity matrix
     assert abs(cert.block_verdict.witness - 1.0) < 1e-12
     # literal Choi of the delta symbol: ones exactly on the pairs (s, s)
-    choi = literal_choi_matrix(cert.schur)
+    choi = literal_choi_matrix(schur_symbol(delta_e(q8)))
     nz = [tuple(rc) for rc in np.argwhere(choi != 0).tolist()]
     assert nz == [(9 * s, 9 * s) for s in range(8)]
 
@@ -173,9 +173,9 @@ def test_choi_and_symbol_spectra_relate():
         decomp = block_decompose(g)
         for fn in (random_hermitian_symmetric(g, rng), random_p1(g, rng)):
             cert = is_completely_positive(build_channel(fn))
-            sym_eigs = np.linalg.eigvalsh(cert.schur)
+            sym_eigs = np.linalg.eigvalsh(schur_symbol(fn))
             # the literal Choi matrix is the symbol padded by a zero kernel
-            choi_eigs = np.linalg.eigvalsh(literal_choi_matrix(cert.schur))
+            choi_eigs = np.linalg.eigvalsh(literal_choi_matrix(schur_symbol(fn)))
             padded = np.sort(np.concatenate([sym_eigs, np.zeros(n * n - n)]))
             assert np.abs(np.sort(choi_eigs) - padded).max() < 1e-9
             # the symbol is the regular representation of sum phi(s) lambda_s:
@@ -200,7 +200,7 @@ def test_block_verdict_matches_literal_choi():
                 continue
             # the literal Choi matrix of a CP multiplier is singular, so only
             # its verdict is compared, never its undecided flag
-            assert is_psd(literal_choi_matrix(cert.schur)).is_psd == cert.verdict
+            assert is_psd(literal_choi_matrix(schur_symbol(fn))).is_psd == cert.verdict
             assert cert.block_verdict.is_psd == cert.verdict
             decided[cert.verdict] += 1
     assert decided[True] >= len(groups) and decided[False] > 10

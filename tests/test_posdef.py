@@ -58,6 +58,7 @@ from conftest import (
     ladder_group,
     loop_random_p1,
     loop_vector_state,
+    matrix_coefficient,
     trace_norm,
     unitarity_deviation,
 )
@@ -283,7 +284,7 @@ def test_gns_invariants_random(d4):
             )
     assert np.abs(rep.matrix(d4.identity) - np.eye(rep.dim)).max() < 1e-10
     for s in d4.elements():
-        assert abs(rep.matrix_coefficient(s) - fn(s)) < 1e-10
+        assert abs(matrix_coefficient(rep, s) - fn(s)) < 1e-10
 
 
 def test_extreme_examples(z2, q8):

@@ -18,9 +18,11 @@ from groupstates import (
     central_state_function,
     character_table,
     conjugacy_classes,
+    constant_one,
     construct_affine_homeomorphism,
     convex_combine,
     cyclic_group,
+    delta_e,
     dihedral_group,
     direct_product,
     fit_affine_map_from_pairs,
@@ -45,6 +47,7 @@ from groupstates.errors import (
     ConvergenceFailure,
     DecompositionFailure,
     DimensionMismatch,
+    FitFailure,
     NotAffine,
     NotIsomorphic,
 )
@@ -641,6 +644,89 @@ def test_verify_rejects_nonaffine():
 
     with pytest.raises(NotAffine):
         verify_jordan_form(squash, decomp, seed=5)
+
+
+def _blockwise(decomp, edit):
+    """The linear map that applies ``edit`` to the list of Fourier blocks."""
+    def mapped(fn):
+        blocks = decomp.from_coefficients(fn.values)
+        edit(blocks)
+        return GroupFunction(decomp.group, decomp.to_coefficients(blocks))
+    return mapped
+
+
+def test_verify_rejects_map_leaving_one_block():
+    # phi -> phi/2 + delta_e/2 spreads every central state over all blocks
+    g = symmetric_group(3)
+    decomp = block_decompose(g, seed=0)
+    e = delta_e(g).values
+    with pytest.raises(FitFailure) as info:
+        verify_jordan_form(lambda fn: GroupFunction(g, (fn.values + e) / 2), decomp, seed=1)
+    assert set(info.value.witness) == {"block", "weights"}
+
+
+def test_verify_rejects_non_permutation():
+    # every central state goes to the trivial block
+    g = cyclic_group(3)
+    decomp = block_decompose(g, seed=0)
+    with pytest.raises(FitFailure) as info:
+        verify_jordan_form(lambda fn: constant_one(g), decomp, seed=2)
+    assert set(info.value.witness) == {"sigma"}
+
+
+def test_verify_rejects_dimension_change():
+    # the weights of block 0 and of the 2-dimensional block trade places
+    g = quaternion_group()
+    decomp = block_decompose(g, seed=0)
+    n, big = g.order, decomp.block_dims.index(2)
+
+    def swap(blocks):
+        w0 = blocks[0][0, 0].real / n
+        w_big = 2 * np.trace(blocks[big]).real / n
+        blocks[0] = np.array([[n * w_big]])
+        blocks[big] = (n / 4) * w0 * np.eye(2)
+
+    with pytest.raises(FitFailure) as info:
+        verify_jordan_form(_blockwise(decomp, swap), decomp, seed=3)
+    assert set(info.value.witness) == {"sigma", "dims"}
+
+
+def test_verify_rejects_pinching():
+    # B -> diag B inside the 2-dimensional block is neither u B u* nor u B^T u*
+    g = symmetric_group(3)
+    decomp = block_decompose(g, seed=0)
+    big = decomp.block_dims.index(2)
+
+    def pinch(blocks):
+        blocks[big] = np.diag(np.diag(blocks[big]))
+
+    with pytest.raises(FitFailure) as info:
+        verify_jordan_form(_blockwise(decomp, pinch), decomp, seed=4)
+    assert set(info.value.witness) == {"straight_residual", "transpose_residual"}
+
+
+@pytest.mark.parametrize("name, calls", [("S3", 42), ("Q8", 44), ("D6", 48), ("S4", 60)])
+def test_verify_calls_the_map_once_per_frame_state(name, calls, monkeypatch):
+    # n calls read sigma and every block's frame, besides 3 per affinity
+    # sample and 1 per held-out sample; no per-block list layout is used
+    g = ladder_group(name)
+    decomp = block_decompose(g, seed=0)
+    desc = random_descriptor(decomp, np.random.default_rng(11))
+    seen = []
+
+    def counted(fn):
+        seen.append(fn)
+        return apply_descriptor(desc, fn, decomp)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-block list layout used")
+
+    monkeypatch.setattr(BlockDecomposition, "to_coefficients", forbidden)
+    monkeypatch.setattr(BlockDecomposition, "from_coefficients", forbidden)
+    fit = verify_jordan_form(counted, decomp, seed=12)
+    assert fit.sigma == desc.sigma
+    assert g.order + 3 * vn._AFFINITY_SAMPLES + vn._HOLDOUT_SAMPLES == calls
+    assert len(seen) == calls
 
 
 def test_fit_affine_map_from_pairs_roundtrip():
