@@ -25,7 +25,6 @@ from .faces import (
     FaceChain,
     FaceDescriptor,
     block_face_chain,
-    complementary_split_face,
     descriptor_from_projection,
     face_membership,
     maximal_chain_length,
@@ -69,7 +68,6 @@ from .posdef import (
     random_hermitian_symmetric,
     random_p1,
     to_state,
-    vector_state,
 )
 from .vn import (
     AffineHomeoDescriptor,
@@ -84,7 +82,6 @@ from .vn import (
     construct_affine_homeomorphism,
     fit_affine_map_from_pairs,
     homeo_group_description,
-    inverse_descriptor,
     pure_state_function,
     random_descriptor,
     verify_jordan_form,

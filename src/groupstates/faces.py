@@ -156,28 +156,18 @@ def split_faces(
         )
     if minimal is None:
         minimal = minimal_central_projections(group, table, tol)
-    n = group.order
-    faces = []
-    for mask in range(2**k):
-        members = tuple(pi for pi in range(k) if mask >> pi & 1)
-        coeffs = np.zeros(n, dtype=complex)
-        for pi in members:
-            coeffs = coeffs + minimal[pi].coeffs
-        faces.append(FaceDescriptor(group, coeffs, None, True, True, irreps=members))
-    return faces
-
-
-def complementary_split_face(
-    face: FaceDescriptor, tol: Tolerance = DEFAULT_TOL
-) -> FaceDescriptor:
-    """The complementary face, supported by 1 - p."""
-    group = face.group
-    _require_central(group, face.coeffs, tol)
-    coeffs = -face.coeffs.copy()
-    coeffs[group.identity] += 1.0
-    # subset bookkeeping is only well-defined relative to the full
-    # enumeration, so the complement carries no irreps tag
-    return FaceDescriptor(group, coeffs, None, True, True, irreps=None)
+    # row mask of the 0/1 indicators picks the projections in the bits of
+    # mask: one real product with their interleaved real and imaginary parts
+    indicators = (np.arange(2**k)[:, None] >> np.arange(k) & 1).astype(float)
+    sums = indicators @ np.array([p.coeffs for p in minimal], dtype=complex).view(float)
+    del indicators
+    sums += 0.0  # sums from +0.0, as in a running sum: no coefficient is -0.0
+    return [
+        FaceDescriptor(
+            group, c, None, True, True, irreps=tuple(pi for pi in range(k) if mask >> pi & 1)
+        )
+        for mask, c in enumerate(sums.view(complex))
+    ]
 
 
 def state_decomposition(
@@ -228,38 +218,59 @@ def block_face_chain(decomp, pi: int, tol: Tolerance = DEFAULT_TOL) -> FaceChain
     """The canonical chain q_1 < q_2 < ... < q_d of projections under p_pi,
     built from the diagonal matrix units of the block decomposition.
 
-    Each q_j is the coefficient vector of e_11 + ... + e_jj; its
-    regular-representation rank is its trace n q_j(e).
+    q_j is the coefficient vector of e_11 + ... + e_jj, and the chain is
+    certified in the block image, read from one product with the Fourier
+    transform: block pi of q_j is self-adjoint, idempotent and above block
+    pi of q_{j-1}, each within ``residual_tol``, its trace is j, and no
+    other block of q_j exceeds ``10 residual_tol``.  A strictly increasing
+    chain of projections in M_d has at most d elements, so the chain is
+    maximal.  The regular-representation rank of q_j is its trace n q_j(e).
     """
     if not 0 <= pi < decomp.num_blocks:
         raise ValueError(f"irrep index {pi} out of range")
     group = decomp.group
-    n = group.order
-    running = np.zeros(n, dtype=complex)
-    projections = []
-    ranks = []
-    prev_rank = 0
-    for j in range(decomp.block_dims[pi]):
-        running = running + decomp.units[pi][j, j]
-        check_projection(group, running, tol, what=f"chain element {j}")
-        rank = int(round(n * running[group.identity].real))
-        if rank <= prev_rank:
+    n, d = group.order, decomp.block_dims[pi]
+    diag = np.arange(d)
+    chain = np.cumsum(decomp.units[pi][diag, diag], axis=0) + 0.0  # no -0.0, as in split_faces
+    # column j holds the stacked blocks of q_j
+    stacked = decomp.transform @ chain.T
+    rows = decomp._rows[pi]
+    images = stacked[rows].T.reshape(d, d, d)
+    herm = np.abs(images - images.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    idem = np.abs(images @ images - images).max(axis=(1, 2))
+    order = np.abs(images[:-1] @ images[1:] - images[:-1]).max(axis=(1, 2), initial=0.0)
+    traces = np.rint(np.trace(images, axis1=1, axis2=2).real).astype(int)
+    outside = np.abs(stacked)
+    outside[rows] = 0.0
+    leak_rows = outside.argmax(axis=0)
+    for j in range(d):
+        if herm[j] > tol.residual_tol or idem[j] > tol.residual_tol:
             raise ConvergenceFailure(
-                f"chain ranks not strictly increasing at step {j}",
-                witness={"rank": rank, "previous": prev_rank},
+                f"chain element {j} is not a projection in block {pi} "
+                f"(herm {herm[j]:.2e}, idem {idem[j]:.2e})",
+                witness={
+                    "hermitian_residual": float(herm[j]),
+                    "idempotent_residual": float(idem[j]),
+                },
             )
-        if projections:
-            prev = projections[-1]
-            order_dev = float(np.abs(convolve(group, prev, running) - prev).max())
-            if order_dev > tol.residual_tol:
-                raise ConvergenceFailure(
-                    f"chain order violated at step {j}",
-                    witness={"deviation": order_dev},
-                )
-        projections.append(running)
-        ranks.append(rank)
-        prev_rank = rank
-    return FaceChain(group, pi, tuple(projections), tuple(ranks))
+        if traces[j] != j + 1:
+            raise ConvergenceFailure(
+                f"block image rank {traces[j]} != chain position {j + 1}",
+                witness={"rank": int(traces[j]), "position": j + 1},
+            )
+        if j and order[j - 1] > tol.residual_tol:
+            raise ConvergenceFailure(
+                f"chain order violated at step {j}",
+                witness={"deviation": float(order[j - 1])},
+            )
+        if outside[leak_rows[j], j] > 10 * tol.residual_tol:
+            block = next(rho for rho, r in enumerate(decomp._rows) if leak_rows[j] < r.stop)
+            raise ConvergenceFailure(
+                f"chain element {j} leaks into block {block}",
+                witness={"block": block},
+            )
+    ranks = tuple(int(round(n * q[group.identity].real)) for q in chain)
+    return FaceChain(group, pi, tuple(chain), ranks)
 
 
 def maximal_chain_length(
@@ -271,13 +282,12 @@ def maximal_chain_length(
     decomp=None,
 ) -> int:
     """Length of a maximal strictly increasing chain of faces inside the
-    minimal split face of block pi.
+    minimal split face of block pi: the length of :func:`block_face_chain`,
+    which certifies the chain and its maximality in the block image.
 
-    The chain is built explicitly from the block decomposition; maximality
-    is certified by the rank bound inside the d x d block image rather than
-    by search.  Without ``decomp``, the group's kept decomposition is used
-    when it was built from ``table`` at ``seed``; otherwise one is built (and
-    then kept on the group), see ``vn.kept_block_decomposition``.
+    Without ``decomp``, the group's kept decomposition is used when it was
+    built from ``table`` at ``seed``; otherwise one is built (and then kept
+    on the group), see ``vn.kept_block_decomposition``.
     """
     from .vn import kept_block_decomposition
 
@@ -285,36 +295,4 @@ def maximal_chain_length(
         raise ValueError(f"irrep index {pi} out of range")
     if decomp is None:
         decomp = kept_block_decomposition(group, tol, table, seed)
-    chain = block_face_chain(decomp, pi, tol)
-
-    # certification in the block image: each chain element must be a
-    # projection of rank k inside M_d, and any strictly increasing chain of
-    # projections in M_d has length at most d
-    d = decomp.block_dims[pi]
-    for k, coeffs in enumerate(chain.projections, start=1):
-        blocks = decomp.from_coefficients(coeffs)
-        img = blocks[pi]
-        idem = float(np.abs(img @ img - img).max())
-        if idem > 10 * tol.residual_tol:
-            raise ConvergenceFailure(
-                f"block image of chain element {k} is not a projection",
-                witness={"residual": idem},
-            )
-        img_rank = int(round(np.trace(img).real))
-        if img_rank != k:
-            raise ConvergenceFailure(
-                f"block image rank {img_rank} != chain position {k}",
-                witness={"rank": img_rank, "position": k},
-            )
-        for rho, other in enumerate(blocks):
-            if rho != pi and float(np.abs(other).max()) > 10 * tol.residual_tol:
-                raise ConvergenceFailure(
-                    f"chain element {k} leaks into block {rho}",
-                    witness={"block": rho},
-                )
-    if chain.length != d:
-        raise ConvergenceFailure(
-            f"constructed chain has length {chain.length}, block dimension {d}",
-            witness={"length": chain.length, "dimension": d},
-        )
-    return chain.length
+    return block_face_chain(decomp, pi, tol).length

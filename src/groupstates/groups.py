@@ -244,9 +244,20 @@ def _permutation_table(perms: np.ndarray) -> np.ndarray:
     return table
 
 
+def _refuse_order_above_limit(order: int) -> None:
+    """Refuse a group of more than DEFAULT_CLOSURE_LIMIT elements before
+    its n x n table is allocated."""
+    if order > DEFAULT_CLOSURE_LIMIT:
+        raise SizeLimitExceeded(
+            f"group order {order} exceeds limit {DEFAULT_CLOSURE_LIMIT}",
+            witness={"order": order, "limit": DEFAULT_CLOSURE_LIMIT},
+        )
+
+
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("cyclic group order must be positive")
+    _refuse_order_above_limit(n)
     table = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
     labels = tuple(f"g^{k}" for k in range(n))
     return validate_group(table, labels=labels, name=f"Z{n}")
@@ -256,6 +267,7 @@ def dihedral_group(n: int) -> FiniteGroup:
     """Symmetries of the regular n-gon, order 2n (rotations r, flips s*r^i)."""
     if n < 1:
         raise ValueError("dihedral parameter must be positive")
+    _refuse_order_above_limit(2 * n)
 
     # element f * n + i is r^i (f = 0) or s*r^i (f = 1)
     i, f = np.arange(2 * n) % n, np.arange(2 * n) // n
@@ -301,6 +313,7 @@ def symmetric_group(n: int) -> FiniteGroup:
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """Direct product with element (a, b) packed as a * |H| + b."""
     n, m = g.order, h.order
+    _refuse_order_above_limit(n * m)
     a = np.repeat(np.arange(n), m)
     b = np.tile(np.arange(m), n)
     table = g.cayley[np.ix_(a, a)] * m + h.cayley[np.ix_(b, b)]

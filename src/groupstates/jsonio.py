@@ -49,10 +49,20 @@ def group_to_json(group: FiniteGroup) -> dict:
 def group_from_json(obj: dict, name: str = "group") -> FiniteGroup:
     if not isinstance(obj, dict):
         raise InputFormatError("group JSON must be an object")
-    cayley = _need(obj, "cayley", "group")
+    try:
+        table = np.asarray(_need(obj, "cayley", "group"))
+    except ValueError as exc:
+        raise InputFormatError(f"bad group data: {exc}") from exc
+    # numpy would truncate floats and parse strings when casting to int64
+    if not np.issubdtype(table.dtype, np.integer):
+        raise InputFormatError(f"group table entries must be integers, got {table.dtype}")
+    order = obj.get("order")
+    rows = len(table) if table.ndim else 0
+    if order is not None and (type(order) is not int or order != rows):
+        raise InputFormatError(f"group order {order!r} does not match the {rows}-row table")
     labels = obj.get("labels")
     try:
-        return validate_group(cayley, labels=labels, name=obj.get("name", name))
+        return validate_group(table, labels=labels, name=obj.get("name", name))
     except (ValueError, TypeError) as exc:
         raise InputFormatError(f"bad group data: {exc}") from exc
 

@@ -457,29 +457,19 @@ def is_extreme(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> bool:
 def random_hermitian_symmetric(group: FiniteGroup, rng: np.random.Generator) -> GroupFunction:
     """Random phi with phi(s^{-1}) = conj(phi(s)) and phi(e) = 1, other
     values standard normal (complex ones in each part)."""
-    n = group.order
-    v = np.zeros(n, dtype=complex)
-    for s in range(n):
-        t = group.inv(s)
-        if s > t:
-            continue
-        if s == t:
-            v[s] = rng.normal()
-        else:
-            z = rng.normal() + 1j * rng.normal()
-            v[s] = z
-            v[t] = np.conj(z)
+    inv = group.inverses
+    # one draw per self-inverse s, a real and an imaginary part per pair
+    # {s, s^-1}, taken in the order of the smaller element from one call
+    first = np.flatnonzero(np.arange(group.order) <= inv)
+    paired = first != inv[first]
+    ends = np.cumsum(1 + paired)
+    draws = rng.normal(size=int(ends[-1]))
+    z = draws[ends - 1 - paired] + 1j * np.where(paired, draws[ends - 1], 0.0)
+    v = np.zeros(group.order, dtype=complex)
+    v[first] = z
+    v[inv[first[paired]]] = z[paired].conj()
     v[group.identity] = 1.0
     return GroupFunction(group, v)
-
-
-def vector_state(group: FiniteGroup, xi) -> GroupFunction:
-    """phi(s) = <lambda_s xi, xi> = tr(lambda_s xi xi^*) for the unit vector
-    along xi; always in P1."""
-    x = np.asarray(xi, dtype=complex)
-    x = x / np.linalg.norm(x)
-    outer = np.outer(x, x.conj())
-    return GroupFunction(group, _regular_traces(group.cayley[group.inverses], outer))
 
 
 def random_p1(group: FiniteGroup, rng: np.random.Generator) -> GroupFunction:

@@ -114,9 +114,8 @@ class BlockDecomposition:
     (pi, j, k) they are the columns of ``inverse_transform``; its inverse
     ``transform`` is the group Fourier transform, with
     ``transform[(pi, j, k), s] = (n / d_pi) u^pi_{kj}(s^{-1})``, which takes
-    a coefficient vector to its stacked blocks.  The embedding in both
-    directions is exposed through to_coefficients / from_coefficients, on
-    coefficient vectors only, and is a verified *-isomorphism.
+    a coefficient vector to its stacked blocks (from_coefficients splits
+    them into blocks).  The embedding is a verified *-isomorphism.
     ``verified_tol`` is the tolerance :func:`block_decompose` verified it
     at, None for one built by hand.
     """
@@ -163,25 +162,6 @@ class BlockDecomposition:
             stacked[rows].reshape(d, d)
             for rows, d in zip(self._rows, self.block_dims)
         ]
-
-    def to_coefficients(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
-        """Coefficients of sum_pi sum_jk blocks[pi][j, k] e^pi_{jk}."""
-        if len(blocks) != self.num_blocks:
-            raise DimensionMismatch(
-                f"got {len(blocks)} blocks, the decomposition has {self.num_blocks}",
-                witness={"blocks": len(blocks), "expected": self.num_blocks},
-            )
-        flat = []
-        for pi, raw in enumerate(blocks):
-            b = np.asarray(raw, dtype=complex)
-            d = self.block_dims[pi]
-            if b.shape != (d, d):
-                raise DimensionMismatch(
-                    f"block {pi} has shape {b.shape}, expected {(d, d)}",
-                    witness={"block": pi},
-                )
-            flat.append(b.reshape(-1))
-        return self.inverse_transform @ np.concatenate(flat)
 
     def _stacked(self, coeffs) -> np.ndarray:
         c = np.asarray(coeffs, dtype=complex)
@@ -699,25 +679,6 @@ def apply_descriptor(
     for d, src, dst, u, u_adj in desc._stacked_action:
         pushed[dst] = (u @ stacked[src].reshape(-1, d, d) @ u_adj).reshape(-1)
     return GroupFunction(decomp.group, decomp.inverse_transform @ pushed)
-
-
-def inverse_descriptor(desc: AffineHomeoDescriptor) -> AffineHomeoDescriptor:
-    """The descriptor of the inverse map: (sigma^{-1}, adapted unitaries)."""
-    k = len(desc.sigma)
-    inv_sigma = tuple(int(x) for x in np.argsort(np.asarray(desc.sigma)))
-    unitaries = [None] * k
-    transpose = [False] * k
-    for pi in range(k):
-        target = desc.sigma[pi]
-        u = desc.unitaries[pi]
-        if desc.transpose[pi]:
-            # inverse of x -> u x^T u* is x -> (u* x u)^T = u^T x^T conj(u)
-            unitaries[target] = u.T
-            transpose[target] = True
-        else:
-            unitaries[target] = u.conj().T
-            transpose[target] = False
-    return AffineHomeoDescriptor(inv_sigma, tuple(unitaries), tuple(transpose))
 
 
 def random_descriptor(

@@ -189,7 +189,7 @@ def loop_coefficient_transport(src, dst, matching):
         pushed = [np.zeros((d, d), dtype=complex) for d in dst.block_dims]
         for pi, b in enumerate(blocks):
             pushed[matching[pi]] = b
-        mat[:, s] = dst.to_coefficients(pushed)
+        mat[:, s] = to_coefficients(dst, pushed)
     return mat
 
 
@@ -398,7 +398,7 @@ def loop_apply_descriptor(desc, fn, decomp):
         u = desc.unitaries[pi]
         body = b.T if desc.transpose[pi] else b
         pushed[desc.sigma[pi]] = u @ body @ u.conj().T
-    return GroupFunction(decomp.group, decomp.to_coefficients(pushed))
+    return GroupFunction(decomp.group, to_coefficients(decomp, pushed))
 
 
 def kron_commutant_dimension(rep, tol):
@@ -800,3 +800,96 @@ def matrix_from_json(obj):
     re = np.asarray(obj["re"], dtype=float)
     im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
     return (re + 1j * im).reshape(obj["rows"], obj["cols"])
+
+
+def loop_random_hermitian_symmetric(group, rng):
+    """Random Hermitian-symmetric phi with phi(e) = 1, one scalar normal
+    draw per self-inverse element and two per pair {s, s^-1}, in element
+    order."""
+    from groupstates.posdef import GroupFunction
+
+    n = group.order
+    v = np.zeros(n, dtype=complex)
+    for s in range(n):
+        t = group.inv(s)
+        if s > t:
+            continue
+        if s == t:
+            v[s] = rng.normal()
+        else:
+            z = rng.normal() + 1j * rng.normal()
+            v[s] = z
+            v[t] = np.conj(z)
+    v[group.identity] = 1.0
+    return GroupFunction(group, v)
+
+
+def to_coefficients(decomp, blocks):
+    """Coefficients of sum_pi sum_jk blocks[pi][j, k] e^pi_jk: one product
+    of the stacked blocks with the inverse transform."""
+    flat = np.concatenate([np.asarray(b, dtype=complex).reshape(-1) for b in blocks])
+    return decomp.inverse_transform @ flat
+
+
+def complementary_split_face(face, tol=None):
+    """The complementary split face, supported by 1 - p; raises NotCentral
+    for a face whose projection is not central.  It carries no irreps tag,
+    since subset bookkeeping is relative to the full enumeration."""
+    from groupstates.faces import FaceDescriptor, _require_central
+    from groupstates.linalg import DEFAULT_TOL
+
+    group = face.group
+    _require_central(group, face.coeffs, tol or DEFAULT_TOL)
+    coeffs = -face.coeffs.copy()
+    coeffs[group.identity] += 1.0
+    return FaceDescriptor(group, coeffs, None, True, True, irreps=None)
+
+
+def inverse_descriptor(desc):
+    """The descriptor of the inverse map: sigma^-1, and for each target
+    block the adjoint unitary, or its transpose where the block was
+    transposed (x -> u x^T u* inverts to x -> u^T x^T conj(u))."""
+    from groupstates.vn import AffineHomeoDescriptor
+
+    k = len(desc.sigma)
+    unitaries, transpose = [None] * k, [False] * k
+    for pi, target in enumerate(desc.sigma):
+        u = desc.unitaries[pi]
+        unitaries[target] = u.T if desc.transpose[pi] else u.conj().T
+        transpose[target] = desc.transpose[pi]
+    inv_sigma = tuple(int(x) for x in np.argsort(np.asarray(desc.sigma)))
+    return AffineHomeoDescriptor(inv_sigma, tuple(unitaries), tuple(transpose))
+
+
+def coefficient_face_chain(decomp, pi, tol=None):
+    """The chain e_11 <= e_11 + e_22 <= ... of block pi certified in
+    coefficient space, one element at a time: each partial sum passes
+    groups.check_projection, its rank n q(e) grows strictly, and
+    max|q_{j-1} q_j - q_{j-1}| stays within residual_tol.  Returns the
+    projections, the ranks and the largest Hermitian, idempotent and order
+    residuals; raises ConvergenceFailure as the checks fail."""
+    from groupstates.errors import ConvergenceFailure
+    from groupstates.groups import check_projection, convolve
+    from groupstates.linalg import DEFAULT_TOL
+
+    tol = tol or DEFAULT_TOL
+    group = decomp.group
+    n = group.order
+    running = np.zeros(n, dtype=complex)
+    projections, ranks, worst = [], [], [0.0, 0.0, 0.0]
+    for j in range(decomp.block_dims[pi]):
+        running = running + decomp.units[pi][j, j]
+        herm, idem = check_projection(group, running, tol, what=f"chain element {j}")
+        rank = int(round(n * running[group.identity].real))
+        if ranks and rank <= ranks[-1]:
+            raise ConvergenceFailure("chain ranks not strictly increasing", witness={"rank": rank})
+        order = 0.0
+        if projections:
+            prev = projections[-1]
+            order = float(np.abs(convolve(group, prev, running) - prev).max())
+        if order > tol.residual_tol:
+            raise ConvergenceFailure("chain order violated", witness={"deviation": order})
+        worst = [max(worst[0], herm), max(worst[1], idem), max(worst[2], order)]
+        projections.append(running)
+        ranks.append(rank)
+    return projections, ranks, tuple(worst)

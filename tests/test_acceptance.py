@@ -19,7 +19,6 @@ from groupstates import (
     build_channel,
     canonical_phase,
     character_table,
-    complementary_split_face,
     construct_affine_homeomorphism,
     convex_combine,
     cyclic_group,
@@ -45,7 +44,13 @@ from groupstates import (
 from groupstates.cli import dispatch
 from groupstates.groups import algebra_matrix
 
-from conftest import builtin_catalog, criterion_04_groups, dense_from_algebra, unit_matrix
+from conftest import (
+    builtin_catalog,
+    complementary_split_face,
+    criterion_04_groups,
+    dense_from_algebra,
+    unit_matrix,
+)
 
 
 def _report(num, name, ok, detail=""):

@@ -1,10 +1,15 @@
 import json
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupstates.cli import dispatch
+from groupstates.errors import DomainError, InputFormatError
 from groupstates.jsonio import (
     function_to_json,
+    group_from_json,
     group_to_json,
     load_function,
 )
@@ -90,6 +95,74 @@ def test_malformed_json_exits_2(tmp_path, capsys):
         code, report = run_json(capsys, *command, str(path))
         assert code == 2, command
         assert report["error"] == "InputFormatError"
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        {"cayley": [[0, 1.7], [1.2, 0]]},  # a cast to int64 would truncate it to Z2
+        {"cayley": [["0", "1"], ["1", "0"]]},
+        {"cayley": [[True, False], [False, True]]},
+        {"cayley": [[0, 2**70], [1, 0]]},
+        {"cayley": [[0, 1], [1]]},
+        {"order": 3, "cayley": [[0, 1], [1, 0]]},
+        {"order": "2", "cayley": [[0, 1], [1, 0]]},
+        {"order": True, "cayley": [[0]]},
+    ],
+    ids=["floats", "strings", "booleans", "huge", "ragged", "order", "order-string", "order-bool"],
+)
+def test_malformed_group_tables_exit_2(tmp_path, capsys, content):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(content))
+    code, report = run_json(capsys, "group", "validate", "--in", str(path))
+    assert code == 2
+    assert report["error"] == "InputFormatError"
+
+
+def test_group_build_refuses_a_huge_order(capsys):
+    code, report = run_json(capsys, "group", "build", "--kind", "cyclic:1000000000000")
+    assert code == 1
+    assert report["error"] == "SizeLimitExceeded"
+    assert report["witness"] == {"order": 10**12, "limit": 10000}
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2**70)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=16,
+)
+_SMALL_TABLES = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-1, n), min_size=n, max_size=n), min_size=n, max_size=n)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    cayley=_SMALL_TABLES | _JSON_VALUES,
+    order=st.none() | st.integers(0, 5) | _JSON_VALUES,
+    labels=st.none() | _JSON_VALUES,
+)
+def test_group_codec_accepts_exactly_the_integer_tables(cayley, order, labels):
+    """Whatever the JSON, the codec either raises InputFormatError or a
+    domain error, or returns the group of exactly the integer table it was
+    given, of the stated order; an accepted group survives a round trip."""
+    obj = {"cayley": cayley}
+    if order is not None:
+        obj["order"] = order
+    if labels is not None:
+        obj["labels"] = labels
+    obj = json.loads(json.dumps(obj))
+    try:
+        group = group_from_json(obj)
+    except (InputFormatError, DomainError):
+        return
+    table = np.asarray(cayley)
+    assert np.issubdtype(table.dtype, np.integer) and np.array_equal(group.cayley, table)
+    assert order is None or order == group.order
+    again = group_from_json(json.loads(json.dumps(group_to_json(group))))
+    assert np.array_equal(again.cayley, group.cayley) and again.labels == group.labels
 
 
 def test_chartable_deterministic(tmp_path, capsys):

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from groupstates import (
+    BlockDecomposition,
+    DEFAULT_TOL,
     GroupFunction,
     block_decompose,
     block_face_chain,
+    build_named,
     central_state_function,
     character_table,
-    complementary_split_face,
     convex_combine,
     cyclic_group,
     delta_e,
@@ -43,10 +45,14 @@ from groupstates.groups import (
 
 from conftest import (
     algebra_coefficients,
+    coefficient_face_chain,
+    complementary_split_face,
     commutator_centrality_deviation,
     dense_projection_residuals,
     dense_state_decomposition,
+    ladder_group,
     regular_representation,
+    to_coefficients,
     unit_matrix,
 )
 
@@ -420,7 +426,7 @@ def _non_hermitian_idempotent(group):
     pi = decomp.block_dims.index(2)
     blocks = [np.zeros((d, d), dtype=complex) for d in decomp.block_dims]
     blocks[pi][0, :] = 1.0
-    return decomp.to_coefficients(blocks)
+    return to_coefficients(decomp, blocks)
 
 
 def test_descriptor_rejects_non_projections(s3):
@@ -479,3 +485,99 @@ def test_projection_check_matches_dense_oracle(name, request):
             fast = _coefficient_residuals(group, coeffs)
             assert abs(fast[0] - herm) < 1e-12 and abs(fast[1] - idem) < 1e-12
             assert rank == dense_rank
+
+
+@pytest.mark.parametrize("name", ["S3", "Q8", "D4", "D6", "S4", "S4xZ2", "D30", "S5"])
+def test_chain_matches_the_coefficient_oracle(name):
+    """The chain certified in the block image is the chain the coefficient
+    oracle certifies one element at a time with check_projection and
+    convolve: the same projections and ranks, bit for bit, and every
+    Hermitian, idempotent and order residual of the dense n-space checks
+    within residual_tol, at two decomposition seeds."""
+    g = dihedral_group(4) if name == "D4" else ladder_group(name)
+    table = character_table(g)
+    for seed in (0, 7):
+        decomp = block_decompose(g, table, seed=seed)
+        for pi, d in enumerate(decomp.block_dims):
+            chain = block_face_chain(decomp, pi)
+            projections, ranks, residuals = coefficient_face_chain(decomp, pi)
+            assert chain.length == d and chain.ranks == tuple(ranks)
+            for got, want in zip(chain.projections, projections):
+                assert got.tobytes() == want.tobytes()
+            assert max(residuals) <= DEFAULT_TOL.residual_tol
+
+
+def test_chain_is_certified_without_n_space_products(monkeypatch):
+    """block_face_chain builds no regular-representation matrix and calls
+    neither convolve nor check_projection, and maximal_chain_length reads
+    no per-element blocks through from_coefficients."""
+    from groupstates import faces, vn
+
+    def forbidden(name):
+        def fail(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        return fail
+
+    g = symmetric_group(4)
+    table = character_table(g)
+    decomp = block_decompose(g, table, seed=0)
+    for name in ("algebra_matrix", "convolve", "check_projection"):
+        monkeypatch.setattr(faces, name, forbidden(name))
+    monkeypatch.setattr(vn.BlockDecomposition, "from_coefficients", forbidden("from_coefficients"))
+    for pi, d in enumerate(table.dims):
+        assert maximal_chain_length(g, table, pi, decomp=decomp) == d
+        assert block_face_chain(decomp, pi).length == d
+
+
+def _edited_decomposition(decomp, edit):
+    units = [u.copy() for u in decomp.units]
+    edit(units)
+    return BlockDecomposition(decomp.group, decomp.table, units, decomp.seed)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_chain_rejects_a_scaled_diagonal_unit(dim):
+    """One diagonal unit scaled by 1.01 is no longer idempotent in the
+    block image, whatever its position in the chain."""
+    g = symmetric_group(4)
+    decomp = block_decompose(g, character_table(g), seed=0)
+    pi = decomp.block_dims.index(dim)
+
+    def scale(units):
+        units[pi][dim - 1, dim - 1] *= 1.01
+
+    with pytest.raises(ConvergenceFailure) as info:
+        block_face_chain(_edited_decomposition(decomp, scale), pi)
+    assert info.value.witness["idempotent_residual"] > 1e-3
+
+
+def test_chain_rejects_leakage_into_another_block():
+    g = symmetric_group(4)
+    decomp = block_decompose(g, character_table(g), seed=0)
+    pi, other = decomp.block_dims.index(2), decomp.block_dims.index(3)
+
+    def pollute(units):
+        units[pi][0, 0] += 1e-6 * units[other][1, 1]
+
+    with pytest.raises(ConvergenceFailure) as info:
+        block_face_chain(_edited_decomposition(decomp, pollute), pi)
+    assert info.value.witness == {"block": other}
+
+
+@pytest.mark.parametrize("name", ["S3", "Q8", "D4", "D6", "S4", "S4xZ2", "S5", "Z12"])
+def test_split_faces_are_the_subset_sums(name):
+    """Each split face's coefficients are the sum from zero of its minimal
+    central projections in index order, bit for bit, for every subset."""
+    kinds = {"D4": "dihedral:4", "Z12": "cyclic:12"}
+    g = build_named(kinds[name]) if name in kinds else ladder_group(name)
+    table = character_table(g)
+    minimal = minimal_central_projections(g, table)
+    faces = split_faces(g, table)
+    assert len(faces) == 2 ** table.num_irreps
+    for mask, face in enumerate(faces):
+        members = tuple(pi for pi in range(table.num_irreps) if mask >> pi & 1)
+        coeffs = np.zeros(g.order, dtype=complex)
+        for pi in members:
+            coeffs = coeffs + minimal[pi].coeffs
+        assert face.irreps == members and face.is_split and face.is_central
+        assert face.coeffs.tobytes() == coeffs.tobytes()

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from groupstates.errors import (
     SizeLimitExceeded,
 )
 from groupstates.groups import (
+    DEFAULT_CLOSURE_LIMIT,
     algebra_matrix,
     convolve,
     generating_set,
@@ -370,3 +373,22 @@ def test_swapped_tables_include_both_verdicts():
             t[[r1, r1, r2, r2], [c1, c2, c1, c2]] = t[[r1, r1, r2, r2], [c2, c1, c2, c1]]
             verdicts.add(first_nonassociative_triple(t) is None)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize(
+    "build, order",
+    [
+        (lambda: cyclic_group(10**12), 10**12),
+        (lambda: dihedral_group(10**12), 2 * 10**12),
+        (lambda: build_named("cyclic:1000000000000"), 10**12),
+        # stand-ins with an order and nothing to gather: the limit must
+        # fire before either table is read
+        (lambda: direct_product(SimpleNamespace(order=10**6), SimpleNamespace(order=10**6)), 10**12),
+    ],
+    ids=["cyclic", "dihedral", "build_named", "direct_product"],
+)
+def test_builders_refuse_orders_above_the_limit_before_allocating(build, order):
+    with pytest.raises(SizeLimitExceeded) as info:
+        build()
+    assert info.value.witness == {"order": order, "limit": DEFAULT_CLOSURE_LIMIT}
+

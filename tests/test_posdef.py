@@ -30,7 +30,6 @@ from groupstates import (
     random_p1,
     symmetric_group,
     to_state,
-    vector_state,
 )
 from groupstates.errors import (
     BadWeights,
@@ -56,6 +55,7 @@ from conftest import (
     gram_psd_verdict,
     kron_commutant_dimension,
     ladder_group,
+    loop_random_hermitian_symmetric,
     loop_random_p1,
     loop_vector_state,
     matrix_coefficient,
@@ -603,22 +603,24 @@ def test_extremality_closed_under_inner_automorphisms(d4):
 
 
 def test_samplers_match_their_loop_versions():
-    """random_p1 and vector_state read the same draws as the loops that
-    take one vdot per element and one vector state per component."""
+    """random_p1 reads the same draws as the loop that takes one vector
+    state (one vdot per element) per component, and
+    random_hermitian_symmetric the same draws as one scalar normal per
+    value, bit for bit."""
     for g in (symmetric_group(3), quaternion_group(), dihedral_group(6), symmetric_group(4)):
         for seed in range(10):
             fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
             assert np.abs(random_p1(g, fast).values - loop_random_p1(g, slow).values).max() < 1e-12
             assert fast.bit_generator.state == slow.bit_generator.state
-            xi = fast.normal(size=g.order) + 1j * fast.normal(size=g.order)
-            fn, oracle = vector_state(g, xi), loop_vector_state(g, xi)
-            assert np.abs(fn.values - oracle.values).max() < 1e-12
+            fn = random_hermitian_symmetric(g, fast)
+            assert fn.values.tobytes() == loop_random_hermitian_symmetric(g, slow).values.tobytes()
+            assert fast.bit_generator.state == slow.bit_generator.state
 
 
 def test_vector_state_is_p1(s4):
     rng = np.random.default_rng(13)
     xi = rng.normal(size=24) + 1j * rng.normal(size=24)
-    fn = vector_state(s4, xi)
+    fn = loop_vector_state(s4, xi)
     assert abs(fn.values[s4.identity] - 1.0) < 1e-12
     assert is_positive_definite(fn).is_psd
 

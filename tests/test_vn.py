@@ -27,7 +27,6 @@ from groupstates import (
     direct_product,
     fit_affine_map_from_pairs,
     homeo_group_description,
-    inverse_descriptor,
     is_extreme,
     is_positive_definite,
     minimal_central_projections,
@@ -67,11 +66,13 @@ from conftest import (
     dense_block_decompose,
     dense_from_algebra,
     dense_to_algebra,
+    inverse_descriptor,
     ladder_group,
     loop_apply_descriptor,
     loop_coefficient_transport,
     random_unitary,
     regular_representation,
+    to_coefficients,
     unit_matrix,
 )
 
@@ -394,15 +395,6 @@ def test_trace_formula_oracle_matches_from_coefficients():
         assert np.abs(dense_to_algebra(decomp, literal) - algebra_matrix(g, c)).max() < 1e-12
 
 
-def test_block_count_mismatch_is_rejected():
-    g = symmetric_group(3)
-    decomp = block_decompose(g, seed=0)
-    blocks = [np.eye(d, dtype=complex) for d in decomp.block_dims]
-    for wrong in (blocks[:1], blocks + [np.eye(1)]):
-        with pytest.raises(DimensionMismatch):
-            decomp.to_coefficients(wrong)
-
-
 def test_unit_storage_is_quadratic():
     g = direct_product(symmetric_group(4), cyclic_group(2))
     decomp = block_decompose(g, seed=0)
@@ -651,7 +643,7 @@ def _blockwise(decomp, edit):
     def mapped(fn):
         blocks = decomp.from_coefficients(fn.values)
         edit(blocks)
-        return GroupFunction(decomp.group, decomp.to_coefficients(blocks))
+        return GroupFunction(decomp.group, to_coefficients(decomp, blocks))
     return mapped
 
 
@@ -721,7 +713,6 @@ def test_verify_calls_the_map_once_per_frame_state(name, calls, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("per-block list layout used")
 
-    monkeypatch.setattr(BlockDecomposition, "to_coefficients", forbidden)
     monkeypatch.setattr(BlockDecomposition, "from_coefficients", forbidden)
     fit = verify_jordan_form(counted, decomp, seed=12)
     assert fit.sigma == desc.sigma
