@@ -48,10 +48,12 @@ class FourierMultiplierChannel:
                 witness={"orders": [self.group.order, self.symbol.group.order]},
             )
         # indexing check: the Schur matrix is constant phi(u) along the
-        # support of each lambda_u, i.e. a[u t, t] = phi(u) for all (u, t)
+        # support of each lambda_u, i.e. a[u t, t] = phi(u) for all (u, t);
+        # the flat index of (u t, t) comes from the Cayley table, not from
+        # the algebra index that built the matrix
         a = schur_symbol(self.symbol)
         g = self.group
-        along = a[g.cayley, np.arange(g.order)] == self.symbol.values[:, None]
+        along = np.take(a, g.cayley * g.order + np.arange(g.order)) == self.symbol.values[:, None]
         bad = np.flatnonzero(~along.all(axis=1))
         if bad.size:
             u = int(bad[0])
@@ -107,7 +109,7 @@ def _block_verdict(ch: FourierMultiplierChannel, tol: Tolerance) -> PsdVerdict:
 
     Reads the group's kept decomposition (``vn.kept_block_decomposition``).
     """
-    return kept_block_decomposition(ch.group, tol).psd_verdict(ch.symbol.values, tol)
+    return kept_block_decomposition(ch.group, tol).psd_verdict(ch.symbol, tol)
 
 
 def is_completely_positive(

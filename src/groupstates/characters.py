@@ -202,13 +202,9 @@ def _build_table(
         )
 
     chars = np.array(rows)
-    order = sorted(
-        range(k),
-        key=lambda p: (
-            dims[p],
-            tuple((round(z.real, 8), round(z.imag, 8)) for z in chars[p]),
-        ),
-    )
+    # each row as its rounded (real, imaginary) pairs, interleaved
+    rounded = np.round(chars, 8).view(float).tolist()
+    order = sorted(range(k), key=lambda p: (dims[p], rounded[p]))
     chars = np.ascontiguousarray(chars[order])
     dims = tuple(dims[p] for p in order)
 

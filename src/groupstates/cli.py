@@ -239,16 +239,17 @@ def _handle_faces(args, tol, seed: int) -> dict:
         group = io.load_group(args.path)
         table = character_table(group, seed=seed, tol=tol)
         descriptors = fc.split_faces(group, table, tol)
-        n, e = group.order, group.identity
+        # the regular-representation rank is the trace n c(e)
+        traces = group.order * np.array([d.coeffs[group.identity].real for d in descriptors])
+        ranks = np.rint(traces).astype(np.int64).tolist()
         return {
             "num_split_faces": len(descriptors),
             "num_minimal": sum(
                 1 for d in descriptors if d.irreps is not None and len(d.irreps) == 1
             ),
             "faces": [
-                # the regular-representation rank is the trace n c(e)
-                {"irreps": list(d.irreps), "rank": int(round(n * d.coeffs[e].real))}
-                for d in descriptors
+                {"irreps": list(d.irreps), "rank": rank}
+                for d, rank in zip(descriptors, ranks)
             ],
         }
     if args.subcommand == "member":
@@ -265,6 +266,10 @@ def _handle_faces(args, tol, seed: int) -> dict:
     if args.subcommand == "chain":
         group = io.load_group(args.path)
         table = character_table(group, seed=seed, tol=tol)
+        if not 0 <= args.irrep < table.num_irreps:
+            raise InputFormatError(
+                f"irrep index {args.irrep} out of range for {table.num_irreps} irreps"
+            )
         length = fc.maximal_chain_length(group, table, args.irrep, seed=seed, tol=tol)
         return {
             "irrep": args.irrep,

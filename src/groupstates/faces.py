@@ -93,8 +93,7 @@ def _centrality_deviation(group: FiniteGroup, coeffs: np.ndarray) -> float:
     this is the largest commutator entry over the whole group: x is central
     exactly when c is a class function.
     """
-    conj = group.cayley[group.cayley, group.inverses[:, None]]  # [g, s] = g s g^-1
-    return float(np.abs(coeffs[conj] - coeffs[None, :]).max())
+    return float(np.abs(coeffs[group._conjugation] - coeffs[None, :]).max())
 
 
 def _require_central(group: FiniteGroup, coeffs: np.ndarray, tol: Tolerance) -> None:

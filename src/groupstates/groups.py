@@ -62,6 +62,20 @@ class FiniteGroup:
 
     The kept structure points back at the group; the garbage collector
     frees the cycle once nothing else holds the group.
+
+    Three read-only n x n int64 index tables are built the first time
+    something reads them, so a query gathers through them instead of
+    rebuilding them:
+
+    - ``_translate[s, t]`` is s^{-1} t: (lambda_s w)(t) = w(s^{-1} t), the
+      Gram matrix (as its transpose), the regular traces and the block
+      decomposition's gather;
+    - ``_algebra_index[t, u]`` is t u^{-1}: the regular-representation
+      image of a coefficient vector (:func:`algebra_matrix`);
+    - ``_conjugation[g, s]`` is g s g^{-1}: the centrality test of faces.
+
+    Each costs 8 n^2 bytes, only once read: 115 KB on S5, 4.1 MB on S6 and
+    203 MB on S7.
     """
 
     order: int
@@ -105,12 +119,29 @@ class FiniteGroup:
         return _closure_generators(self.cayley, self.identity)
 
     @functools.cached_property
+    def _translate(self) -> np.ndarray:
+        return _read_only(self.cayley[self.inverses])
+
+    @functools.cached_property
+    def _algebra_index(self) -> np.ndarray:
+        return _read_only(self.cayley[:, self.inverses])
+
+    @functools.cached_property
+    def _conjugation(self) -> np.ndarray:
+        return _read_only(self.cayley[self.cayley, self.inverses[:, None]])
+
+    @functools.cached_property
     def _conjugacy(self) -> ConjugacyPartition:
         # computed once per group, see conjugacy_classes
         return _conjugation_orbits(self)
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
+
+
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.setflags(write=False)
+    return table
 
 
 def _closure_generators(table: np.ndarray, identity: int) -> tuple[int, ...]:
@@ -477,10 +508,8 @@ def check_projection(
 
 def algebra_matrix(group: FiniteGroup, coeffs) -> np.ndarray:
     """Regular-representation image of sum_s coeffs[s] lambda_s."""
-    c = np.asarray(coeffs, dtype=complex)
     # row t, column u carries coeff(t u^{-1})
-    idx = group.cayley[:, group.inverses]
-    return c[idx]
+    return np.asarray(coeffs, dtype=complex)[group._algebra_index]
 
 
 def same_group(g: FiniteGroup, h: FiniteGroup) -> bool:

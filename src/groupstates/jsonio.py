@@ -90,6 +90,17 @@ def function_to_json(fn: GroupFunction, inline_group: bool = True) -> dict:
     return out
 
 
+def _numbers(values, key: str) -> np.ndarray:
+    """A float array from a JSON list of ints and floats.  numpy would
+    parse strings and take booleans as 0 and 1 when casting to float."""
+    if not isinstance(values, list) or not all(type(x) in (int, float) for x in values):
+        raise InputFormatError(f"function values must be lists of numbers, got {key}={values!r:.80}")
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError as exc:
+        raise InputFormatError(f"function value out of range in {key}: {exc}") from exc
+
+
 def function_from_json(
     obj: dict,
     group: FiniteGroup | None = None,
@@ -99,11 +110,8 @@ def function_from_json(
         raise InputFormatError("function JSON must be an object")
     if group is None:
         group = _resolve_group(_need(obj, "group", "function"), base)
-    try:
-        re = np.asarray(_need(obj, "re", "function"), dtype=float)
-        im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputFormatError(f"function values must be lists of numbers: {exc}") from exc
+    re = _numbers(_need(obj, "re", "function"), "re")
+    im = _numbers(obj["im"], "im") if "im" in obj else np.zeros_like(re)
     if re.shape != (group.order,) or im.shape != (group.order,):
         raise InputFormatError(
             f"function length {re.shape} does not match group order {group.order}"

@@ -39,12 +39,19 @@ class GroupFunction:
     Immutable: ``values`` is a private read-only copy of the input and
     cannot be reassigned, so the PSD verdict that
     :func:`is_positive_definite` computes is cached per ``Tolerance`` and
-    reused by later queries on the same object.
+    reused by later queries on the same object.  So are the ascending
+    eigenvalues of its Fourier blocks (``BlockDecomposition.block_spectra``),
+    for one decomposition at a time: ``_block_spectra`` maps the last
+    decomposition asked for to them, and holds that decomposition alive.
+    The PSD verdict, the A-norm and the block ranks of one function on one
+    decomposition therefore cost one transform and one ``eigvalsh`` per
+    block dimension between them.
     """
 
     group: FiniteGroup
     values: np.ndarray
     _psd_verdicts: dict = field(default_factory=dict, init=False, repr=False)
+    _block_spectra: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         v = np.array(self.values, dtype=complex)
@@ -59,6 +66,16 @@ class GroupFunction:
 
     def __call__(self, s: int) -> complex:
         return complex(self.values[s])
+
+    def _spectra(self, decomp) -> list[np.ndarray]:
+        """``decomp.block_spectra(self.values)``, computed once while
+        ``decomp`` is the last decomposition asked for."""
+        spectra = self._block_spectra.get(decomp)
+        if spectra is None:
+            spectra = decomp.block_spectra(self.values)
+            self._block_spectra.clear()
+            self._block_spectra[decomp] = spectra
+        return spectra
 
 
 def delta_e(group: FiniteGroup) -> GroupFunction:
@@ -96,9 +113,7 @@ def _gram_cutoff(fn: GroupFunction, tol: Tolerance) -> float:
 
 def gram_matrix(fn: GroupFunction) -> np.ndarray:
     """The |G| x |G| matrix with entry (j, k) = phi(s_k^{-1} s_j)."""
-    g = fn.group
-    idx = g.cayley[g.inverses].T  # [j, k] = s_k^{-1} s_j
-    return fn.values[idx]
+    return fn.values[fn.group._translate.T]
 
 
 def is_positive_definite(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> PsdVerdict:
@@ -114,7 +129,7 @@ def is_positive_definite(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> Psd
     4 ms for its Gram test (one BLAS thread), so building a decomposition
     here would slow the CLI.  The Hermitian-symmetry check runs on every
     call; the eigen-test runs once per function and tolerance, and its
-    verdict is cached on ``fn``.
+    verdict is cached on ``fn``, as are the block spectra it reads.
     """
     from .vn import cached_block_decomposition
 
@@ -125,7 +140,7 @@ def is_positive_definite(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> Psd
         if decomp is None:
             verdict = is_psd(gram_matrix(fn), tol)
         else:
-            verdict = decomp.psd_verdict(fn.values, tol)
+            verdict = decomp.psd_verdict(fn, tol)
         fn._psd_verdicts[tol] = verdict
     return verdict
 
@@ -188,9 +203,10 @@ def a_norm(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> float:
     The density of a Hermitian-symmetric function is Hermitian, so its
     trace norm is the sum of the absolute eigenvalues.  When the group
     holds a block decomposition verified at ``tol`` or tighter this is
-    sum_pi (d_pi / n) ||B_pi||_1 over the Fourier blocks B_pi of phi;
-    otherwise the eigenvalues are those of the dense n x n density, which
-    costs less than building a decomposition (see is_positive_definite).
+    sum_pi (d_pi / n) ||B_pi||_1 over the Fourier blocks B_pi of phi,
+    whose spectra are kept on ``fn``; otherwise the eigenvalues are those
+    of the dense n x n density, which costs less than building a
+    decomposition (see is_positive_definite).
     """
     from .vn import cached_block_decomposition
 
@@ -199,7 +215,7 @@ def a_norm(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> float:
     if decomp is not None:
         # block pi contributes d_pi times each of its d_pi eigenvalues
         dims = decomp.block_dims
-        evals = np.concatenate(decomp.block_spectra(fn.values))
+        evals = np.concatenate(fn._spectra(decomp))
         return float(np.repeat(dims, dims) @ np.abs(evals)) / fn.group.order
     density = algebra_matrix(fn.group, fn.values)
     density = (density + density.conj().T) / 2
@@ -261,8 +277,7 @@ class GnsRepresentation:
 
     def matrix(self, s: int) -> np.ndarray:
         """The dim x dim unitary rho(s)."""
-        g = self.group
-        return self.project @ self.lift[g.cayley[g.inverses[s]]]
+        return self.project @ self.lift[self.group._translate[s]]
 
 
 def gns(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> GnsRepresentation:
@@ -341,8 +356,7 @@ def gns(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> GnsRepresentation:
     rep = GnsRepresentation(g, len(project), project, lift, cyclic, character)
 
     # <rho(s) xi, xi> = sum_t (xi^* project)[t] (lift xi)[s^{-1} t]
-    translate = g.cayley[g.inverses]
-    coefficients = (lift @ cyclic)[translate] @ (cyclic.conj() @ project)
+    coefficients = (lift @ cyclic)[g._translate] @ (cyclic.conj() @ project)
     coeff_dev = float(np.abs(coefficients - fn.values).max())
     if coeff_dev > tol.residual_tol:
         raise ConvergenceFailure(
@@ -383,7 +397,6 @@ def _gram_character(fn: GroupFunction, tol: Tolerance) -> tuple[int, np.ndarray]
     the Gram cutoff, and tr rho(s) = tr(lambda_s K) for the kept spectral
     projector K, one O(n^2) gather.  Raises NotPositiveDefinite with the
     smallest kernel eigenvalue as witness."""
-    g = fn.group
     kernel = gram_matrix(fn).T
     w, v = np.linalg.eigh((kernel + kernel.conj().T) / 2)
     cutoff = _gram_cutoff(fn, tol)
@@ -395,7 +408,7 @@ def _gram_character(fn: GroupFunction, tol: Tolerance) -> tuple[int, np.ndarray]
     vk = v[:, w > cutoff]
     if vk.shape[1] == 0:
         raise NotPositiveDefinite("form has rank zero", witness={})
-    return vk.shape[1], _regular_traces(g.cayley[g.inverses], vk @ vk.conj().T)
+    return vk.shape[1], _regular_traces(fn.group._translate, vk @ vk.conj().T)
 
 
 def _block_ranks(fn: GroupFunction, tol: Tolerance) -> list[int]:
@@ -406,7 +419,7 @@ def _block_ranks(fn: GroupFunction, tol: Tolerance) -> list[int]:
 
     decomp = kept_block_decomposition(fn.group, tol)
     cutoff = _gram_cutoff(fn, tol)
-    return [int(np.count_nonzero(w > cutoff)) for w in decomp.block_spectra(fn.values)]
+    return [int(np.count_nonzero(w > cutoff)) for w in fn._spectra(decomp)]
 
 
 def _extremality(fn: GroupFunction, tol: Tolerance) -> tuple[bool, int]:
@@ -486,4 +499,4 @@ def random_p1(group: FiniteGroup, rng: np.random.Generator) -> GroupFunction:
     xi = draws[:, 0] + 1j * draws[:, 1]
     xi /= np.linalg.norm(xi, axis=1, keepdims=True)
     density = (weights[:, None] * xi).T @ xi.conj()
-    return GroupFunction(group, _regular_traces(group.cayley[group.inverses], density))
+    return GroupFunction(group, _regular_traces(group._translate, density))

@@ -226,8 +226,9 @@ class BlockDecomposition:
             out.append((d, blocks, rows, w, v))
         return out
 
-    def psd_verdict(self, coeffs, tol: Tolerance = DEFAULT_TOL) -> PsdVerdict:
-        """PSD verdict of phi = coeffs from its Fourier blocks.
+    def psd_verdict(self, fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> PsdVerdict:
+        """PSD verdict of phi = fn from its Fourier blocks, read from the
+        block spectra kept on ``fn`` (computed on the first read).
 
         The regular representation of sum_s phi(s) lambda_s is the direct
         sum of block pi taken d_pi times, and the Gram and Schur matrices
@@ -238,9 +239,8 @@ class BlockDecomposition:
         phi.  Verdict, cutoff and undecided flag therefore equal the dense
         test's, and the witness equals it up to rounding.
         """
-        c = np.asarray(coeffs, dtype=complex)
-        wmin = min(float(w[0]) for w in self.block_spectra(c))
-        cutoff = tol.eig_tol * self.group.order * float(np.abs(c).max())
+        wmin = min(float(w[0]) for w in fn._spectra(self))
+        cutoff = tol.eig_tol * self.group.order * float(np.abs(fn.values).max())
         return PsdVerdict.from_witness(wmin, cutoff)
 
 
@@ -285,8 +285,6 @@ def block_decompose(
     projections = minimal_central_projections(group, table, tol)
     rng = np.random.default_rng(seed)
     n = group.order
-    # row s, column t holds s^{-1} t: (lambda_s w)(t) = w(s^{-1} t)
-    translate = group.cayley[group.inverses]
 
     units: list[np.ndarray] = []
     for pi, proj in enumerate(projections):
@@ -306,7 +304,8 @@ def block_decompose(
                 continue
             w = basis @ vecs[:, clusters[0]]
             # rho[s] = W^* lambda_s W, one batched product over the gather
-            rho = w.conj().T @ w[translate]
+            # (lambda_s w)(t) = w(s^{-1} t)
+            rho = w.conj().T @ w[group._translate]
             block_units = (d / n) * rho.conj().transpose(1, 2, 0)
             break
         if block_units is None:

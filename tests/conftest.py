@@ -445,6 +445,56 @@ def loop_random_p1(group, rng):
     return GroupFunction(group, vals)
 
 
+def literal_index_tables(group):
+    """The group's kept index tables, as the expressions that define them."""
+    return {
+        "_translate": group.cayley[group.inverses],  # [s, t] = s^-1 t
+        "_algebra_index": group.cayley[:, group.inverses],  # [t, u] = t u^-1
+        "_conjugation": group.cayley[group.cayley, group.inverses[:, None]],  # [g, s] = g s g^-1
+    }
+
+
+def literal_algebra_matrix(group, coeffs):
+    """Regular-representation image, its index table rebuilt per call."""
+    return np.asarray(coeffs, dtype=complex)[group.cayley[:, group.inverses]]
+
+
+def literal_gram_matrix(fn):
+    """Gram matrix phi(s_k^-1 s_j), its index table rebuilt per call."""
+    g = fn.group
+    return fn.values[g.cayley[g.inverses].T]
+
+
+def literal_centrality_deviation(group, coeffs):
+    """max |c(g s g^-1) - c(s)|, the conjugation table rebuilt per call."""
+    conj = group.cayley[group.cayley, group.inverses[:, None]]
+    return float(np.abs(coeffs[conj] - coeffs[None, :]).max())
+
+
+def literal_random_p1(group, rng):
+    """posdef.random_p1 with the translation table rebuilt per call: the
+    same draws, and tr(lambda_s M) read by one flat gather."""
+    from groupstates.posdef import GroupFunction
+
+    n = group.order
+    weights = rng.dirichlet(np.ones(int(rng.integers(1, n + 1))))
+    draws = rng.normal(size=(weights.size, 2, n))
+    xi = draws[:, 0] + 1j * draws[:, 1]
+    xi /= np.linalg.norm(xi, axis=1, keepdims=True)
+    density = (weights[:, None] * xi).T @ xi.conj()
+    translate = group.cayley[group.inverses]
+    return GroupFunction(group, np.take(density, translate * n + np.arange(n)).sum(axis=1))
+
+
+def rounded_row_order(dims, chars):
+    """Irrep order by (dimension, row of (round(re, 8), round(im, 8))
+    pairs), one scalar round per entry."""
+    return sorted(
+        range(len(dims)),
+        key=lambda p: (dims[p], tuple((round(z.real, 8), round(z.imag, 8)) for z in chars[p])),
+    )
+
+
 def loop_convolve(group, a, b):
     """Group-algebra product one basis element at a time: a_s b_t lands on
     the coefficient of s t."""

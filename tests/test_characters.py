@@ -18,7 +18,14 @@ from groupstates import (
 from groupstates.groups import ConjugacyPartition, convolve
 from groupstates.jsonio import table_to_json
 
-from conftest import builtin_catalog, regular_rep_dims_oracle, regular_representation
+from conftest import (
+    LADDER,
+    builtin_catalog,
+    ladder_group,
+    regular_rep_dims_oracle,
+    regular_representation,
+    rounded_row_order,
+)
 
 
 def _structure_constants_convolution_oracle(group, partition):
@@ -280,3 +287,13 @@ def test_kept_table_is_not_served_across_seed_tolerance_or_group(monkeypatch):
     )
     reordered, spent = costs(lambda: character_table(g, partition=shuffled))
     assert spent["eig"] >= 1 and reordered.partition is shuffled
+
+
+@pytest.mark.parametrize("name", list(LADDER))
+def test_irreps_are_ordered_by_their_scalar_rounded_rows(name):
+    """The vectorised sort key orders the rows as the per-entry
+    round(value, 8) key does, at several seeds."""
+    g = ladder_group(name)
+    for seed in (0, 3):
+        table = character_table(g, seed=seed)
+        assert rounded_row_order(table.dims, table.chars) == list(range(table.num_irreps))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from groupstates.cli import dispatch
 from groupstates.errors import DomainError, InputFormatError
 from groupstates.jsonio import (
+    function_from_json,
     function_to_json,
     group_from_json,
     group_to_json,
@@ -21,6 +22,7 @@ from groupstates import (
     minimal_central_projections,
     quaternion_group,
     random_p1,
+    split_faces,
 )
 
 from conftest import matrix_from_json
@@ -165,6 +167,55 @@ def test_group_codec_accepts_exactly_the_integer_tables(cayley, order, labels):
     assert np.array_equal(again.cayley, group.cayley) and again.labels == group.labels
 
 
+@pytest.mark.parametrize(
+    "values",
+    [
+        {"re": ["1", True], "im": [0, False]},
+        {"re": [1, 0], "im": [0, None]},
+        {"re": [1, 0], "im": None},
+        {"re": [1.0, 2**1100]},
+        {"re": [[1], [0]]},
+    ],
+    ids=["strings-booleans", "null-entry", "null-list", "huge", "nested"],
+)
+def test_malformed_function_values_exit_2(tmp_path, capsys, values):
+    _write_group(tmp_path, "z2.json", "cyclic:2")
+    path = tmp_path / "fn.json"
+    path.write_text(json.dumps({"group": "z2.json", **values}))
+    capsys.readouterr()
+    code, report = run_json(capsys, "posdef", "check", "--fn", str(path))
+    assert code == 2
+    assert report["error"] == "InputFormatError"
+
+
+_NUMBER_LISTS = st.lists(
+    st.integers(-(2**1100), 2**1100) | st.floats(allow_nan=False, allow_infinity=False),
+    min_size=2, max_size=2,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(re=_NUMBER_LISTS | _JSON_VALUES, im=st.none() | _NUMBER_LISTS | _JSON_VALUES)
+def test_function_codec_accepts_exactly_the_number_lists(re, im):
+    """Whatever the JSON, the function codec either raises InputFormatError
+    or returns the function of exactly the ints and floats it was given;
+    an accepted function survives a round trip."""
+    group = cyclic_group(2)
+    obj = {"re": re} if im is None else {"re": re, "im": im}
+    obj = json.loads(json.dumps(obj))
+    try:
+        fn = function_from_json(obj, group=group)
+    except InputFormatError:
+        return
+    for part in (re, [0, 0] if im is None else im):
+        assert isinstance(part, list) and len(part) == 2
+        assert all(type(x) in (int, float) for x in part)
+    expected = [complex(float(a), float(b)) for a, b in zip(re, [0, 0] if im is None else im)]
+    assert fn.values.tolist() == expected
+    again = function_from_json(json.loads(json.dumps(function_to_json(fn, inline_group=False))), group)
+    assert np.array_equal(again.values, fn.values)
+
+
 def test_chartable_deterministic(tmp_path, capsys):
     path = _write_group(tmp_path, "q8.json", "quaternion8")
     capsys.readouterr()
@@ -249,11 +300,20 @@ def test_faces_cli(tmp_path, capsys):
     code, report = run_json(capsys, "faces", "list", "--in", str(path))
     assert code == 0
     assert report["num_split_faces"] == 32 and report["num_minimal"] == 5
+    g = quaternion_group()
+    faces = split_faces(g, character_table(g))
+    assert [f["rank"] for f in report["faces"]] == [
+        int(round(8 * face.coeffs[g.identity].real)) for face in faces
+    ]
 
     code, report = run_json(
         capsys, "faces", "chain", "--in", str(path), "--irrep", "4"
     )
     assert code == 0 and report["chain_length"] == 2
+    # an index outside the table is malformed input, like every other one
+    for irrep in ("5", "-1"):
+        code, report = run_json(capsys, "faces", "chain", "--in", str(path), "--irrep", irrep)
+        assert code == 2 and report["error"] == "InputFormatError"
 
     g = quaternion_group()
     table = character_table(g)

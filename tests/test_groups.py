@@ -30,12 +30,23 @@ from groupstates.groups import (
     star,
 )
 
+from groupstates.characters import character_table
+from groupstates.faces import _centrality_deviation
+from groupstates.posdef import gram_matrix, random_hermitian_symmetric, random_p1
+
 from conftest import (
+    LADDER,
     algebra_coefficients,
     brute_force_conjugacy_classes,
     closure_generating_set,
     first_nonassociative_triple,
     identity_and_inverses,
+    ladder_group,
+    literal_algebra_matrix,
+    literal_centrality_deviation,
+    literal_gram_matrix,
+    literal_index_tables,
+    literal_random_p1,
     loop_convolve,
     membership_residual,
     model_group_table,
@@ -392,3 +403,36 @@ def test_builders_refuse_orders_above_the_limit_before_allocating(build, order):
         build()
     assert info.value.witness == {"order": order, "limit": DEFAULT_CLOSURE_LIMIT}
 
+
+
+@pytest.mark.parametrize("name", list(LADDER))
+def test_index_tables_are_built_once_when_read(name):
+    """Each kept table equals its literal expression, is read-only, is the
+    same object on every read and is not built before its first read."""
+    g = ladder_group(name)
+    for attr, expected in literal_index_tables(g).items():
+        assert attr not in vars(g)
+        table = getattr(g, attr)
+        assert table.dtype == np.int64 and np.array_equal(table, expected)
+        assert not table.flags.writeable
+        assert getattr(g, attr) is table
+    with pytest.raises(ValueError):
+        g._conjugation[0, 0] = 0
+
+
+@pytest.mark.parametrize("name", list(LADDER))
+def test_readers_of_the_index_tables_match_their_literal_oracles(name):
+    """algebra_matrix, gram_matrix, the centrality deviation and seeded
+    random_p1 give the per-call constructions' results bit for bit."""
+    g = ladder_group(name)
+    rng = np.random.default_rng(31)
+    c = rng.normal(size=g.order) + 1j * rng.normal(size=g.order)
+    assert np.array_equal(algebra_matrix(g, c), literal_algebra_matrix(g, c))
+    fn = random_hermitian_symmetric(g, rng)
+    assert np.array_equal(gram_matrix(fn), literal_gram_matrix(fn))
+    # a class function (deviation 0) and a generic vector
+    for coeffs in (character_table(g).char_values(1).astype(complex), c):
+        assert _centrality_deviation(g, coeffs) == literal_centrality_deviation(g, coeffs)
+    for seed in (0, 7):
+        got = random_p1(g, np.random.default_rng(seed)).values
+        assert np.array_equal(got, literal_random_p1(g, np.random.default_rng(seed)).values)

@@ -716,7 +716,7 @@ def test_fourier_and_gram_verdicts_agree_outside_the_band(name, seed, weight):
     state = random_p1(decomp.group, rng)
     other = random_hermitian_symmetric(decomp.group, rng)
     fn = GroupFunction(decomp.group, weight * state.values + (1 - weight) * other.values)
-    fourier = decomp.psd_verdict(fn.values)
+    fourier = decomp.psd_verdict(fn)
     gram = gram_psd_verdict(fn)
     if not (fourier.undecided or gram.undecided):
         assert fourier.is_psd == gram.is_psd
@@ -779,6 +779,32 @@ def test_to_state_reuses_cached_block_verdict(monkeypatch):
     # the cache is keyed by the tolerance
     is_positive_definite(fn, Tolerance(eig_tol=1e-6))
     assert block_calls == [DEFAULT_TOL, Tolerance(eig_tol=1e-6)] and gram_calls == []
+
+
+def test_block_spectra_are_computed_once_per_function(monkeypatch):
+    s4 = symmetric_group(4)
+    decomp = block_decompose(s4)
+    calls = []
+    real = BlockDecomposition.block_spectra
+
+    def counted(self, coeffs):
+        calls.append(self)
+        return real(self, coeffs)
+
+    monkeypatch.setattr(BlockDecomposition, "block_spectra", counted)
+    fn = random_p1(s4, np.random.default_rng(21))
+    is_positive_definite(fn)
+    norm = a_norm(fn)
+    to_state(fn)
+    is_extreme(fn)
+    assert calls == [decomp]
+    assert abs(norm - dense_a_norm(fn)) < 1e-10
+    # another function, and another kept decomposition, compute them again
+    a_norm(random_p1(s4, np.random.default_rng(22)))
+    assert calls == [decomp, decomp]
+    rebuilt = block_decompose(s4, seed=1)
+    assert a_norm(fn) == pytest.approx(norm, abs=1e-12)
+    assert calls == [decomp, decomp, rebuilt]
 
 
 def test_decomposition_at_looser_tolerance_is_not_reused(monkeypatch):
