@@ -8,6 +8,12 @@ when each block of sum_s phi(s) lambda_s is PSD).  The blocks come from
 the group's cached block decomposition, built once when there is none.
 Both tests use the same cutoff, so disagreement between them outside the
 undecided band signals a convention bug and raises.
+
+A channel is its symbol, so building one and composing two (a pointwise
+product) cost O(n).  The Schur matrix's indexing convention is checked once
+per group, on the first channel built over it: the matrix is a gather of
+phi through the group's algebra index, so its convention is a property of
+the group, not of phi (see ``FourierMultiplierChannel``).
 """
 
 from __future__ import annotations
@@ -36,7 +42,16 @@ def schur_symbol(fn: GroupFunction) -> np.ndarray:
 
 @dataclass(eq=False)
 class FourierMultiplierChannel:
-    """The map lambda_s -> phi(s) lambda_s, stored through its symbol."""
+    """The map lambda_s -> phi(s) lambda_s, stored through its symbol.
+
+    Construction checks that the symbol lives on ``group`` and, on the first
+    channel over its group, that ``schur_symbol`` puts phi(u) along the
+    support of every lambda_u.  ``schur_symbol`` gathers phi through the
+    group's read-only algebra index, so one probe with distinct values
+    checks the same thing for every phi; the group keeps the builder it
+    checked and a replaced builder is checked again.  Construction is O(n)
+    once the group is checked.
+    """
 
     group: FiniteGroup
     symbol: GroupFunction
@@ -47,20 +62,33 @@ class FourierMultiplierChannel:
                 "symbol lives on a different group",
                 witness={"orders": [self.group.order, self.symbol.group.order]},
             )
-        # indexing check: the Schur matrix is constant phi(u) along the
-        # support of each lambda_u, i.e. a[u t, t] = phi(u) for all (u, t);
-        # the flat index of (u t, t) comes from the Cayley table, not from
-        # the algebra index that built the matrix
-        a = schur_symbol(self.symbol)
-        g = self.group
-        along = np.take(a, g.cayley * g.order + np.arange(g.order)) == self.symbol.values[:, None]
-        bad = np.flatnonzero(~along.all(axis=1))
-        if bad.size:
-            u = int(bad[0])
-            raise InternalDisagreement(
-                f"Schur symbol inconsistent on lambda_{u}",
-                witness={"element": u},
-            )
+        if self.symbol.group._schur_checked is not schur_symbol:
+            _check_schur_indexing(self.symbol.group)
+
+
+def _check_schur_indexing(group: FiniteGroup) -> None:
+    """Check that ``schur_symbol`` is constant phi(u) along the support of
+    each lambda_u, i.e. a[u t, t] = phi(u) for all (u, t), and keep the
+    checked builder on ``group``.
+
+    ``schur_symbol`` is a gather of phi through an index table of the
+    group, so the check holds for every phi exactly when it holds for one
+    phi with distinct values: it runs on the probe phi(s) = s.  The flat
+    index of (u t, t) comes from the Cayley table, not from the algebra
+    index that built the matrix.  The witness is the first element u whose
+    diagonal is wrong.
+    """
+    n = group.order
+    a = schur_symbol(GroupFunction(group, np.arange(n)))
+    along = np.take(a, group.cayley * n + np.arange(n)) == np.arange(n)[:, None]
+    bad = np.flatnonzero(~along.all(axis=1))
+    if bad.size:
+        u = int(bad[0])
+        raise InternalDisagreement(
+            f"Schur symbol inconsistent on lambda_{u}",
+            witness={"element": u},
+        )
+    group._schur_checked = schur_symbol
 
 
 def build_channel(fn: GroupFunction) -> FourierMultiplierChannel:

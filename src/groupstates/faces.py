@@ -10,7 +10,7 @@ block dimension through the rank argument in the block image.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -96,8 +96,8 @@ def _centrality_deviation(group: FiniteGroup, coeffs: np.ndarray) -> float:
     return float(np.abs(coeffs[group._conjugation] - coeffs[None, :]).max())
 
 
-def _require_central(group: FiniteGroup, coeffs: np.ndarray, tol: Tolerance) -> None:
-    dev = _centrality_deviation(group, coeffs)
+def _require_central(dev: float, tol: Tolerance) -> None:
+    """Raise NotCentral when a centrality deviation exceeds ``residual_tol``."""
     if dev > tol.residual_tol:
         raise NotCentral(
             f"projection does not commute with the regular representation "
@@ -106,12 +106,50 @@ def _require_central(group: FiniteGroup, coeffs: np.ndarray, tol: Tolerance) -> 
         )
 
 
+@cache
+def _block_layout(dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For stacked d x d blocks of dimensions ``dims``: the first row of each
+    block, the block of each row and whether the row is a diagonal entry."""
+    sizes = [d * d for d in dims]
+    starts = np.cumsum([0] + sizes[:-1])
+    block_of_row = np.repeat(np.arange(len(dims)), sizes)
+    diagonal = np.concatenate([np.eye(d, dtype=bool).ravel() for d in dims])
+    return starts, block_of_row, diagonal
+
+
+def _block_mask(decomp, blocks: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Certify that each stacked Fourier block of p is 0 or I within
+    ``residual_tol`` entrywise, and return per stacked row whether its block
+    is I.
+
+    On failure, a block farther than ``residual_tol`` from its scalar part
+    (trace / d) raises NotCentral with the largest such deviation as
+    witness; otherwise the block farthest from 0 and I raises
+    ConvergenceFailure with its index and scalar part.
+    """
+    starts, block_of_row, diagonal = _block_layout(decomp.block_dims)
+    # a block within residual_tol of 0 or I has its first entry near 0 or 1
+    keep = np.clip(np.rint(blocks[starts].real), 0.0, 1.0).astype(bool)
+    rows = keep[block_of_row]
+    off = np.abs(blocks - (rows & diagonal))
+    if off.max() <= tol.residual_tol:
+        return rows
+    scalars = np.add.reduceat(blocks * diagonal, starts) / decomp.block_dims
+    _require_central(float(np.abs(blocks - scalars[block_of_row] * diagonal).max()), tol)
+    pi = int(block_of_row[np.argmax(off)])
+    raise ConvergenceFailure(
+        f"block {pi} of the face support is {scalars[pi]:.3e} times I, not 0 or I",
+        witness={"block": pi, "scalar": [scalars[pi].real, scalars[pi].imag]},
+    )
+
+
 def descriptor_from_projection(
     group: FiniteGroup, coeffs, *, tol: Tolerance = DEFAULT_TOL
 ) -> FaceDescriptor:
     """Wrap a projection, given by its coefficients, as a face descriptor,
-    detecting centrality."""
-    c = np.asarray(coeffs, dtype=complex)
+    detecting centrality.  The descriptor holds a read-only copy of
+    ``coeffs``; the caller's array is left as it was."""
+    c = np.array(coeffs, dtype=complex)
     check_projection(group, c, tol, what="face support")
     central = _centrality_deviation(group, c) <= tol.residual_tol
     return FaceDescriptor(group, c, None, central, central)
@@ -177,12 +215,31 @@ def state_decomposition(
     """Split a state across a central projection: omega = t w1 + (1-t) w2.
 
     w1 lives in Face(p), w2 in Face(1-p), and t = omega(p).  At t = 0 or
-    t = 1 the undetermined component is returned as None.  Everything runs
-    on coefficient vectors: the cuts p*phi*p / t and q*phi*q / (1 - t), with
-    q = delta_e - p, are convolutions, and the reconstruction residual is
-    the max-abs coefficient of t w1 + (1 - t) w2 - omega, which equals the
-    max-abs entry of its regular-representation matrix.
+    t = 1 the undetermined component is returned as None.  The cuts are
+    p*phi*p / t and q*phi*q / (1 - t), with q = delta_e - p, by one of two
+    routes:
+
+    - **Blocks**, when the group keeps a decomposition verified at ``tol``
+      or tighter (``vn.cached_block_decomposition``).  p is central exactly
+      when each of its Fourier blocks is scalar (Schur's lemma), and a
+      central projection has every block 0 or I.  So p and phi are each
+      transformed once, and every block of p is certified to be 0 or I
+      within ``residual_tol``: a block off its scalar part raises
+      NotCentral with the largest deviation as witness, a scalar block
+      other than 0 or 1 raises ConvergenceFailure, whatever t is.  The
+      cuts are the inverse transform of phi's stacked blocks kept or
+      dropped by that mask.
+    - **Coefficients** otherwise, such as on a freshly loaded group:
+      centrality is the class-function test on p's coefficients, and the
+      cuts are convolutions.
+
+    On both routes the reconstruction residual is the max-abs coefficient
+    of t w1 + (1 - t) w2 - omega, which equals the max-abs entry of its
+    regular-representation matrix, and both components pass the PSD test
+    of :func:`to_state`.
     """
+    from .vn import cached_block_decomposition
+
     group = state.group
     if not same_group(face.group, group):
         raise GroupMismatch(
@@ -190,18 +247,28 @@ def state_decomposition(
             witness={"orders": [face.group.order, group.order]},
         )
     p = face.coeffs
-    _require_central(group, p, tol)
+    phi = state.coefficients
+    decomp = cached_block_decomposition(group, tol)
+    if decomp is None:
+        _require_central(_centrality_deviation(group, p), tol)
+    else:
+        keep = _block_mask(decomp, decomp.transform @ p, tol)
     t = state.expectation(p).real
     if t >= 1.0 - tol.residual_tol:
         return 1.0, state, None
     if t <= tol.residual_tol:
         return 0.0, None, state
 
-    q = -p
-    q[group.identity] += 1.0
-    phi = state.coefficients
-    cut1 = convolve(group, convolve(group, p, phi), p) / t
-    cut2 = convolve(group, convolve(group, q, phi), q) / (1.0 - t)
+    if decomp is None:
+        q = -p
+        q[group.identity] += 1.0
+        cut1 = convolve(group, convolve(group, p, phi), p) / t
+        cut2 = convolve(group, convolve(group, q, phi), q) / (1.0 - t)
+    else:
+        # p phi p and q phi q keep and drop phi's blocks in the face
+        blocks = decomp.transform @ phi
+        cut1 = decomp.inverse_transform @ (keep * blocks) / t
+        cut2 = decomp.inverse_transform @ (~keep * blocks) / (1.0 - t)
     recon = float(np.abs(t * cut1 + (1.0 - t) * cut2 - phi).max())
     if recon > tol.residual_tol:
         raise ConvergenceFailure(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -59,6 +59,11 @@ class FiniteGroup:
       A-norm, CP, extremality, chain and homeomorphism layers read it
       through ``vn.kept_block_decomposition`` and
       ``vn.cached_block_decomposition``.
+    - ``_schur_checked`` is the ``channels.schur_symbol`` builder whose
+      indexing check passed on this group, or None: the check tests the
+      group's index table, not a symbol, so it runs once per group and
+      again only when the builder is replaced.  It holds a function, not a
+      channel, so it adds no reference cycle.
 
     The kept structure points back at the group; the garbage collector
     frees the cycle once nothing else holds the group.
@@ -90,6 +95,7 @@ class FiniteGroup:
     _block_decomposition: BlockDecomposition | None = field(
         default=None, init=False, repr=False
     )
+    _schur_checked: Callable | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.cayley = np.ascontiguousarray(self.cayley, dtype=np.int64)

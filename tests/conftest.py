@@ -885,11 +885,11 @@ def complementary_split_face(face, tol=None):
     """The complementary split face, supported by 1 - p; raises NotCentral
     for a face whose projection is not central.  It carries no irreps tag,
     since subset bookkeeping is relative to the full enumeration."""
-    from groupstates.faces import FaceDescriptor, _require_central
+    from groupstates.faces import FaceDescriptor, _centrality_deviation, _require_central
     from groupstates.linalg import DEFAULT_TOL
 
     group = face.group
-    _require_central(group, face.coeffs, tol or DEFAULT_TOL)
+    _require_central(_centrality_deviation(group, face.coeffs), tol or DEFAULT_TOL)
     coeffs = -face.coeffs.copy()
     coeffs[group.identity] += 1.0
     return FaceDescriptor(group, coeffs, None, True, True, irreps=None)

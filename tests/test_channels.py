@@ -1,5 +1,7 @@
+import gc
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -381,3 +383,37 @@ def test_schur_matrix_in_the_translation_convention_is_caught(monkeypatch, s3):
     with pytest.raises(InternalDisagreement) as info:
         build_channel(fn)
     assert info.value.witness == {"element": first}
+
+
+def test_schur_check_runs_once_per_group(monkeypatch):
+    """Building and composing channels over one group runs the Schur
+    indexing check once; a new group is checked again.  The group keeps the
+    builder, not a channel, so a dropped channel is freed without the
+    cyclic collector."""
+    checked = []
+    real = channels.schur_symbol
+
+    def counted(symbol):
+        checked.append(id(symbol.group))
+        return real(symbol)
+
+    monkeypatch.setattr(channels, "schur_symbol", counted)
+    rng = np.random.default_rng(16)
+    g = symmetric_group(4)
+    ch = build_channel(random_p1(g, rng))
+    for _ in range(10):
+        ch = compose(ch, build_channel(random_p1(g, rng)))
+    assert checked == [id(g)]
+    assert g._schur_checked is counted
+
+    h = symmetric_group(4)
+    compose(build_channel(constant_one(h)), build_channel(delta_e(h)))
+    assert checked == [id(g), id(h)]
+
+    dropped = weakref.ref(ch)
+    gc.disable()
+    try:
+        del ch
+        assert dropped() is None
+    finally:
+        gc.enable()

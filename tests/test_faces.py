@@ -37,6 +37,7 @@ from groupstates.errors import (
     SizeLimitExceeded,
 )
 from groupstates.faces import FaceDescriptor, _centrality_deviation
+from groupstates.vn import cached_block_decomposition
 from groupstates.groups import (
     algebra_matrix,
     check_projection,
@@ -364,27 +365,111 @@ def test_faces_are_convex(q8):
     assert face_membership(face, mix)
 
 
-@pytest.mark.parametrize(
-    "group",
-    [symmetric_group(3), quaternion_group(), dihedral_group(6), symmetric_group(4)],
-    ids=lambda g: g.name,
-)
-def test_state_decomposition_matches_dense_oracle(group):
-    """Coefficient-space split = dense p D p / q D q split, over random
-    states and every split face, to 1e-12."""
+ROUTES = ("coefficients", "blocks")
+
+
+def _group_on_route(kind, route):
+    """A fresh group that :func:`state_decomposition` splits states on by
+    ``route``: with no decomposition kept, or after ``block_decompose``."""
+    group = build_named(kind)
     table = character_table(group)
-    faces = split_faces(group, table)
-    rng = np.random.default_rng(11)
-    states = [to_state(random_p1(group, rng)) for _ in range(3)]
-    for state in states:
-        for face in faces:
-            t, w1, w2 = state_decomposition(state, face)
-            t_ref, c1, c2 = dense_state_decomposition(state, face)
-            assert abs(t - t_ref) < 1e-12
-            for got, ref in ((w1, c1), (w2, c2)):
+    if route == "blocks":
+        block_decompose(group, table)
+    assert (cached_block_decomposition(group) is None) == (route == "coefficients")
+    return group, table
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["symmetric:3", "quaternion8", "dihedral:6", "symmetric:4"],
+    ids=["S3", "Q8", "D6", "S4"],
+)
+def test_state_decomposition_matches_dense_oracle(kind):
+    """Both routes split like the dense p D p / q D q oracle, over random
+    states and every split face, to 1e-12: first on a fresh group (the
+    coefficient route), then on one that keeps a decomposition (the block
+    route)."""
+    for route in ROUTES:
+        group, table = _group_on_route(kind, route)
+        faces = split_faces(group, table)
+        rng = np.random.default_rng(11)
+        states = [to_state(random_p1(group, rng)) for _ in range(3)]
+        for state in states:
+            for face in faces:
+                t, w1, w2 = state_decomposition(state, face)
+                t_ref, c1, c2 = dense_state_decomposition(state, face)
+                assert abs(t - t_ref) < 1e-12
+                for got, ref in ((w1, c1), (w2, c2)):
+                    assert (got is None) == (ref is None)
+                    if got is not None:
+                        assert np.abs(got.coefficients - ref).max() < 1e-12
+
+
+def test_state_decomposition_routes_agree_on_s5():
+    """On S5 the block route gives the coefficient route's t exactly and its
+    components to 1e-12, on every minimal split face and some unions."""
+    (coeff_group, coeff_table), (block_group, block_table) = (
+        _group_on_route("symmetric:5", route) for route in ROUTES
+    )
+    coeff_faces = split_faces(coeff_group, coeff_table)
+    block_faces = split_faces(block_group, block_table)
+    rng = np.random.default_rng(12)
+    for _ in range(2):
+        values = random_p1(coeff_group, rng).values
+        coeff_state = to_state(GroupFunction(coeff_group, values))
+        block_state = to_state(GroupFunction(block_group, values))
+        for mask in (1, 2, 4, 8, 16, 32, 64, 5, 42, 99, 126):
+            t, w1, w2 = state_decomposition(coeff_state, coeff_faces[mask])
+            t_blk, b1, b2 = state_decomposition(block_state, block_faces[mask])
+            assert t_blk == t
+            for got, ref in ((b1, w1), (b2, w2)):
                 assert (got is None) == (ref is None)
                 if got is not None:
-                    assert np.abs(got.coefficients - ref).max() < 1e-12
+                    assert np.abs(got.coefficients - ref.coefficients).max() < 1e-12
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_state_decomposition_rejects_a_non_central_face(route):
+    """A diagonal matrix unit of the 2-dimensional block of Q8 is a
+    projection but not central."""
+    group, _ = _group_on_route("quaternion8", route)
+    # the unit comes from another copy of Q8, so the coefficient route's
+    # group keeps no decomposition
+    other = quaternion_group()
+    decomp = block_decompose(other, character_table(other), seed=0)
+    unit = decomp.unit_coeffs(decomp.block_dims.index(2), 0, 0)
+    face = descriptor_from_projection(group, unit)
+    assert not face.is_central
+    state = to_state(random_p1(group, np.random.default_rng(6)))
+    with pytest.raises(NotCentral) as info:
+        state_decomposition(state, face)
+    assert set(info.value.witness) == {"deviation"}
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_state_decomposition_rejects_half_a_central_projection(route):
+    """0.5 p_pi is central but not a projection: its block pi is I / 2."""
+    group, table = _group_on_route("symmetric:3", route)
+    pi = table.dims.index(2)
+    half = 0.5 * minimal_central_projections(group, table)[pi].coeffs
+    face = FaceDescriptor(group, half, None, is_central=True, is_split=True)
+    state = to_state(
+        convex_combine(
+            [0.5, 0.5], [central_state_function(table, 0), central_state_function(table, pi)]
+        )
+    )
+    assert abs(state.expectation(half).real - 0.25) < 1e-12
+    with pytest.raises(ConvergenceFailure):
+        state_decomposition(state, face)
+
+
+def test_descriptor_leaves_the_callers_array_writable(s3):
+    coeffs = minimal_central_projections(s3, character_table(s3))[0].coeffs.astype(complex)
+    assert coeffs.flags.writeable
+    face = descriptor_from_projection(s3, coeffs)
+    assert coeffs.flags.writeable and not face.coeffs.flags.writeable
+    coeffs[0] += 1.0
+    assert face.coeffs[0] != coeffs[0]
 
 
 def test_coefficient_centrality_matches_commutators(q8, s3):
