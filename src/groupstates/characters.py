@@ -17,6 +17,8 @@ from .errors import ConvergenceFailure, DegenerateSpectrum
 from .groups import (
     ConjugacyPartition,
     FiniteGroup,
+    _group_repr,
+    _WeakGroup,
     algebra_matrix,
     check_projection,
     conjugacy_classes,
@@ -40,9 +42,12 @@ class CharacterTable:
     coefficients, one row per irrep, of the minimal central projections
     once :func:`minimal_central_projections` has verified them for
     ``group``; a table made any other way starts without them.
+
+    ``group`` is a weak back-reference (see ``groups._WeakGroup``): the
+    group keeps its tables, and a table does not keep its group alive.
     """
 
-    group: FiniteGroup
+    group: FiniteGroup = _WeakGroup()
     partition: ConjugacyPartition
     dims: tuple[int, ...]
     chars: np.ndarray
@@ -52,6 +57,9 @@ class CharacterTable:
 
     def __post_init__(self):
         self.chars.setflags(write=False)
+
+    def __repr__(self) -> str:
+        return f"CharacterTable({_group_repr(self)}, dims={self.dims})"
 
     @property
     def num_irreps(self) -> int:
@@ -232,7 +240,7 @@ def minimal_central_projections(
     table and reused at ``tol`` or looser; each call returns fresh
     ``CentralProjection`` objects over them.
     """
-    own = group is table.group
+    own = group is table._group_ref()
     if own and table._projections is not None and table._projections[0] <= tol.residual_tol:
         coeffs = table._projections[1]
     else:

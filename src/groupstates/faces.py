@@ -24,6 +24,7 @@ from .errors import (
 )
 from .groups import (
     FiniteGroup,
+    _frozen,
     algebra_matrix,
     check_projection,
     convolve,
@@ -38,9 +39,11 @@ SPLIT_FACE_IRREP_LIMIT = 20
 class FaceDescriptor:
     """A face given by the coefficient vector of its supporting projection.
 
-    ``matrix`` is the read-only n x n regular-representation image of the
-    coefficients, built the first time it is read; a matrix passed in is
-    kept as is (made read-only), not rebuilt.
+    ``coeffs`` and ``matrix`` are read-only: an array passed in is kept as
+    is when it is read-only and copied when it is writable, so the
+    caller's array keeps its flags.  ``matrix`` is the n x n
+    regular-representation image of the coefficients, built the first
+    time it is read unless one is passed in.
     """
 
     def __init__(
@@ -54,12 +57,10 @@ class FaceDescriptor:
     ):
         if is_split != is_central:
             raise ValueError("a face is split exactly when its projection is central")
-        coeffs.setflags(write=False)
         if matrix is not None:
-            matrix.setflags(write=False)
-            self.__dict__["matrix"] = matrix
+            self.__dict__["matrix"] = _frozen(matrix)
         self.group = group
-        self.coeffs = coeffs
+        self.coeffs = _frozen(coeffs)
         self.is_central = is_central
         self.is_split = is_split
         self.irreps = irreps
@@ -150,6 +151,7 @@ def descriptor_from_projection(
     detecting centrality.  The descriptor holds a read-only copy of
     ``coeffs``; the caller's array is left as it was."""
     c = np.array(coeffs, dtype=complex)
+    c.setflags(write=False)
     check_projection(group, c, tol, what="face support")
     central = _centrality_deviation(group, c) <= tol.residual_tol
     return FaceDescriptor(group, c, None, central, central)
@@ -199,6 +201,7 @@ def split_faces(
     sums = indicators @ np.array([p.coeffs for p in minimal], dtype=complex).view(float)
     del indicators
     sums += 0.0  # sums from +0.0, as in a running sum: no coefficient is -0.0
+    sums.setflags(write=False)  # each face keeps its row as a view
     return [
         FaceDescriptor(
             group, c, None, True, True, irreps=tuple(pi for pi in range(k) if mask >> pi & 1)

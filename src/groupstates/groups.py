@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -65,8 +66,13 @@ class FiniteGroup:
       again only when the builder is replaced.  It holds a function, not a
       channel, so it adds no reference cycle.
 
-    The kept structure points back at the group; the garbage collector
-    frees the cycle once nothing else holds the group.
+    The kept tables and decomposition point back at the group only weakly
+    (their ``group`` is a :class:`_WeakGroup`), so they form no reference
+    cycle with it: once callers drop the last reference to the group, it
+    is freed at once with everything it keeps, without waiting for the
+    cyclic garbage collector.  A caller that keeps a table or a
+    decomposition must therefore hold its group too; reading its
+    ``group`` after the group is gone raises ReferenceError.
 
     Three read-only n x n int64 index tables are built the first time
     something reads them, so a query gathers through them instead of
@@ -145,9 +151,48 @@ class FiniteGroup:
         return f"FiniteGroup({self.name}, order={self.order})"
 
 
+class _WeakGroup:
+    """The ``group`` field of a structure that a group keeps: set once, by
+    the constructor, and held as a weak reference in the instance's
+    ``_group_ref``, so that the structure does not keep its group alive.
+
+    Reading the field dereferences it and raises ReferenceError, naming
+    the structure, once the group is gone; ``_group_ref()`` reads None
+    instead.  As a dataclass field default it leaves the field required,
+    since reading it on the class raises AttributeError.
+    """
+
+    def __get__(self, obj, owner=None) -> FiniteGroup:
+        if obj is None:
+            raise AttributeError("group is an instance field")
+        group = obj._group_ref()
+        if group is None:
+            raise ReferenceError(
+                f"the group of {obj!r} has been freed; hold the group while using it"
+            )
+        return group
+
+    def __set__(self, obj, group: FiniteGroup) -> None:
+        if "_group_ref" in vars(obj):
+            raise AttributeError("group is read-only")
+        vars(obj)["_group_ref"] = weakref.ref(group)
+
+
+def _group_repr(obj) -> str:
+    """repr of the group ``obj`` points back at, or a marker once it is gone."""
+    group = obj._group_ref()
+    return "<freed group>" if group is None else repr(group)
+
+
 def _read_only(table: np.ndarray) -> np.ndarray:
     table.setflags(write=False)
     return table
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` itself when it is already read-only, else a read-only copy, so
+    that a holder never changes the flags of its caller's array."""
+    return a if not a.flags.writeable else _read_only(a.copy())
 
 
 def _closure_generators(table: np.ndarray, identity: int) -> tuple[int, ...]:

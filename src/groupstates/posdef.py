@@ -28,7 +28,7 @@ from .errors import (
     NotNormalized,
     NotPositiveDefinite,
 )
-from .groups import FiniteGroup, algebra_matrix, same_group
+from .groups import FiniteGroup, _frozen, algebra_matrix, same_group
 from .linalg import DEFAULT_TOL, PsdVerdict, Tolerance, is_psd
 
 
@@ -151,14 +151,15 @@ class NormalState:
 
     ``coefficients`` are the lambda-basis coefficients of the density (equal
     to the values of the corresponding positive definite function).  The
-    pairing is omega(x) = tr(x . density) / |G|.
+    pairing is omega(x) = tr(x . density) / |G|.  They are read-only: a
+    read-only array is kept as is, a writable one is copied.
     """
 
     group: FiniteGroup
     coefficients: np.ndarray
 
     def __post_init__(self):
-        self.coefficients.setflags(write=False)
+        self.coefficients = _frozen(self.coefficients)
 
     def expectation(self, coeffs) -> complex:
         """omega applied to the algebra element sum_s coeffs[s] lambda_s."""
@@ -189,12 +190,12 @@ def to_state(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> NormalState:
             f"Gram matrix has eigenvalue {verdict.witness:.3e}",
             witness={"min_eigenvalue": verdict.witness, "cutoff": verdict.cutoff},
         )
-    return NormalState(g, fn.values.copy())
+    return NormalState(g, fn.values)
 
 
 def from_state(state: NormalState) -> GroupFunction:
     """The positive definite function phi(s) = omega(lambda_s^*)."""
-    return GroupFunction(state.group, state.coefficients.copy())
+    return GroupFunction(state.group, state.coefficients)
 
 
 def a_norm(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> float:

@@ -31,7 +31,14 @@ from .errors import (
     NotAffine,
     NotIsomorphic,
 )
-from .groups import FiniteGroup, algebra_matrix, generating_set, same_group
+from .groups import (
+    FiniteGroup,
+    _group_repr,
+    _WeakGroup,
+    algebra_matrix,
+    generating_set,
+    same_group,
+)
 from .linalg import DEFAULT_TOL, PsdVerdict, Tolerance, polar_unitary
 from .posdef import (
     GroupFunction,
@@ -118,9 +125,13 @@ class BlockDecomposition:
     them into blocks).  The embedding is a verified *-isomorphism.
     ``verified_tol`` is the tolerance :func:`block_decompose` verified it
     at, None for one built by hand.
+
+    ``group`` is a weak back-reference (see ``groups._WeakGroup``): the
+    group keeps its decomposition, and the decomposition does not keep its
+    group alive.  The hot paths read the order from ``_order`` instead.
     """
 
-    group: FiniteGroup
+    group: FiniteGroup = _WeakGroup()
     table: CharacterTable
     units: list[np.ndarray]
     seed: int
@@ -129,7 +140,7 @@ class BlockDecomposition:
     verified_tol: Tolerance | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        n = self.group.order
+        n = self._order = self.group.order
         dims = self.block_dims
         offsets = np.cumsum([0] + [d * d for d in dims])
         self._rows = [slice(a, b) for a, b in zip(offsets, offsets[1:])]
@@ -145,6 +156,12 @@ class BlockDecomposition:
             (d, blocks, np.r_[tuple(self._rows[pi] for pi in blocks)])
             for d, blocks in _blocks_by_dim(dims).items()
         ]
+
+    def __repr__(self) -> str:
+        return (
+            f"BlockDecomposition({_group_repr(self)}, dims={self.block_dims}, "
+            f"seed={self.seed})"
+        )
 
     @property
     def block_dims(self) -> tuple[int, ...]:
@@ -165,10 +182,10 @@ class BlockDecomposition:
 
     def _stacked(self, coeffs) -> np.ndarray:
         c = np.asarray(coeffs, dtype=complex)
-        if c.shape != (self.group.order,):
+        if c.shape != (self._order,):
             raise DimensionMismatch(
-                f"coefficients have shape {c.shape}, group order is {self.group.order}",
-                witness={"shape": list(c.shape), "order": self.group.order},
+                f"coefficients have shape {c.shape}, group order is {self._order}",
+                witness={"shape": list(c.shape), "order": self._order},
             )
         return self.transform @ c
 
@@ -181,7 +198,7 @@ class BlockDecomposition:
         pi, one row each: density B is the block (n / d) B, embedded by one
         product with the block's columns of ``inverse_transform``."""
         d = self.block_dims[pi]
-        scaled = (self.group.order / d) * densities.reshape(-1, d * d)
+        scaled = (self._order / d) * densities.reshape(-1, d * d)
         return scaled @ self.inverse_transform[:, self._rows[pi]].T
 
     def block_spectra(self, coeffs) -> list[np.ndarray]:
@@ -240,7 +257,7 @@ class BlockDecomposition:
         test's, and the witness equals it up to rounding.
         """
         wmin = min(float(w[0]) for w in fn._spectra(self))
-        cutoff = tol.eig_tol * self.group.order * float(np.abs(fn.values).max())
+        cutoff = tol.eig_tol * self._order * float(np.abs(fn.values).max())
         return PsdVerdict.from_witness(wmin, cutoff)
 
 
@@ -254,6 +271,22 @@ def _cluster_spectrum(evals: np.ndarray, scale: float) -> list[np.ndarray]:
         else:
             clusters[-1].append(idx)
     return [np.array(c) for c in clusters]
+
+
+def _regular_rho(w: np.ndarray, translate: np.ndarray) -> np.ndarray:
+    """rho[s] = W^* lambda_s W for every s, with W (n, d) and
+    (lambda_s w)(t) = w(s^{-1} t) = w[translate[s, t]].
+
+    One batched product per ceil(n / d) elements, so the gather holds about
+    n^2 numbers at a time instead of n^2 d.
+    """
+    n, d = w.shape
+    wh = w.conj().T
+    rho = np.empty((n, d, d), dtype=complex)
+    step = -(-n // d)
+    for a in range(0, n, step):
+        rho[a:a + step] = wh @ w[translate[a:a + step]]
+    return rho
 
 
 def block_decompose(
@@ -303,9 +336,7 @@ def block_decompose(
             if len(clusters) != d or any(len(c) != d for c in clusters):
                 continue
             w = basis @ vecs[:, clusters[0]]
-            # rho[s] = W^* lambda_s W, one batched product over the gather
-            # (lambda_s w)(t) = w(s^{-1} t)
-            rho = w.conj().T @ w[group._translate]
+            rho = _regular_rho(w, group._translate)
             block_units = (d / n) * rho.conj().transpose(1, 2, 0)
             break
         if block_units is None:

@@ -1,5 +1,6 @@
 """Shared fixtures and independent oracles used across the test suite."""
 
+import gc
 import itertools
 import math
 from dataclasses import dataclass
@@ -15,6 +16,17 @@ from groupstates import (
     symmetric_group,
 )
 from groupstates.vn import block_decompose as _block_decompose
+
+
+@pytest.fixture
+def collector_off():
+    """The cyclic garbage collector disabled for one test, so that only
+    reference counting frees what the test drops."""
+    enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
 
 
 @pytest.fixture(scope="session")

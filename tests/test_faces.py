@@ -472,6 +472,27 @@ def test_descriptor_leaves_the_callers_array_writable(s3):
     assert face.coeffs[0] != coeffs[0]
 
 
+def test_direct_descriptor_leaves_the_callers_arrays_writable(s3):
+    p = minimal_central_projections(s3, character_table(s3))[2]
+    coeffs, matrix = p.coeffs.copy(), p.matrix.copy()
+    face = FaceDescriptor(s3, coeffs, matrix, True, True, irreps=p.irreps)
+    assert coeffs.flags.writeable and matrix.flags.writeable
+    assert not face.coeffs.flags.writeable and not face.matrix.flags.writeable
+    coeffs[:] = 0.0
+    matrix[:] = 0.0
+    assert np.array_equal(face.coeffs, p.coeffs) and np.array_equal(face.matrix, p.matrix)
+    # read-only arrays are kept as they are, not copied
+    kept = FaceDescriptor(s3, p.coeffs, p.matrix, True, True, irreps=p.irreps)
+    assert kept.coeffs is p.coeffs and kept.matrix is p.matrix
+
+
+def test_split_faces_share_one_read_only_base(q8):
+    faces = split_faces(q8, character_table(q8))
+    base = faces[0].coeffs.base
+    assert base is not None and not base.flags.writeable
+    assert all(f.coeffs.base is base for f in faces)
+
+
 def test_coefficient_centrality_matches_commutators(q8, s3):
     """The class-function deviation equals the largest commutator entry with
     the regular representation over the whole group, and decides centrality

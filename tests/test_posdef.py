@@ -696,10 +696,12 @@ def test_blockwise_psd_matches_gram_oracle():
 
 @functools.lru_cache(maxsize=None)
 def _decomposed(name):
+    # the decomposition points back at its group only weakly, so the cache
+    # holds the group too
     group = {
         "S3": symmetric_group(3), "Q8": quaternion_group(), "D6": dihedral_group(6),
     }[name]
-    return block_decompose(group)
+    return group, block_decompose(group)
 
 
 @settings(max_examples=40, deadline=None)
@@ -711,7 +713,7 @@ def _decomposed(name):
 def test_fourier_and_gram_verdicts_agree_outside_the_band(name, seed, weight):
     # a mix of a state and an arbitrary Hermitian-symmetric function lands
     # on either side of the PSD boundary
-    decomp = _decomposed(name)
+    _, decomp = _decomposed(name)
     rng = np.random.default_rng(seed)
     state = random_p1(decomp.group, rng)
     other = random_hermitian_symmetric(decomp.group, rng)
@@ -874,3 +876,14 @@ def test_group_function_is_immutable(z3):
     # the values are a private copy, so the caller's array cannot change them
     source[1] = 9.0
     assert fn.values[1] == 0.25
+
+
+def test_normal_state_leaves_the_callers_array_writable(z3):
+    coefficients = np.array([1.0, 0.25, 0.25], dtype=complex)
+    state = posdef.NormalState(z3, coefficients)
+    assert coefficients.flags.writeable and not state.coefficients.flags.writeable
+    coefficients[1] = 9.0
+    assert state.coefficients[1] == 0.25
+    # to_state keeps the function's read-only values, no copy
+    fn = GroupFunction(z3, [1.0, 0.25, 0.25])
+    assert to_state(fn).coefficients is fn.values

@@ -1,5 +1,4 @@
 import functools
-import gc
 import tracemalloc
 import weakref
 
@@ -14,6 +13,7 @@ from groupstates import (
     a_norm,
     apply_descriptor,
     block_decompose,
+    build_channel,
     canonical_phase,
     central_state_function,
     character_table,
@@ -196,15 +196,14 @@ def test_failed_verification_leaves_the_cache_alone(monkeypatch):
     assert cached_block_decomposition(g) is kept
 
 
-def test_decomposition_cache_does_not_keep_the_group_alive():
-    # the group and its decomposition point at each other; the cycle is
-    # still collected once nothing else holds the group
+def test_decomposition_cache_does_not_keep_the_group_alive(collector_off):
+    # the decomposition points back at the group weakly, so reference
+    # counting alone frees both once nothing else holds the group
     g = symmetric_group(4)
     block_decompose(g)
     assert is_positive_definite(random_p1(g, np.random.default_rng(3))).is_psd
     ref = weakref.ref(g)
     del g
-    gc.collect()
     assert ref() is None
 
 
@@ -849,7 +848,7 @@ def test_homeomorphism_at_another_seed_builds_its_own_decomposition(monkeypatch)
     assert np.array_equal(other.forward_matrix, fresh.forward_matrix)
 
 
-def test_kept_structure_does_not_keep_the_group_alive():
+def test_kept_structure_does_not_keep_the_group_alive(collector_off):
     g = symmetric_group(4)
     table = character_table(g)
     minimal_central_projections(g, table)
@@ -857,8 +856,59 @@ def test_kept_structure_does_not_keep_the_group_alive():
     assert table._projections is not None and "_conjugacy" in vars(g)
     refs = [weakref.ref(x) for x in (g, table, g._block_decomposition)]
     del g, table
-    gc.collect()
     assert all(ref() is None for ref in refs)
+
+
+def test_dropped_group_is_freed_without_the_collector(collector_off):
+    g = symmetric_group(4)
+    table = character_table(g)
+    projections = minimal_central_projections(g, table)
+    decomp = block_decompose(g, table)
+    state = random_p1(g, np.random.default_rng(5))
+    assert is_positive_definite(state).is_psd
+    channel = build_channel(state)
+    homeo = construct_affine_homeomorphism(g, symmetric_group(4))
+    kept = [
+        g, table, decomp, table._projections[1], decomp.transform,
+        g._translate, g._algebra_index, g._conjugation,
+    ]
+    refs = [weakref.ref(x) for x in kept]
+    del g, table, projections, decomp, state, channel, homeo, kept
+    assert [ref() for ref in refs] == [None] * len(refs)
+
+
+def test_orphaned_structure_raises_on_reading_its_group():
+    table = character_table(symmetric_group(3))
+    decomp = block_decompose(symmetric_group(3))
+    for orphan, name in ((table, "CharacterTable"), (decomp, "BlockDecomposition")):
+        with pytest.raises(ReferenceError, match=name):
+            orphan.group
+        assert "<freed group>" in repr(orphan)
+    # another group with the table's structure still gets its projections
+    g = symmetric_group(3)
+    projections = minimal_central_projections(g, table)
+    assert [p.group for p in projections] == [g] * table.num_irreps
+    assert table._projections is None
+
+
+def test_kept_structure_group_is_read_only():
+    g = symmetric_group(3)
+    decomp = block_decompose(g)
+    with pytest.raises(AttributeError):
+        decomp.group = symmetric_group(3)
+    with pytest.raises(AttributeError):
+        decomp.table.group = symmetric_group(3)
+    assert decomp.group is g and decomp.table.group is g
+
+
+@pytest.mark.parametrize("name", list(LADDER))
+def test_chunked_rho_matches_one_gather(monkeypatch, name):
+    # rho is formed ceil(n/d) elements at a time; each element's product is
+    # the one the single n x n x d gather makes, so the units agree bit for bit
+    chunked = block_decompose(ladder_group(name))
+    monkeypatch.setattr(vn, "_regular_rho", lambda w, translate: w.conj().T @ w[translate])
+    oracle = block_decompose(ladder_group(name))
+    assert all(np.array_equal(a, b) for a, b in zip(chunked.units, oracle.units))
 
 
 def test_block_spectra_read_one_dimensional_blocks_exactly():
