@@ -18,6 +18,8 @@ from .groups import (
     ConjugacyPartition,
     FiniteGroup,
     _group_repr,
+    _keep,
+    _served,
     _WeakGroup,
     algebra_matrix,
     check_projection,
@@ -30,7 +32,7 @@ _MAX_RESAMPLES = 20
 _DIM_ROUNDING_TOL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CharacterTable:
     """Irreducible characters evaluated at class representatives.
 
@@ -38,22 +40,16 @@ class CharacterTable:
     representative of class c.  Rows are sorted canonically by (dimension,
     lexicographic order of the rounded row), so the table is deterministic.
 
-    ``_projections`` holds the ``residual_tol`` and the read-only
-    coefficients, one row per irrep, of the minimal central projections
-    once :func:`minimal_central_projections` has verified them for
-    ``group``; a table made any other way starts without them.
-
-    ``group`` is a weak back-reference (see ``groups._WeakGroup``): the
-    group keeps its tables, and a table does not keep its group alive.
+    ``_kept`` holds the projections :func:`minimal_central_projections`
+    verified for ``group`` (see ``groups.FiniteGroup``).  ``group`` is a
+    weak back-reference (``groups._WeakGroup``).  Tables compare by identity.
     """
 
     group: FiniteGroup = _WeakGroup()
     partition: ConjugacyPartition
     dims: tuple[int, ...]
     chars: np.ndarray
-    _projections: tuple[float, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _kept: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.chars.setflags(write=False)
@@ -78,7 +74,7 @@ class CharacterTable:
         return self.chars[pi][self.partition.class_of]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CentralProjection:
     """A central projection p = sum_s coeffs[s] lambda_s in the group algebra.
 
@@ -132,28 +128,17 @@ def character_table(
     tol: Tolerance = DEFAULT_TOL,
     partition: ConjugacyPartition | None = None,
 ) -> CharacterTable:
-    """The character table, computed once per group, seed and partition.
-
-    The group keeps the last table built for each seed, with the
-    ``residual_tol`` it was verified at.  It is returned again when it was
-    built on the very partition object given (the group's own, which
-    :func:`groupstates.groups.conjugacy_classes` returns, by default) and
-    verified at ``tol`` or tighter: the build is deterministic, so a fresh
-    one would hold the same values bit for bit.  Otherwise the table is
-    built, verified and kept.
-    """
-    if partition is None:
-        partition = conjugacy_classes(group)
-    table, verified_tol = group._character_tables.get(seed, (None, 0.0))
-    if table is not None and table.partition is partition:
-        if verified_tol > tol.residual_tol:
-            # the same values, now verified at a tighter tolerance
-            _build_table(group, seed, tol, partition)
-            group._character_tables[seed] = (table, tol.residual_tol)
+    """The character table, deterministic in ``seed``.  One built on the
+    group's own partition (the default) is kept on the group, see
+    ``groups.FiniteGroup``; one built on any other partition is not."""
+    own = conjugacy_classes(group)
+    if partition is None or partition is own:
+        table = _served(group, ("table", seed), tol)
+        if table is None:
+            table = _build_table(group, seed, tol, own)
+            _keep(group, ("table", seed), tol, table)
         return table
-    table = _build_table(group, seed, tol, partition)
-    group._character_tables[seed] = (table, tol.residual_tol)
-    return table
+    return _build_table(group, seed, tol, partition)
 
 
 def _build_table(
@@ -237,16 +222,15 @@ def minimal_central_projections(
     of regular-representation rank d_pi^2, read from the trace n p(e), the
     set pairwise orthogonal and summing to the identity.  When ``group``
     is the table's own group the verified coefficients are kept on the
-    table and reused at ``tol`` or looser; each call returns fresh
+    table (see ``groups.FiniteGroup``); each call returns fresh
     ``CentralProjection`` objects over them.
     """
     own = group is table._group_ref()
-    if own and table._projections is not None and table._projections[0] <= tol.residual_tol:
-        coeffs = table._projections[1]
-    else:
+    coeffs = _served(table, "projections", tol) if own else None
+    if coeffs is None:
         coeffs = _verified_projections(group, table, tol)
         if own:
-            object.__setattr__(table, "_projections", (tol.residual_tol, coeffs))
+            _keep(table, "projections", tol, coeffs)
     return [CentralProjection(group, c, (pi,)) for pi, c in enumerate(coeffs)]
 
 

@@ -26,6 +26,7 @@ from .groups import (
     FiniteGroup,
     _frozen,
     algebra_matrix,
+    cached_block_decomposition,
     check_projection,
     convolve,
     same_group,
@@ -223,9 +224,9 @@ def state_decomposition(
     routes:
 
     - **Blocks**, when the group keeps a decomposition verified at ``tol``
-      or tighter (``vn.cached_block_decomposition``).  p is central exactly
-      when each of its Fourier blocks is scalar (Schur's lemma), and a
-      central projection has every block 0 or I.  So p and phi are each
+      or tighter (``groups.cached_block_decomposition``).  p is central
+      exactly when each of its Fourier blocks is scalar (Schur's lemma),
+      and a central projection has every block 0 or I.  So p and phi are each
       transformed once, and every block of p is certified to be 0 or I
       within ``residual_tol``: a block off its scalar part raises
       NotCentral with the largest deviation as witness, a scalar block
@@ -241,8 +242,6 @@ def state_decomposition(
     regular-representation matrix, and both components pass the PSD test
     of :func:`to_state`.
     """
-    from .vn import cached_block_decomposition
-
     group = state.group
     if not same_group(face.group, group):
         raise GroupMismatch(

@@ -12,7 +12,7 @@ import functools
 import itertools
 import weakref
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -26,10 +26,6 @@ from .errors import (
 )
 from .linalg import DEFAULT_TOL, Tolerance
 
-if TYPE_CHECKING:
-    from .characters import CharacterTable
-    from .vn import BlockDecomposition
-
 DEFAULT_CLOSURE_LIMIT = 10000
 SYMMETRIC_DEGREE_LIMIT = 8
 # entries of one chunk of the product gather in _permutation_table
@@ -40,53 +36,38 @@ _GATHER_ENTRIES = 2**20
 class FiniteGroup:
     """A finite group: Cayley table, identity, inverses, optional labels.
 
-    The group also keeps the verified structure built for it, so each piece
-    is computed once per group; every kept value is what a fresh build
-    with the same arguments returns, bit for bit, and is served only at
-    the tolerance it was verified at or a looser one.
+    The group keeps what is built for it, so each piece is computed once:
 
-    - ``_conjugacy`` is the partition :func:`conjugacy_classes` returns,
-      and ``_generators`` the set :func:`generating_set` returns.
-    - ``_character_tables`` maps a seed to the table
-      :func:`groupstates.characters.character_table` built and the
-      ``residual_tol`` it was verified at.  The table holds the
-      coefficient vectors of its minimal central projections once
-      :func:`groupstates.characters.minimal_central_projections` has
-      verified them.  Only coefficient arrays are kept, never n x n
-      matrices.
-    - ``_block_decomposition`` is the decomposition that
-      :func:`groupstates.vn.block_decompose` verified at the tightest
-      ``residual_tol`` (the latest among equals), or None; the PSD,
-      A-norm, CP, extremality, chain and homeomorphism layers read it
-      through ``vn.kept_block_decomposition`` and
-      ``vn.cached_block_decomposition``.
-    - ``_schur_checked`` is the ``channels.schur_symbol`` builder whose
-      indexing check passed on this group, or None: the check tests the
-      group's index table, not a symbol, so it runs once per group and
-      again only when the builder is replaced.  It holds a function, not a
-      channel, so it adds no reference cycle.
+    - ``_conjugacy`` (:func:`conjugacy_classes`) and ``_generators``
+      (:func:`generating_set`);
+    - in ``_kept``, with the ``residual_tol`` each was verified at: under
+      ``("table", seed)`` the table ``characters.character_table`` built on
+      the group's own partition, under ``"decomposition"`` the one
+      ``vn.block_decompose`` built.  A table's ``_kept`` holds, under
+      ``"projections"``, the coefficient rows
+      ``characters.minimal_central_projections`` verified for its group.
+      One rule serves them all (:func:`_served`, :func:`_keep`): a value
+      is served at its tolerance or a looser one, the tightest is kept,
+      the latest among equals, and each equals a fresh build with the
+      same arguments bit for bit;
+    - ``_schur_checked``, the ``channels.schur_symbol`` builder whose
+      indexing check passed: the check tests the group's index table, so
+      it runs again only when the builder is replaced.  It holds a
+      function, not a channel, so it adds no reference cycle.
 
-    The kept tables and decomposition point back at the group only weakly
-    (their ``group`` is a :class:`_WeakGroup`), so they form no reference
-    cycle with it: once callers drop the last reference to the group, it
-    is freed at once with everything it keeps, without waiting for the
-    cyclic garbage collector.  A caller that keeps a table or a
-    decomposition must therefore hold its group too; reading its
-    ``group`` after the group is gone raises ReferenceError.
+    Kept tables and decompositions point back at the group weakly
+    (:class:`_WeakGroup`), so dropping the last reference to the group
+    frees it and everything it keeps without the cyclic collector.  A
+    caller that keeps a table or a decomposition must hold its group.
 
-    Three read-only n x n int64 index tables are built the first time
-    something reads them, so a query gathers through them instead of
-    rebuilding them:
+    Three read-only n x n int64 index tables are built on first read, at
+    8 n^2 bytes each (115 KB on S5, 4.1 MB on S6, 203 MB on S7):
 
     - ``_translate[s, t]`` is s^{-1} t: (lambda_s w)(t) = w(s^{-1} t), the
       Gram matrix (as its transpose), the regular traces and the block
       decomposition's gather;
-    - ``_algebra_index[t, u]`` is t u^{-1}: the regular-representation
-      image of a coefficient vector (:func:`algebra_matrix`);
+    - ``_algebra_index[t, u]`` is t u^{-1}: :func:`algebra_matrix`;
     - ``_conjugation[g, s]`` is g s g^{-1}: the centrality test of faces.
-
-    Each costs 8 n^2 bytes, only once read: 115 KB on S5, 4.1 MB on S6 and
-    203 MB on S7.
     """
 
     order: int
@@ -95,12 +76,7 @@ class FiniteGroup:
     inverses: np.ndarray
     labels: tuple[str, ...] | None = None
     name: str = "group"
-    _character_tables: dict[int, tuple[CharacterTable, float]] = field(
-        default_factory=dict, init=False, repr=False
-    )
-    _block_decomposition: BlockDecomposition | None = field(
-        default=None, init=False, repr=False
-    )
+    _kept: dict = field(default_factory=dict, init=False, repr=False)
     _schur_checked: Callable | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -149,6 +125,28 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
+
+
+def _served(holder, key, tol: Tolerance):
+    """The value ``holder`` keeps under ``key`` when it was verified at
+    ``tol.residual_tol`` or tighter, else None."""
+    kept = holder._kept.get(key)
+    return kept[1] if kept is not None and kept[0] <= tol.residual_tol else None
+
+
+def _keep(holder, key, tol: Tolerance, value) -> None:
+    """Keep ``value``, verified at ``tol``, under ``key`` unless a value
+    verified at a tighter ``residual_tol`` is kept there: the tightest is
+    kept, the latest among equals."""
+    kept = holder._kept.get(key)
+    if kept is None or kept[0] >= tol.residual_tol:
+        holder._kept[key] = (tol.residual_tol, value)
+
+
+def cached_block_decomposition(group: FiniteGroup, tol: Tolerance = DEFAULT_TOL):
+    """The decomposition ``vn.block_decompose`` keeps for ``group``, or None
+    when there is none verified at ``tol.residual_tol`` or tighter."""
+    return _served(group, "decomposition", tol)
 
 
 class _WeakGroup:

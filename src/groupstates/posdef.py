@@ -28,7 +28,13 @@ from .errors import (
     NotNormalized,
     NotPositiveDefinite,
 )
-from .groups import FiniteGroup, _frozen, algebra_matrix, same_group
+from .groups import (
+    FiniteGroup,
+    _frozen,
+    algebra_matrix,
+    cached_block_decomposition,
+    same_group,
+)
 from .linalg import DEFAULT_TOL, PsdVerdict, Tolerance, is_psd
 
 
@@ -120,7 +126,7 @@ def is_positive_definite(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> Psd
     """PSD verdict for phi, with witness eigenvalue.
 
     When the group holds a block decomposition verified at ``tol`` or
-    tighter (``vn.cached_block_decomposition``), the verdict is read from
+    tighter (``groups.cached_block_decomposition``), the verdict is read from
     the Fourier blocks of phi (``BlockDecomposition.psd_verdict``: phi is
     positive definite iff every block is PSD); otherwise it is the
     eigen-test of the full Gram matrix.  Both see the same spectrum with
@@ -131,8 +137,6 @@ def is_positive_definite(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> Psd
     call; the eigen-test runs once per function and tolerance, and its
     verdict is cached on ``fn``, as are the block spectra it reads.
     """
-    from .vn import cached_block_decomposition
-
     _require_hermitian_symmetric(fn, tol)
     verdict = fn._psd_verdicts.get(tol)
     if verdict is None:
@@ -209,8 +213,6 @@ def a_norm(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> float:
     of the dense n x n density, which costs less than building a
     decomposition (see is_positive_definite).
     """
-    from .vn import cached_block_decomposition
-
     _require_hermitian_symmetric(fn, tol)
     decomp = cached_block_decomposition(fn.group, tol)
     if decomp is not None:

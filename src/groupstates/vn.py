@@ -34,14 +34,17 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     _group_repr,
+    _keep,
     _WeakGroup,
     algebra_matrix,
+    cached_block_decomposition,
     generating_set,
     same_group,
 )
 from .linalg import DEFAULT_TOL, PsdVerdict, Tolerance, polar_unitary
 from .posdef import (
     GroupFunction,
+    _gram_cutoff,
     convex_combine,
     gram_matrix,
     random_hermitian_symmetric,
@@ -123,8 +126,6 @@ class BlockDecomposition:
     ``transform[(pi, j, k), s] = (n / d_pi) u^pi_{kj}(s^{-1})``, which takes
     a coefficient vector to its stacked blocks (from_coefficients splits
     them into blocks).  The embedding is a verified *-isomorphism.
-    ``verified_tol`` is the tolerance :func:`block_decompose` verified it
-    at, None for one built by hand.
 
     ``group`` is a weak back-reference (see ``groups._WeakGroup``): the
     group keeps its decomposition, and the decomposition does not keep its
@@ -137,7 +138,6 @@ class BlockDecomposition:
     seed: int
     transform: np.ndarray = field(init=False, repr=False)
     inverse_transform: np.ndarray = field(init=False, repr=False)
-    verified_tol: Tolerance | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         n = self._order = self.group.order
@@ -251,14 +251,13 @@ class BlockDecomposition:
         sum of block pi taken d_pi times, and the Gram and Schur matrices
         of phi are that matrix up to transposition and relabelling, so the
         three spectra coincide (Serre, 6.2).  The witness is the smallest
-        block eigenvalue; the cutoff is the Gram matrix's,
-        ``eig_tol * n * max|phi|``, since every Gram entry is a value of
-        phi.  Verdict, cutoff and undecided flag therefore equal the dense
-        test's, and the witness equals it up to rounding.
+        block eigenvalue; the cutoff is the Gram matrix's
+        (``posdef._gram_cutoff``).  Verdict, cutoff and undecided flag
+        therefore equal the dense test's, and the witness equals it up to
+        rounding.
         """
         wmin = min(float(w[0]) for w in fn._spectra(self))
-        cutoff = tol.eig_tol * self._order * float(np.abs(fn.values).max())
-        return PsdVerdict.from_witness(wmin, cutoff)
+        return PsdVerdict.from_witness(wmin, _gram_cutoff(fn, tol))
 
 
 def _cluster_spectrum(evals: np.ndarray, scale: float) -> list[np.ndarray]:
@@ -310,8 +309,7 @@ def block_decompose(
     DecompositionFailure once the retry budget is exhausted.
 
     Always builds; once verified, the result is kept on ``group`` for
-    :func:`cached_block_decomposition`, replacing an earlier one verified
-    at the same or a looser ``residual_tol``; a tighter one is kept.
+    ``groups.cached_block_decomposition`` by the rule of ``groups._keep``.
     """
     if table is None:
         table = character_table(group, seed=seed)
@@ -348,22 +346,7 @@ def block_decompose(
 
     decomp = BlockDecomposition(group, table, units, seed)
     _verify_decomposition(decomp, tol)
-    decomp.verified_tol = tol
-    kept = group._block_decomposition
-    if kept is None or kept.verified_tol.residual_tol >= tol.residual_tol:
-        group._block_decomposition = decomp
-    return decomp
-
-
-def cached_block_decomposition(
-    group: FiniteGroup, tol: Tolerance = DEFAULT_TOL
-) -> BlockDecomposition | None:
-    """The decomposition :func:`block_decompose` keeps for ``group`` (the
-    tightest it verified, the latest among equals), or None when there is
-    none or it was verified at a looser ``residual_tol`` than ``tol``'s."""
-    decomp = group._block_decomposition
-    if decomp is None or decomp.verified_tol.residual_tol > tol.residual_tol:
-        return None
+    _keep(group, "decomposition", tol, decomp)
     return decomp
 
 

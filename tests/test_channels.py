@@ -34,10 +34,9 @@ from groupstates import (
 from groupstates.cli import dispatch
 from groupstates import channels, vn
 from groupstates.errors import GroupMismatch, InternalDisagreement, NotHermitianSymmetric
-from groupstates.groups import algebra_matrix
+from groupstates.groups import algebra_matrix, cached_block_decomposition
 from groupstates.jsonio import function_to_json
 from groupstates.linalg import Tolerance
-from groupstates.vn import cached_block_decomposition
 
 from conftest import (
     criterion_04_groups,

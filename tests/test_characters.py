@@ -287,6 +287,21 @@ def test_kept_table_is_not_served_across_seed_tolerance_or_group(monkeypatch):
     )
     reordered, spent = costs(lambda: character_table(g, partition=shuffled))
     assert spent["eig"] >= 1 and reordered.partition is shuffled
+    # it is returned, not kept: the group's own table and its verified
+    # projections are still served
+    again, spent = costs(lambda: character_table(g))
+    assert again is tight and spent["eig"] == 0
+    assert costs(lambda: minimal_central_projections(g, tight))[1]["check_projection"] == 0
+
+
+def test_tables_and_projections_compare_and_hash_by_identity():
+    g = symmetric_group(3)
+    first, second = character_table(g, seed=0), character_table(g, seed=1)
+    assert first == first and first != second
+    assert len({first, second, first}) == 2
+    p0, p1 = minimal_central_projections(g, first)[:2]
+    assert p0 == p0 and p0 != p1
+    assert len({p0, p1, p0}) == 2
 
 
 @pytest.mark.parametrize("name", list(LADDER))

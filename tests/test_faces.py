@@ -37,9 +37,9 @@ from groupstates.errors import (
     SizeLimitExceeded,
 )
 from groupstates.faces import FaceDescriptor, _centrality_deviation
-from groupstates.vn import cached_block_decomposition
 from groupstates.groups import (
     algebra_matrix,
+    cached_block_decomposition,
     check_projection,
     generating_set,
 )

@@ -41,10 +41,10 @@ from groupstates.errors import (
     NotPositiveDefinite,
 )
 from groupstates import posdef, vn
-from groupstates.groups import algebra_matrix
+from groupstates.groups import algebra_matrix, cached_block_decomposition
 from groupstates.linalg import DEFAULT_TOL, Tolerance
 from groupstates.posdef import commutant_dimension
-from groupstates.vn import BlockDecomposition, cached_block_decomposition
+from groupstates.vn import BlockDecomposition
 
 from conftest import (
     LADDER,

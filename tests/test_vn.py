@@ -50,12 +50,11 @@ from groupstates.errors import (
     NotAffine,
     NotIsomorphic,
 )
-from groupstates.groups import algebra_matrix, validate_group
-from groupstates.linalg import DEFAULT_TOL
+from groupstates.groups import algebra_matrix, cached_block_decomposition, validate_group
+from groupstates.linalg import DEFAULT_TOL, Tolerance
 from groupstates.vn import (
     BlockDecomposition,
     _coefficient_transport,
-    cached_block_decomposition,
     _matching_by_dimension,
     _verify_decomposition,
 )
@@ -175,12 +174,27 @@ def test_block_decompose_keeps_its_verified_result_on_the_group():
     g = quaternion_group()
     assert cached_block_decomposition(g) is None
     first = block_decompose(g, seed=1)
-    assert first.verified_tol == DEFAULT_TOL
+    assert g._kept["decomposition"] == (DEFAULT_TOL.residual_tol, first)
     assert cached_block_decomposition(g) is first
     # it always builds, and the group keeps the last one
     second = block_decompose(g, seed=1)
     assert second is not first and cached_block_decomposition(g) is second
     assert all(np.array_equal(a, b) for a, b in zip(first.units, second.units))
+
+
+def test_table_verified_tighter_is_new_and_its_decomposition_built_on_it():
+    q8 = quaternion_group()
+    loose = character_table(q8, tol=Tolerance(residual_tol=1e-6))
+    on_loose = vn.kept_block_decomposition(q8, DEFAULT_TOL, loose, 0)
+    # asked for at a tighter tolerance, the table is built and kept again
+    table = character_table(q8)
+    assert table is not loose and character_table(q8) is table
+    fresh = character_table(quaternion_group())
+    assert table.dims == fresh.dims and table.chars.tobytes() == fresh.chars.tobytes()
+    # the decomposition kept on the old table is not served for the new one
+    decomp = vn.kept_block_decomposition(q8, DEFAULT_TOL, table, 0)
+    assert decomp.table is table and decomp is not on_loose
+    assert all(np.array_equal(a, b) for a, b in zip(decomp.units, on_loose.units))
 
 
 def test_failed_verification_leaves_the_cache_alone(monkeypatch):
@@ -853,8 +867,8 @@ def test_kept_structure_does_not_keep_the_group_alive(collector_off):
     table = character_table(g)
     minimal_central_projections(g, table)
     construct_affine_homeomorphism(g, symmetric_group(4))
-    assert table._projections is not None and "_conjugacy" in vars(g)
-    refs = [weakref.ref(x) for x in (g, table, g._block_decomposition)]
+    assert "projections" in table._kept and "_conjugacy" in vars(g)
+    refs = [weakref.ref(x) for x in (g, table, cached_block_decomposition(g))]
     del g, table
     assert all(ref() is None for ref in refs)
 
@@ -869,7 +883,7 @@ def test_dropped_group_is_freed_without_the_collector(collector_off):
     channel = build_channel(state)
     homeo = construct_affine_homeomorphism(g, symmetric_group(4))
     kept = [
-        g, table, decomp, table._projections[1], decomp.transform,
+        g, table, decomp, table._kept["projections"][1], decomp.transform,
         g._translate, g._algebra_index, g._conjugation,
     ]
     refs = [weakref.ref(x) for x in kept]
@@ -888,7 +902,7 @@ def test_orphaned_structure_raises_on_reading_its_group():
     g = symmetric_group(3)
     projections = minimal_central_projections(g, table)
     assert [p.group for p in projections] == [g] * table.num_irreps
-    assert table._projections is None
+    assert "projections" not in table._kept
 
 
 def test_kept_structure_group_is_read_only():
