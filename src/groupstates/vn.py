@@ -45,7 +45,6 @@ from .linalg import DEFAULT_TOL, PsdVerdict, Tolerance, polar_unitary
 from .posdef import (
     GroupFunction,
     _gram_cutoff,
-    convex_combine,
     gram_matrix,
     random_hermitian_symmetric,
     random_p1,
@@ -54,10 +53,10 @@ from .posdef import (
 _CLUSTER_GAP = 1e-6
 # resamples per block before block_decompose gives up
 _MAX_RETRIES = 20
-# random mixtures tested for affinity, and held-out samples the fitted
-# descriptor must reproduce, in verify_jordan_form
+# random mixtures of pairs of random states tested for affinity in
+# verify_jordan_form; the fitted descriptor must reproduce the map on all
+# of these probes
 _AFFINITY_SAMPLES = 8
-_HOLDOUT_SAMPLES = 12
 
 
 @dataclass(frozen=True)
@@ -611,12 +610,13 @@ class AffineHomeoDescriptor:
     entries is fixed at construction (``_stacked_action``): per block
     dimension, the stacked rows the blocks are read from (transposes folded
     into the order), the rows their images land in, and the unitaries and
-    their adjoints stacked.
+    their adjoints stacked.  So are the block dimensions, ``dims``.
     """
 
     sigma: tuple[int, ...]
     unitaries: tuple[np.ndarray, ...]
     transpose: tuple[bool, ...]
+    dims: tuple[int, ...] = field(init=False, repr=False)
     _stacked_action: list = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -645,6 +645,7 @@ class AffineHomeoDescriptor:
                     f"sigma does not preserve dimensions at block {pi}",
                     witness={"block": pi},
                 )
+        self.dims = tuple(dims)
         self.transpose = tuple(
             flag if dims[pi] >= 2 else False
             for pi, flag in enumerate(self.transpose)
@@ -663,9 +664,18 @@ class AffineHomeoDescriptor:
                 (d, src, dst, u, np.ascontiguousarray(u.conj().transpose(0, 2, 1)))
             )
 
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(u.shape[0] for u in self.unitaries)
+    def _push(self, stacked: np.ndarray) -> np.ndarray:
+        """The action on the stacked block entries of one function, or of a
+        stack of functions, one per row: per block dimension one gather, one
+        batched product u B u* and one scatter.  The transposes put the
+        entries on the first axis, so one function takes the plain 1-D
+        gather and scatter."""
+        pushed = np.empty_like(stacked)
+        lead = stacked.shape[:-1]
+        for d, src, dst, u, u_adj in self._stacked_action:
+            blocks = stacked.T[src].T.reshape(lead + (-1, d, d))
+            pushed.T[dst] = (u @ blocks @ u_adj).reshape(lead + (-1,)).T
+        return pushed
 
 
 def apply_descriptor(
@@ -679,7 +689,9 @@ def apply_descriptor(
     in block sigma[pi]; transposition preserves positivity, so the image
     stays inside P1.  In stacked coordinates: one product with
     ``transform``, one gather, batched product and scatter per block
-    dimension, and one product with ``inverse_transform``.
+    dimension (``AffineHomeoDescriptor._push``, which the reproduction check
+    of :func:`verify_jordan_form` runs on a stack of functions), and one
+    product with ``inverse_transform``.
     """
     if desc.dims != decomp.block_dims:
         raise DimensionMismatch(
@@ -687,10 +699,7 @@ def apply_descriptor(
             f"{decomp.block_dims}",
             witness={"descriptor": list(desc.dims), "decomposition": list(decomp.block_dims)},
         )
-    stacked = decomp._stacked(fn.values)
-    pushed = np.empty_like(stacked)
-    for d, src, dst, u, u_adj in desc._stacked_action:
-        pushed[dst] = (u @ stacked[src].reshape(-1, d, d) @ u_adj).reshape(-1)
+    pushed = desc._push(decomp._stacked(fn.values))
     return GroupFunction(decomp.group, decomp.inverse_transform @ pushed)
 
 
@@ -816,15 +825,19 @@ def verify_jordan_form(
 ) -> AffineHomeoDescriptor:
     """Fit a black-box affine self-map of P1(G) to a block descriptor.
 
-    Affinity is verified on random mixtures first.  Then the map is read in
-    one pass of n calls, on the d^2 states of a spanning frame of each
-    block (:func:`_density_frame`), embedded by one product per block and
-    read back by one product with ``transform``.  The block permutation is
-    read off the images of the central block states, each the mean image
-    of its block's diagonal frame states; after the support, permutation
-    and dimension checks, each block's unitary and transpose flag are
-    fitted from its frame images.  The result reproduces the map on
-    held-out samples to 1e-7 or FitFailure is raised.
+    Affinity is verified first, on 8 random mixtures of 16 random states
+    drawn in one ``random_p1(..., size=16)`` call: 24 map calls, whose
+    images are kept.  Then the map is read in one pass of n calls, on the
+    d^2 states of a spanning frame of each block (:func:`_density_frame`),
+    embedded by one product per block and read back by one product with
+    ``transform``.  The block permutation is read off the images of the
+    central block states, each the mean image of its block's diagonal frame
+    states; after the support, permutation and dimension checks, each
+    block's unitary and transpose flag are fitted from its frame images, so
+    the descriptor depends on the frame images alone.  The result must
+    reproduce the kept images of all 24 affinity probes to 1e-7, checked by
+    one stacked descriptor product, or FitFailure is raised.  The map is
+    called n + 24 times in all.
     """
     group = decomp.group
     dims = decomp.block_dims
@@ -832,19 +845,24 @@ def verify_jordan_form(
     n = group.order
     rng = np.random.default_rng(seed)
 
-    for _ in range(_AFFINITY_SAMPLES):
-        f1 = random_p1(group, rng)
-        f2 = random_p1(group, rng)
-        t = float(rng.uniform(0.2, 0.8))
-        mixed = convex_combine([t, 1.0 - t], [f1, f2])
-        lhs = transform(mixed).values
-        rhs = t * transform(f1).values + (1.0 - t) * transform(f2).values
-        dev = float(np.abs(lhs - rhs).max())
-        if dev > 100 * tol.residual_tol:
-            raise NotAffine(
-                f"map violates affinity on samples (deviation {dev:.3e})",
-                witness={"deviation": dev},
-            )
+    # probes: the 2m draws f_j, then the m mixtures t_i f_2i + (1 - t_i) f_2i+1
+    m = _AFFINITY_SAMPLES
+    draws = random_p1(group, rng, size=2 * m)
+    t = rng.uniform(0.2, 0.8, size=m)[:, None]
+    values = np.stack([fn.values for fn in draws])
+    mixtures = t * values[0::2] + (1.0 - t) * values[1::2]
+    probes = np.concatenate([values, mixtures])
+    probe_images = np.stack(
+        [transform(fn).values for fn in draws]
+        + [transform(GroupFunction(group, c)).values for c in mixtures]
+    )
+    mixed_images = t * probe_images[0:2 * m:2] + (1.0 - t) * probe_images[1:2 * m:2]
+    dev = float(np.abs(probe_images[2 * m:] - mixed_images).max())
+    if dev > 100 * tol.residual_tol:
+        raise NotAffine(
+            f"map violates affinity on samples (deviation {dev:.3e})",
+            witness={"deviation": dev},
+        )
 
     # row (pi, i) of ``images``: the stacked blocks of the image of frame
     # state i of block pi; the frame of block pi fills the rows of block pi
@@ -894,11 +912,8 @@ def verify_jordan_form(
         transpose.append(flag)
 
     desc = AffineHomeoDescriptor(tuple(sigma), tuple(unitaries), tuple(transpose))
-    worst = 0.0
-    for _ in range(_HOLDOUT_SAMPLES):
-        fn = random_p1(group, rng)
-        reproduced = apply_descriptor(desc, fn, decomp)
-        worst = max(worst, float(np.abs(reproduced.values - transform(fn).values).max()))
+    reproduced = desc._push(probes @ decomp.transform.T) @ decomp.inverse_transform.T
+    worst = float(np.abs(reproduced - probe_images).max())
     if worst > 1e-7:
         raise FitFailure(
             f"fitted descriptor reproduces the map to {worst:.3e} only",
