@@ -488,44 +488,18 @@ def random_hermitian_symmetric(group: FiniteGroup, rng: np.random.Generator) -> 
     return GroupFunction(group, v)
 
 
-def random_p1(
-    group: FiniteGroup, rng: np.random.Generator, size: int | None = None
-) -> GroupFunction | list[GroupFunction]:
+def random_p1(group: FiniteGroup, rng: np.random.Generator) -> GroupFunction:
     """Dirichlet mixture of 1..n random vector states: samples all of P1.
 
-    Draws the component count m and the Dirichlet weights, then m complex
-    Gaussian vectors from one ``normal(size=(m, 2, n))`` (the stream of m
-    pairs of ``normal(size=n)``, real parts first), and reads
-    phi(s) = tr(lambda_s M) from the mixed density
-    M = sum_i w_i xi_i xi_i^* of the normalized vectors.
-
-    With ``size`` it returns a list of ``size`` states from one draw of each
-    kind: every count from one ``integers`` call, every weight from one
-    ``standard_exponential`` call, each scaled by the reciprocal of its
-    state's sequential sum (how ``Generator.dirichlet`` normalizes its
-    Gamma(1) = Exp(1) draws), then each state's Gaussian vectors in turn,
-    which is the stream of one ``normal`` call for all of them.  Densities
-    are formed one state at a time.  Without ``size`` it is that draw of
-    one state, so the stream and values are those of ``integers(1, n + 1)``,
-    ``dirichlet(ones(m))`` and the normal draw, bit for bit.
+    Draws the weights, then m complex Gaussian vectors from one
+    ``normal(size=(m, 2, n))`` (the stream of m pairs of ``normal(size=n)``,
+    real parts first), and reads phi(s) = tr(lambda_s M) from the mixed
+    density M = sum_i w_i xi_i xi_i^* of the normalized vectors.
     """
-    if size is not None and (
-        isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1
-    ):
-        raise ValueError(f"size must be a positive int, got {size!r}")
     n = group.order
-    counts = rng.integers(1, n + 1, size=1 if size is None else int(size)).tolist()
-    draws = rng.standard_exponential(size=sum(counts))
-    fns = []
-    start = 0
-    for m in counts:
-        w = draws[start:start + m]
-        start += m
-        # cumsum adds left to right, as dirichlet does (np.sum adds pairwise)
-        w = w * (1.0 / w.cumsum()[-1])
-        vectors = rng.normal(size=(m, 2, n))
-        xi = vectors[:, 0] + 1j * vectors[:, 1]
-        xi /= np.linalg.norm(xi, axis=1, keepdims=True)
-        density = (w[:, None] * xi).T @ xi.conj()
-        fns.append(GroupFunction(group, _regular_traces(group._translate, density)))
-    return fns[0] if size is None else fns
+    weights = rng.dirichlet(np.ones(int(rng.integers(1, n + 1))))
+    draws = rng.normal(size=(weights.size, 2, n))
+    xi = draws[:, 0] + 1j * draws[:, 1]
+    xi /= np.linalg.norm(xi, axis=1, keepdims=True)
+    density = (weights[:, None] * xi).T @ xi.conj()
+    return GroupFunction(group, _regular_traces(group._translate, density))

@@ -689,9 +689,9 @@ def apply_descriptor(
     in block sigma[pi]; transposition preserves positivity, so the image
     stays inside P1.  In stacked coordinates: one product with
     ``transform``, one gather, batched product and scatter per block
-    dimension (``AffineHomeoDescriptor._push``, which the reproduction check
-    of :func:`verify_jordan_form` runs on a stack of functions), and one
-    product with ``inverse_transform``.
+    dimension (``AffineHomeoDescriptor._push``, which
+    :func:`_apply_to_rows` runs on a stack of functions), and one product
+    with ``inverse_transform``.
     """
     if desc.dims != decomp.block_dims:
         raise DimensionMismatch(
@@ -701,6 +701,16 @@ def apply_descriptor(
         )
     pushed = desc._push(decomp._stacked(fn.values))
     return GroupFunction(decomp.group, decomp.inverse_transform @ pushed)
+
+
+def _apply_to_rows(
+    desc: AffineHomeoDescriptor, rows: np.ndarray, decomp: BlockDecomposition
+) -> np.ndarray:
+    """The values of :func:`apply_descriptor` on a stack of functions, one
+    per row of ``rows``, in one product with ``transform``, one stacked
+    action and one product with ``inverse_transform``: the reproduction
+    check of :func:`verify_jordan_form`."""
+    return desc._push(rows @ decomp.transform.T) @ decomp.inverse_transform.T
 
 
 def random_descriptor(
@@ -825,19 +835,18 @@ def verify_jordan_form(
 ) -> AffineHomeoDescriptor:
     """Fit a black-box affine self-map of P1(G) to a block descriptor.
 
-    Affinity is verified first, on 8 random mixtures of 16 random states
-    drawn in one ``random_p1(..., size=16)`` call: 24 map calls, whose
-    images are kept.  Then the map is read in one pass of n calls, on the
-    d^2 states of a spanning frame of each block (:func:`_density_frame`),
-    embedded by one product per block and read back by one product with
-    ``transform``.  The block permutation is read off the images of the
+    Affinity is verified first, on 8 random mixtures of pairs of 16 random
+    states: 24 map calls, whose images are kept.  Then the map is read in
+    one pass of n calls, on the d^2 states of a spanning frame of each
+    block (:func:`_density_frame`), embedded by one product per block and
+    read back by one product with ``transform``.  The block permutation is read off the images of the
     central block states, each the mean image of its block's diagonal frame
     states; after the support, permutation and dimension checks, each
     block's unitary and transpose flag are fitted from its frame images, so
     the descriptor depends on the frame images alone.  The result must
     reproduce the kept images of all 24 affinity probes to 1e-7, checked by
-    one stacked descriptor product, or FitFailure is raised.  The map is
-    called n + 24 times in all.
+    one stacked descriptor product (:func:`_apply_to_rows`), or FitFailure
+    is raised.  The map is called n + 24 times in all.
     """
     group = decomp.group
     dims = decomp.block_dims
@@ -847,7 +856,7 @@ def verify_jordan_form(
 
     # probes: the 2m draws f_j, then the m mixtures t_i f_2i + (1 - t_i) f_2i+1
     m = _AFFINITY_SAMPLES
-    draws = random_p1(group, rng, size=2 * m)
+    draws = [random_p1(group, rng) for _ in range(2 * m)]
     t = rng.uniform(0.2, 0.8, size=m)[:, None]
     values = np.stack([fn.values for fn in draws])
     mixtures = t * values[0::2] + (1.0 - t) * values[1::2]
@@ -912,8 +921,7 @@ def verify_jordan_form(
         transpose.append(flag)
 
     desc = AffineHomeoDescriptor(tuple(sigma), tuple(unitaries), tuple(transpose))
-    reproduced = desc._push(probes @ decomp.transform.T) @ decomp.inverse_transform.T
-    worst = float(np.abs(reproduced - probe_images).max())
+    worst = float(np.abs(_apply_to_rows(desc, probes, decomp) - probe_images).max())
     if worst > 1e-7:
         raise FitFailure(
             f"fitted descriptor reproduces the map to {worst:.3e} only",

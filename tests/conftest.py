@@ -457,33 +457,6 @@ def loop_random_p1(group, rng):
     return GroupFunction(group, vals)
 
 
-def literal_batched_random_p1(group, rng, size):
-    """posdef.random_p1(group, rng, size=size) in its draw order: every
-    component count, then every Exp(1) weight, each state's divided by its
-    left-to-right Python sum as Generator.dirichlet(ones) does, then every
-    Gaussian vector from a single normal call."""
-    from groupstates.posdef import GroupFunction
-
-    n = group.order
-    counts = [int(m) for m in rng.integers(1, n + 1, size=size)]
-    draws = rng.standard_exponential(size=sum(counts))
-    gaussians = rng.normal(size=(sum(counts), 2, n))
-    translate = group.cayley[group.inverses]
-    fns, start = [], 0
-    for m in counts:
-        w = draws[start:start + m]
-        acc = 0.0
-        for x in w:
-            acc = acc + x
-        w = w * (1 / acc)
-        xi = gaussians[start:start + m, 0] + 1j * gaussians[start:start + m, 1]
-        xi /= np.linalg.norm(xi, axis=1, keepdims=True)
-        density = (w[:, None] * xi).T @ xi.conj()
-        fns.append(GroupFunction(group, np.take(density, translate * n + np.arange(n)).sum(axis=1)))
-        start += m
-    return fns
-
-
 def literal_index_tables(group):
     """The group's kept index tables, as the expressions that define them."""
     return {

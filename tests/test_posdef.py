@@ -43,7 +43,7 @@ from groupstates.errors import (
 from groupstates import posdef, vn
 from groupstates.groups import algebra_matrix, cached_block_decomposition
 from groupstates.linalg import DEFAULT_TOL, Tolerance
-from groupstates.posdef import commutant_dimension, hermitian_symmetry_deviation
+from groupstates.posdef import commutant_dimension
 from groupstates.vn import BlockDecomposition
 
 from conftest import (
@@ -55,7 +55,6 @@ from conftest import (
     gram_psd_verdict,
     kron_commutant_dimension,
     ladder_group,
-    literal_batched_random_p1,
     loop_random_hermitian_symmetric,
     loop_random_p1,
     loop_vector_state,
@@ -616,44 +615,6 @@ def test_samplers_match_their_loop_versions():
             fn = random_hermitian_symmetric(g, fast)
             assert fn.values.tobytes() == loop_random_hermitian_symmetric(g, slow).values.tobytes()
             assert fast.bit_generator.state == slow.bit_generator.state
-
-
-@pytest.mark.parametrize("name", ["S3", "Q8", "D6", "S4", "S5"])
-def test_batched_random_p1_matches_its_literal_draw_order(name):
-    """random_p1(size=k) is, row for row and bit for bit, the oracle that
-    normalizes by a Python sum and takes every Gaussian vector from one
-    normal call, where random_p1 draws them state by state: the chunked
-    draw equals the single one, and the generator ends in the same state."""
-    g = ladder_group(name)
-    for seed, size in ((0, 1), (1, 3), (2, 16)):
-        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = random_p1(g, fast, size=size)
-        expected = literal_batched_random_p1(g, slow, size)
-        assert len(got) == size
-        for fn, ref in zip(got, expected):
-            assert np.array_equal(fn.values, ref.values)
-        assert fast.bit_generator.state == slow.bit_generator.state
-    # one state drawn as a batch of one is the unbatched draw
-    one = random_p1(g, np.random.default_rng(5), size=1)[0]
-    assert np.array_equal(one.values, random_p1(g, np.random.default_rng(5)).values)
-
-
-@pytest.mark.parametrize("name", ["S3", "Q8", "D6", "S4"])
-def test_batched_random_p1_rows_are_states(name):
-    g = ladder_group(name)
-    for fn in random_p1(g, np.random.default_rng(41), size=16):
-        assert hermitian_symmetry_deviation(fn) < 1e-12
-        assert abs(fn(g.identity) - 1.0) < 1e-12
-        assert is_positive_definite(fn).is_psd
-
-
-@pytest.mark.parametrize("size", [0, -2, 2.0, True, "3", np.float64(4), [2]])
-def test_random_p1_rejects_a_size_that_is_not_a_positive_int(s3, size):
-    rng = np.random.default_rng(0)
-    state = rng.bit_generator.state
-    with pytest.raises(ValueError):
-        random_p1(s3, rng, size=size)
-    assert rng.bit_generator.state == state
 
 
 def test_vector_state_is_p1(s4):

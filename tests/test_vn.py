@@ -782,8 +782,8 @@ def test_stacked_replay_matches_apply_descriptor(name):
     decomp = block_decompose(g)
     rng = np.random.default_rng(29)
     desc = random_descriptor(decomp, rng)
-    rows = np.stack([fn.values for fn in random_p1(g, rng, size=5)])
-    replay = desc._push(rows @ decomp.transform.T) @ decomp.inverse_transform.T
+    rows = np.stack([random_p1(g, rng).values for _ in range(5)])
+    replay = vn._apply_to_rows(desc, rows, decomp)
     for row, out in zip(rows, replay):
         expected = apply_descriptor(desc, GroupFunction(g, row), decomp).values
         assert np.abs(out - expected).max() < 1e-12
