@@ -5,6 +5,12 @@ multiplication by class sums act on the center of the group algebra, a
 random real combination of them has simple spectrum almost surely, and the
 shared eigenvectors yield the central characters.  Dimensions come out of
 row orthogonality and are rounded to exact integers, then re-verified.
+
+Central elements are checked in class space: a class function is k class
+values, and the class-sum structure constants multiply two of them in
+O(k^3), which equals the group-algebra product once the partition is
+certified to be the conjugacy partition (Isaacs, Character Theory of
+Finite Groups, ch. 2-3).
 """
 
 from __future__ import annotations
@@ -19,10 +25,10 @@ from .groups import (
     FiniteGroup,
     _group_repr,
     _keep,
+    _read_only,
     _served,
     _WeakGroup,
     algebra_matrix,
-    check_projection,
     conjugacy_classes,
 )
 from .linalg import DEFAULT_TOL, Tolerance
@@ -43,6 +49,9 @@ class CharacterTable:
     ``_kept`` holds the projections :func:`minimal_central_projections`
     verified for ``group`` (see ``groups.FiniteGroup``).  ``group`` is a
     weak back-reference (``groups._WeakGroup``).  Tables compare by identity.
+    ``structure``, the read-only class-sum structure constants of ``group``
+    on ``partition`` (:func:`class_sum_structure_constants`), is built on
+    first read; a built table carries the ones it was computed from.
     """
 
     group: FiniteGroup = _WeakGroup()
@@ -72,6 +81,10 @@ class CharacterTable:
     def char_values(self, pi: int) -> np.ndarray:
         """Character pi as a function on all group elements."""
         return self.chars[pi][self.partition.class_of]
+
+    @cached_property
+    def structure(self) -> np.ndarray:
+        return _read_only(class_sum_structure_constants(self.group, self.partition))
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,17 +117,16 @@ def class_sum_structure_constants(
 
     a[i,j,l] counts pairs (x, y) in C_i x C_j with x y equal to the fixed
     representative of C_l; the count is independent of the representative.
+    One ``bincount`` over the n k pairs (x, x^{-1} rep_l).
     """
     if partition is None:
         partition = conjugacy_classes(group)
     k = partition.num_classes
     cls = partition.class_of
-    a = np.zeros((k, k, k), dtype=np.int64)
-    for l, rep in enumerate(partition.class_reps):
-        # x * y = rep  <=>  y = x^{-1} rep
-        y = group.cayley[group.inverses, rep]
-        np.add.at(a, (cls, cls[y], l), 1)
-    return a
+    # x * y = rep_l  <=>  y = x^{-1} rep_l, for every x and l
+    y = group.cayley[group.inverses[:, None], list(partition.class_reps)]
+    flat = (cls[:, None] * k + cls[y]) * k + np.arange(k)
+    return np.bincount(flat.ravel(), minlength=k**3).reshape(k, k, k)
 
 
 def _class_sum_matrices(structure: np.ndarray) -> np.ndarray:
@@ -147,7 +159,7 @@ def _build_table(
     k = partition.num_classes
     n = group.order
     sizes = np.array(partition.class_sizes, dtype=float)
-    structure = class_sum_structure_constants(group, partition)
+    structure = _read_only(class_sum_structure_constants(group, partition))
     mats = _class_sum_matrices(structure)
 
     rng = np.random.default_rng(seed)
@@ -170,23 +182,21 @@ def _build_table(
             witness={"resamples": _MAX_RESAMPLES},
         )
 
-    rows = []
-    dims = []
-    for p in range(k):
-        v = eigvecs[:, p]
-        nrm2 = float(np.vdot(v, v).real)
-        # Rayleigh quotients give the central character omega(i) =
-        # |C_i| chi(g_i) / d on the shared eigenvector
-        omega = np.array([np.vdot(v, mats[i] @ v) / nrm2 for i in range(k)])
-        d_raw = float(np.sqrt(n / np.sum(np.abs(omega) ** 2 / sizes)))
-        d = int(round(d_raw))
-        if d < 1 or abs(d_raw - d) > _DIM_ROUNDING_TOL:
-            raise ConvergenceFailure(
-                f"irrep dimension {d_raw} does not round to an integer",
-                witness={"raw_dimension": d_raw},
-            )
-        rows.append(d * omega / sizes)
-        dims.append(d)
+    # Rayleigh quotients give the central characters omega_p(i) =
+    # |C_i| chi_p(g_i) / d_p on the shared eigenvectors, all in one product
+    nrm2 = np.einsum("lp,lp->p", eigvecs.conj(), eigvecs).real
+    omega = np.einsum("lp,ilp->pi", eigvecs.conj(), mats @ eigvecs, order="C") / nrm2[:, None]
+    d_raw = np.sqrt(n / (np.abs(omega) ** 2 / sizes).sum(axis=1))
+    nearest = np.round(d_raw)
+    # written so that a NaN dimension fails too
+    bad = np.flatnonzero(~((nearest >= 1) & (np.abs(d_raw - nearest) <= _DIM_ROUNDING_TOL)))
+    if bad.size:
+        raw = float(d_raw[bad[0]])
+        raise ConvergenceFailure(
+            f"irrep dimension {raw} does not round to an integer",
+            witness={"raw_dimension": raw},
+        )
+    dims = nearest.astype(int).tolist()
 
     if sum(d * d for d in dims) != n:
         raise ConvergenceFailure(
@@ -194,7 +204,7 @@ def _build_table(
             witness={"dims": dims, "order": n},
         )
 
-    chars = np.array(rows)
+    chars = np.array(dims)[:, None] * omega / sizes
     # each row as its rounded (real, imaginary) pairs, interleaved
     rounded = np.round(chars, 8).view(float).tolist()
     order = sorted(range(k), key=lambda p: (dims[p], rounded[p]))
@@ -208,7 +218,10 @@ def _build_table(
             f"row orthogonality residual {resid:.3e} exceeds tolerance",
             witness={"residual": resid},
         )
-    return CharacterTable(group, partition, dims, chars)
+    table = CharacterTable(group, partition, dims, chars)
+    # the constants the table was computed from, in place of a second build
+    vars(table)["structure"] = structure
+    return table
 
 
 def minimal_central_projections(
@@ -218,57 +231,142 @@ def minimal_central_projections(
 ) -> list[CentralProjection]:
     """The projections p_pi = (d_pi/|G|) sum_s conj(chi_pi(s)) lambda_s.
 
-    Verified on coefficients: each a projection (groups.check_projection)
-    of regular-representation rank d_pi^2, read from the trace n p(e), the
-    set pairwise orthogonal and summing to the identity.  When ``group``
-    is the table's own group the verified coefficients are kept on the
-    table (see ``groups.FiniteGroup``); each call returns fresh
+    Verified in class space (:func:`_verified_projections`): each a
+    projection of regular-representation rank d_pi^2, read from the trace
+    n p(e), the set pairwise orthogonal and summing to the identity.  When
+    ``group`` is the table's own group the verified coefficients are kept
+    on the table (see ``groups.FiniteGroup``); each call returns fresh
     ``CentralProjection`` objects over them.
     """
+    coeffs = _projection_coeffs(group, table, tol)
+    return [CentralProjection(group, c, (pi,)) for pi, c in enumerate(coeffs)]
+
+
+def _projection_coeffs(
+    group: FiniteGroup, table: CharacterTable, tol: Tolerance
+) -> np.ndarray:
+    """The verified coefficient rows of :func:`minimal_central_projections`,
+    one per irrep, kept on the table when ``group`` is its own."""
     own = group is table._group_ref()
     coeffs = _served(table, "projections", tol) if own else None
     if coeffs is None:
         coeffs = _verified_projections(group, table, tol)
         if own:
             _keep(table, "projections", tol, coeffs)
-    return [CentralProjection(group, c, (pi,)) for pi, c in enumerate(coeffs)]
+    return coeffs
+
+
+def _certify_partition(group: FiniteGroup, partition: ConjugacyPartition) -> None:
+    """Check in O(n k) that ``partition`` is the conjugacy partition of
+    ``group``: class_of labels each representative with its own class and
+    class sizes are its label counts; the conjugation orbit of each
+    representative lies in its class and has n / |centralizer| elements,
+    the class size, so it is the whole class.  Raises ConvergenceFailure
+    naming the first class that fails."""
+    n, k = group.order, partition.num_classes
+    cls = np.asarray(partition.class_of)
+    reps = np.asarray(partition.class_reps, dtype=np.int64)
+    sizes = np.asarray(partition.class_sizes, dtype=np.int64)
+    if cls.shape != (n,) or reps.shape != (k,) or sizes.shape != (k,):
+        raise ConvergenceFailure(
+            "partition does not label every group element",
+            witness={"order": n, "classes": k},
+        )
+    labels = np.arange(k)
+    bad = (cls < 0) | (cls >= k)
+    if bad.any():
+        raise ConvergenceFailure(
+            f"element {int(np.argmax(bad))} has no class",
+            witness={"element": int(np.argmax(bad))},
+        )
+    # orbits[g, i] = g rep_i g^{-1}
+    orbits = group.cayley[group.cayley[:, reps], group.inverses[:, None]]
+    centralizers = (orbits == reps).sum(axis=0)
+    bad = (
+        (cls[reps] != labels)
+        | (np.bincount(cls, minlength=k) != sizes)
+        | (cls[orbits] != labels).any(axis=0)
+        | (centralizers * sizes != n)
+    )
+    if bad.any():
+        c = int(np.argmax(bad))
+        raise ConvergenceFailure(
+            f"class {c} is not the conjugacy class of its representative",
+            witness={"class": c},
+        )
+
+
+def _projection_residuals(group: FiniteGroup, table: CharacterTable):
+    """Class values and residuals of the minimal central projections.
+
+    Returns (x, herm, idem, ranks, total, orth): ``x[pi, i]`` is p_pi on
+    class i; per irrep the Hermitian residual max|p - p*|, the idempotent
+    residual max|p p - p| and the rank round(n p(e)); the residual of the
+    sum against the identity; and ``orth[pi, rho]`` = max|p_pi p_rho|.
+    Products come from the structure constants in O(k^4) for all pairs at
+    once; on the certified conjugacy partition they are the group-algebra
+    products, and each maximum over classes is the one over elements.
+    """
+    partition = table.partition
+    _certify_partition(group, partition)
+    n = group.order
+    structure = table.structure if group is table._group_ref() else (
+        class_sum_structure_constants(group, partition)
+    )
+    cls = partition.class_of
+    reps = list(partition.class_reps)
+    x = np.conj(table.chars) * (np.array(table.dims)[:, None] / n)
+    # s^{-1} lies in class inverse[i] for every s in class i
+    herm = np.abs(x - np.conj(x[:, cls[group.inverses[reps]]])).max(axis=1)
+    # prods[pi, rho, l] = sum_ij x[pi, i] a[i, j, l] x[rho, j]
+    k = len(reps)
+    half = (x @ structure.reshape(k, k * k).astype(float)).reshape(-1, k, k)
+    prods = x @ half
+    diag = np.arange(len(x))
+    idem = np.abs(prods[diag, diag] - x).max(axis=1)
+    ranks = np.round(n * x[:, cls[group.identity]].real)
+    total = x.sum(axis=0)
+    total[cls[group.identity]] -= 1.0
+    orth = np.abs(prods).max(axis=2)
+    return x, herm, idem, ranks, float(np.abs(total).max()), orth
 
 
 def _verified_projections(
     group: FiniteGroup, table: CharacterTable, tol: Tolerance
 ) -> np.ndarray:
     """Coefficients of the minimal central projections, one row per irrep,
-    read-only, after the checks of :func:`minimal_central_projections`."""
-    n = group.order
-    coeffs = np.conj(table.chars[:, table.partition.class_of]) * (
-        np.array(table.dims)[:, None] / n
-    )
-    for pi, c in enumerate(coeffs):
-        d = table.dims[pi]
-        check_projection(group, c, tol, what=f"p_{pi}")
-        rank = int(round(n * c[group.identity].real))
-        if rank != d * d:
+    read-only, after the checks of :func:`minimal_central_projections` on
+    the residuals of :func:`_projection_residuals`, in this order: per
+    irrep its projection residuals, then its rank; the sum; each pair."""
+    x, herm, idem, ranks, total, orth = _projection_residuals(group, table)
+    expected = np.array(table.dims) ** 2
+    not_projection = (herm > tol.residual_tol) | (idem > tol.residual_tol)
+    bad = np.flatnonzero(not_projection | (ranks != expected))
+    if bad.size:
+        pi = int(bad[0])
+        if not_projection[pi]:
+            h, i = float(herm[pi]), float(idem[pi])
             raise ConvergenceFailure(
-                f"central projection {pi} has rank {rank}, expected {d * d}",
-                witness={"irrep": pi, "rank": rank, "expected": d * d},
+                f"p_{pi} is not a projection (herm {h:.2e}, idem {i:.2e})",
+                witness={"hermitian_residual": h, "idempotent_residual": i},
             )
-
-    total = coeffs.sum(axis=0)
-    total[group.identity] -= 1.0
-    if float(np.abs(total).max()) > tol.residual_tol:
+        rank, d2 = int(ranks[pi]), int(expected[pi])
+        raise ConvergenceFailure(
+            f"central projection {pi} has rank {rank}, expected {d2}",
+            witness={"irrep": pi, "rank": rank, "expected": d2},
+        )
+    if total > tol.residual_tol:
         raise ConvergenceFailure(
             "minimal central projections do not sum to the identity",
-            witness={"residual": float(np.abs(total).max())},
+            witness={"residual": total},
         )
-    for i in range(len(coeffs) - 1):
-        # p_i p_j for every j > i: one regular-representation matrix per i
-        prods = np.abs(algebra_matrix(group, coeffs[i]) @ coeffs[i + 1:].T).max(axis=0)
-        bad = np.flatnonzero(prods > tol.residual_tol)
-        if bad.size:
-            j = i + 1 + int(bad[0])
-            raise ConvergenceFailure(
-                f"projections {i} and {j} are not orthogonal",
-                witness={"pair": [i, j]},
-            )
+    bad = np.argwhere(np.triu(orth > tol.residual_tol, 1))
+    if bad.size:
+        i, j = (int(v) for v in bad[0])
+        raise ConvergenceFailure(
+            f"projections {i} and {j} are not orthogonal",
+            witness={"pair": [i, j]},
+        )
+    coeffs = x[:, table.partition.class_of]
     coeffs.setflags(write=False)
     return coeffs

@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 One executable exposing every module, JSON in and out, seeded randomness.
-Exit codes: 0 success, 1 domain error (with the error name and witness),
-2 malformed input or arguments.
+Exit codes: 0 success, 1 domain error (with the error name and witness) or
+memory exhausted, 2 malformed input or arguments.
 """
 
 from __future__ import annotations
@@ -474,6 +474,14 @@ def _demo_faces_tour(tol, seed: int) -> dict:
 _parser: argparse.ArgumentParser | None = None
 
 
+def _report_error(args, payload: dict, code: int) -> int:
+    if args.format == "json":
+        print(json.dumps(payload, sort_keys=True))
+    else:
+        print(f"ERROR {payload['error']}: {payload['message']}")
+    return code
+
+
 def dispatch(argv) -> int:
     global _parser
     if _parser is None:
@@ -499,19 +507,13 @@ def dispatch(argv) -> int:
         else:
             report = _handle_demo(args, tol, args.seed)
     except DomainError as exc:
-        payload = {"error": exc.name, "message": str(exc), "witness": exc.witness}
-        if args.format == "json":
-            print(json.dumps(payload, sort_keys=True))
-        else:
-            print(f"ERROR {exc.name}: {exc}")
-        return 1
+        return _report_error(args, {"error": exc.name, "message": str(exc), "witness": exc.witness}, 1)
     except (InputFormatError, ValueError) as exc:
-        payload = {"error": type(exc).__name__, "message": str(exc)}
-        if args.format == "json":
-            print(json.dumps(payload, sort_keys=True))
-        else:
-            print(f"ERROR {type(exc).__name__}: {exc}")
-        return 2
+        return _report_error(args, {"error": type(exc).__name__, "message": str(exc)}, 2)
+    except MemoryError as exc:
+        # a last resort: under overcommit the kernel may kill the process
+        # instead of raising
+        return _report_error(args, {"error": "MemoryError", "message": str(exc)}, 1)
 
     if args.format == "json":
         print(json.dumps(report, sort_keys=True))

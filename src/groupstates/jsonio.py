@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputFormatError
-from .groups import FiniteGroup, validate_group
+from .groups import FiniteGroup, _refuse_order_above_limit, validate_group
 from .posdef import GroupFunction
 from .vn import AffineHomeoDescriptor
 
@@ -47,10 +47,17 @@ def group_to_json(group: FiniteGroup) -> dict:
 
 
 def group_from_json(obj: dict, name: str = "group") -> FiniteGroup:
+    """The validated group of a group object.  A given ``order``, then the
+    row count, above ``groups.DEFAULT_CLOSURE_LIMIT`` raises
+    SizeLimitExceeded before the table is converted to an array."""
     if not isinstance(obj, dict):
         raise InputFormatError("group JSON must be an object")
+    cayley = _need(obj, "cayley", "group")
+    for size in (obj.get("order"), len(cayley) if isinstance(cayley, list) else None):
+        if type(size) is int:
+            _refuse_order_above_limit(size)
     try:
-        table = np.asarray(_need(obj, "cayley", "group"))
+        table = np.asarray(cayley)
     except ValueError as exc:
         raise InputFormatError(f"bad group data: {exc}") from exc
     # numpy would truncate floats and parse strings when casting to int64

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .characters import CharacterTable, character_table, minimal_central_projections
+from .characters import CharacterTable, _projection_coeffs, character_table
 from .errors import (
     ConvergenceFailure,
     DecompositionFailure,
@@ -36,23 +36,23 @@ from .groups import (
     _group_repr,
     _keep,
     _WeakGroup,
-    algebra_matrix,
     cached_block_decomposition,
     generating_set,
     same_group,
 )
 from .linalg import DEFAULT_TOL, PsdVerdict, Tolerance, polar_unitary
-from .posdef import (
-    GroupFunction,
-    _gram_cutoff,
-    gram_matrix,
-    random_hermitian_symmetric,
-    random_p1,
-)
+from .posdef import GroupFunction, _gram_cutoff, random_p1
 
 _CLUSTER_GAP = 1e-6
 # resamples per block before block_decompose gives up
 _MAX_RETRIES = 20
+# random right translates p lambda_u mixed into each column of a block's
+# range sketch; with one or two, some blocks of small groups fell short of
+# rank d^2 in a few percent of the draws
+_SKETCH_TRANSLATES = 3
+# support elements h of the self-adjoint y = sum_h c_h lambda_h + conj(c_h)
+# lambda_{h^-1} whose right multiplication splits a block
+_SPLIT_SUPPORT = 3
 # random mixtures of pairs of random states tested for affinity in
 # verify_jordan_form; the fitted descriptor must reproduce the map on all
 # of these probes
@@ -259,34 +259,6 @@ class BlockDecomposition:
         return PsdVerdict.from_witness(wmin, _gram_cutoff(fn, tol))
 
 
-def _cluster_spectrum(evals: np.ndarray, scale: float) -> list[np.ndarray]:
-    """Indices of eigenvalues grouped by gaps above the cluster threshold."""
-    order = np.argsort(evals)
-    clusters = [[order[0]]]
-    for idx in order[1:]:
-        if evals[idx] - evals[clusters[-1][-1]] > _CLUSTER_GAP * scale:
-            clusters.append([idx])
-        else:
-            clusters[-1].append(idx)
-    return [np.array(c) for c in clusters]
-
-
-def _regular_rho(w: np.ndarray, translate: np.ndarray) -> np.ndarray:
-    """rho[s] = W^* lambda_s W for every s, with W (n, d) and
-    (lambda_s w)(t) = w(s^{-1} t) = w[translate[s, t]].
-
-    One batched product per ceil(n / d) elements, so the gather holds about
-    n^2 numbers at a time instead of n^2 d.
-    """
-    n, d = w.shape
-    wh = w.conj().T
-    rho = np.empty((n, d, d), dtype=complex)
-    step = -(-n // d)
-    for a in range(0, n, step):
-        rho[a:a + step] = wh @ w[translate[a:a + step]]
-    return rho
-
-
 def block_decompose(
     group: FiniteGroup,
     table: CharacterTable | None = None,
@@ -295,58 +267,204 @@ def block_decompose(
 ) -> BlockDecomposition:
     """Construct matrix units for every block, deterministically from a seed.
 
-    Each block p_pi C[G] has dimension d^2; an orthonormal basis of it is the
-    QR of p_pi applied to d^2 random vectors.  Right multiplication by a
-    random self-adjoint element commutes with the left action, and its
-    compression to the block has d eigenvalues of multiplicity d.  One
-    eigenspace is a minimal left ideal; with W an orthonormal basis of it,
-    rho(s) = W^* lambda_s W is an irreducible unitary representation, and
-    Schur orthogonality gives the units
-    e_jk = (d/n) sum_s conj(rho(s)_jk) lambda_s (Serre, Linear
-    Representations of Finite Groups, 2.2 and 2.6).  Every spectral step is
-    on a d^2 x d^2 matrix.  Spectral collisions trigger a resample, then
-    DecompositionFailure once the retry budget is exhausted.
+    The blocks of each dimension d >= 2 are built together, in one batched
+    pass per attempt (:func:`_block_units`); a block of dimension 1 is its
+    central projection.  Each block p_pi C[G] has dimension d^2; an
+    orthonormal basis of it is the QR of d^2 random mixtures of right
+    translates of p_pi.  Right multiplication by a random self-adjoint
+    element commutes with the left action, and its compression to the
+    block has d eigenvalues of multiplicity d.  One eigenspace is a minimal
+    left ideal; with W an orthonormal basis of it, lambda_s W = W rho(s)
+    for an irreducible unitary representation rho, and Schur orthogonality
+    gives the units e_jk = (d/n) sum_s conj(rho(s)_jk) lambda_s (Serre,
+    Linear Representations of Finite Groups, 2.2 and 2.6).  Every spectral
+    step is on a d^2 x d^2 matrix, and no n x n matrix is formed before
+    the units are assembled.  A rank-deficient sketch or a spectral
+    collision triggers a resample of that block, then DecompositionFailure
+    once the retry budget is exhausted.
+
+    The draws are taken per block dimension, in order of first appearance
+    in ``table.dims``, then per attempt for the blocks of that dimension
+    still pending, in index order: the sketch's translates and mixing
+    weights, then the support and coefficients of the self-adjoint
+    element (see :func:`_attempt_blocks`).
 
     Always builds; once verified, the result is kept on ``group`` for
     ``groups.cached_block_decomposition`` by the rule of ``groups._keep``.
     """
     if table is None:
         table = character_table(group, seed=seed)
-    projections = minimal_central_projections(group, table, tol)
+    coeffs = _projection_coeffs(group, table, tol)
     rng = np.random.default_rng(seed)
     n = group.order
 
-    units: list[np.ndarray] = []
-    for pi, proj in enumerate(projections):
-        d = table.dims[pi]
+    units: list[np.ndarray] = [None] * len(coeffs)
+    layers = _cayley_layers(group) if max(table.dims) > 1 else None
+    for d, blocks in _blocks_by_dim(table.dims).items():
         if d == 1:
-            units.append(proj.coeffs.reshape(1, 1, n).copy())
-            continue
-
-        block_units = None
-        for _ in range(_MAX_RETRIES):
-            sketch = algebra_matrix(group, proj.coeffs) @ rng.normal(size=(n, d * d))
-            basis = np.linalg.qr(sketch)[0]
-            y = gram_matrix(random_hermitian_symmetric(group, rng))
-            evals, vecs = np.linalg.eigh(basis.conj().T @ y @ basis)
-            clusters = _cluster_spectrum(evals, max(float(np.abs(evals).max()), 1.0))
-            if len(clusters) != d or any(len(c) != d for c in clusters):
-                continue
-            w = basis @ vecs[:, clusters[0]]
-            rho = _regular_rho(w, group._translate)
-            block_units = (d / n) * rho.conj().transpose(1, 2, 0)
-            break
-        if block_units is None:
-            raise DecompositionFailure(
-                f"no usable spectrum for block {pi} after {_MAX_RETRIES} retries",
-                witness={"irrep": pi, "retries": _MAX_RETRIES},
-            )
-        units.append(block_units)
+            built = coeffs[blocks].reshape(-1, 1, 1, n)
+        else:
+            built = _block_units(group, coeffs[blocks], blocks, d, rng, layers)
+        for pi, u in zip(blocks, built):
+            units[pi] = u
 
     decomp = BlockDecomposition(group, table, units, seed)
     _verify_decomposition(decomp, tol)
     _keep(group, "decomposition", tol, decomp)
     return decomp
+
+
+def _block_units(
+    group: FiniteGroup,
+    p: np.ndarray,
+    blocks: list[int],
+    d: int,
+    rng: np.random.Generator,
+    layers: tuple,
+) -> np.ndarray:
+    """Units (m, d, d, n) of the m blocks of dimension d with central
+    projections ``p`` (m, n): attempts of :func:`_attempt_blocks` on the
+    blocks still pending, at most _MAX_RETRIES each, then rho on the
+    ``layers`` of :func:`_cayley_layers` (:func:`_ideal_rho`)."""
+    units = np.empty((len(p), d, d, group.order), dtype=complex)
+    pending = np.arange(len(p))
+    for _ in range(_MAX_RETRIES):
+        ok, ideal = _attempt_blocks(group, p[pending], d, rng)
+        if ok.any():
+            rho = _ideal_rho(group, ideal, layers)
+            np.conjugate(rho, out=rho)
+            rho *= d / group.order
+            units[pending[ok]] = rho.transpose(0, 2, 3, 1)
+        pending = pending[~ok]
+        if not pending.size:
+            return units
+    pi = blocks[int(pending[0])]
+    raise DecompositionFailure(
+        f"no usable spectrum for block {pi} after {_MAX_RETRIES} retries",
+        witness={"irrep": pi, "retries": _MAX_RETRIES},
+    )
+
+
+def _attempt_blocks(
+    group: FiniteGroup, p: np.ndarray, d: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """One attempt on m blocks of dimension d with central projections
+    ``p`` (m, n): the success mask (m,) and, for the blocks that passed, an
+    orthonormal basis (passed, n, d) of a minimal left ideal in each.
+
+    Draws, in this order: the translates u (m, d^2, K) and the mixing
+    weights (m, d^2, K) of the sketch (:func:`_block_range`); the support h
+    (m, S) and the real and imaginary parts (m, S, 2) of the coefficients
+    c_h of y (:func:`_lowest_ideal`); with K = _SKETCH_TRANSLATES and
+    S = _SPLIT_SUPPORT.
+    """
+    basis, full_rank = _block_range(group, p, d, rng)
+    split, ideal = _lowest_ideal(group, basis, d, rng)
+    ok = full_rank & split
+    return ok, ideal[ok]
+
+
+def _block_range(
+    group: FiniteGroup, p: np.ndarray, d: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases (m, n, d^2) of the blocks p_b C[G], and which are
+    full rank.  Column j of block b is sum_r w_jr p_b lambda_{u_jr}, whose
+    entry t is p_b(t u^{-1}): K gathers of n d^2 values.  A QR whose R has
+    a diagonal entry below _CLUSTER_GAP times its largest is rank-deficient.
+    """
+    m, n, dd = len(p), group.order, d * d
+    translates = rng.integers(n, size=(m, dd, _SKETCH_TRANSLATES))
+    weights = rng.normal(size=(m, dd, _SKETCH_TRANSLATES))
+    at = np.arange(m)[:, None, None]
+    sketch = np.zeros((m, n, dd), dtype=complex)
+    for r in range(_SKETCH_TRANSLATES):
+        # entry [b, t, j] = p_b(t u^{-1}) with u = translates[b, j, r]
+        columns = p[at, group.cayley[:, group.inverses[translates[:, :, r]]].transpose(1, 0, 2)]
+        columns *= weights[:, None, :, r]
+        sketch += columns
+    basis, tri = np.linalg.qr(sketch)
+    pivots = np.abs(np.diagonal(tri, axis1=1, axis2=2))
+    return basis, pivots.min(axis=1) > _CLUSTER_GAP * pivots.max(axis=1)
+
+
+def _lowest_ideal(
+    group: FiniteGroup, basis: np.ndarray, d: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Which blocks split, and orthonormal bases (m, n, d) of a minimal left
+    ideal in each, from orthonormal bases (m, n, d^2) of the blocks.
+
+    y = x + x^* with x = sum_h c_h lambda_h is self-adjoint.  Right
+    multiplication by lambda_h moves row t h^{-1} of a basis to row t, so
+    the basis times x is S gathers of n d^2 values, and the compression of
+    y is H + H^* with H = basis^* (basis x).  A block splits when it has d
+    clusters of d eigenvalues; the lowest cluster spans the ideal.
+    """
+    m, n, dd = basis.shape
+    support = rng.integers(n, size=(m, _SPLIT_SUPPORT))
+    parts = rng.normal(size=(m, _SPLIT_SUPPORT, 2))
+    c = parts[..., 0] + 1j * parts[..., 1]
+    at = np.arange(m)[:, None]
+    image = np.zeros_like(basis)
+    for h in range(_SPLIT_SUPPORT):
+        shifted = basis[at, group.cayley[:, group.inverses[support[:, h]]].T]
+        shifted *= c[:, h, None, None]
+        image += shifted
+    half = basis.conj().transpose(0, 2, 1) @ image
+    evals, vecs = np.linalg.eigh(half + half.conj().transpose(0, 2, 1))
+    scale = np.maximum(np.abs(evals).max(axis=1), 1.0)
+    # ascending eigenvalues: a gap after every d-th one and nowhere else
+    gaps = np.diff(evals, axis=1) > _CLUSTER_GAP * scale[:, None]
+    return (gaps == (np.arange(1, dd) % d == 0)).all(axis=1), basis @ vecs[:, :, :d]
+
+
+def _cayley_layers(group: FiniteGroup) -> tuple[np.ndarray, list[tuple[np.ndarray, ...]]]:
+    """Breadth-first layers of the Cayley graph from the identity.
+
+    The steps are the generators (``generating_set``) and then their
+    inverses.  Each layer is (elements, parents, steps): every element of
+    the layer is its parent times that step, with the parent in the layer
+    before, so rho(element) = rho(parent) rho(step) fills rho layer by layer.
+    """
+    gens = np.array(generating_set(group), dtype=np.int64)
+    steps = np.concatenate([gens, group.inverses[gens]])
+    seen = np.zeros(group.order, dtype=bool)
+    seen[group.identity] = True
+    frontier = np.array([group.identity])
+    layers = []
+    while True:
+        reached, first = np.unique(group.cayley[frontier[:, None], steps], return_index=True)
+        fresh = ~seen[reached]
+        if not fresh.any():
+            return steps, layers
+        frontier, first = reached[fresh], first[fresh]
+        seen[frontier] = True
+        layers.append((frontier, layers[-1][0][first // len(steps)] if layers
+                       else np.full(len(frontier), group.identity), first % len(steps)))
+
+
+def _ideal_rho(group: FiniteGroup, w: np.ndarray, layers: tuple) -> np.ndarray:
+    """rho (m, n, d, d) with lambda_s W = W rho(s), for orthonormal bases
+    W (m, n, d) of left ideals.
+
+    On each generator g, rho(g) = W^* lambda_g W, whose row t of lambda_g W
+    is W[g^{-1} t]: one gather of n d values, and rho(g^{-1}) = rho(g)^*.
+    This compression is second-order in the error of W, which lies in the
+    other eigenspaces, left ideals orthogonal to it; interpolating rho from
+    a few rows of W would be first-order, about 1e-12 on S5.  Every other
+    element is a product along the ``layers`` of :func:`_cayley_layers`:
+    n d^3 flops, one batched product per layer.
+    """
+    m, n, d = w.shape
+    steps, layers = layers
+    gens = steps[:len(steps) // 2]
+    shifted = w[:, group.cayley[group.inverses[gens]]]
+    on_gens = w.conj().transpose(0, 2, 1)[:, None] @ shifted
+    on_steps = np.concatenate([on_gens, on_gens.conj().transpose(0, 1, 3, 2)], axis=1)
+    rho = np.empty((m, n, d, d), dtype=complex)
+    rho[:, group.identity] = np.eye(d)
+    for elements, parents, step in layers:
+        rho[:, elements] = rho[:, parents] @ on_steps[:, step]
+    return rho
 
 
 def kept_block_decomposition(
@@ -805,18 +923,15 @@ def _fit_block_map(
         conjugated = np.einsum("aj,bk->jkab", u, u.conj())
         return u, float(np.abs(conjugated - images).max())
 
-    straight = extract(unit_images)
-    transposed_images = np.transpose(unit_images, (1, 0, 2, 3))
-    flipped = extract(transposed_images)
-
     fit_bound = 1e-7
-    ok_straight = straight is not None and straight[1] <= fit_bound
-    ok_flipped = flipped is not None and flipped[1] <= fit_bound
-    if ok_straight:
-        # tie-break: if both forms fit (d = 1 or accidental symmetry),
-        # report the plain automorphism
+    # the transposed form is extracted only when the plain one does not
+    # fit, so a map that fits both (d = 1 or accidental symmetry) is
+    # reported as the plain automorphism
+    straight = extract(unit_images)
+    if straight is not None and straight[1] <= fit_bound:
         return canonical_phase(straight[0]), False
-    if ok_flipped:
+    flipped = extract(np.transpose(unit_images, (1, 0, 2, 3)))
+    if flipped is not None and flipped[1] <= fit_bound:
         return canonical_phase(flipped[0]), True
     raise FitFailure(
         "block map fits neither unitary conjugation form",

@@ -557,6 +557,134 @@ def unit_matrix(decomp, pi, j, k):
     return algebra_matrix(decomp.group, decomp.units[pi][j, k])
 
 
+def cluster_spectrum(evals, scale):
+    """Indices of eigenvalues grouped by gaps above vn._CLUSTER_GAP * scale."""
+    from groupstates.vn import _CLUSTER_GAP
+
+    order = np.argsort(evals)
+    clusters = [[order[0]]]
+    for idx in order[1:]:
+        if evals[idx] - evals[clusters[-1][-1]] > _CLUSTER_GAP * scale:
+            clusters.append([idx])
+        else:
+            clusters[-1].append(idx)
+    return [np.array(c) for c in clusters]
+
+
+def literal_ideal_rho(group, w):
+    """rho[s] = W^* lambda_s W for every s, one (n, n, d) gather, with
+    (lambda_s w)(t) = w(s^{-1} t)."""
+    return w.conj().T @ w[group._translate]
+
+
+def per_block_decompose(group, table=None, seed=0, tol=None):
+    """Matrix units one block at a time in n space: the QR of the block's
+    regular-representation image applied to d^2 Gaussian columns, the
+    compression of right multiplication by the Gram matrix of a random
+    Hermitian-symmetric function, and rho from the literal gather
+    W^* lambda_s W over the lowest eigenspace W."""
+    from groupstates.characters import character_table, minimal_central_projections
+    from groupstates.errors import DecompositionFailure
+    from groupstates.groups import algebra_matrix
+    from groupstates.linalg import DEFAULT_TOL
+    from groupstates.posdef import gram_matrix, random_hermitian_symmetric
+    from groupstates.vn import _MAX_RETRIES, BlockDecomposition, _verify_decomposition
+
+    tol = DEFAULT_TOL if tol is None else tol
+    if table is None:
+        table = character_table(group, seed=seed)
+    projections = minimal_central_projections(group, table, tol)
+    rng = np.random.default_rng(seed)
+    n = group.order
+
+    units = []
+    for pi, proj in enumerate(projections):
+        d = table.dims[pi]
+        if d == 1:
+            units.append(proj.coeffs.reshape(1, 1, n).copy())
+            continue
+        block_units = None
+        for _ in range(_MAX_RETRIES):
+            sketch = algebra_matrix(group, proj.coeffs) @ rng.normal(size=(n, d * d))
+            basis = np.linalg.qr(sketch)[0]
+            y = gram_matrix(random_hermitian_symmetric(group, rng))
+            evals, vecs = np.linalg.eigh(basis.conj().T @ y @ basis)
+            clusters = cluster_spectrum(evals, max(float(np.abs(evals).max()), 1.0))
+            if len(clusters) != d or any(len(c) != d for c in clusters):
+                continue
+            rho = literal_ideal_rho(group, basis @ vecs[:, clusters[0]])
+            block_units = (d / n) * rho.conj().transpose(1, 2, 0)
+            break
+        if block_units is None:
+            raise DecompositionFailure(
+                f"no usable spectrum for block {pi} after {_MAX_RETRIES} retries",
+                witness={"irrep": pi, "retries": _MAX_RETRIES},
+            )
+        units.append(block_units)
+
+    decomp = BlockDecomposition(group, table, units, seed)
+    _verify_decomposition(decomp, tol)
+    return decomp
+
+
+def nspace_projection_residuals(group, coeffs):
+    """Residuals of coefficient rows p_pi in n space: per row max|p - p*|,
+    max|p p - p| and round(n p(e)); max|sum_pi p_pi - 1|; and the matrix
+    of max|p_pi p_rho|, every product an n x n regular-representation
+    matrix times a coefficient vector."""
+    from groupstates.groups import algebra_matrix, convolve, star
+
+    herm = np.array([np.abs(c - star(group, c)).max() for c in coeffs])
+    idem = np.array([np.abs(convolve(group, c, c) - c).max() for c in coeffs])
+    ranks = np.round(group.order * coeffs[:, group.identity].real)
+    total = coeffs.sum(axis=0)
+    total[group.identity] -= 1.0
+    orth = np.stack([np.abs(algebra_matrix(group, c) @ coeffs.T).max(axis=0) for c in coeffs])
+    return herm, idem, ranks, float(np.abs(total).max()), orth
+
+
+def nspace_verified_projections(group, table, tol=None):
+    """Minimal central projections checked in n space: groups.check_projection
+    and the rank per irrep, the sum, then one n x n regular-representation
+    matrix per irrep for the orthogonality of each pair; the same errors
+    and witnesses, in the same order, as the class-space check."""
+    from groupstates.errors import ConvergenceFailure
+    from groupstates.groups import algebra_matrix, check_projection
+    from groupstates.linalg import DEFAULT_TOL
+
+    tol = DEFAULT_TOL if tol is None else tol
+    n = group.order
+    coeffs = np.conj(table.chars[:, table.partition.class_of]) * (
+        np.array(table.dims)[:, None] / n
+    )
+    for pi, c in enumerate(coeffs):
+        d = table.dims[pi]
+        check_projection(group, c, tol, what=f"p_{pi}")
+        rank = int(round(n * c[group.identity].real))
+        if rank != d * d:
+            raise ConvergenceFailure(
+                f"central projection {pi} has rank {rank}, expected {d * d}",
+                witness={"irrep": pi, "rank": rank, "expected": d * d},
+            )
+    total = coeffs.sum(axis=0)
+    total[group.identity] -= 1.0
+    if float(np.abs(total).max()) > tol.residual_tol:
+        raise ConvergenceFailure(
+            "minimal central projections do not sum to the identity",
+            witness={"residual": float(np.abs(total).max())},
+        )
+    for i in range(len(coeffs) - 1):
+        prods = np.abs(algebra_matrix(group, coeffs[i]) @ coeffs[i + 1:].T).max(axis=0)
+        bad = np.flatnonzero(prods > tol.residual_tol)
+        if bad.size:
+            j = i + 1 + int(bad[0])
+            raise ConvergenceFailure(
+                f"projections {i} and {j} are not orthogonal",
+                witness={"pair": [i, j]},
+            )
+    return coeffs
+
+
 def dense_block_decompose(group, table=None, seed=0, tol=None):
     """Matrix units built in the full n-dimensional space: the spectral
     projections of p X p for a random self-adjoint X give the minimal
@@ -571,7 +699,6 @@ def dense_block_decompose(group, table=None, seed=0, tol=None):
         _CLUSTER_GAP,
         _MAX_RETRIES,
         BlockDecomposition,
-        _cluster_spectrum,
         _verify_decomposition,
     )
 
@@ -599,7 +726,7 @@ def dense_block_decompose(group, table=None, seed=0, tol=None):
             nonzero = np.abs(evals) > _CLUSTER_GAP * scale
             if int(nonzero.sum()) != d * d:
                 continue
-            clusters = _cluster_spectrum(evals[nonzero], scale)
+            clusters = cluster_spectrum(evals[nonzero], scale)
             if len(clusters) != d or any(len(c) != d for c in clusters):
                 continue
             sub = vecs[:, nonzero]

@@ -15,6 +15,7 @@ from groupstates import (
     symmetric_group,
     validate_group,
 )
+from groupstates.characters import CharacterTable
 from groupstates.groups import ConjugacyPartition, convolve
 from groupstates.jsonio import table_to_json
 
@@ -22,6 +23,8 @@ from conftest import (
     LADDER,
     builtin_catalog,
     ladder_group,
+    nspace_projection_residuals,
+    nspace_verified_projections,
     regular_rep_dims_oracle,
     regular_representation,
     rounded_row_order,
@@ -188,22 +191,23 @@ def test_projections_q8_ranks_and_resolution():
 
 
 def _count_table_and_projection_work(monkeypatch):
-    """Counts the eigen-solves of the table build and the projection checks."""
+    """Counts the eigen-solves of the table build and the verifications of
+    a table's projections (one class-space check covers every irrep)."""
     from groupstates import characters
 
-    work = {"eig": 0, "check_projection": 0}
-    real_eig, real_check = np.linalg.eig, characters.check_projection
+    work = {"eig": 0, "verify_projections": 0}
+    real_eig, real_verify = np.linalg.eig, characters._verified_projections
 
     def eig(*args, **kwargs):
         work["eig"] += 1
         return real_eig(*args, **kwargs)
 
-    def check(*args, **kwargs):
-        work["check_projection"] += 1
-        return real_check(*args, **kwargs)
+    def verify(*args, **kwargs):
+        work["verify_projections"] += 1
+        return real_verify(*args, **kwargs)
 
     monkeypatch.setattr(characters.np.linalg, "eig", eig)
-    monkeypatch.setattr(characters, "check_projection", check)
+    monkeypatch.setattr(characters, "_verified_projections", verify)
     return work
 
 
@@ -212,7 +216,7 @@ def test_second_table_and_projection_calls_do_no_work(monkeypatch):
     work = _count_table_and_projection_work(monkeypatch)
     table = character_table(g)
     first = minimal_central_projections(g, table)
-    assert work["eig"] >= 1 and work["check_projection"] == table.num_irreps
+    assert work["eig"] >= 1 and work["verify_projections"] == 1
     done = dict(work)
     assert character_table(g) is table
     # an explicit partition equal to the group's own is the same call
@@ -268,14 +272,14 @@ def test_kept_table_is_not_served_across_seed_tolerance_or_group(monkeypatch):
     other_group, spent = costs(lambda: character_table(h))
     assert spent["eig"] >= 1 and other_group.group is h
     # projections verified at a looser tolerance are verified again
-    assert costs(lambda: minimal_central_projections(g, tight, loose))[1]["check_projection"] == 5
-    assert costs(lambda: minimal_central_projections(g, tight))[1]["check_projection"] == 5
-    assert costs(lambda: minimal_central_projections(g, tight, loose))[1]["check_projection"] == 0
+    assert costs(lambda: minimal_central_projections(g, tight, loose))[1]["verify_projections"] == 1
+    assert costs(lambda: minimal_central_projections(g, tight))[1]["verify_projections"] == 1
+    assert costs(lambda: minimal_central_projections(g, tight, loose))[1]["verify_projections"] == 0
     # a table of another group, or a copy of a kept one, is always verified
-    assert costs(lambda: minimal_central_projections(h, tight))[1]["check_projection"] == 5
-    assert costs(lambda: minimal_central_projections(h, tight))[1]["check_projection"] == 5
+    assert costs(lambda: minimal_central_projections(h, tight))[1]["verify_projections"] == 1
+    assert costs(lambda: minimal_central_projections(h, tight))[1]["verify_projections"] == 1
     copy = dataclasses.replace(tight)
-    assert costs(lambda: minimal_central_projections(g, copy))[1]["check_projection"] == 5
+    assert costs(lambda: minimal_central_projections(g, copy))[1]["verify_projections"] == 1
     # a partition listing the classes in another order builds its own table
     part = conjugacy_classes(g)
     classes = part.classes[:1] + part.classes[:0:-1]
@@ -291,7 +295,7 @@ def test_kept_table_is_not_served_across_seed_tolerance_or_group(monkeypatch):
     # projections are still served
     again, spent = costs(lambda: character_table(g))
     assert again is tight and spent["eig"] == 0
-    assert costs(lambda: minimal_central_projections(g, tight))[1]["check_projection"] == 0
+    assert costs(lambda: minimal_central_projections(g, tight))[1]["verify_projections"] == 0
 
 
 def test_tables_and_projections_compare_and_hash_by_identity():
@@ -312,3 +316,116 @@ def test_irreps_are_ordered_by_their_scalar_rounded_rows(name):
     for seed in (0, 3):
         table = character_table(g, seed=seed)
         assert rounded_row_order(table.dims, table.chars) == list(range(table.num_irreps))
+
+
+def _partition(group, classes):
+    """A ConjugacyPartition over the given classes, in that order."""
+    classes = tuple(tuple(sorted(c)) for c in classes)
+    class_of = np.empty(group.order, dtype=np.int64)
+    for ci, members in enumerate(classes):
+        class_of[list(members)] = ci
+    return ConjugacyPartition(classes, class_of, tuple(map(len, classes)), tuple(map(min, classes)))
+
+
+@pytest.mark.parametrize("name", ["S3", "Q8", "D6", "S4"])
+def test_structure_constants_match_convolutions_and_are_kept_read_only(name):
+    g = ladder_group(name)
+    table = character_table(g)
+    oracle = _structure_constants_convolution_oracle(g, table.partition)
+    assert np.array_equal(class_sum_structure_constants(g), oracle)
+    # the table carries the constants it was built from, read-only
+    assert np.array_equal(table.structure, oracle) and not table.structure.flags.writeable
+    # a table made by hand builds them on first read
+    copy = CharacterTable(g, table.partition, table.dims, table.chars)
+    assert "structure" not in vars(copy) and np.array_equal(copy.structure, oracle)
+
+
+@pytest.mark.parametrize("name", list(LADDER))
+def test_class_space_residuals_match_n_space(name):
+    """Each residual of the class-space check equals its n-space value,
+    from n x n regular-representation products, to 1e-12, and the
+    coefficients equal the n-space ones bit for bit."""
+    from groupstates.characters import _projection_residuals, _verified_projections
+    from groupstates.linalg import DEFAULT_TOL
+
+    g = ladder_group(name)
+    table = character_table(g)
+    coeffs = _verified_projections(g, table, DEFAULT_TOL)
+    assert np.array_equal(coeffs, nspace_verified_projections(g, table))
+    x, *residuals = _projection_residuals(g, table)
+    assert np.array_equal(x[:, table.partition.class_of], coeffs)
+    for got, expected in zip(residuals, nspace_projection_residuals(g, coeffs)):
+        assert np.abs(np.asarray(got) - np.asarray(expected)).max() < 1e-12
+
+
+def _scaled_row(table, pi):
+    chars = table.chars.copy()
+    chars[pi] *= 1 + 1e-3
+    return table.dims, chars
+
+
+def _rotated_row(table, pi):
+    chars = table.chars.astype(complex)
+    chars[pi] *= np.exp(0.3j)
+    return table.dims, chars
+
+
+def _swapped_dims(table, pi):
+    dims = list(table.dims)
+    dims[0], dims[pi] = dims[pi], dims[0]
+    return tuple(dims), table.chars
+
+
+@pytest.mark.parametrize("tamper", [_scaled_row, _rotated_row, _swapped_dims])
+@pytest.mark.parametrize("name", ["S3", "Q8", "S4", "D30"])
+def test_tampered_rows_raise_the_n_space_errors_and_witnesses(name, tamper):
+    from groupstates.errors import ConvergenceFailure
+
+    g = ladder_group(name)
+    table = character_table(g)
+    pi = table.num_irreps - 1
+    tampered = CharacterTable(g, table.partition, *tamper(table, pi))
+    with pytest.raises(ConvergenceFailure) as expected:
+        nspace_verified_projections(g, tampered)
+    with pytest.raises(ConvergenceFailure) as got:
+        minimal_central_projections(g, tampered)
+    assert str(got.value).split("(")[0] == str(expected.value).split("(")[0]
+    assert got.value.witness.keys() == expected.value.witness.keys()
+    for key, value in expected.value.witness.items():
+        assert np.abs(np.subtract(got.value.witness[key], value)).max() < 1e-12, key
+
+
+@pytest.mark.parametrize("name", ["S3", "Q8", "D6", "S4"])
+def test_projections_on_a_wrong_partition_raise(name):
+    """A table on merged or split classes, or whose labels or
+    representatives disagree with its classes, is refused before any
+    class-space product; a valid reordering of the classes is accepted."""
+    from groupstates.errors import ConvergenceFailure
+
+    g = ladder_group(name)
+    table = character_table(g)
+    classes = list(table.partition.classes)
+    big = max(range(len(classes)), key=lambda i: len(classes[i]))
+    merged = _partition(g, classes[:-2] + [classes[-2] + classes[-1]])
+    split = _partition(g, classes[:big] + classes[big + 1:] + [classes[big][:1], classes[big][1:]])
+    for partition in (merged, split):
+        with pytest.raises(ConvergenceFailure) as info:
+            minimal_central_projections(g, CharacterTable(g, partition, table.dims, table.chars))
+        assert set(info.value.witness) == {"class"}
+        # the table build itself fails on these partitions
+        with pytest.raises(ConvergenceFailure):
+            character_table(g, partition=partition)
+    own = table.partition
+    moved_rep = ConjugacyPartition(
+        own.classes, own.class_of, own.class_sizes, own.class_reps[:-1] + (own.class_reps[0],)
+    )
+    relabelled = own.class_of.copy()
+    relabelled[own.class_reps[-1]] = 0
+    mislabelled = ConjugacyPartition(own.classes, relabelled, own.class_sizes, own.class_reps)
+    for partition in (moved_rep, mislabelled):
+        with pytest.raises(ConvergenceFailure, match="conjugacy class"):
+            minimal_central_projections(g, CharacterTable(g, partition, table.dims, table.chars))
+    reordered = _partition(g, classes[:1] + classes[:0:-1])
+    got = [p.coeffs for p in minimal_central_projections(g, character_table(g, partition=reordered))]
+    for p in minimal_central_projections(g, table):
+        assert min(np.abs(q - p.coeffs).max() for q in got) < 1e-12

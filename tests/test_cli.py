@@ -128,6 +128,41 @@ def test_group_build_refuses_a_huge_order(capsys):
     assert report["witness"] == {"order": 10**12, "limit": 10000}
 
 
+def test_group_file_over_the_order_limit_is_refused_before_conversion(tmp_path, capsys):
+    """The row count, and a stated order, are checked against the closure
+    limit before the table becomes an array: 10 001 one-entry rows are
+    refused for their count, not parsed into a ragged table."""
+    from groupstates.errors import SizeLimitExceeded
+
+    with pytest.raises(SizeLimitExceeded) as info:
+        group_from_json({"cayley": [[0]] * 10001})
+    assert info.value.witness == {"order": 10001, "limit": 10000}
+    with pytest.raises(SizeLimitExceeded) as info:
+        group_from_json({"order": 20000, "cayley": [[0]]})
+    assert info.value.witness == {"order": 20000, "limit": 10000}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"cayley": [[0]] * 10001}))
+    code, report = run_json(capsys, "group", "validate", "--in", str(path))
+    assert code == 1 and report["error"] == "SizeLimitExceeded"
+    assert report["witness"] == {"order": 10001, "limit": 10000}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_memory_error_exits_1_with_its_report(monkeypatch, capsys, fmt):
+    from groupstates import cli
+
+    def exhausted(args, tol):
+        raise MemoryError("Unable to allocate 12.1 GiB")
+
+    monkeypatch.setattr(cli, "_handle_group", exhausted)
+    code, out = run(capsys, "group", "build", "--kind", "cyclic:3", "--format", fmt)
+    assert code == 1
+    if fmt == "json":
+        assert json.loads(out) == {"error": "MemoryError", "message": "Unable to allocate 12.1 GiB"}
+    else:
+        assert out == "ERROR MemoryError: Unable to allocate 12.1 GiB\n"
+
+
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 2**70)
     | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=3),
