@@ -64,8 +64,7 @@ class FiniteGroup:
     8 n^2 bytes each (115 KB on S5, 4.1 MB on S6, 203 MB on S7):
 
     - ``_translate[s, t]`` is s^{-1} t: (lambda_s w)(t) = w(s^{-1} t), the
-      Gram matrix (as its transpose), the regular traces and the block
-      decomposition's gather;
+      Gram matrix (as its transpose) and the regular traces;
     - ``_algebra_index[t, u]`` is t u^{-1}: :func:`algebra_matrix`;
     - ``_conjugation[g, s]`` is g s g^{-1}: the centrality test of faces.
     """

@@ -131,9 +131,9 @@ def is_positive_definite(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> Psd
     positive definite iff every block is PSD); otherwise it is the
     eigen-test of the full Gram matrix.  Both see the same spectrum with
     the same cutoff.  The dense path stays for a group without one, such
-    as a freshly loaded one: decomposing S5 costs about 12 ms against about
-    4 ms for its Gram test (one BLAS thread), so building a decomposition
-    here would slow the CLI.  The Hermitian-symmetry check runs on every
+    as a freshly loaded one: decomposing S5 costs about 10 ms against about
+    5 ms for its Gram test (one BLAS thread, 2-vCPU machine), so building a
+    decomposition here would slow the CLI.  The Hermitian-symmetry check runs on every
     call; the eigen-test runs once per function and tolerance, and its
     verdict is cached on ``fn``, as are the block spectra it reads.
     """

@@ -299,12 +299,12 @@ def block_decompose(
     n = group.order
 
     units: list[np.ndarray] = [None] * len(coeffs)
-    layers = _cayley_layers(group) if max(table.dims) > 1 else None
+    tree = _cayley_layers(group) if max(table.dims) > 1 else None
     for d, blocks in _blocks_by_dim(table.dims).items():
         if d == 1:
             built = coeffs[blocks].reshape(-1, 1, 1, n)
         else:
-            built = _block_units(group, coeffs[blocks], blocks, d, rng, layers)
+            built = _block_units(group, coeffs[blocks], blocks, d, rng, tree)
         for pi, u in zip(blocks, built):
             units[pi] = u
 
@@ -320,18 +320,18 @@ def _block_units(
     blocks: list[int],
     d: int,
     rng: np.random.Generator,
-    layers: tuple,
+    tree: tuple,
 ) -> np.ndarray:
     """Units (m, d, d, n) of the m blocks of dimension d with central
     projections ``p`` (m, n): attempts of :func:`_attempt_blocks` on the
-    blocks still pending, at most _MAX_RETRIES each, then rho on the
-    ``layers`` of :func:`_cayley_layers` (:func:`_ideal_rho`)."""
+    blocks still pending, at most _MAX_RETRIES each, then rho along the
+    breadth-first ``tree`` of :func:`_cayley_layers` (:func:`_ideal_rho`)."""
     units = np.empty((len(p), d, d, group.order), dtype=complex)
     pending = np.arange(len(p))
     for _ in range(_MAX_RETRIES):
         ok, ideal = _attempt_blocks(group, p[pending], d, rng)
         if ok.any():
-            rho = _ideal_rho(group, ideal, layers)
+            rho = _ideal_rho(group, ideal, tree)
             np.conjugate(rho, out=rho)
             rho *= d / group.order
             units[pending[ok]] = rho.transpose(0, 2, 3, 1)
@@ -429,20 +429,25 @@ def _cayley_layers(group: FiniteGroup) -> tuple[np.ndarray, list[tuple[np.ndarra
     steps = np.concatenate([gens, group.inverses[gens]])
     seen = np.zeros(group.order, dtype=bool)
     seen[group.identity] = True
+    first = np.empty(group.order, dtype=np.int64)
     frontier = np.array([group.identity])
     layers = []
     while True:
-        reached, first = np.unique(group.cayley[frontier[:, None], steps], return_index=True)
-        fresh = ~seen[reached]
-        if not fresh.any():
+        # entry i * len(steps) + j is frontier[i] times steps[j]
+        reached = group.cayley[frontier[:, None], steps].ravel()
+        new = np.flatnonzero(~seen[reached])
+        if not new.size:
             return steps, layers
-        frontier, first = reached[fresh], first[fresh]
-        seen[frontier] = True
-        layers.append((frontier, layers[-1][0][first // len(steps)] if layers
-                       else np.full(len(frontier), group.identity), first % len(steps)))
+        # the first entry reaching each new element, by writing in reverse
+        first[reached[new[::-1]]] = new[::-1]
+        seen[reached[new]] = True
+        elements = np.unique(reached[new])
+        entry = first[elements]
+        layers.append((elements, frontier[entry // len(steps)], entry % len(steps)))
+        frontier = elements
 
 
-def _ideal_rho(group: FiniteGroup, w: np.ndarray, layers: tuple) -> np.ndarray:
+def _ideal_rho(group: FiniteGroup, w: np.ndarray, tree: tuple) -> np.ndarray:
     """rho (m, n, d, d) with lambda_s W = W rho(s), for orthonormal bases
     W (m, n, d) of left ideals.
 
@@ -451,11 +456,11 @@ def _ideal_rho(group: FiniteGroup, w: np.ndarray, layers: tuple) -> np.ndarray:
     This compression is second-order in the error of W, which lies in the
     other eigenspaces, left ideals orthogonal to it; interpolating rho from
     a few rows of W would be first-order, about 1e-12 on S5.  Every other
-    element is a product along the ``layers`` of :func:`_cayley_layers`:
-    n d^3 flops, one batched product per layer.
+    element is a product along the breadth-first ``tree`` of
+    :func:`_cayley_layers`: n d^3 flops, one batched product per layer.
     """
     m, n, d = w.shape
-    steps, layers = layers
+    steps, layers = tree
     gens = steps[:len(steps) // 2]
     shifted = w[:, group.cayley[group.inverses[gens]]]
     on_gens = w.conj().transpose(0, 2, 1)[:, None] @ shifted

@@ -988,8 +988,8 @@ def test_chunked_rho_matches_one_gather(monkeypatch, name):
     seen = []
     real = vn._ideal_rho
 
-    def spy(group, w, layers):
-        rho = real(group, w, layers)
+    def spy(group, w, tree):
+        rho = real(group, w, tree)
         seen.append(max(
             float(np.abs(r - literal_ideal_rho(group, wb)).max()) for r, wb in zip(rho, w)
         ))
