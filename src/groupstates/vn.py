@@ -287,7 +287,7 @@ def block_decompose(
     in ``table.dims``, then per attempt for the blocks of that dimension
     still pending, in index order: the sketch's translates and mixing
     weights, then the support and coefficients of the self-adjoint
-    element (see :func:`_attempt_blocks`).
+    element (see :func:`_block_units`).
 
     Always builds; once verified, the result is kept on ``group`` for
     ``groups.cached_block_decomposition`` by the rule of ``groups._keep``.
@@ -323,15 +323,27 @@ def _block_units(
     tree: tuple,
 ) -> np.ndarray:
     """Units (m, d, d, n) of the m blocks of dimension d with central
-    projections ``p`` (m, n): attempts of :func:`_attempt_blocks` on the
-    blocks still pending, at most _MAX_RETRIES each, then rho along the
-    breadth-first ``tree`` of :func:`_cayley_layers` (:func:`_ideal_rho`)."""
+    projections ``p`` (m, n).
+
+    Each attempt runs on the blocks still pending, at most _MAX_RETRIES
+    times: a block passes when its range is full rank (:func:`_block_range`)
+    and it splits (:func:`_lowest_ideal`), and rho on its ideal is then
+    multiplied out along the breadth-first ``tree`` of
+    :func:`_cayley_layers` (:func:`_ideal_rho`).  An attempt draws, in this
+    order: the translates (pending, d^2, K) and the mixing weights
+    (pending, d^2, K) of the range sketch, then the support (pending, S)
+    and the real and imaginary parts (pending, S, 2) of the coefficients of
+    the self-adjoint element, with K = _SKETCH_TRANSLATES and
+    S = _SPLIT_SUPPORT.
+    """
     units = np.empty((len(p), d, d, group.order), dtype=complex)
     pending = np.arange(len(p))
     for _ in range(_MAX_RETRIES):
-        ok, ideal = _attempt_blocks(group, p[pending], d, rng)
+        basis, full_rank = _block_range(group, p[pending], d, rng)
+        split, ideal = _lowest_ideal(group, basis, d, rng)
+        ok = full_rank & split
         if ok.any():
-            rho = _ideal_rho(group, ideal, tree)
+            rho = _ideal_rho(group, ideal[ok], tree)
             np.conjugate(rho, out=rho)
             rho *= d / group.order
             units[pending[ok]] = rho.transpose(0, 2, 3, 1)
@@ -343,25 +355,6 @@ def _block_units(
         f"no usable spectrum for block {pi} after {_MAX_RETRIES} retries",
         witness={"irrep": pi, "retries": _MAX_RETRIES},
     )
-
-
-def _attempt_blocks(
-    group: FiniteGroup, p: np.ndarray, d: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """One attempt on m blocks of dimension d with central projections
-    ``p`` (m, n): the success mask (m,) and, for the blocks that passed, an
-    orthonormal basis (passed, n, d) of a minimal left ideal in each.
-
-    Draws, in this order: the translates u (m, d^2, K) and the mixing
-    weights (m, d^2, K) of the sketch (:func:`_block_range`); the support h
-    (m, S) and the real and imaginary parts (m, S, 2) of the coefficients
-    c_h of y (:func:`_lowest_ideal`); with K = _SKETCH_TRANSLATES and
-    S = _SPLIT_SUPPORT.
-    """
-    basis, full_rank = _block_range(group, p, d, rng)
-    split, ideal = _lowest_ideal(group, basis, d, rng)
-    ok = full_rank & split
-    return ok, ideal[ok]
 
 
 def _block_range(
