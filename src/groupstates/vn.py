@@ -362,20 +362,16 @@ def _block_range(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal bases (m, n, d^2) of the blocks p_b C[G], and which are
     full rank.  Column j of block b is sum_r w_jr p_b lambda_{u_jr}, whose
-    entry t is p_b(t u^{-1}): K gathers of n d^2 values.  A QR whose R has
-    a diagonal entry below _CLUSTER_GAP times its largest is rank-deficient.
+    entry t is p_b(t u^{-1}): one gather of n K d^2 values.  A QR whose R
+    has a diagonal entry below _CLUSTER_GAP times its largest is
+    rank-deficient.
     """
     m, n, dd = len(p), group.order, d * d
     translates = rng.integers(n, size=(m, dd, _SKETCH_TRANSLATES))
     weights = rng.normal(size=(m, dd, _SKETCH_TRANSLATES))
-    at = np.arange(m)[:, None, None]
-    sketch = np.zeros((m, n, dd), dtype=complex)
-    for r in range(_SKETCH_TRANSLATES):
-        # entry [b, t, j] = p_b(t u^{-1}) with u = translates[b, j, r]
-        columns = p[at, group.cayley[:, group.inverses[translates[:, :, r]]].transpose(1, 0, 2)]
-        columns *= weights[:, None, :, r]
-        sketch += columns
-    basis, tri = np.linalg.qr(sketch)
+    # entry [t, b, j, r] indexes p_b(t u^{-1}) with u = translates[b, j, r]
+    flat = group.cayley[:, group.inverses[translates]] + n * np.arange(m)[:, None, None]
+    basis, tri = np.linalg.qr(np.einsum("tbjr,bjr->btj", p.ravel()[flat], weights))
     pivots = np.abs(np.diagonal(tri, axis1=1, axis2=2))
     return basis, pivots.min(axis=1) > _CLUSTER_GAP * pivots.max(axis=1)
 
@@ -397,11 +393,9 @@ def _lowest_ideal(
     parts = rng.normal(size=(m, _SPLIT_SUPPORT, 2))
     c = parts[..., 0] + 1j * parts[..., 1]
     at = np.arange(m)[:, None]
-    image = np.zeros_like(basis)
+    image = np.zeros((m, n, dd), dtype=complex)
     for h in range(_SPLIT_SUPPORT):
-        shifted = basis[at, group.cayley[:, group.inverses[support[:, h]]].T]
-        shifted *= c[:, h, None, None]
-        image += shifted
+        image += c[:, h, None, None] * basis[at, group.cayley[:, group.inverses[support[:, h]]].T]
     half = basis.conj().transpose(0, 2, 1) @ image
     evals, vecs = np.linalg.eigh(half + half.conj().transpose(0, 2, 1))
     scale = np.maximum(np.abs(evals).max(axis=1), 1.0)
