@@ -267,18 +267,15 @@ def _certify_partition(group: FiniteGroup, partition: ConjugacyPartition) -> Non
     cls = np.asarray(partition.class_of)
     reps = np.asarray(partition.class_reps, dtype=np.int64)
     sizes = np.asarray(partition.class_sizes, dtype=np.int64)
-    if cls.shape != (n,) or reps.shape != (k,) or sizes.shape != (k,):
+    if not (
+        cls.shape == (n,) and reps.shape == sizes.shape == (k,)
+        and ((0 <= cls) & (cls < k)).all() and ((0 <= reps) & (reps < n)).all()
+    ):
         raise ConvergenceFailure(
-            "partition does not label every group element",
+            "partition does not label every group element with one of its classes",
             witness={"order": n, "classes": k},
         )
     labels = np.arange(k)
-    bad = (cls < 0) | (cls >= k)
-    if bad.any():
-        raise ConvergenceFailure(
-            f"element {int(np.argmax(bad))} has no class",
-            witness={"element": int(np.argmax(bad))},
-        )
     # orbits[g, i] = g rep_i g^{-1}
     orbits = group.cayley[group.cayley[:, reps], group.inverses[:, None]]
     centralizers = (orbits == reps).sum(axis=0)

@@ -47,8 +47,7 @@ _CLUSTER_GAP = 1e-6
 # resamples per block before block_decompose gives up
 _MAX_RETRIES = 20
 # random right translates p lambda_u mixed into each column of a block's
-# range sketch; with one or two, some blocks of small groups fell short of
-# rank d^2 in a few percent of the draws
+# range sketch; with one or two, small groups' sketches fell short of rank
 _SKETCH_TRANSLATES = 3
 # support elements h of the self-adjoint y = sum_h c_h lambda_h + conj(c_h)
 # lambda_{h^-1} whose right multiplication splits a block
@@ -284,10 +283,7 @@ def block_decompose(
     once the retry budget is exhausted.
 
     The draws are taken per block dimension, in order of first appearance
-    in ``table.dims``, then per attempt for the blocks of that dimension
-    still pending, in index order: the sketch's translates and mixing
-    weights, then the support and coefficients of the self-adjoint
-    element (see :func:`_block_units`).
+    in ``table.dims``, in the order :func:`_block_units` states.
 
     Always builds; once verified, the result is kept on ``group`` for
     ``groups.cached_block_decomposition`` by the rule of ``groups._keep``.

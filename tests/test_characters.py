@@ -425,6 +425,12 @@ def test_projections_on_a_wrong_partition_raise(name):
     for partition in (moved_rep, mislabelled):
         with pytest.raises(ConvergenceFailure, match="conjugacy class"):
             minimal_central_projections(g, CharacterTable(g, partition, table.dims, table.chars))
+    out_of_range = own.class_of.copy()
+    out_of_range[-1] = own.num_classes
+    for class_of in (own.class_of[:-1], out_of_range):
+        partition = ConjugacyPartition(own.classes, class_of, own.class_sizes, own.class_reps)
+        with pytest.raises(ConvergenceFailure, match="does not label"):
+            minimal_central_projections(g, CharacterTable(g, partition, table.dims, table.chars))
     reordered = _partition(g, classes[:1] + classes[:0:-1])
     got = [p.coeffs for p in minimal_central_projections(g, character_table(g, partition=reordered))]
     for p in minimal_central_projections(g, table):
