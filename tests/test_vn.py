@@ -1019,7 +1019,8 @@ def test_block_spectra_read_one_dimensional_blocks_exactly():
 
 def test_fresh_construction_uses_no_n_space_helpers(monkeypatch):
     """A fresh group's table, projections and blocks form no n x n matrix:
-    none of algebra_matrix, gram_matrix or check_projection is called."""
+    none of algebra_matrix, gram_matrix or check_projection is called, and
+    none of the group's n x n index tables is built."""
     from groupstates import characters, groups, posdef
 
     def refuse(*args, **kwargs):
@@ -1035,6 +1036,7 @@ def test_fresh_construction_uses_no_n_space_helpers(monkeypatch):
         minimal_central_projections(g, table)
         decomp = block_decompose(g, table)
         assert decomp.block_dims == table.dims
+        assert not {"_translate", "_algebra_index", "_conjugation"} & set(vars(g))
 
 
 _RETRY_GROUPS = [
