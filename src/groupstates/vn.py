@@ -418,14 +418,15 @@ def _cayley_layers(group: FiniteGroup) -> tuple[np.ndarray, list[tuple[np.ndarra
     while True:
         # entry i * len(steps) + j is frontier[i] times steps[j]
         reached = group.cayley[frontier[:, None], steps].ravel()
-        new = np.flatnonzero(~seen[reached])
-        if not new.size:
+        entry = np.flatnonzero(~seen[reached])
+        if not entry.size:
             return steps, layers
-        # the first entry reaching each new element, by writing in reverse
-        first[reached[new[::-1]]] = new[::-1]
-        seen[reached[new]] = True
-        elements = np.unique(reached[new])
-        entry = first[elements]
+        # keep the first entry reaching each new element: write in reverse
+        elements = reached[entry]
+        first[elements[::-1]] = entry[::-1]
+        kept = first[elements] == entry
+        elements, entry = elements[kept], entry[kept]
+        seen[elements] = True
         layers.append((elements, frontier[entry // len(steps)], entry % len(steps)))
         frontier = elements
 
