@@ -25,7 +25,7 @@ import numpy as np
 from .errors import GroupMismatch, InternalDisagreement
 from .groups import FiniteGroup, algebra_matrix, same_group
 from .linalg import DEFAULT_TOL, PsdVerdict, Tolerance, is_psd
-from .posdef import GroupFunction, _require_hermitian_symmetric
+from .posdef import GroupFunction, _block_psd_verdict, _require_hermitian_symmetric
 from .vn import kept_block_decomposition
 
 
@@ -130,23 +130,14 @@ class ChoiCertificate:
         return self.symbol_verdict.undecided or self.block_verdict.undecided
 
 
-def _block_verdict(ch: FourierMultiplierChannel, tol: Tolerance) -> PsdVerdict:
-    """PSD verdict over the Fourier blocks of the symbol
-    (``BlockDecomposition.psd_verdict``): the smallest block eigenvalue
-    against the Schur matrix's own cutoff ``eig_tol * n * max|phi|``.
-
-    Reads the group's kept decomposition (``vn.kept_block_decomposition``).
-    """
-    return kept_block_decomposition(ch.group, tol).psd_verdict(ch.symbol, tol)
-
-
 def is_completely_positive(
     ch: FourierMultiplierChannel, tol: Tolerance = DEFAULT_TOL
 ) -> ChoiCertificate:
     """CP certificate; verdict must match is_positive_definite(symbol)."""
     _require_hermitian_symmetric(ch.symbol, tol)
     symbol_verdict = is_psd(schur_symbol(ch.symbol), tol)
-    block_verdict = _block_verdict(ch, tol)
+    decomp = kept_block_decomposition(ch.group, tol)
+    block_verdict = _block_psd_verdict(ch.symbol, decomp, tol)
     if symbol_verdict.is_psd != block_verdict.is_psd and not (
         symbol_verdict.undecided or block_verdict.undecided
     ):

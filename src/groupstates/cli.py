@@ -490,8 +490,8 @@ def dispatch(argv) -> int:
         args = _parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    tol = Tolerance(eig_tol=args.eig_tol, residual_tol=args.residual_tol)
     try:
+        tol = Tolerance(eig_tol=args.eig_tol, residual_tol=args.residual_tol)
         if args.command == "group":
             report = _handle_group(args, tol)
         elif args.command == "chartable":

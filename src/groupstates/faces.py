@@ -26,13 +26,12 @@ from .groups import (
     FiniteGroup,
     _frozen,
     algebra_matrix,
-    cached_block_decomposition,
     check_projection,
-    convolve,
     same_group,
 )
 from .linalg import DEFAULT_TOL, Tolerance
 from .posdef import GroupFunction, NormalState, to_state
+from .vn import kept_block_decomposition
 
 SPLIT_FACE_IRREP_LIMIT = 20
 
@@ -220,25 +219,23 @@ def state_decomposition(
 
     w1 lives in Face(p), w2 in Face(1-p), and t = omega(p).  At t = 0 or
     t = 1 the undetermined component is returned as None.  The cuts are
-    p*phi*p / t and q*phi*q / (1 - t), with q = delta_e - p, by one of two
-    routes:
+    p*phi*p / t and q*phi*q / (1 - t), with q = delta_e - p, formed in the
+    Fourier blocks of the group's kept decomposition, built and kept on
+    the first call when there is none (``vn.kept_block_decomposition``),
+    so a fresh group splits bit for bit as one that kept
+    ``block_decompose(group)``'s decomposition.
 
-    - **Blocks**, when the group keeps a decomposition verified at ``tol``
-      or tighter (``groups.cached_block_decomposition``).  p is central
-      exactly when each of its Fourier blocks is scalar (Schur's lemma),
-      and a central projection has every block 0 or I.  So p and phi are each
-      transformed once, and every block of p is certified to be 0 or I
-      within ``residual_tol``: a block off its scalar part raises
-      NotCentral with the largest deviation as witness, a scalar block
-      other than 0 or 1 raises ConvergenceFailure, whatever t is.  The
-      cuts are the inverse transform of phi's stacked blocks kept or
-      dropped by that mask.
-    - **Coefficients** otherwise, such as on a freshly loaded group:
-      centrality is the class-function test on p's coefficients, and the
-      cuts are convolutions.
+    p is central exactly when each of its blocks is scalar (Schur's
+    lemma), and a central projection has every block 0 or I.  So p and
+    phi are each transformed once, and every block of p is certified to
+    be 0 or I within ``residual_tol``: a block off its scalar part raises
+    NotCentral with the largest deviation as witness, a scalar block other
+    than 0 or 1 raises ConvergenceFailure, whatever t is.  The cuts are
+    the inverse transform of phi's stacked blocks kept or dropped by that
+    mask.
 
-    On both routes the reconstruction residual is the max-abs coefficient
-    of t w1 + (1 - t) w2 - omega, which equals the max-abs entry of its
+    The reconstruction residual is the max-abs coefficient of
+    t w1 + (1 - t) w2 - omega, which equals the max-abs entry of its
     regular-representation matrix, and both components pass the PSD test
     of :func:`to_state`.
     """
@@ -250,27 +247,18 @@ def state_decomposition(
         )
     p = face.coeffs
     phi = state.coefficients
-    decomp = cached_block_decomposition(group, tol)
-    if decomp is None:
-        _require_central(_centrality_deviation(group, p), tol)
-    else:
-        keep = _block_mask(decomp, decomp.transform @ p, tol)
+    decomp = kept_block_decomposition(group, tol)
+    keep = _block_mask(decomp, decomp.transform @ p, tol)
     t = state.expectation(p).real
     if t >= 1.0 - tol.residual_tol:
         return 1.0, state, None
     if t <= tol.residual_tol:
         return 0.0, None, state
 
-    if decomp is None:
-        q = -p
-        q[group.identity] += 1.0
-        cut1 = convolve(group, convolve(group, p, phi), p) / t
-        cut2 = convolve(group, convolve(group, q, phi), q) / (1.0 - t)
-    else:
-        # p phi p and q phi q keep and drop phi's blocks in the face
-        blocks = decomp.transform @ phi
-        cut1 = decomp.inverse_transform @ (keep * blocks) / t
-        cut2 = decomp.inverse_transform @ (~keep * blocks) / (1.0 - t)
+    # p phi p and q phi q keep and drop phi's blocks in the face
+    blocks = decomp.transform @ phi
+    cut1 = decomp.inverse_transform @ (keep * blocks) / t
+    cut2 = decomp.inverse_transform @ (~keep * blocks) / (1.0 - t)
     recon = float(np.abs(t * cut1 + (1.0 - t) * cut2 - phi).max())
     if recon > tol.residual_tol:
         raise ConvergenceFailure(
@@ -357,8 +345,6 @@ def maximal_chain_length(
     built from ``table`` at ``seed``; otherwise one is built (and then kept
     on the group), see ``vn.kept_block_decomposition``.
     """
-    from .vn import kept_block_decomposition
-
     if not 0 <= pi < table.num_irreps:
         raise ValueError(f"irrep index {pi} out of range")
     if decomp is None:

@@ -23,12 +23,16 @@ from .vn import AffineHomeoDescriptor
 
 def load_json(path: str | Path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError as exc:
         raise InputFormatError(f"no such file: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputFormatError(f"invalid JSON in {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise InputFormatError(f"JSON nested too deeply in {path}") from exc
+    except OSError as exc:
+        raise InputFormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
 def _need(obj: dict, key: str, where: str):

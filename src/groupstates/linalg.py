@@ -29,8 +29,8 @@ class Tolerance:
     residual_tol: float = 1e-8
 
     def __post_init__(self):
-        if not (self.eig_tol > 0 and self.residual_tol > 0):
-            raise ValueError("tolerances must be strictly positive")
+        if not (0 < self.eig_tol < np.inf and 0 < self.residual_tol < np.inf):
+            raise ValueError("tolerances must be finite and strictly positive")
 
     def eig_cutoff(self, a: np.ndarray) -> float:
         a = np.asarray(a)

@@ -40,8 +40,8 @@ from .groups import (
     generating_set,
     same_group,
 )
-from .linalg import DEFAULT_TOL, PsdVerdict, Tolerance, polar_unitary
-from .posdef import GroupFunction, _gram_cutoff, random_p1
+from .linalg import DEFAULT_TOL, Tolerance, polar_unitary
+from .posdef import GroupFunction, random_p1
 
 _CLUSTER_GAP = 1e-6
 # resamples per block before block_decompose gives up
@@ -240,22 +240,6 @@ class BlockDecomposition:
                 w, v = np.linalg.eigh((b + b.conj().transpose(0, 2, 1)) / 2)
             out.append((d, blocks, rows, w, v))
         return out
-
-    def psd_verdict(self, fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> PsdVerdict:
-        """PSD verdict of phi = fn from its Fourier blocks, read from the
-        block spectra kept on ``fn`` (computed on the first read).
-
-        The regular representation of sum_s phi(s) lambda_s is the direct
-        sum of block pi taken d_pi times, and the Gram and Schur matrices
-        of phi are that matrix up to transposition and relabelling, so the
-        three spectra coincide (Serre, 6.2).  The witness is the smallest
-        block eigenvalue; the cutoff is the Gram matrix's
-        (``posdef._gram_cutoff``).  Verdict, cutoff and undecided flag
-        therefore equal the dense test's, and the witness equals it up to
-        rounding.
-        """
-        wmin = min(float(w[0]) for w in fn._spectra(self))
-        return PsdVerdict.from_witness(wmin, _gram_cutoff(fn, tol))
 
 
 def block_decompose(
@@ -465,9 +449,10 @@ def kept_block_decomposition(
     """The decomposition ``group`` keeps, else a fresh one that it then keeps.
 
     Without ``table`` any kept decomposition verified at ``tol`` or tighter
-    serves (the verdict-only callers).  With ``table`` it must also have
-    been built from that very table at ``seed``, so that it equals
-    ``block_decompose(group, table, seed=seed, tol=tol)`` bit for bit.
+    serves (the callers that read only blocks).  With ``table`` it must
+    also have been built from that very table at ``seed``, so that it
+    equals ``block_decompose(group, table, seed=seed, tol=tol)`` bit for
+    bit.
     """
     decomp = cached_block_decomposition(group, tol)
     if decomp is None or (table is not None and (decomp.table is not table or decomp.seed != seed)):

@@ -121,6 +121,31 @@ def test_malformed_group_tables_exit_2(tmp_path, capsys, content):
     assert report["error"] == "InputFormatError"
 
 
+@pytest.mark.parametrize("kind", ["directory", "nested", "not-utf8"])
+def test_unreadable_input_files_exit_2(tmp_path, capsys, kind):
+    path = tmp_path / "input.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "nested":
+        path.write_text("[" * 100_000)
+    else:
+        path.write_bytes(b'{"cayley": [[0]], "labels": ["\xff"]}')
+    code, report = run_json(capsys, "group", "validate", "--in", str(path))
+    assert code == 2
+    assert report["error"] == "InputFormatError" and str(path) in report["message"]
+
+
+@pytest.mark.parametrize(
+    "flag", [("--eig-tol", "-1"), ("--residual-tol", "nan"), ("--eig-tol", "inf")]
+)
+def test_bad_tolerance_flags_exit_2(tmp_path, capsys, flag):
+    path = _write_group(tmp_path, "q8.json", "quaternion8")
+    capsys.readouterr()
+    code, report = run_json(capsys, "chartable", "--in", str(path), *flag)
+    assert code == 2
+    assert report["error"] == "ValueError" and "tolerances" in report["message"]
+
+
 def test_group_build_refuses_a_huge_order(capsys):
     code, report = run_json(capsys, "group", "build", "--kind", "cyclic:1000000000000")
     assert code == 1

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupstates import (
     BlockDecomposition,
@@ -365,76 +367,86 @@ def test_faces_are_convex(q8):
     assert face_membership(face, mix)
 
 
-ROUTES = ("coefficients", "blocks")
+LADDER_KINDS = {"S3": "symmetric:3", "Q8": "quaternion8", "D6": "dihedral:6", "S4": "symmetric:4"}
 
 
-def _group_on_route(kind, route):
-    """A fresh group that :func:`state_decomposition` splits states on by
-    ``route``: with no decomposition kept, or after ``block_decompose``."""
-    group = build_named(kind)
-    table = character_table(group)
-    if route == "blocks":
-        block_decompose(group, table)
-    assert (cached_block_decomposition(group) is None) == (route == "coefficients")
-    return group, table
+def _split_oracle_pairs(state, face):
+    """state_decomposition of ``state`` across ``face`` beside the dense
+    p D p / q D q oracle's split, component by component."""
+    t, w1, w2 = state_decomposition(state, face)
+    t_ref, c1, c2 = dense_state_decomposition(state, face)
+    return t, t_ref, ((w1, c1), (w2, c2))
 
 
-@pytest.mark.parametrize(
-    "kind",
-    ["symmetric:3", "quaternion8", "dihedral:6", "symmetric:4"],
-    ids=["S3", "Q8", "D6", "S4"],
-)
+@pytest.mark.parametrize("kind", list(LADDER_KINDS.values()), ids=list(LADDER_KINDS))
 def test_state_decomposition_matches_dense_oracle(kind):
-    """Both routes split like the dense p D p / q D q oracle, over random
-    states and every split face, to 1e-12: first on a fresh group (the
-    coefficient route), then on one that keeps a decomposition (the block
-    route)."""
-    for route in ROUTES:
-        group, table = _group_on_route(kind, route)
-        faces = split_faces(group, table)
-        rng = np.random.default_rng(11)
-        states = [to_state(random_p1(group, rng)) for _ in range(3)]
-        for state in states:
-            for face in faces:
-                t, w1, w2 = state_decomposition(state, face)
-                t_ref, c1, c2 = dense_state_decomposition(state, face)
-                assert abs(t - t_ref) < 1e-12
-                for got, ref in ((w1, c1), (w2, c2)):
-                    assert (got is None) == (ref is None)
-                    if got is not None:
-                        assert np.abs(got.coefficients - ref).max() < 1e-12
+    """The split matches the dense oracle over random states and every
+    split face, to 1e-12, starting from a fresh group."""
+    group = build_named(kind)
+    faces = split_faces(group, character_table(group))
+    rng = np.random.default_rng(11)
+    states = [to_state(random_p1(group, rng)) for _ in range(3)]
+    for state in states:
+        for face in faces:
+            t, t_ref, pairs = _split_oracle_pairs(state, face)
+            assert abs(t - t_ref) < 1e-12
+            for got, ref in pairs:
+                assert (got is None) == (ref is None)
+                if got is not None:
+                    assert np.abs(got.coefficients - ref).max() < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    name=st.sampled_from(sorted(LADDER_KINDS)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    face_index=st.integers(min_value=0),
+)
+def test_split_does_not_depend_on_what_the_group_keeps(name, seed, face_index):
+    """A fresh group, which builds and keeps a decomposition on the first
+    split, and a copy that ran block_decompose(seed=0) before, split a
+    random state across the same face with bit-identical t and
+    components, both within 1e-12 of the dense oracle."""
+    fresh, kept = build_named(LADDER_KINDS[name]), build_named(LADDER_KINDS[name])
+    block_decompose(kept, seed=0)
+    assert cached_block_decomposition(fresh) is None
+    values = random_p1(fresh, np.random.default_rng(seed)).values
+    splits = []
+    for group in (fresh, kept):
+        faces = split_faces(group, character_table(group))
+        face = faces[face_index % len(faces)]
+        splits.append(_split_oracle_pairs(to_state(GroupFunction(group, values)), face))
+    (t, t_ref, pairs), (t_kept, _, kept_pairs) = splits
+    assert t_kept == t == t_ref
+    for (got, ref), (other, _) in zip(pairs, kept_pairs):
+        assert (got is None) == (ref is None) == (other is None)
+        if got is not None:
+            assert got.coefficients.tobytes() == other.coefficients.tobytes()
+            assert np.abs(got.coefficients - ref).max() < 1e-12
 
 
 def test_state_decomposition_routes_agree_on_s5():
-    """On S5 the block route gives the coefficient route's t exactly and its
+    """On S5 the split matches the dense oracle, t exactly and the
     components to 1e-12, on every minimal split face and some unions."""
-    (coeff_group, coeff_table), (block_group, block_table) = (
-        _group_on_route("symmetric:5", route) for route in ROUTES
-    )
-    coeff_faces = split_faces(coeff_group, coeff_table)
-    block_faces = split_faces(block_group, block_table)
+    group = symmetric_group(5)
+    faces = split_faces(group, character_table(group))
     rng = np.random.default_rng(12)
     for _ in range(2):
-        values = random_p1(coeff_group, rng).values
-        coeff_state = to_state(GroupFunction(coeff_group, values))
-        block_state = to_state(GroupFunction(block_group, values))
+        state = to_state(random_p1(group, rng))
         for mask in (1, 2, 4, 8, 16, 32, 64, 5, 42, 99, 126):
-            t, w1, w2 = state_decomposition(coeff_state, coeff_faces[mask])
-            t_blk, b1, b2 = state_decomposition(block_state, block_faces[mask])
-            assert t_blk == t
-            for got, ref in ((b1, w1), (b2, w2)):
+            t, t_ref, pairs = _split_oracle_pairs(state, faces[mask])
+            assert t == t_ref
+            for got, ref in pairs:
                 assert (got is None) == (ref is None)
                 if got is not None:
-                    assert np.abs(got.coefficients - ref.coefficients).max() < 1e-12
+                    assert np.abs(got.coefficients - ref).max() < 1e-12
 
 
-@pytest.mark.parametrize("route", ROUTES)
-def test_state_decomposition_rejects_a_non_central_face(route):
+def test_state_decomposition_rejects_a_non_central_face():
     """A diagonal matrix unit of the 2-dimensional block of Q8 is a
-    projection but not central."""
-    group, _ = _group_on_route("quaternion8", route)
-    # the unit comes from another copy of Q8, so the coefficient route's
-    # group keeps no decomposition
+    projection but not central.  The unit comes from another copy of Q8,
+    so the split builds the group's decomposition itself."""
+    group = quaternion_group()
     other = quaternion_group()
     decomp = block_decompose(other, character_table(other), seed=0)
     unit = decomp.unit_coeffs(decomp.block_dims.index(2), 0, 0)
@@ -446,10 +458,10 @@ def test_state_decomposition_rejects_a_non_central_face(route):
     assert set(info.value.witness) == {"deviation"}
 
 
-@pytest.mark.parametrize("route", ROUTES)
-def test_state_decomposition_rejects_half_a_central_projection(route):
+def test_state_decomposition_rejects_half_a_central_projection():
     """0.5 p_pi is central but not a projection: its block pi is I / 2."""
-    group, table = _group_on_route("symmetric:3", route)
+    group = symmetric_group(3)
+    table = character_table(group)
     pi = table.dims.index(2)
     half = 0.5 * minimal_central_projections(group, table)[pi].coeffs
     face = FaceDescriptor(group, half, None, is_central=True, is_split=True)
@@ -617,7 +629,7 @@ def test_chain_is_certified_without_n_space_products(monkeypatch):
     """block_face_chain builds no regular-representation matrix and calls
     neither convolve nor check_projection, and maximal_chain_length reads
     no per-element blocks through from_coefficients."""
-    from groupstates import faces, vn
+    from groupstates import faces, groups, vn
 
     def forbidden(name):
         def fail(*args, **kwargs):
@@ -627,8 +639,9 @@ def test_chain_is_certified_without_n_space_products(monkeypatch):
     g = symmetric_group(4)
     table = character_table(g)
     decomp = block_decompose(g, table, seed=0)
-    for name in ("algebra_matrix", "convolve", "check_projection"):
+    for name in ("algebra_matrix", "check_projection"):
         monkeypatch.setattr(faces, name, forbidden(name))
+    monkeypatch.setattr(groups, "convolve", forbidden("convolve"))
     monkeypatch.setattr(vn.BlockDecomposition, "from_coefficients", forbidden("from_coefficients"))
     for pi, d in enumerate(table.dims):
         assert maximal_chain_length(g, table, pi, decomp=decomp) == d

@@ -20,6 +20,13 @@ def test_tolerance_must_be_positive():
         Tolerance(residual_tol=-1.0)
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("name", ["eig_tol", "residual_tol"])
+def test_tolerance_must_be_finite(name, value):
+    with pytest.raises(ValueError):
+        Tolerance(**{name: value})
+
+
 def test_hermitian_eig_identity():
     w, v = hermitian_eig(np.eye(3))
     assert np.allclose(w, [1, 1, 1])

@@ -718,7 +718,7 @@ def test_fourier_and_gram_verdicts_agree_outside_the_band(name, seed, weight):
     state = random_p1(decomp.group, rng)
     other = random_hermitian_symmetric(decomp.group, rng)
     fn = GroupFunction(decomp.group, weight * state.values + (1 - weight) * other.values)
-    fourier = decomp.psd_verdict(fn)
+    fourier = posdef._block_psd_verdict(fn, decomp, DEFAULT_TOL)
     gram = gram_psd_verdict(fn)
     if not (fourier.undecided or gram.undecided):
         assert fourier.is_psd == gram.is_psd
@@ -739,13 +739,13 @@ def _count_is_psd(monkeypatch):
 
 def _count_psd_verdicts(monkeypatch):
     calls = []
-    real = BlockDecomposition.psd_verdict
+    real = posdef._block_psd_verdict
 
-    def counted(self, coeffs, tol=DEFAULT_TOL):
+    def counted(fn, decomp, tol):
         calls.append(tol)
-        return real(self, coeffs, tol)
+        return real(fn, decomp, tol)
 
-    monkeypatch.setattr(BlockDecomposition, "psd_verdict", counted)
+    monkeypatch.setattr(posdef, "_block_psd_verdict", counted)
     return calls
 
 
