@@ -442,11 +442,28 @@ def test_state_decomposition_routes_agree_on_s5():
                     assert np.abs(got.coefficients - ref).max() < 1e-12
 
 
-def test_state_decomposition_rejects_a_non_central_face():
+# What the group holds when the split is called: only its coefficient
+# data (a fresh group, so the split builds the decomposition itself), or
+# a decomposition kept from an earlier block_decompose.
+SPLIT_STARTS = ("coefficients", "blocks")
+
+
+def _group_from(name, start):
+    """A fresh ``name`` group holding what ``start`` of SPLIT_STARTS says."""
+    group = ladder_group(name)
+    if start == "blocks":
+        block_decompose(group, seed=0)
+    assert (cached_block_decomposition(group) is None) == (start == "coefficients")
+    return group
+
+
+@pytest.mark.parametrize("start", SPLIT_STARTS)
+def test_state_decomposition_rejects_a_non_central_face(start):
     """A diagonal matrix unit of the 2-dimensional block of Q8 is a
     projection but not central.  The unit comes from another copy of Q8,
-    so the split builds the group's decomposition itself."""
-    group = quaternion_group()
+    so on the "coefficients" start the split builds the group's
+    decomposition itself."""
+    group = _group_from("Q8", start)
     other = quaternion_group()
     decomp = block_decompose(other, character_table(other), seed=0)
     unit = decomp.unit_coeffs(decomp.block_dims.index(2), 0, 0)
@@ -458,9 +475,10 @@ def test_state_decomposition_rejects_a_non_central_face():
     assert set(info.value.witness) == {"deviation"}
 
 
-def test_state_decomposition_rejects_half_a_central_projection():
+@pytest.mark.parametrize("start", SPLIT_STARTS)
+def test_state_decomposition_rejects_half_a_central_projection(start):
     """0.5 p_pi is central but not a projection: its block pi is I / 2."""
-    group = symmetric_group(3)
+    group = _group_from("S3", start)
     table = character_table(group)
     pi = table.dims.index(2)
     half = 0.5 * minimal_central_projections(group, table)[pi].coeffs
