@@ -12,8 +12,9 @@ undecided band signals a convention bug and raises.
 A channel is its symbol, so building one and composing two (a pointwise
 product) cost O(n).  The Schur matrix's indexing convention is checked once
 per group, on the first channel built over it: the matrix is a gather of
-phi through the group's algebra index, so its convention is a property of
-the group, not of phi (see ``FourierMultiplierChannel``).
+phi through an index that is a fixed function of the group's ``cayley`` and
+``inverses``, so its convention is a property of the builder and the group,
+not of phi (see ``FourierMultiplierChannel``).
 """
 
 from __future__ import annotations
@@ -46,11 +47,11 @@ class FourierMultiplierChannel:
 
     Construction checks that the symbol lives on ``group`` and, on the first
     channel over its group, that ``schur_symbol`` puts phi(u) along the
-    support of every lambda_u.  ``schur_symbol`` gathers phi through the
-    group's read-only algebra index, so one probe with distinct values
-    checks the same thing for every phi; the group keeps the builder it
-    checked and a replaced builder is checked again.  Construction is O(n)
-    once the group is checked.
+    support of every lambda_u.  ``schur_symbol`` gathers phi through an
+    index it builds from the group's ``cayley`` and ``inverses``, so one
+    probe with distinct values checks the same thing for every phi; the
+    group keeps the builder it checked and a replaced builder is checked
+    again.  Construction is O(n) once the group is checked.
     """
 
     group: FiniteGroup
@@ -71,12 +72,12 @@ def _check_schur_indexing(group: FiniteGroup) -> None:
     each lambda_u, i.e. a[u t, t] = phi(u) for all (u, t), and keep the
     checked builder on ``group``.
 
-    ``schur_symbol`` is a gather of phi through an index table of the
-    group, so the check holds for every phi exactly when it holds for one
-    phi with distinct values: it runs on the probe phi(s) = s.  The flat
-    index of (u t, t) comes from the Cayley table, not from the algebra
-    index that built the matrix.  The witness is the first element u whose
-    diagonal is wrong.
+    ``schur_symbol`` is a gather of phi through the builder's index, a
+    fixed function of the group's ``cayley`` and ``inverses``, so the check
+    holds for every phi exactly when it holds for one phi with distinct
+    values: it runs on the probe phi(s) = s.  The flat index of (u t, t)
+    comes from the Cayley table, not from the index that built the matrix.
+    The witness is the first element u whose diagonal is wrong.
     """
     n = group.order
     a = schur_symbol(GroupFunction(group, np.arange(n)))

@@ -142,6 +142,14 @@ def _complex_list(values) -> dict:
     return {"re": arr.real.tolist(), "im": arr.imag.tolist()}
 
 
+def _write_json(path: str, payload: dict) -> None:
+    """Write a report to ``--out``; a path that cannot be written is bad input."""
+    try:
+        Path(path).write_text(json.dumps(payload, sort_keys=True))
+    except OSError as exc:
+        raise InputFormatError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _load_function_near(path: str, fallback_group) -> pd.GroupFunction:
     """Load a function file, using its inline group when present so that
     group mismatches are detected, else the companion file's group."""
@@ -160,7 +168,7 @@ def _handle_group(args, tol) -> dict:
         group = build_named(args.kind)
         payload = io.group_to_json(group)
         if args.out:
-            Path(args.out).write_text(json.dumps(payload, sort_keys=True))
+            _write_json(args.out, payload)
             return {"written": args.out, "order": group.order, "name": group.name}
         return payload
     if args.subcommand == "validate":
@@ -180,7 +188,7 @@ def _handle_chartable(args, tol) -> dict:
     table = character_table(group, seed=args.seed, tol=tol)
     payload = io.table_to_json(table)
     if args.out:
-        Path(args.out).write_text(json.dumps(payload, sort_keys=True))
+        _write_json(args.out, payload)
         return {"written": args.out, "dims": list(table.dims)}
     return payload
 
@@ -214,7 +222,7 @@ def _handle_channel(args, tol) -> dict:
         channel = ch.build_channel(fn)
         payload = io.function_to_json(fn)
         if args.out:
-            Path(args.out).write_text(json.dumps(payload, sort_keys=True))
+            _write_json(args.out, payload)
             return {"written": args.out, "unital": ch.is_unital(channel, tol)}
         payload["unital"] = ch.is_unital(channel, tol)
         return payload
@@ -318,7 +326,7 @@ def _handle_vn(args, tol, seed: int) -> dict:
         }
         payload = {"dims": list(decomp.block_dims), "units": units}
         if args.out:
-            Path(args.out).write_text(json.dumps(payload, sort_keys=True))
+            _write_json(args.out, payload)
             return {"written": args.out, "dims": list(decomp.block_dims)}
         return payload
     if args.subcommand == "homeo":
@@ -337,7 +345,7 @@ def _handle_vn(args, tol, seed: int) -> dict:
             "backward": io.matrix_to_json(homeo.backward_matrix),
         }
         if args.out:
-            Path(args.out).write_text(json.dumps(payload, sort_keys=True))
+            _write_json(args.out, payload)
         return {
             "matching": list(homeo.matching),
             "round_trip_residual": worst,
@@ -387,10 +395,8 @@ def _handle_demo(args, tol, seed: int) -> dict:
 
 
 def _demo_q8_d4(tol, seed: int) -> dict:
-    from .groups import dihedral_group, quaternion_group
-
-    q8 = quaternion_group()
-    d4 = dihedral_group(4)
+    q8 = build_named("quaternion8")
+    d4 = build_named("dihedral:4")
     verdict = vn.vn_isomorphic(q8, d4, seed)
     homeo = vn.construct_affine_homeomorphism(q8, d4, seed, tol)
     rng = np.random.default_rng(seed)
@@ -441,9 +447,7 @@ def _demo_bochner(tol, seed: int) -> dict:
 
 
 def _demo_faces_tour(tol, seed: int) -> dict:
-    from .groups import symmetric_group
-
-    s3 = symmetric_group(3)
+    s3 = build_named("symmetric:3")
     table = character_table(s3, seed=seed, tol=tol)
     descriptors = fc.split_faces(s3, table, tol)
     lengths = [
@@ -508,6 +512,9 @@ def dispatch(argv) -> int:
             report = _handle_demo(args, tol, args.seed)
     except DomainError as exc:
         return _report_error(args, {"error": exc.name, "message": str(exc), "witness": exc.witness}, 1)
+    except np.linalg.LinAlgError as exc:
+        # a ValueError, but raised by a solver on well-formed input
+        return _report_error(args, {"error": "ConvergenceFailure", "message": str(exc), "witness": {}}, 1)
     except (InputFormatError, ValueError) as exc:
         return _report_error(args, {"error": type(exc).__name__, "message": str(exc)}, 2)
     except MemoryError as exc:

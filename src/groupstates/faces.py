@@ -27,6 +27,7 @@ from .groups import (
     _frozen,
     algebra_matrix,
     check_projection,
+    conjugacy_classes,
     same_group,
 )
 from .linalg import DEFAULT_TOL, Tolerance
@@ -92,9 +93,12 @@ def _centrality_deviation(group: FiniteGroup, coeffs: np.ndarray) -> float:
 
     The commutator [lambda_g, x] has coefficients c(g^-1 v g) - c(v), so
     this is the largest commutator entry over the whole group: x is central
-    exactly when c is a class function.
+    exactly when c is a class function.  The pairs (g s g^-1, s) are the
+    pairs (a, b) within one conjugacy class, so this reads sum |C|^2 <= n^2
+    differences, class by class; ``np.max`` lets NaN through.
     """
-    return float(np.abs(coeffs[group._conjugation] - coeffs[None, :]).max())
+    classes = conjugacy_classes(group).classes
+    return float(np.max([np.abs(v[:, None] - v).max() for v in (coeffs[list(c)] for c in classes)]))
 
 
 def _require_central(dev: float, tol: Tolerance) -> None:

@@ -51,22 +51,18 @@ class FiniteGroup:
       the latest among equals, and each equals a fresh build with the
       same arguments bit for bit;
     - ``_schur_checked``, the ``channels.schur_symbol`` builder whose
-      indexing check passed: the check tests the group's index table, so
-      it runs again only when the builder is replaced.  It holds a
-      function, not a channel, so it adds no reference cycle.
+      indexing check passed: the check tests the builder's index, a fixed
+      function of ``cayley`` and ``inverses``, so it runs again only when
+      the builder is replaced.  It holds a function, not a channel, so it
+      adds no reference cycle.
 
     Kept tables and decompositions point back at the group weakly
     (:class:`_WeakGroup`), so dropping the last reference to the group
     frees it and everything it keeps without the cyclic collector.  A
     caller that keeps a table or a decomposition must hold its group.
 
-    Three read-only n x n int64 index tables are built on first read, at
-    8 n^2 bytes each (115 KB on S5, 4.1 MB on S6, 203 MB on S7):
-
-    - ``_translate[s, t]`` is s^{-1} t: (lambda_s w)(t) = w(s^{-1} t), the
-      Gram matrix (as its transpose) and the regular traces;
-    - ``_algebra_index[t, u]`` is t u^{-1}: :func:`algebra_matrix`;
-    - ``_conjugation[g, s]`` is g s g^{-1}: the centrality test of faces.
+    No n x n index is kept: each gather builds its index from ``cayley``
+    and ``inverses`` where it is read (8 n^2 bytes while it lives).
     """
 
     order: int
@@ -106,21 +102,9 @@ class FiniteGroup:
         return _closure_generators(self.cayley, self.identity)
 
     @functools.cached_property
-    def _translate(self) -> np.ndarray:
-        return _read_only(self.cayley[self.inverses])
-
-    @functools.cached_property
-    def _algebra_index(self) -> np.ndarray:
-        return _read_only(self.cayley[:, self.inverses])
-
-    @functools.cached_property
-    def _conjugation(self) -> np.ndarray:
-        return _read_only(self.cayley[self.cayley, self.inverses[:, None]])
-
-    @functools.cached_property
     def _conjugacy(self) -> ConjugacyPartition:
         # computed once per group, see conjugacy_classes
-        return _conjugation_orbits(self)
+        return _conjugacy_orbits(self)
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
@@ -477,24 +461,22 @@ def conjugacy_classes(group: FiniteGroup) -> ConjugacyPartition:
     return group._conjugacy
 
 
-def _conjugation_orbits(group: FiniteGroup) -> ConjugacyPartition:
+def _conjugacy_orbits(group: FiniteGroup) -> ConjugacyPartition:
     n = group.order
     table, inv = group.cayley, group.inverses
-    all_g = np.arange(n)
     seen = np.zeros(n, dtype=bool)
     classes = []
     for s in range(n):
         if seen[s]:
             continue
-        orbit = np.unique(table[table[all_g, s], inv[all_g]])
+        orbit = np.unique(table[table[:, s], inv])
         seen[orbit] = True
         classes.append(tuple(int(x) for x in orbit))
     classes.sort(key=lambda c: (group.identity not in c, len(c), c[0]))
 
     class_of = np.empty(n, dtype=np.int64)
     for ci, members in enumerate(classes):
-        for s in members:
-            class_of[s] = ci
+        class_of[list(members)] = ci
     class_of.setflags(write=False)
     return ConjugacyPartition(
         classes=tuple(classes),
@@ -535,8 +517,9 @@ def check_projection(
 
     Every regular-representation entry is a coefficient, so these are the
     max-abs entries of the n x n residual matrices.  Raises
-    DimensionMismatch when ``coeffs`` is not one value per element, and
-    ConvergenceFailure when either residual exceeds ``residual_tol``.
+    DimensionMismatch when ``coeffs`` is not one value per element,
+    ValueError when one is NaN or infinite, and ConvergenceFailure when
+    either residual exceeds ``residual_tol``.
     """
     c = np.asarray(coeffs, dtype=complex)
     if c.shape != (group.order,):
@@ -544,6 +527,8 @@ def check_projection(
             f"{what} has coefficient shape {c.shape}, group order is {group.order}",
             witness={"shape": list(c.shape), "order": group.order},
         )
+    if not np.isfinite(c).all():
+        raise ValueError(f"{what} coefficients contain NaN or Inf")
     herm = float(np.abs(c - star(group, c)).max())
     idem = float(np.abs(convolve(group, c, c) - c).max())
     if herm > tol.residual_tol or idem > tol.residual_tol:
@@ -557,7 +542,7 @@ def check_projection(
 def algebra_matrix(group: FiniteGroup, coeffs) -> np.ndarray:
     """Regular-representation image of sum_s coeffs[s] lambda_s."""
     # row t, column u carries coeff(t u^{-1})
-    return np.asarray(coeffs, dtype=complex)[group._algebra_index]
+    return np.asarray(coeffs, dtype=complex)[group.cayley[:, group.inverses]]
 
 
 def same_group(g: FiniteGroup, h: FiniteGroup) -> bool:

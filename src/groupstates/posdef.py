@@ -135,7 +135,7 @@ def _block_psd_verdict(fn: GroupFunction, decomp, tol: Tolerance) -> PsdVerdict:
 
 def gram_matrix(fn: GroupFunction) -> np.ndarray:
     """The |G| x |G| matrix with entry (j, k) = phi(s_k^{-1} s_j)."""
-    return fn.values[fn.group._translate.T]
+    return fn.values[fn.group.cayley[fn.group.inverses].T]
 
 
 def is_positive_definite(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> PsdVerdict:
@@ -298,8 +298,8 @@ class GnsRepresentation:
     character: np.ndarray
 
     def matrix(self, s: int) -> np.ndarray:
-        """The dim x dim unitary rho(s)."""
-        return self.project @ self.lift[self.group._translate[s]]
+        """The dim x dim unitary rho(s): (lambda_s w)(t) = w(s^{-1} t)."""
+        return self.project @ self.lift[self.group.cayley[self.group.inverses[s]]]
 
 
 def gns(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> GnsRepresentation:
@@ -378,7 +378,7 @@ def gns(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> GnsRepresentation:
     rep = GnsRepresentation(g, len(project), project, lift, cyclic, character)
 
     # <rho(s) xi, xi> = sum_t (xi^* project)[t] (lift xi)[s^{-1} t]
-    coefficients = (lift @ cyclic)[g._translate] @ (cyclic.conj() @ project)
+    coefficients = (lift @ cyclic)[g.cayley[g.inverses]] @ (cyclic.conj() @ project)
     coeff_dev = float(np.abs(coefficients - fn.values).max())
     if coeff_dev > tol.residual_tol:
         raise ConvergenceFailure(
@@ -419,7 +419,8 @@ def _gram_character(fn: GroupFunction, tol: Tolerance) -> tuple[int, np.ndarray]
     the Gram cutoff, and tr rho(s) = tr(lambda_s K) for the kept spectral
     projector K, one O(n^2) gather.  Raises NotPositiveDefinite with the
     smallest kernel eigenvalue as witness."""
-    kernel = gram_matrix(fn).T
+    translate = fn.group.cayley[fn.group.inverses]
+    kernel = fn.values[translate]  # the transposed Gram matrix
     w, v = np.linalg.eigh((kernel + kernel.conj().T) / 2)
     cutoff = _gram_cutoff(fn, tol)
     if w[0] < -cutoff:
@@ -430,7 +431,7 @@ def _gram_character(fn: GroupFunction, tol: Tolerance) -> tuple[int, np.ndarray]
     vk = v[:, w > cutoff]
     if vk.shape[1] == 0:
         raise NotPositiveDefinite("form has rank zero", witness={})
-    return vk.shape[1], _regular_traces(fn.group._translate, vk @ vk.conj().T)
+    return vk.shape[1], _regular_traces(translate, vk @ vk.conj().T)
 
 
 def _block_ranks(fn: GroupFunction, tol: Tolerance) -> list[int]:
@@ -521,4 +522,4 @@ def random_p1(group: FiniteGroup, rng: np.random.Generator) -> GroupFunction:
     xi = draws[:, 0] + 1j * draws[:, 1]
     xi /= np.linalg.norm(xi, axis=1, keepdims=True)
     density = (weights[:, None] * xi).T @ xi.conj()
-    return GroupFunction(group, _regular_traces(group._translate, density))
+    return GroupFunction(group, _regular_traces(group.cayley[group.inverses], density))

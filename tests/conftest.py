@@ -457,15 +457,6 @@ def loop_random_p1(group, rng):
     return GroupFunction(group, vals)
 
 
-def literal_index_tables(group):
-    """The group's kept index tables, as the expressions that define them."""
-    return {
-        "_translate": group.cayley[group.inverses],  # [s, t] = s^-1 t
-        "_algebra_index": group.cayley[:, group.inverses],  # [t, u] = t u^-1
-        "_conjugation": group.cayley[group.cayley, group.inverses[:, None]],  # [g, s] = g s g^-1
-    }
-
-
 def literal_algebra_matrix(group, coeffs):
     """Regular-representation image, its index table rebuilt per call."""
     return np.asarray(coeffs, dtype=complex)[group.cayley[:, group.inverses]]
@@ -478,7 +469,7 @@ def literal_gram_matrix(fn):
 
 
 def literal_centrality_deviation(group, coeffs):
-    """max |c(g s g^-1) - c(s)|, the conjugation table rebuilt per call."""
+    """max |c(g s g^-1) - c(s)| over every (g, s), one n x n conjugation gather."""
     conj = group.cayley[group.cayley, group.inverses[:, None]]
     return float(np.abs(coeffs[conj] - coeffs[None, :]).max())
 
@@ -574,7 +565,7 @@ def cluster_spectrum(evals, scale):
 def literal_ideal_rho(group, w):
     """rho[s] = W^* lambda_s W for every s, one (n, n, d) gather, with
     (lambda_s w)(t) = w(s^{-1} t)."""
-    return w.conj().T @ w[group._translate]
+    return w.conj().T @ w[group.cayley[group.inverses]]
 
 
 def per_block_decompose(group, table=None, seed=0, tol=None):

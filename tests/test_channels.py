@@ -373,7 +373,8 @@ def test_schur_matrix_in_the_translation_convention_is_caught(monkeypatch, s3):
     """A Schur matrix built as phi(s^-1 t), the Gram convention, is caught
     with the first element whose diagonal is wrong as witness."""
     fn = random_hermitian_symmetric(s3, np.random.default_rng(15))
-    monkeypatch.setattr(channels, "schur_symbol", lambda symbol: symbol.values[s3._translate])
+    translate = s3.cayley[s3.inverses]
+    monkeypatch.setattr(channels, "schur_symbol", lambda symbol: symbol.values[translate])
 
     def wrong(u, t):  # entry (u t, t) of the tampered matrix against phi(u)
         return fn(s3.mul(s3.inv(s3.mul(u, t)), t)) != fn(u)

@@ -136,6 +136,44 @@ def test_unreadable_input_files_exit_2(tmp_path, capsys, kind):
 
 
 @pytest.mark.parametrize(
+    "command", ["group build", "chartable", "channel build", "vn decompose", "vn homeo"]
+)
+def test_out_into_a_missing_directory_exits_2(tmp_path, capsys, command):
+    group = _write_group(tmp_path, "q8.json", "quaternion8")
+    fn = tmp_path / "fn.json"
+    symbol = function_to_json(delta_e(quaternion_group()), inline_group=False)
+    fn.write_text(json.dumps({**symbol, "group": "q8.json"}))
+    inputs = {
+        "group build": ["--kind", "quaternion8"],
+        "chartable": ["--in", str(group)],
+        "channel build": ["--fn", str(fn)],
+        "vn decompose": ["--in", str(group)],
+        "vn homeo": ["--g1", str(group), "--g2", str(group)],
+    }
+    out = tmp_path / "missing" / "out.json"
+    capsys.readouterr()
+    code, report = run_json(capsys, *command.split(), *inputs[command], "--out", str(out))
+    assert code == 2
+    assert report["error"] == "InputFormatError" and str(out) in report["message"]
+    assert not out.parent.exists()
+
+
+# 1e308 overflows the symmetrized matrices to inf and nan; numpy warns
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["posdef check", "posdef norm", "posdef extreme", "channel cp"])
+def test_a_failed_solver_exits_1_whatever_the_command(tmp_path, capsys, command):
+    """numpy's LinAlgError is a ValueError, but the file is well formed:
+    every command reports the failed eigensolver as ConvergenceFailure."""
+    _write_group(tmp_path, "s3.json", "symmetric:3")
+    fn = tmp_path / "big.json"
+    fn.write_text(json.dumps({"group": "s3.json", "re": [1e308] * 6, "im": [0.0] * 6}))
+    capsys.readouterr()
+    code, report = run_json(capsys, *command.split(), "--fn", str(fn))
+    assert code == 1
+    assert report["error"] == "ConvergenceFailure" and report["witness"] == {}
+
+
+@pytest.mark.parametrize(
     "flag", [("--eig-tol", "-1"), ("--residual-tol", "nan"), ("--eig-tol", "inf")]
 )
 def test_bad_tolerance_flags_exit_2(tmp_path, capsys, flag):

