@@ -48,7 +48,6 @@ from .linalg import (
     DEFAULT_TOL,
     PsdVerdict,
     Tolerance,
-    hermitian_eig,
     is_psd,
     polar_unitary,
 )

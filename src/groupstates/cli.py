@@ -339,13 +339,12 @@ def _handle_vn(args, tol, seed: int) -> dict:
             fn = pd.random_p1(g1, rng)
             back = homeo.backward(homeo.forward(fn))
             worst = max(worst, float(np.abs(back.values - fn.values).max()))
-        payload = {
-            "matching": list(homeo.matching),
-            "forward": io.matrix_to_json(homeo.forward_matrix),
-            "backward": io.matrix_to_json(homeo.backward_matrix),
-        }
         if args.out:
-            _write_json(args.out, payload)
+            _write_json(args.out, {
+                "matching": list(homeo.matching),
+                "forward": io.matrix_to_json(homeo.forward_matrix),
+                "backward": io.matrix_to_json(homeo.backward_matrix),
+            })
         return {
             "matching": list(homeo.matching),
             "round_trip_residual": worst,

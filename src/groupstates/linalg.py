@@ -1,5 +1,5 @@
-"""Dense complex-matrix kernel: Hermitian eigendecomposition, PSD tests,
-polar decomposition.
+"""Dense complex-matrix kernel: PSD verdicts from eigenvalues with a
+Cholesky certificate, polar decomposition.
 
 All spectral verdicts use a dimension- and scale-aware cutoff (see
 :class:`Tolerance`), and verdicts inside the band ``|lambda_min| <= 10 *
@@ -65,32 +65,32 @@ class PsdVerdict:
 
 
 def as_matrix(a) -> np.ndarray:
-    """Coerce to a finite complex matrix; reject NaN/Inf and non-2d input."""
+    """Coerce to a finite complex square matrix; reject anything else."""
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got array of ndim {m.ndim}")
     if m.size and not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
         raise ValueError("matrix contains NaN or Inf entries")
+    if m.shape[0] != m.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {m.shape}")
     return m
 
 
-def hermitian_deviation(a: np.ndarray) -> float:
-    """Max-entry distance from A to its adjoint."""
-    a = np.asarray(a)
-    return float(np.abs(a - a.conj().T).max()) if a.size else 0.0
+def is_psd(a, tol: Tolerance = DEFAULT_TOL) -> PsdVerdict:
+    """PSD test with witness: true iff the minimum eigenvalue >= -cutoff.
 
-
-def hermitian_eig(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ascending eigenvalues and a unitary matrix of eigenvectors
-    (columns).  Input within ``residual_tol`` of Hermitian is symmetrized
-    before decomposition; anything farther raises ``NotHermitian``.
+    Input within ``residual_tol`` of Hermitian is symmetrized, anything
+    farther raises ``NotHermitian``; verdict and witness come from
+    ``eigvalsh`` alone.  A decided verdict is over 9 * cutoff from the
+    boundary of A + cutoff*I, so its Cholesky factor certifies it: a finite
+    factor for a non-PSD verdict, or none for a PSD one, raises
+    ``ConvergenceFailure``.  Undecided verdicts go uncertified, as do those
+    whose margin is within Cholesky's backward error n**2 * eps * max|A|
+    (``eig_tol`` near n * eps); the input decides both.
     """
     m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {m.shape}")
-    dev = hermitian_deviation(m)
+    n = m.shape[0]
+    dev = float(np.abs(m - m.conj().T).max()) if m.size else 0.0
     if dev > tol.residual_tol:
         raise NotHermitian(
             f"matrix is not Hermitian (max deviation {dev:.3e})",
@@ -98,32 +98,32 @@ def hermitian_eig(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarr
         )
     sym = (m + m.conj().T) / 2.0
     try:
-        w, v = np.linalg.eigh(sym)
+        w = np.linalg.eigvalsh(sym)
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigendecomposition failed: {exc}") from exc
-    scale = float(np.abs(sym).max()) if sym.size else 0.0
-    resid = float(np.abs((v * w) @ v.conj().T - sym).max()) if sym.size else 0.0
-    if resid > tol.residual_tol * max(scale, 1.0):
+        raise ConvergenceFailure(f"eigenvalue solver failed: {exc}") from exc
+    if not np.all(np.isfinite(w)):
+        raise ConvergenceFailure("eigenvalue solver returned non-finite values")
+    verdict = PsdVerdict.from_witness(float(w[0]) if n else 0.0, tol.eig_cutoff(m))
+    # 9 * cutoff > n**2 * eps * max|A| iff 9 * eig_tol > n * eps
+    if verdict.undecided or 9.0 * tol.eig_tol <= n * np.finfo(float).eps:
+        return verdict
+    sym[np.diag_indices(n)] += verdict.cutoff
+    try:
+        factored = bool(np.all(np.isfinite(np.linalg.cholesky(sym))))
+    except np.linalg.LinAlgError:
+        factored = False
+    if factored != verdict.is_psd:
         raise ConvergenceFailure(
-            f"eigendecomposition residual {resid:.3e} exceeds tolerance",
-            witness={"residual": resid, "scale": scale},
+            f"smallest eigenvalue {verdict.witness:.3e} (cutoff {verdict.cutoff:.3e}), "
+            f"but A + cutoff*I {'has a' if factored else 'has no'} Cholesky factor",
+            witness={"min_eigenvalue": verdict.witness, "cholesky_factored": factored},
         )
-    return w, v
-
-
-def is_psd(a, tol: Tolerance = DEFAULT_TOL) -> PsdVerdict:
-    """PSD test with witness: true iff the minimum eigenvalue >= -cutoff."""
-    m = as_matrix(a)
-    w, _ = hermitian_eig(m, tol)
-    wmin = float(w[0]) if w.size else 0.0
-    return PsdVerdict.from_witness(wmin, tol.eig_cutoff(m))
+    return verdict
 
 
 def polar_unitary(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Unitary factor U of the polar decomposition A = U (A*A)^(1/2)."""
     m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {m.shape}")
     u, s, vh = np.linalg.svd(m)
     cutoff = tol.eig_cutoff(m)
     if s.size and float(s[-1]) <= cutoff:

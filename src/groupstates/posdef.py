@@ -145,15 +145,15 @@ def is_positive_definite(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> Psd
     tighter (``groups.cached_block_decomposition``), the verdict is read from
     the Fourier blocks of phi (:func:`_block_psd_verdict`: phi is positive
     definite iff every block is PSD); otherwise it is the eigen-test of
-    the full Gram matrix.  Both see the same spectrum with the same
-    cutoff.  The dense path stays for a group without one, such as a
-    freshly loaded one: on S5 its Gram test takes about 3.5 ms, while the
-    table, projections and decomposition a block verdict needs take
-    6.1-7 ms (one BLAS thread, 2-vCPU machine), so building a
-    decomposition here would slow the CLI.  The Hermitian-symmetry check
-    runs on every call; the eigen-test runs once per function and
-    tolerance, and its verdict is cached on ``fn``, as are the block
-    spectra it reads.
+    the full Gram matrix (:func:`linalg.is_psd`).  Both see the same
+    spectrum with the same cutoff.  The dense path stays for a group
+    without one, such as a freshly loaded one: on S5 its Gram test takes
+    about 1.7 ms, while the table, projections and decomposition a block
+    verdict needs take 5.4-6.4 ms (best of 5, one BLAS thread, 2-vCPU
+    machine), so building a decomposition here would slow the CLI.  The
+    Hermitian-symmetry check runs on every call; the eigen-test runs once
+    per function and tolerance, and its verdict is cached on ``fn``, as are
+    the block spectra it reads.
     """
     _require_hermitian_symmetric(fn, tol)
     verdict = fn._psd_verdicts.get(tol)

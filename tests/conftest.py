@@ -76,6 +76,20 @@ LADDER = {
 }
 
 
+# direct products of two small groups, of order at most 48: the generated
+# groups of the property tests, as groups.build_named kinds
+_FACTOR_ORDERS = {
+    "cyclic:2": 2, "cyclic:3": 3, "cyclic:4": 4, "dihedral:3": 6, "dihedral:4": 8,
+    "quaternion8": 8, "symmetric:3": 6,
+}
+PRODUCTS = [
+    f"product:{a},{b}"
+    for a, m in _FACTOR_ORDERS.items()
+    for b, k in _FACTOR_ORDERS.items()
+    if m * k <= 48
+]
+
+
 def ladder_group(name):
     """A group of the benchmark ladder by its label."""
     from groupstates.groups import build_named
@@ -236,14 +250,14 @@ def dense_gns(fn, tol=None):
     for every s in a loop, each checked for unitarity and for its matrix
     coefficient <rho(s) xi, xi> = phi(s) with one vdot."""
     from groupstates.errors import ConvergenceFailure, NotPositiveDefinite
-    from groupstates.linalg import DEFAULT_TOL, hermitian_eig
+    from groupstates.linalg import DEFAULT_TOL
     from groupstates.posdef import _require_hermitian_symmetric, gram_matrix
 
     tol = DEFAULT_TOL if tol is None else tol
     g = fn.group
     _require_hermitian_symmetric(fn, tol)
     kernel = gram_matrix(fn).T
-    w, v = hermitian_eig(kernel, tol)
+    w, v = np.linalg.eigh((kernel + kernel.conj().T) / 2)
     cutoff = tol.eig_cutoff(kernel)
     if w[0] < -cutoff:
         raise NotPositiveDefinite(
@@ -313,12 +327,13 @@ def matrix_coefficient(rep, s):
 
 def gram_gns(fn, tol=None):
     """The GNS construction from the Gram kernel, batched: one
-    linalg.hermitian_eig of the transposed Gram matrix, eigenvectors above
-    the Gram cutoff rescaled to project/lift, the character read from the
-    kept spectral projector, and every s checked for its matrix coefficient
-    (one gather) and for unitarity (stacked products over chunks)."""
+    np.linalg.eigh of the symmetrized transposed Gram matrix, eigenvectors
+    above the Gram cutoff rescaled to project/lift, the character read from
+    the kept spectral projector, and every s checked for its matrix
+    coefficient (one gather) and for unitarity (stacked products over
+    chunks)."""
     from groupstates.errors import ConvergenceFailure, NotPositiveDefinite
-    from groupstates.linalg import DEFAULT_TOL, hermitian_eig
+    from groupstates.linalg import DEFAULT_TOL
     from groupstates.posdef import (
         GnsRepresentation,
         _regular_traces,
@@ -330,7 +345,7 @@ def gram_gns(fn, tol=None):
     g = fn.group
     _require_hermitian_symmetric(fn, tol)
     kernel = gram_matrix(fn).T
-    w, v = hermitian_eig(kernel, tol)
+    w, v = np.linalg.eigh((kernel + kernel.conj().T) / 2)
     cutoff = tol.eig_cutoff(kernel)
     if w[0] < -cutoff:
         raise NotPositiveDefinite(

@@ -1,0 +1,48 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+_DECLARED = [
+    {"name": "ref_ops_per_s", "better": "higher", "bound": 0.25},
+    {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+]
+
+
+def _run(ops, rss, failed=0):
+    return {"w": {"metrics": {"ref_ops_per_s": ops, "peak_rss_mb": rss},
+                  "attempted": 10, "failed": failed, "machine_speed": 1.0}}
+
+
+def test_pair_summary_counts_wins_in_each_metric_direction():
+    pairs = [
+        {"parent": _run(100.0, 50.0), "change": _run(110.0, 50.0)},
+        {"parent": _run(100.0, 50.0), "change": _run(90.0, 40.0, failed=1)},
+        {"parent": _run(120.0, 50.0), "change": _run(130.0, 60.0)},
+    ]
+    summary = bench_pairs.summarize(pairs, _DECLARED)["w"]
+    ops, rss = summary["ref_ops_per_s"], summary["peak_rss_mb"]
+    assert ops["wins"] == 2 and rss["wins"] == 1  # the tie counts for neither
+    assert ops["parent_median"] == 100.0 and ops["change_median"] == 110.0
+    assert ops["change_over_parent"] == pytest.approx(1.1)
+    assert ops["parent_quartiles"] == [100.0, 110.0]
+    assert ops["parent_iqr_over_median"] == pytest.approx(0.1)
+    assert not ops["unresolved"] and not ops["worse_than_bound"]
+    assert summary["failed"] == {"parent": 0, "change": 1}
+
+
+def test_pair_summary_flags_a_wide_spread_and_a_regression():
+    pairs = [
+        {"parent": _run(p, 50.0), "change": _run(p / 2, 60.0)}
+        for p in (50.0, 100.0, 200.0)
+    ]
+    summary = bench_pairs.summarize(pairs, _DECLARED)["w"]
+    assert summary["ref_ops_per_s"]["unresolved"]
+    assert summary["ref_ops_per_s"]["worse_than_bound"]
+    assert summary["peak_rss_mb"]["worse_than_bound"]
+    assert not summary["peak_rss_mb"]["unresolved"]

@@ -489,6 +489,36 @@ def test_vn_cli(tmp_path, capsys):
     assert code == 1 and report["error"] == "NotIsomorphic"
 
 
+def test_vn_homeo_builds_its_file_payload_only_for_out(tmp_path, capsys, monkeypatch):
+    from groupstates import jsonio
+    from groupstates.vn import construct_affine_homeomorphism
+
+    q8 = _write_group(tmp_path, "q8.json", "quaternion8")
+    d4 = _write_group(tmp_path, "d4.json", "dihedral:4")
+    capsys.readouterr()
+    out_path = tmp_path / "map.json"
+    code, with_out = run_json(
+        capsys, "vn", "homeo", "--g1", str(q8), "--g2", str(d4), "--out", str(out_path)
+    )
+    assert code == 0
+    homeo = construct_affine_homeomorphism(
+        jsonio.load_group(q8), jsonio.load_group(d4), 0
+    )
+    assert json.loads(out_path.read_text()) == {
+        "matching": list(homeo.matching),
+        "forward": jsonio.matrix_to_json(homeo.forward_matrix),
+        "backward": jsonio.matrix_to_json(homeo.backward_matrix),
+    }
+
+    def refuse(m):
+        raise AssertionError("file payload built without --out")
+
+    monkeypatch.setattr(jsonio, "matrix_to_json", refuse)
+    code, report = run_json(capsys, "vn", "homeo", "--g1", str(q8), "--g2", str(d4))
+    assert code == 0
+    assert report == {**with_out, "written": None}
+
+
 def test_vn_fit_cli(tmp_path, capsys):
     from groupstates import (
         apply_descriptor,

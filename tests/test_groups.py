@@ -45,6 +45,7 @@ from groupstates.posdef import gram_matrix, random_hermitian_symmetric, random_p
 
 from conftest import (
     LADDER,
+    PRODUCTS,
     algebra_coefficients,
     brute_force_conjugacy_classes,
     closure_generating_set,
@@ -430,20 +431,8 @@ def test_readers_of_the_index_tables_match_their_literal_oracles(name):
         assert np.array_equal(got, literal_random_p1(g, np.random.default_rng(seed)).values)
 
 
-_FACTOR_ORDERS = {
-    "cyclic:2": 2, "cyclic:3": 3, "cyclic:4": 4, "dihedral:3": 6, "dihedral:4": 8,
-    "quaternion8": 8, "symmetric:3": 6,
-}
-_PRODUCTS = [
-    f"product:{a},{b}"
-    for a, m in _FACTOR_ORDERS.items()
-    for b, k in _FACTOR_ORDERS.items()
-    if m * k <= 48
-]
-
-
 @settings(max_examples=40, deadline=None)
-@given(kind=st.sampled_from(_PRODUCTS), seed=st.integers(min_value=0, max_value=2**32 - 1))
+@given(kind=st.sampled_from(PRODUCTS), seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_generated_products_gather_like_the_oracles_and_keep_no_n_by_n_index(kind, seed):
     """On a direct product of two small groups, algebra_matrix, gram_matrix,
     random_p1 and the centrality deviation equal their literal oracles bit

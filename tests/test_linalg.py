@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from groupstates.errors import NotHermitian, SingularInput
+from groupstates.errors import ConvergenceFailure, NotHermitian, SingularInput
 from groupstates.linalg import (
-    DEFAULT_TOL,
     Tolerance,
-    hermitian_eig,
     is_psd,
     polar_unitary,
 )
@@ -27,36 +25,73 @@ def test_tolerance_must_be_finite(name, value):
         Tolerance(**{name: value})
 
 
-def test_hermitian_eig_identity():
-    w, v = hermitian_eig(np.eye(3))
-    assert np.allclose(w, [1, 1, 1])
-    assert np.allclose(v @ v.conj().T, np.eye(3))
+@pytest.mark.parametrize(
+    "a, witness",
+    [
+        (np.eye(3), 1.0),
+        (np.array([[0, 1], [1, 0]], dtype=complex), -1.0),
+        (np.diag([2.0, 5.0, 7.0]), 2.0),
+    ],
+    ids=["identity", "pauli_x", "diagonal"],
+)
+def test_is_psd_witness_is_the_smallest_eigenvalue(a, witness):
+    verdict = is_psd(a)
+    assert abs(verdict.witness - witness) < 1e-12
+    assert verdict.is_psd == (witness > 0) and not verdict.undecided
 
 
-def test_hermitian_eig_pauli_x():
-    w, _ = hermitian_eig(np.array([[0, 1], [1, 0]], dtype=complex))
-    assert np.allclose(w, [-1, 1])
+def test_is_psd_rejects_non_hermitian():
+    with pytest.raises(NotHermitian) as info:
+        is_psd(np.array([[0, 1], [0, 0]], dtype=complex))
+    assert info.value.witness == {"deviation": 1.0}
 
 
-def test_hermitian_eig_diagonal():
-    w, _ = hermitian_eig(np.diag([2.0, 5.0, 7.0]))
-    assert np.allclose(w, [2, 5, 7])
-
-
-def test_hermitian_eig_rejects_non_hermitian():
-    with pytest.raises(NotHermitian):
-        hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
-def test_hermitian_eig_reconstruction_bulk():
+def test_is_psd_certificate_never_raises_on_random_hermitian_matrices():
     rng = np.random.default_rng(7)
     for _ in range(1000):
         n = int(rng.integers(2, 65))
         a = random_hermitian(rng, n)
-        w, v = hermitian_eig(a)
-        resid = np.abs(v @ np.diag(w) @ v.conj().T - a).max()
-        assert resid <= DEFAULT_TOL.residual_tol * max(np.abs(a).max(), 1.0)
-        assert np.abs(v.conj().T @ v - np.eye(n)).max() <= DEFAULT_TOL.residual_tol
+        if rng.integers(2):
+            a = a @ a  # PSD, so both sides of the boundary are certified
+        verdict = is_psd(a)
+        assert verdict.witness == pytest.approx(np.linalg.eigvalsh(a)[0], abs=1e-10)
+
+
+def test_is_psd_reads_no_eigenvectors(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigenvectors computed")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    assert is_psd(np.diag([2.0, 5.0, 7.0])).witness == pytest.approx(2.0)
+    assert not is_psd(np.array([[1, 2], [2, 1]], dtype=complex)).is_psd
+
+
+@pytest.mark.parametrize("shift", [-2.0, 2.0])
+def test_eigenvalues_across_a_decided_boundary_fail_the_certificate(monkeypatch, shift):
+    # the true spectrum is {1, 1} (PSD) or {-1, -1} (not PSD); the solver
+    # reports it moved by 2 to the other side, which the factor contradicts
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: real(a) + shift)
+    with pytest.raises(ConvergenceFailure) as info:
+        is_psd(-np.sign(shift) * np.eye(2))
+    assert info.value.witness["cholesky_factored"] == (shift < 0)
+
+
+def test_a_non_finite_cholesky_factor_counts_as_none(monkeypatch):
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: np.full(a.shape, np.nan))
+    with pytest.raises(ConvergenceFailure) as info:
+        is_psd(np.eye(3))
+    assert info.value.witness["cholesky_factored"] is False
+
+
+def test_an_undecided_verdict_is_not_factored(monkeypatch):
+    calls = []
+    real = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a) or real(a))
+    for a in ([[1, 1], [1, 1]], np.zeros((4, 4))):
+        assert is_psd(np.array(a, dtype=complex)).undecided
+    assert calls == []
+    assert is_psd(np.eye(2)).is_psd and len(calls) == 1
 
 
 def test_is_psd_rank_one_gram():

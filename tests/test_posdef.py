@@ -41,13 +41,14 @@ from groupstates.errors import (
     NotPositiveDefinite,
 )
 from groupstates import posdef, vn
-from groupstates.groups import algebra_matrix, cached_block_decomposition
+from groupstates.groups import algebra_matrix, build_named, cached_block_decomposition
 from groupstates.linalg import DEFAULT_TOL, Tolerance
 from groupstates.posdef import commutant_dimension
 from groupstates.vn import BlockDecomposition
 
 from conftest import (
     LADDER,
+    PRODUCTS,
     dense_a_norm,
     dense_gns,
     gns_unitarity_bound,
@@ -695,25 +696,24 @@ def test_blockwise_psd_matches_gram_oracle():
 
 
 @functools.lru_cache(maxsize=None)
-def _decomposed(name):
+def _decomposed(kind):
     # the decomposition points back at its group only weakly, so the cache
     # holds the group too
-    group = {
-        "S3": symmetric_group(3), "Q8": quaternion_group(), "D6": dihedral_group(6),
-    }[name]
+    group = build_named(kind)
     return group, block_decompose(group)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(
-    name=st.sampled_from(["S3", "Q8", "D6"]),
+    kind=st.sampled_from([LADDER[name] for name in ("S3", "Q8", "D6")] + PRODUCTS),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     weight=st.floats(min_value=0.0, max_value=1.0),
 )
-def test_fourier_and_gram_verdicts_agree_outside_the_band(name, seed, weight):
+def test_fourier_and_gram_verdicts_agree_outside_the_band(kind, seed, weight):
     # a mix of a state and an arbitrary Hermitian-symmetric function lands
-    # on either side of the PSD boundary
-    _, decomp = _decomposed(name)
+    # on either side of the PSD boundary; the Gram verdict is certified by
+    # its Cholesky factor, on S3, Q8, D6 and every generated direct product
+    _, decomp = _decomposed(kind)
     rng = np.random.default_rng(seed)
     state = random_p1(decomp.group, rng)
     other = random_hermitian_symmetric(decomp.group, rng)
