@@ -319,7 +319,7 @@ def _handle_vn(args, tol, seed: int) -> dict:
         decomp = vn.block_decompose(group, seed=seed, tol=tol)
         units = {
             f"block_{pi}": [
-                [_complex_list(decomp.unit_coeffs(pi, j, k)) for k in range(d)]
+                [_complex_list(decomp.units[pi][j, k]) for k in range(d)]
                 for j in range(d)
             ]
             for pi, d in enumerate(decomp.block_dims)

@@ -43,10 +43,6 @@ class SizeLimitExceeded(DomainError):
     pass
 
 
-class IndexOutOfRange(DomainError):
-    pass
-
-
 # numerics
 class NotHermitian(DomainError):
     pass

@@ -235,7 +235,7 @@ def state_decomposition(
     be 0 or I within ``residual_tol``: a block off its scalar part raises
     NotCentral with the largest deviation as witness, a scalar block other
     than 0 or 1 raises ConvergenceFailure, whatever t is.  The cuts are
-    the inverse transform of phi's stacked blocks kept or dropped by that
+    ``decomp.inverse`` of phi's stacked blocks kept or dropped by that
     mask.
 
     The reconstruction residual is the max-abs coefficient of
@@ -252,7 +252,7 @@ def state_decomposition(
     p = face.coeffs
     phi = state.coefficients
     decomp = kept_block_decomposition(group, tol)
-    keep = _block_mask(decomp, decomp.transform @ p, tol)
+    keep = _block_mask(decomp, decomp.forward(p), tol)
     t = state.expectation(p).real
     if t >= 1.0 - tol.residual_tol:
         return 1.0, state, None
@@ -260,9 +260,9 @@ def state_decomposition(
         return 0.0, None, state
 
     # p phi p and q phi q keep and drop phi's blocks in the face
-    blocks = decomp.transform @ phi
-    cut1 = decomp.inverse_transform @ (keep * blocks) / t
-    cut2 = decomp.inverse_transform @ (~keep * blocks) / (1.0 - t)
+    blocks = decomp.forward(phi)
+    cut1 = decomp.inverse(keep * blocks) / t
+    cut2 = decomp.inverse(~keep * blocks) / (1.0 - t)
     recon = float(np.abs(t * cut1 + (1.0 - t) * cut2 - phi).max())
     if recon > tol.residual_tol:
         raise ConvergenceFailure(
@@ -279,8 +279,8 @@ def block_face_chain(decomp, pi: int, tol: Tolerance = DEFAULT_TOL) -> FaceChain
     built from the diagonal matrix units of the block decomposition.
 
     q_j is the coefficient vector of e_11 + ... + e_jj, and the chain is
-    certified in the block image, read from one product with the Fourier
-    transform: block pi of q_j is self-adjoint, idempotent and above block
+    certified in the block image, read from one ``decomp.forward`` of all
+    of them: block pi of q_j is self-adjoint, idempotent and above block
     pi of q_{j-1}, each within ``residual_tol``, its trace is j, and no
     other block of q_j exceeds ``10 residual_tol``.  A strictly increasing
     chain of projections in M_d has at most d elements, so the chain is
@@ -292,17 +292,17 @@ def block_face_chain(decomp, pi: int, tol: Tolerance = DEFAULT_TOL) -> FaceChain
     n, d = group.order, decomp.block_dims[pi]
     diag = np.arange(d)
     chain = np.cumsum(decomp.units[pi][diag, diag], axis=0) + 0.0  # no -0.0, as in split_faces
-    # column j holds the stacked blocks of q_j
-    stacked = decomp.transform @ chain.T
+    # row j holds the stacked blocks of q_j
+    stacked = decomp.forward(chain)
     rows = decomp._rows[pi]
-    images = stacked[rows].T.reshape(d, d, d)
+    images = stacked[:, rows].reshape(d, d, d)
     herm = np.abs(images - images.conj().transpose(0, 2, 1)).max(axis=(1, 2))
     idem = np.abs(images @ images - images).max(axis=(1, 2))
     order = np.abs(images[:-1] @ images[1:] - images[:-1]).max(axis=(1, 2), initial=0.0)
     traces = np.rint(np.trace(images, axis1=1, axis2=2).real).astype(int)
     outside = np.abs(stacked)
-    outside[rows] = 0.0
-    leak_rows = outside.argmax(axis=0)
+    outside[:, rows] = 0.0
+    leak = outside.argmax(axis=1)
     for j in range(d):
         if herm[j] > tol.residual_tol or idem[j] > tol.residual_tol:
             raise ConvergenceFailure(
@@ -323,8 +323,8 @@ def block_face_chain(decomp, pi: int, tol: Tolerance = DEFAULT_TOL) -> FaceChain
                 f"chain order violated at step {j}",
                 witness={"deviation": float(order[j - 1])},
             )
-        if outside[leak_rows[j], j] > 10 * tol.residual_tol:
-            block = next(rho for rho, r in enumerate(decomp._rows) if leak_rows[j] < r.stop)
+        if outside[j, leak[j]] > 10 * tol.residual_tol:
+            block = next(rho for rho, r in enumerate(decomp._rows) if leak[j] < r.stop)
             raise ConvergenceFailure(
                 f"chain element {j} leaks into block {block}",
                 witness={"block": block},

@@ -229,7 +229,7 @@ def a_norm(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> float:
     sum_pi (d_pi / n) ||B_pi||_1 over the Fourier blocks B_pi of phi,
     whose spectra are kept on ``fn``; otherwise the eigenvalues are those
     of the dense n x n density, which costs less than building a
-    decomposition: about 1.5 ms on a freshly loaded S5 against 6.1-7 ms
+    decomposition: about 1.5 ms on a freshly loaded S5 against 5.4-6.4 ms
     (see is_positive_definite).
     """
     _require_hermitian_symmetric(fn, tol)
@@ -315,11 +315,12 @@ def gns(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> GnsRepresentation:
     and the character is sum_pi rank(C_pi) chi_pi, from the decomposition's
     table.  With C_pi = V diag(w) V^* (one batched ``eigh`` per block
     dimension) and w above the Gram cutoff eig_tol * n * max|phi|,
-    ``project`` is the transform's rows rotated by V and scaled by
-    sqrt(d w / n), ``lift`` the inverse transform's columns rotated the same
-    way and scaled by sqrt(n / (d w)).  A block eigenvalue below -cutoff
-    raises NotPositiveDefinite with it as witness: the Gram spectrum is the
-    union of the block spectra.
+    ``project`` is block pi's rows of the forward transform (its units
+    read at s^{-1} and weighted by n / d) rotated by V and scaled by
+    sqrt(d w / n), ``lift`` the units themselves, the inverse's columns,
+    rotated the same way and scaled by sqrt(n / (d w)).  A block
+    eigenvalue below -cutoff raises NotPositiveDefinite with it as
+    witness: the Gram spectrum is the union of the block spectra.
 
     The matrix coefficients <rho(s) xi, xi> = phi(s) are checked on every s
     (one gather and product); a deviation above ``residual_tol`` raises
@@ -353,18 +354,18 @@ def gns(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> GnsRepresentation:
         )
     ranks = np.zeros(decomp.num_blocks)
     project, lift = [], []
-    for d, blocks, rows, w, v in spectra:
+    for d, blocks, _, w, v in spectra:
         keep = w > cutoff
         if not keep.any():
             continue
         ranks[blocks] = keep.sum(axis=1)
-        # stacked rows in (block, k, j) order, so that rotating index k is
-        # one batched product: row (b, m, j) of project is
-        # sum_k v[b, k, m] F[(b, j, k)], and of lift^T
-        # sum_k conj(v[b, k, m]) F^{-1}^T[(b, j, k)]
-        swapped = rows.reshape(-1, d, d).transpose(0, 2, 1).ravel()
-        f = decomp.transform[swapped].reshape(-1, d, d * n)
-        finv = decomp.inverse_transform.T[swapped].reshape(-1, d, d * n)
+        # the units (b, k, j, s) of this dimension, so that rotating index k
+        # is one batched product: row (b, m, j) of project is
+        # sum_k v[b, k, m] (n / d) u^b_kj(s^-1), the forward transform's row
+        # (b, j, k) at s, and of lift^T sum_k conj(v[b, k, m]) u^b_jk
+        units = np.stack([decomp.units[pi] for pi in blocks])
+        f = ((n / d) * units[..., g.inverses]).reshape(-1, d, d * n)
+        finv = units.transpose(0, 2, 1, 3).reshape(-1, d, d * n)
         scale = np.sqrt(d * w[keep] / n)[:, None]
         project.append(((v.transpose(0, 2, 1) @ f)[keep] * scale).reshape(-1, n))
         lift.append(((v.conj().transpose(0, 2, 1) @ finv)[keep] / scale).reshape(-1, n))

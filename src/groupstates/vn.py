@@ -118,12 +118,15 @@ class BlockDecomposition:
     """Matrix units e^pi_{jk} realizing the group algebra as matrix blocks.
 
     ``units[pi]`` has shape (d, d, n): the coefficient vectors of the matrix
-    units of block pi, n^2 numbers over all blocks.  Stacked over the index
-    (pi, j, k) they are the columns of ``inverse_transform``; its inverse
-    ``transform`` is the group Fourier transform, with
-    ``transform[(pi, j, k), s] = (n / d_pi) u^pi_{kj}(s^{-1})``, which takes
-    a coefficient vector to its stacked blocks (from_coefficients splits
-    them into blocks).  The embedding is a verified *-isomorphism.
+    units of block pi, n^2 numbers over all blocks.  The group Fourier
+    transform takes a coefficient vector to its stacked blocks, entry
+    (pi, j, k) of sum_s c(s) lambda_s being
+    (n / d_pi) sum_s u^pi_{kj}(s^{-1}) c(s): :meth:`forward`.  Its inverse,
+    :meth:`inverse`, weights each unit's coefficient vector by its stacked
+    entry.  These two methods are the only way to the transform: the two
+    n x n matrices behind them are private, and ``from_coefficients``
+    splits the stacked blocks into blocks.  The embedding is a verified
+    *-isomorphism.
 
     ``group`` is a weak back-reference (see ``groups._WeakGroup``): the
     group keeps its decomposition, and the decomposition does not keep its
@@ -134,8 +137,6 @@ class BlockDecomposition:
     table: CharacterTable
     units: list[np.ndarray]
     seed: int
-    transform: np.ndarray = field(init=False, repr=False)
-    inverse_transform: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self._order = self.group.order
@@ -144,10 +145,11 @@ class BlockDecomposition:
         self._rows = [slice(a, b) for a, b in zip(offsets, offsets[1:])]
         stacked = np.concatenate([u.reshape(-1, n) for u in self.units])
         self.units = [stacked[rows].reshape(d, d, n) for rows, d in zip(self._rows, dims)]
-        self.inverse_transform = stacked.T
+        # column (pi, j, k) of the inverse is the coefficient vector of e^pi_jk
+        self._inverse_fourier = stacked.T
         swapped = np.concatenate([u.transpose(1, 0, 2).reshape(-1, n) for u in self.units])
         weights = np.repeat([n / d for d in dims], [d * d for d in dims])
-        self.transform = weights[:, None] * swapped[:, self.group.inverses]
+        self._fourier = weights[:, None] * swapped[:, self.group.inverses]
         # stacked rows of the blocks of each dimension, so that equal-size
         # blocks are diagonalised in one batched call
         self._same_dim = [
@@ -169,35 +171,47 @@ class BlockDecomposition:
     def num_blocks(self) -> int:
         return len(self.units)
 
-    def unit_coeffs(self, pi: int, j: int, k: int) -> np.ndarray:
-        return self.units[pi][j, k].copy()
-
     def _split(self, stacked: np.ndarray) -> list[np.ndarray]:
         return [
             stacked[rows].reshape(d, d)
             for rows, d in zip(self._rows, self.block_dims)
         ]
 
-    def _stacked(self, coeffs) -> np.ndarray:
-        c = np.asarray(coeffs, dtype=complex)
-        if c.shape != (self._order,):
+    def _vectors(self, values) -> np.ndarray:
+        c = np.asarray(values, dtype=complex)
+        if c.ndim not in (1, 2) or c.shape[-1] != self._order:
             raise DimensionMismatch(
-                f"coefficients have shape {c.shape}, group order is {self._order}",
+                f"values have shape {c.shape}, group order is {self._order}",
                 witness={"shape": list(c.shape), "order": self._order},
             )
-        return self.transform @ c
+        return c
+
+    def forward(self, values) -> np.ndarray:
+        """Stacked blocks of sum_s values[s] lambda_s, for one coefficient
+        vector (n,) or for a stack of them, one per row (m, n)."""
+        return self._vectors(values) @ self._fourier.T
+
+    def inverse(self, stacked) -> np.ndarray:
+        """Coefficients of the element whose stacked blocks are ``stacked``,
+        one vector (n,) or one per row (m, n): :meth:`forward` undone."""
+        return self._vectors(stacked) @ self._inverse_fourier.T
 
     def from_coefficients(self, coeffs) -> list[np.ndarray]:
-        """Blocks of sum_s coeffs[s] lambda_s: one product with ``transform``."""
-        return self._split(self._stacked(coeffs))
+        """Blocks of sum_s coeffs[s] lambda_s: :meth:`forward`, split."""
+        return self._split(self.forward(coeffs))
 
     def _block_states(self, pi: int, densities: np.ndarray) -> np.ndarray:
         """Coefficients of the states whose densities (m, d, d) live in block
         pi, one row each: density B is the block (n / d) B, embedded by one
-        product with the block's columns of ``inverse_transform``."""
+        product with the block's units."""
         d = self.block_dims[pi]
         scaled = (self._order / d) * densities.reshape(-1, d * d)
-        return scaled @ self.inverse_transform[:, self._rows[pi]].T
+        return scaled @ self.units[pi].reshape(d * d, -1)
+
+    def _transport_to(self, dst: BlockDecomposition, matching: Sequence[int]) -> np.ndarray:
+        """Coefficient map carrying block pi onto block matching[pi] of dst."""
+        rows = np.r_[tuple(dst._rows[m] for m in matching)]
+        return dst._inverse_fourier[:, rows] @ self._fourier
 
     def block_spectra(self, coeffs) -> list[np.ndarray]:
         """Ascending eigenvalues of each block of sum_s coeffs[s] lambda_s.
@@ -207,7 +221,7 @@ class BlockDecomposition:
         magnitude of the coefficients, so each block is symmetrized first;
         a 1 x 1 block's eigenvalue is then the real part of its entry.
         """
-        stacked = self._stacked(coeffs)
+        stacked = self.forward(coeffs)
         spectra: list[np.ndarray] = [None] * self.num_blocks
         for d, blocks, rows in self._same_dim:
             b = stacked[rows].reshape(len(blocks), d, d)
@@ -230,7 +244,7 @@ class BlockDecomposition:
         eigenvectors as columns.  A 1 x 1 block's eigenvalue is the real
         part of its entry.
         """
-        stacked = self._stacked(coeffs)
+        stacked = self.forward(coeffs)
         out = []
         for d, blocks, rows in self._same_dim:
             b = stacked[rows].reshape(len(blocks), d, d)
@@ -488,7 +502,7 @@ def _verify_decomposition(decomp: BlockDecomposition, tol: Tolerance) -> None:
             "diagonal units do not sum to the identity",
             witness={"residual": float(np.abs(total).max())},
         )
-    gram = np.abs(decomp.transform @ decomp.inverse_transform - np.eye(n))
+    gram = np.abs(decomp._fourier @ decomp._inverse_fourier - np.eye(n))
     row, col = (int(x) for x in np.unravel_index(int(np.argmax(gram)), gram.shape))
     if gram[row, col] > bound:
         labels = [
@@ -502,7 +516,7 @@ def _verify_decomposition(decomp: BlockDecomposition, tol: Tolerance) -> None:
             f"column {tuple(labels[col])} (residual {gram[row, col]:.2e})",
             witness={"row": labels[row], "column": labels[col], "residual": float(gram[row, col])},
         )
-    f = decomp.transform
+    f = decomp._fourier
     for g in generating_set(group) or [group.identity]:
         # F(lambda_g x) = F(lambda_g) F(x) blockwise, for every x at once
         shifted = f[:, group.cayley[g]]
@@ -589,14 +603,6 @@ def _matching_by_dimension(
     return tuple(matching)
 
 
-def _coefficient_transport(
-    src: BlockDecomposition, dst: BlockDecomposition, matching: Sequence[int]
-) -> np.ndarray:
-    """Coefficient map carrying block pi of src onto block matching[pi] of dst."""
-    rows = np.r_[tuple(dst._rows[m] for m in matching)]
-    return dst.inverse_transform[:, rows] @ src.transform
-
-
 def construct_affine_homeomorphism(
     g: FiniteGroup,
     h: FiniteGroup,
@@ -624,8 +630,8 @@ def construct_affine_homeomorphism(
     matching = _matching_by_dimension(table_g.dims, table_h.dims)
     reverse = tuple(int(x) for x in np.argsort(np.asarray(matching)))
 
-    forward = _coefficient_transport(decomp_g, decomp_h, matching)
-    backward = _coefficient_transport(decomp_h, decomp_g, reverse)
+    forward = decomp_g._transport_to(decomp_h, matching)
+    backward = decomp_h._transport_to(decomp_g, reverse)
     roundtrip = float(np.abs(backward @ forward - np.eye(g.order)).max())
     if roundtrip > 100 * tol.residual_tol:
         raise ConvergenceFailure(
@@ -779,11 +785,9 @@ def apply_descriptor(
 
     The density transforms blockwise as B -> u B u* (or u B^T u*), landing
     in block sigma[pi]; transposition preserves positivity, so the image
-    stays inside P1.  In stacked coordinates: one product with
-    ``transform``, one gather, batched product and scatter per block
-    dimension (``AffineHomeoDescriptor._push``, which
-    :func:`_apply_to_rows` runs on a stack of functions), and one product
-    with ``inverse_transform``.
+    stays inside P1.  In stacked coordinates: ``decomp.forward``, one
+    gather, batched product and scatter per block dimension
+    (``AffineHomeoDescriptor._push``), and ``decomp.inverse``.
     """
     if desc.dims != decomp.block_dims:
         raise DimensionMismatch(
@@ -791,18 +795,7 @@ def apply_descriptor(
             f"{decomp.block_dims}",
             witness={"descriptor": list(desc.dims), "decomposition": list(decomp.block_dims)},
         )
-    pushed = desc._push(decomp._stacked(fn.values))
-    return GroupFunction(decomp.group, decomp.inverse_transform @ pushed)
-
-
-def _apply_to_rows(
-    desc: AffineHomeoDescriptor, rows: np.ndarray, decomp: BlockDecomposition
-) -> np.ndarray:
-    """The values of :func:`apply_descriptor` on a stack of functions, one
-    per row of ``rows``, in one product with ``transform``, one stacked
-    action and one product with ``inverse_transform``: the reproduction
-    check of :func:`verify_jordan_form`."""
-    return desc._push(rows @ decomp.transform.T) @ decomp.inverse_transform.T
+    return GroupFunction(decomp.group, decomp.inverse(desc._push(decomp.forward(fn.values))))
 
 
 def random_descriptor(
@@ -927,15 +920,17 @@ def verify_jordan_form(
     Affinity is verified first, on 8 random mixtures of pairs of 16 random
     states: 24 map calls, whose images are kept.  Then the map is read in
     one pass of n calls, on the d^2 states of a spanning frame of each
-    block (:func:`_density_frame`), embedded by one product per block and
-    read back by one product with ``transform``.  The block permutation is read off the images of the
-    central block states, each the mean image of its block's diagonal frame
-    states; after the support, permutation and dimension checks, each
-    block's unitary and transpose flag are fitted from its frame images, so
-    the descriptor depends on the frame images alone.  The result must
-    reproduce the kept images of all 24 affinity probes to 1e-7, checked by
-    one stacked descriptor product (:func:`_apply_to_rows`), or FitFailure
-    is raised.  The map is called n + 24 times in all.
+    block (:func:`_density_frame`), embedded by one product per block with
+    its units and read back by one ``decomp.forward`` of every image.  The
+    block permutation is read off the images of the central block states,
+    each the mean image of its block's diagonal frame states; after the
+    support, permutation and dimension checks, each block's unitary and
+    transpose flag are fitted from its frame images, so the descriptor
+    depends on the frame images alone.  The result must reproduce the kept
+    images of all 24 affinity probes to 1e-7, checked on all of them at
+    once by ``decomp.inverse`` of the descriptor's action on
+    ``decomp.forward`` of the probes, or FitFailure is raised.  The map is
+    called n + 24 times in all.
     """
     group = decomp.group
     dims = decomp.block_dims
@@ -967,8 +962,7 @@ def verify_jordan_form(
     states = np.concatenate(
         [decomp._block_states(pi, _density_frame(d)) for pi, d in enumerate(dims)]
     )
-    images = np.stack([transform(GroupFunction(group, c)).values for c in states])
-    images = images @ decomp.transform.T
+    images = decomp.forward(np.stack([transform(GroupFunction(group, c)).values for c in states]))
 
     sigma = []
     for pi, rows in enumerate(decomp._rows):
@@ -1010,7 +1004,8 @@ def verify_jordan_form(
         transpose.append(flag)
 
     desc = AffineHomeoDescriptor(tuple(sigma), tuple(unitaries), tuple(transpose))
-    worst = float(np.abs(_apply_to_rows(desc, probes, decomp) - probe_images).max())
+    replay = decomp.inverse(desc._push(decomp.forward(probes)))
+    worst = float(np.abs(replay - probe_images).max())
     if worst > 1e-7:
         raise FitFailure(
             f"fitted descriptor reproduces the map to {worst:.3e} only",

@@ -15,6 +15,7 @@ from groupstates import (
     quaternion_group,
     symmetric_group,
 )
+from groupstates.errors import DomainError
 from groupstates.vn import block_decompose as _block_decompose
 
 
@@ -951,11 +952,13 @@ def dense_projection_residuals(mat):
     return herm, idem, rank
 
 
+class IndexOutOfRange(DomainError):
+    """An element index outside 0..n-1, raised by regular_representation."""
+
+
 def regular_representation(group, s):
     """Left translation by s as a 0/1 permutation matrix: row t has its 1
     in column s^-1 t, so the point mass at u goes to the one at s u."""
-    from groupstates.errors import IndexOutOfRange
-
     n = group.order
     if not (0 <= s < n):
         raise IndexOutOfRange(
@@ -1020,10 +1023,10 @@ def loop_random_hermitian_symmetric(group, rng):
 
 
 def to_coefficients(decomp, blocks):
-    """Coefficients of sum_pi sum_jk blocks[pi][j, k] e^pi_jk: one product
-    of the stacked blocks with the inverse transform."""
+    """Coefficients of sum_pi sum_jk blocks[pi][j, k] e^pi_jk: the inverse
+    transform of the stacked blocks."""
     flat = np.concatenate([np.asarray(b, dtype=complex).reshape(-1) for b in blocks])
-    return decomp.inverse_transform @ flat
+    return decomp.inverse(flat)
 
 
 def complementary_split_face(face, tol=None):

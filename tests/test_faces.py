@@ -466,7 +466,7 @@ def test_state_decomposition_rejects_a_non_central_face(start):
     group = _group_from("Q8", start)
     other = quaternion_group()
     decomp = block_decompose(other, character_table(other), seed=0)
-    unit = decomp.unit_coeffs(decomp.block_dims.index(2), 0, 0)
+    unit = decomp.units[decomp.block_dims.index(2)][0, 0]
     face = descriptor_from_projection(group, unit)
     assert not face.is_central
     state = to_state(random_p1(group, np.random.default_rng(6)))

@@ -25,7 +25,6 @@ from groupstates import (
     validate_group,
 )
 from groupstates.errors import (
-    IndexOutOfRange,
     NotAssociative,
     NotLatinSquare,
     SizeLimitExceeded,
@@ -41,9 +40,11 @@ from groupstates.groups import (
 
 from groupstates.characters import character_table
 from groupstates.faces import _centrality_deviation
+from groupstates.linalg import DEFAULT_TOL
 from groupstates.posdef import gram_matrix, random_hermitian_symmetric, random_p1
 
 from conftest import (
+    IndexOutOfRange,
     LADDER,
     PRODUCTS,
     algebra_coefficients,
@@ -455,7 +456,18 @@ def test_generated_products_gather_like_the_oracles_and_keep_no_n_by_n_index(kin
 
     table = character_table(g)
     projections = minimal_central_projections(g, table)
-    block_decompose(g, table)
+    decomp = block_decompose(g, table)
+    assert sum(d * d for d in decomp.block_dims) == n
+    # the round trip within n beta max|c|, beta the entry bound that
+    # _verify_decomposition holds the transform to
+    beta = 10 * DEFAULT_TOL.residual_tol
+    assert np.abs(decomp.inverse(decomp.forward(c)) - c).max() <= n * beta * np.abs(c).max()
+    # a stack of rows transforms as each row alone, to rounding: every
+    # entry of the transform has modulus at most 1
+    rows = np.stack([c, fn.values, state.values])
+    one_by_one = np.stack([decomp.forward(row) for row in rows])
+    bound = 4 * n * np.finfo(float).eps * np.abs(rows).sum(axis=1)
+    assert (np.abs(decomp.forward(rows) - one_by_one).max(axis=1) <= bound).all()
     assert is_positive_definite(state).is_psd
     gns(state)
     is_extreme(state)

@@ -54,7 +54,6 @@ from groupstates.groups import algebra_matrix, build_named, cached_block_decompo
 from groupstates.linalg import DEFAULT_TOL, Tolerance
 from groupstates.vn import (
     BlockDecomposition,
-    _coefficient_transport,
     _matching_by_dimension,
     _verify_decomposition,
 )
@@ -401,7 +400,7 @@ def test_block_transport_matches_basis_vector_loop():
     for g, h in pairs:
         dg, dh = block_decompose(g, seed=0), block_decompose(h, seed=0)
         matching = _matching_by_dimension(dg.block_dims, dh.block_dims)
-        fast = _coefficient_transport(dg, dh, matching)
+        fast = dg._transport_to(dh, matching)
         assert np.abs(fast - loop_coefficient_transport(dg, dh, matching)).max() < 1e-12
 
 
@@ -597,6 +596,11 @@ def test_descriptor_validation():
         (True, True, False, False, True),
     )
     assert desc.transpose == (False, False, False, False, True)
+    # the transform takes one vector (n,) or a stack of them, one per row
+    for shape in [(9,), (3, 9), (3, 2, 8)]:
+        for method in (decomp.forward, decomp.inverse):
+            with pytest.raises(DimensionMismatch):
+                method(np.ones(shape))
 
 
 def test_verify_identity_map():
@@ -792,7 +796,7 @@ def test_stacked_replay_matches_apply_descriptor(name):
     rng = np.random.default_rng(29)
     desc = random_descriptor(decomp, rng)
     rows = np.stack([random_p1(g, rng).values for _ in range(5)])
-    replay = vn._apply_to_rows(desc, rows, decomp)
+    replay = decomp.inverse(desc._push(decomp.forward(rows)))
     for row, out in zip(rows, replay):
         expected = apply_descriptor(desc, GroupFunction(g, row), decomp).values
         assert np.abs(out - expected).max() < 1e-12
@@ -947,7 +951,7 @@ def test_dropped_group_is_freed_without_the_collector(collector_off):
     assert is_positive_definite(state).is_psd
     channel = build_channel(state)
     homeo = construct_affine_homeomorphism(g, symmetric_group(4))
-    kept = [g, table, decomp, table._kept["projections"][1], decomp.transform]
+    kept = [g, table, decomp, table._kept["projections"][1], decomp._fourier]
     refs = [weakref.ref(x) for x in kept]
     del g, table, projections, decomp, state, channel, homeo, kept
     assert [ref() for ref in refs] == [None] * len(refs)
