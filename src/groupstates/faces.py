@@ -10,7 +10,7 @@ block dimension through the rank argument in the block image.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -111,17 +111,6 @@ def _require_central(dev: float, tol: Tolerance) -> None:
         )
 
 
-@cache
-def _block_layout(dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For stacked d x d blocks of dimensions ``dims``: the first row of each
-    block, the block of each row and whether the row is a diagonal entry."""
-    sizes = [d * d for d in dims]
-    starts = np.cumsum([0] + sizes[:-1])
-    block_of_row = np.repeat(np.arange(len(dims)), sizes)
-    diagonal = np.concatenate([np.eye(d, dtype=bool).ravel() for d in dims])
-    return starts, block_of_row, diagonal
-
-
 def _block_mask(decomp, blocks: np.ndarray, tol: Tolerance) -> np.ndarray:
     """Certify that each stacked Fourier block of p is 0 or I within
     ``residual_tol`` entrywise, and return per stacked row whether its block
@@ -132,7 +121,9 @@ def _block_mask(decomp, blocks: np.ndarray, tol: Tolerance) -> np.ndarray:
     witness; otherwise the block farthest from 0 and I raises
     ConvergenceFailure with its index and scalar part.
     """
-    starts, block_of_row, diagonal = _block_layout(decomp.block_dims)
+    layout = decomp._layout
+    starts = [rows.start for rows in layout.rows]
+    block_of_row, diagonal = layout.block_of_row, layout.diagonal
     # a block within residual_tol of 0 or I has its first entry near 0 or 1
     keep = np.clip(np.rint(blocks[starts].real), 0.0, 1.0).astype(bool)
     rows = keep[block_of_row]
@@ -294,7 +285,7 @@ def block_face_chain(decomp, pi: int, tol: Tolerance = DEFAULT_TOL) -> FaceChain
     chain = np.cumsum(decomp.units[pi][diag, diag], axis=0) + 0.0  # no -0.0, as in split_faces
     # row j holds the stacked blocks of q_j
     stacked = decomp.forward(chain)
-    rows = decomp._rows[pi]
+    rows = decomp._layout.rows[pi]
     images = stacked[:, rows].reshape(d, d, d)
     herm = np.abs(images - images.conj().transpose(0, 2, 1)).max(axis=(1, 2))
     idem = np.abs(images @ images - images).max(axis=(1, 2))
@@ -324,7 +315,7 @@ def block_face_chain(decomp, pi: int, tol: Tolerance = DEFAULT_TOL) -> FaceChain
                 witness={"deviation": float(order[j - 1])},
             )
         if outside[j, leak[j]] > 10 * tol.residual_tol:
-            block = next(rho for rho, r in enumerate(decomp._rows) if leak[j] < r.stop)
+            block = int(decomp._layout.block_of_row[leak[j]])
             raise ConvergenceFailure(
                 f"chain element {j} leaks into block {block}",
                 witness={"block": block},

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import weakref
 from dataclasses import dataclass, field
 from typing import Callable
@@ -27,7 +28,6 @@ from .errors import (
 from .linalg import DEFAULT_TOL, Tolerance
 
 DEFAULT_CLOSURE_LIMIT = 10000
-SYMMETRIC_DEGREE_LIMIT = 8
 # entries of one chunk of the product gather in _permutation_table
 _GATHER_ENTRIES = 2**20
 
@@ -361,12 +361,7 @@ def symmetric_group(n: int) -> FiniteGroup:
     """All permutations of {0..n-1} under composition, order n!."""
     if n < 1:
         raise ValueError("symmetric degree must be positive")
-    if n > SYMMETRIC_DEGREE_LIMIT:
-        raise SizeLimitExceeded(
-            f"symmetric group degree {n} exceeds limit {SYMMETRIC_DEGREE_LIMIT}",
-            witness={"degree": n, "limit": SYMMETRIC_DEGREE_LIMIT},
-        )
-
+    _refuse_order_above_limit(math.factorial(n))
     # lexicographic order
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
     labels = tuple("".join(map(str, p)) for p in perms.tolist())

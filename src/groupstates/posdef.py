@@ -313,8 +313,9 @@ def gns(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> GnsRepresentation:
     acts on the row index only, so the GNS representation is the sum of
     rho_pi (x) 1 on C^{d_pi} (x) ran(C_pi): dim = sum_pi d_pi rank(C_pi)
     and the character is sum_pi rank(C_pi) chi_pi, from the decomposition's
-    table.  With C_pi = V diag(w) V^* (one batched ``eigh`` per block
-    dimension) and w above the Gram cutoff eig_tol * n * max|phi|,
+    table.  With C_pi = V diag(w) V^* (one batched ``eigh`` per slab, a run
+    of blocks of one dimension, whose units the decomposition holds as one
+    view) and w above the Gram cutoff eig_tol * n * max|phi|,
     ``project`` is block pi's rows of the forward transform (its units
     read at s^{-1} and weighted by n / d) rotated by V and scaled by
     sqrt(d w / n), ``lift`` the units themselves, the inverse's columns,
@@ -354,16 +355,15 @@ def gns(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> GnsRepresentation:
         )
     ranks = np.zeros(decomp.num_blocks)
     project, lift = [], []
-    for d, blocks, _, w, v in spectra:
+    for (d, blocks, _, w, v), units in zip(spectra, decomp._slab_units):
         keep = w > cutoff
         if not keep.any():
             continue
         ranks[blocks] = keep.sum(axis=1)
-        # the units (b, k, j, s) of this dimension, so that rotating index k
-        # is one batched product: row (b, m, j) of project is
+        # the slab's units (b, k, j, s), so that rotating index k is one
+        # batched product: row (b, m, j) of project is
         # sum_k v[b, k, m] (n / d) u^b_kj(s^-1), the forward transform's row
         # (b, j, k) at s, and of lift^T sum_k conj(v[b, k, m]) u^b_jk
-        units = np.stack([decomp.units[pi] for pi in blocks])
         f = ((n / d) * units[..., g.inverses]).reshape(-1, d, d * n)
         finv = units.transpose(0, 2, 1, 3).reshape(-1, d, d * n)
         scale = np.sqrt(d * w[keep] / n)[:, None]

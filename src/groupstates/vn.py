@@ -14,6 +14,7 @@ transpose-flag) block description.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -100,13 +101,35 @@ def vn_isomorphic(g: FiniteGroup, h: FiniteGroup, seed: int = 0) -> IsoVerdict:
     return IsoVerdict(inv_g.dims == inv_h.dims, inv_g, inv_h)
 
 
-def _blocks_by_dim(dims: Sequence[int]) -> dict[int, list[int]]:
-    """Block indices grouped by dimension, in index order within a group
-    and in order of first appearance across groups."""
-    by_dim: dict[int, list[int]] = {}
-    for pi, d in enumerate(dims):
-        by_dim.setdefault(d, []).append(pi)
-    return by_dim
+class _StackedLayout:
+    """Where the d x d blocks of dimensions ``dims`` sit in a stacked vector:
+    entry (pi, j, k) is row ``rows[pi].start + j d + k``.  ``block_of_row``
+    and ``diagonal`` say per row which block it is in and whether j = k,
+    ``transposed`` takes row (pi, j, k) to row (pi, k, j), and ``slabs``
+    are the maximal runs of blocks of equal dimension d, each (d, its
+    blocks, its rows), one contiguous slice of rows.  A character table's
+    dims ascend, so its decomposition has one slab per dimension.  Built
+    once per ``dims`` (:func:`_stacked_layout`) and read-only."""
+
+    def __init__(self, dims: tuple[int, ...]):
+        sizes = [d * d for d in dims]
+        offsets = np.cumsum([0] + sizes)
+        self.rows = tuple(slice(int(a), int(b)) for a, b in zip(offsets, offsets[1:]))
+        self.block_of_row = np.repeat(np.arange(len(dims)), sizes)
+        d = np.array(dims, dtype=np.int64)[self.block_of_row]
+        j, k = np.divmod(np.arange(offsets[-1]) - offsets[self.block_of_row], d)
+        self.diagonal = j == k
+        self.transposed = offsets[self.block_of_row] + k * d + j
+        for a in (self.block_of_row, self.diagonal, self.transposed):
+            a.setflags(write=False)
+        ends = [0, *itertools.accumulate(len(list(run)) for _, run in itertools.groupby(dims))]
+        self.slabs = tuple(
+            (dims[a], range(a, b), slice(int(offsets[a]), int(offsets[b])))
+            for a, b in zip(ends, ends[1:])
+        )
+
+
+_stacked_layout = functools.cache(_StackedLayout)
 
 
 # --------------------------------------------------------------------------
@@ -128,6 +151,11 @@ class BlockDecomposition:
     splits the stacked blocks into blocks.  The embedding is a verified
     *-isomorphism.
 
+    Rows are stacked by the layout of ``block_dims`` (:class:`_StackedLayout`).
+    Each slab's units are also held as one view (m, d, d, n) into the
+    storage of ``units``, and the batched block methods read a slab as one
+    slice of the stacked blocks.
+
     ``group`` is a weak back-reference (see ``groups._WeakGroup``): the
     group keeps its decomposition, and the decomposition does not keep its
     group alive.  The hot paths read the order from ``_order`` instead.
@@ -141,21 +169,18 @@ class BlockDecomposition:
     def __post_init__(self):
         n = self._order = self.group.order
         dims = self.block_dims
-        offsets = np.cumsum([0] + [d * d for d in dims])
-        self._rows = [slice(a, b) for a, b in zip(offsets, offsets[1:])]
+        layout = self._layout = _stacked_layout(dims)
         stacked = np.concatenate([u.reshape(-1, n) for u in self.units])
-        self.units = [stacked[rows].reshape(d, d, n) for rows, d in zip(self._rows, dims)]
+        self.units = [stacked[rows].reshape(d, d, n) for rows, d in zip(layout.rows, dims)]
+        self._slab_units = [
+            stacked[rows].reshape(len(blocks), d, d, n) for d, blocks, rows in layout.slabs
+        ]
         # column (pi, j, k) of the inverse is the coefficient vector of e^pi_jk
         self._inverse_fourier = stacked.T
-        swapped = np.concatenate([u.transpose(1, 0, 2).reshape(-1, n) for u in self.units])
         weights = np.repeat([n / d for d in dims], [d * d for d in dims])
-        self._fourier = weights[:, None] * swapped[:, self.group.inverses]
-        # stacked rows of the blocks of each dimension, so that equal-size
-        # blocks are diagonalised in one batched call
-        self._same_dim = [
-            (d, blocks, np.r_[tuple(self._rows[pi] for pi in blocks)])
-            for d, blocks in _blocks_by_dim(dims).items()
-        ]
+        # gathered rows then columns, the result Fortran-ordered: one 2-D
+        # gather gives C order, and products with it round differently
+        self._fourier = weights[:, None] * stacked[layout.transposed][:, self.group.inverses]
 
     def __repr__(self) -> str:
         return (
@@ -174,7 +199,7 @@ class BlockDecomposition:
     def _split(self, stacked: np.ndarray) -> list[np.ndarray]:
         return [
             stacked[rows].reshape(d, d)
-            for rows, d in zip(self._rows, self.block_dims)
+            for rows, d in zip(self._layout.rows, self.block_dims)
         ]
 
     def _vectors(self, values) -> np.ndarray:
@@ -208,10 +233,10 @@ class BlockDecomposition:
         scaled = (self._order / d) * densities.reshape(-1, d * d)
         return scaled @ self.units[pi].reshape(d * d, -1)
 
-    def _transport_to(self, dst: BlockDecomposition, matching: Sequence[int]) -> np.ndarray:
-        """Coefficient map carrying block pi onto block matching[pi] of dst."""
-        rows = np.r_[tuple(dst._rows[m] for m in matching)]
-        return dst._inverse_fourier[:, rows] @ self._fourier
+    def _transport_to(self, dst: BlockDecomposition) -> np.ndarray:
+        """Coefficient map carrying each block onto the same block of dst,
+        whose block dimensions are the same."""
+        return dst._inverse_fourier @ self._fourier
 
     def block_spectra(self, coeffs) -> list[np.ndarray]:
         """Ascending eigenvalues of each block of sum_s coeffs[s] lambda_s.
@@ -223,7 +248,7 @@ class BlockDecomposition:
         """
         stacked = self.forward(coeffs)
         spectra: list[np.ndarray] = [None] * self.num_blocks
-        for d, blocks, rows in self._same_dim:
+        for d, blocks, rows in self._layout.slabs:
             b = stacked[rows].reshape(len(blocks), d, d)
             if d == 1:
                 # the symmetrized 1 x 1 block is its real part, exactly
@@ -234,19 +259,19 @@ class BlockDecomposition:
                 spectra[pi] = w
         return spectra
 
-    def block_eigh(self, coeffs) -> list[tuple[int, list[int], np.ndarray, np.ndarray, np.ndarray]]:
+    def block_eigh(self, coeffs) -> list[tuple[int, range, slice, np.ndarray, np.ndarray]]:
         """Eigendecompositions of the symmetrized blocks of
-        sum_s coeffs[s] lambda_s, one batched ``eigh`` per block dimension.
+        sum_s coeffs[s] lambda_s, one batched ``eigh`` per slab.
 
-        One (d, blocks, rows, w, v) per dimension: ``blocks`` the indices of
-        the blocks of that dimension, ``rows`` their stacked rows, ``w``
-        (blocks, d) the ascending eigenvalues and ``v`` (blocks, d, d) the
-        eigenvectors as columns.  A 1 x 1 block's eigenvalue is the real
-        part of its entry.
+        One (d, blocks, rows, w, v) per slab, in the order of
+        ``_slab_units``: ``blocks`` the range of its blocks, ``rows`` the
+        slice of their stacked rows, ``w`` (blocks, d) the ascending
+        eigenvalues and ``v`` (blocks, d, d) the eigenvectors as columns.
+        A 1 x 1 block's eigenvalue is the real part of its entry.
         """
         stacked = self.forward(coeffs)
         out = []
-        for d, blocks, rows in self._same_dim:
+        for d, blocks, rows in self._layout.slabs:
             b = stacked[rows].reshape(len(blocks), d, d)
             if d == 1:
                 w, v = b.real.reshape(len(blocks), 1), np.ones_like(b)
@@ -281,7 +306,9 @@ def block_decompose(
     once the retry budget is exhausted.
 
     The draws are taken per block dimension, in order of first appearance
-    in ``table.dims``, in the order :func:`_block_units` states.
+    in ``table.dims``, in the order :func:`_block_units` states: a table's
+    dims ascend, so that is once per slab of the layout
+    (:class:`_StackedLayout`), in slab order.
 
     Always builds; once verified, the result is kept on ``group`` for
     ``groups.cached_block_decomposition`` by the rule of ``groups._keep``.
@@ -294,7 +321,7 @@ def block_decompose(
 
     units: list[np.ndarray] = [None] * len(coeffs)
     tree = _cayley_layers(group) if max(table.dims) > 1 else None
-    for d, blocks in _blocks_by_dim(table.dims).items():
+    for d, blocks, _ in _stacked_layout(table.dims).slabs:
         if d == 1:
             built = coeffs[blocks].reshape(-1, 1, 1, n)
         else:
@@ -311,7 +338,7 @@ def block_decompose(
 def _block_units(
     group: FiniteGroup,
     p: np.ndarray,
-    blocks: list[int],
+    blocks: range,
     d: int,
     rng: np.random.Generator,
     tree: tuple,
@@ -505,12 +532,10 @@ def _verify_decomposition(decomp: BlockDecomposition, tol: Tolerance) -> None:
     gram = np.abs(decomp._fourier @ decomp._inverse_fourier - np.eye(n))
     row, col = (int(x) for x in np.unravel_index(int(np.argmax(gram)), gram.shape))
     if gram[row, col] > bound:
-        labels = [
-            [pi, j, k]
-            for pi, d in enumerate(decomp.block_dims)
-            for j in range(d)
-            for k in range(d)
-        ]
+        labels = {}
+        for r in (row, col):
+            pi = int(decomp._layout.block_of_row[r])
+            labels[r] = [pi, *divmod(r - decomp._layout.rows[pi].start, decomp.block_dims[pi])]
         raise DecompositionFailure(
             f"transform does not invert the units at row {tuple(labels[row])}, "
             f"column {tuple(labels[col])} (residual {gram[row, col]:.2e})",
@@ -520,7 +545,7 @@ def _verify_decomposition(decomp: BlockDecomposition, tol: Tolerance) -> None:
     for g in generating_set(group) or [group.identity]:
         # F(lambda_g x) = F(lambda_g) F(x) blockwise, for every x at once
         shifted = f[:, group.cayley[g]]
-        for pi, (rows, b) in enumerate(zip(decomp._rows, decomp._split(f[:, g]))):
+        for pi, (rows, b) in enumerate(zip(decomp._layout.rows, decomp._split(f[:, g]))):
             d = b.shape[0]
             expected = (b @ f[rows].reshape(d, d * n)).reshape(d * d, n)
             residual = float(np.abs(shifted[rows] - expected).max())
@@ -569,9 +594,10 @@ def central_state_function(table: CharacterTable, pi: int) -> GroupFunction:
 class AffineHomeomorphism:
     """A linear coefficient map implementing P1(G) -> P1(H) with inverse.
 
-    ``matching[pi]`` names the block of H that block pi of G is carried to;
-    the choice of matching and of matrix units is a genuine degree of
-    freedom, reported rather than normalized.
+    ``matching[pi]`` names the block of H that block pi of G is carried
+    to.  Both character tables list their blocks by ascending dimension,
+    so it is always the identity (0, ..., k - 1); the choice of matrix
+    units, and so of the unitaries of each block, is the free part.
     """
 
     source: FiniteGroup
@@ -591,18 +617,6 @@ class AffineHomeomorphism:
         return GroupFunction(self.source, self.backward_matrix @ fn.values)
 
 
-def _matching_by_dimension(
-    dims_g: Sequence[int], dims_h: Sequence[int]
-) -> tuple[int, ...]:
-    by_dim = _blocks_by_dim(dims_h)
-    matching = []
-    cursor = {d: 0 for d in by_dim}
-    for d in dims_g:
-        matching.append(by_dim[d][cursor[d]])
-        cursor[d] += 1
-    return tuple(matching)
-
-
 def construct_affine_homeomorphism(
     g: FiniteGroup,
     h: FiniteGroup,
@@ -613,32 +627,31 @@ def construct_affine_homeomorphism(
 
     Densities are pushed through the block identification; the resulting
     map on coefficient vectors is linear, and its inverse is built the same
-    way from the reversed matching.  Tables and decompositions a group
+    way.  Both character tables list their blocks by ascending dimension,
+    so their dims are the sorted invariants, and when these agree block pi
+    of G is carried onto block pi of H.  Tables and decompositions a group
     already keeps for ``seed`` are reused (see kept_block_decomposition).
     """
     table_g = character_table(g, seed=seed)
     table_h = character_table(h, seed=seed)
-    inv_g = vn_invariant(g, table=table_g)
-    inv_h = vn_invariant(h, table=table_h)
-    if inv_g.dims != inv_h.dims:
+    dims = table_g.dims
+    if dims != table_h.dims:
         raise NotIsomorphic(
-            f"invariants differ: {list(inv_g.dims)} vs {list(inv_h.dims)}",
-            witness={"invariant_g": list(inv_g.dims), "invariant_h": list(inv_h.dims)},
+            f"invariants differ: {list(dims)} vs {list(table_h.dims)}",
+            witness={"invariant_g": list(dims), "invariant_h": list(table_h.dims)},
         )
     decomp_g = kept_block_decomposition(g, tol, table_g, seed)
     decomp_h = kept_block_decomposition(h, tol, table_h, seed)
-    matching = _matching_by_dimension(table_g.dims, table_h.dims)
-    reverse = tuple(int(x) for x in np.argsort(np.asarray(matching)))
 
-    forward = decomp_g._transport_to(decomp_h, matching)
-    backward = decomp_h._transport_to(decomp_g, reverse)
+    forward = decomp_g._transport_to(decomp_h)
+    backward = decomp_h._transport_to(decomp_g)
     roundtrip = float(np.abs(backward @ forward - np.eye(g.order)).max())
     if roundtrip > 100 * tol.residual_tol:
         raise ConvergenceFailure(
             f"forward/backward transport round trip residual {roundtrip:.3e}",
             witness={"residual": roundtrip},
         )
-    return AffineHomeomorphism(g, h, matching, forward, backward)
+    return AffineHomeomorphism(g, h, tuple(range(len(dims))), forward, backward)
 
 
 @dataclass(frozen=True)
@@ -705,10 +718,12 @@ class AffineHomeoDescriptor:
     Block pi maps onto block sigma[pi] by x -> u x u* or x -> u x^T u*.
     For 1-dimensional blocks the unitary is an irrelevant phase and the
     transpose flag is canonicalized to False.  The action on stacked block
-    entries is fixed at construction (``_stacked_action``): per block
-    dimension, the stacked rows the blocks are read from (transposes folded
-    into the order), the rows their images land in, and the unitaries and
-    their adjoints stacked.  So are the block dimensions, ``dims``.
+    entries is fixed at construction (``_stacked_action``): per slab of the
+    layout of ``dims`` (:class:`_StackedLayout`; one per dimension when the
+    dims ascend), the stacked rows its blocks are read from (transposes
+    folded into the order), the rows their images land in, and the
+    unitaries and their adjoints stacked.  So are the block dimensions,
+    ``dims``.
     """
 
     sigma: tuple[int, ...]
@@ -748,23 +763,21 @@ class AffineHomeoDescriptor:
             flag if dims[pi] >= 2 else False
             for pi, flag in enumerate(self.transpose)
         )
-        offsets = np.cumsum([0] + [d * d for d in dims])
+        layout = _stacked_layout(self.dims)
+        every = np.arange(layout.block_of_row.size)
+        flipped = np.array(self.transpose, dtype=bool)[layout.block_of_row]
+        src = np.where(flipped, layout.transposed, every)
         self._stacked_action = []
-        for d, blocks in _blocks_by_dim(dims).items():
-            entries = np.arange(d * d)
-            flipped = entries.reshape(d, d).T.ravel()
-            src = np.concatenate([
-                offsets[pi] + (flipped if self.transpose[pi] else entries) for pi in blocks
-            ])
-            dst = np.concatenate([offsets[self.sigma[pi]] + entries for pi in blocks])
+        for d, blocks, rows in layout.slabs:
+            dst = np.concatenate([every[layout.rows[self.sigma[pi]]] for pi in blocks])
             u = np.stack([np.asarray(self.unitaries[pi], dtype=complex) for pi in blocks])
             self._stacked_action.append(
-                (d, src, dst, u, np.ascontiguousarray(u.conj().transpose(0, 2, 1)))
+                (d, src[rows], dst, u, np.ascontiguousarray(u.conj().transpose(0, 2, 1)))
             )
 
     def _push(self, stacked: np.ndarray) -> np.ndarray:
         """The action on the stacked block entries of one function, or of a
-        stack of functions, one per row: per block dimension one gather, one
+        stack of functions, one per row: per slab one gather, one
         batched product u B u* and one scatter.  The transposes put the
         entries on the first axis, so one function takes the plain 1-D
         gather and scatter."""
@@ -786,7 +799,7 @@ def apply_descriptor(
     The density transforms blockwise as B -> u B u* (or u B^T u*), landing
     in block sigma[pi]; transposition preserves positivity, so the image
     stays inside P1.  In stacked coordinates: ``decomp.forward``, one
-    gather, batched product and scatter per block dimension
+    gather, batched product and scatter per slab
     (``AffineHomeoDescriptor._push``), and ``decomp.inverse``.
     """
     if desc.dims != decomp.block_dims:
@@ -805,10 +818,8 @@ def random_descriptor(
     dims = decomp.block_dims
     k = len(dims)
     sigma = np.arange(k)
-    for idxs in _blocks_by_dim(dims).values():
-        perm = rng.permutation(len(idxs))
-        for a, b in zip(idxs, perm):
-            sigma[a] = idxs[b]
+    for _, blocks, _ in decomp._layout.slabs:
+        sigma[blocks.start:blocks.stop] = blocks.start + rng.permutation(len(blocks))
     unitaries = []
     transpose = []
     for d in dims:
@@ -965,7 +976,7 @@ def verify_jordan_form(
     images = decomp.forward(np.stack([transform(GroupFunction(group, c)).values for c in states]))
 
     sigma = []
-    for pi, rows in enumerate(decomp._rows):
+    for pi, rows in enumerate(decomp._layout.rows):
         # the central state of block pi is the mean of its diagonal frame
         # states; omega(p_rho) = (d_rho / n) tr B_rho of its image's density
         central = images[rows.start:rows.start + dims[pi]].mean(axis=0)
@@ -997,7 +1008,7 @@ def verify_jordan_form(
             unitaries.append(np.ones((1, 1), dtype=complex))
             transpose.append(False)
             continue
-        frame_images = (d / n) * images[decomp._rows[pi], decomp._rows[sigma[pi]]]
+        frame_images = (d / n) * images[decomp._layout.rows[pi], decomp._layout.rows[sigma[pi]]]
         unit_images = _matrix_unit_images(frame_images.reshape(d * d, d, d), d)
         u, flag = _fit_block_map(unit_images, d, tol)
         unitaries.append(u)

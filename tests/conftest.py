@@ -1022,6 +1022,29 @@ def loop_random_hermitian_symmetric(group, rng):
     return GroupFunction(group, v)
 
 
+def literal_block_layout(dims):
+    """The stacked layout of d x d blocks of dimensions ``dims``, one entry
+    (pi, j, k) at a time: each block's rows, then per row its block,
+    whether j = k and the row of entry (pi, k, j), and the maximal runs of
+    equal dimension as (d, blocks, rows)."""
+    rows, block_of_row, diagonal, transposed, runs = [], [], [], [], []
+    start = 0
+    for pi, d in enumerate(dims):
+        rows.append(slice(start, start + d * d))
+        for j in range(d):
+            for k in range(d):
+                block_of_row.append(pi)
+                diagonal.append(j == k)
+                transposed.append(start + k * d + j)
+        if runs and runs[-1][0] == d:
+            runs[-1][1].append(pi)
+        else:
+            runs.append((d, [pi]))
+        start += d * d
+    runs = [(d, blocks, slice(rows[blocks[0]].start, rows[blocks[-1]].stop)) for d, blocks in runs]
+    return rows, block_of_row, diagonal, transposed, runs
+
+
 def to_coefficients(decomp, blocks):
     """Coefficients of sum_pi sum_jk blocks[pi][j, k] e^pi_jk: the inverse
     transform of the stacked blocks."""

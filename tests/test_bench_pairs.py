@@ -46,3 +46,19 @@ def test_pair_summary_flags_a_wide_spread_and_a_regression():
     assert summary["ref_ops_per_s"]["worse_than_bound"]
     assert summary["peak_rss_mb"]["worse_than_bound"]
     assert not summary["peak_rss_mb"]["unresolved"]
+
+
+def test_pair_summary_bootstraps_the_median_ratio_over_pairs():
+    """Parent 100 in every pair and change 90, 100, 110: a resample of the
+    three pairs has median 90 with probability 7/27 and 110 likewise, so
+    the 95 % interval is [0.9, 1.1]; a change that is 1.2 times the parent
+    in every pair has the point interval [1.2, 1.2].  The seed is fixed, so
+    a second summary is identical."""
+    pairs = [
+        {"parent": _run(100.0, p), "change": _run(c, 1.2 * p)}
+        for c, p in ((90.0, 40.0), (100.0, 50.0), (110.0, 70.0))
+    ]
+    summary = bench_pairs.summarize(pairs, _DECLARED)["w"]
+    assert summary["ref_ops_per_s"]["change_over_parent_ci95"] == [0.9, 1.1]
+    assert summary["peak_rss_mb"]["change_over_parent_ci95"] == pytest.approx([1.2, 1.2])
+    assert bench_pairs.summarize(pairs, _DECLARED)["w"] == summary

@@ -405,8 +405,11 @@ def test_swapped_tables_include_both_verdicts():
         # stand-ins with an order and nothing to gather: the limit must
         # fire before either table is read
         (lambda: direct_product(SimpleNamespace(order=10**6), SimpleNamespace(order=10**6)), 10**12),
+        # 8! = 40320: refused before the permutations are listed
+        (lambda: symmetric_group(8), 40320),
+        (lambda: build_named("symmetric:8"), 40320),
     ],
-    ids=["cyclic", "dihedral", "build_named", "direct_product"],
+    ids=["cyclic", "dihedral", "build_named", "direct_product", "symmetric", "build_named_symmetric"],
 )
 def test_builders_refuse_orders_above_the_limit_before_allocating(build, order):
     with pytest.raises(SizeLimitExceeded) as info:

@@ -52,20 +52,18 @@ from groupstates.errors import (
 )
 from groupstates.groups import algebra_matrix, build_named, cached_block_decomposition, validate_group
 from groupstates.linalg import DEFAULT_TOL, Tolerance
-from groupstates.vn import (
-    BlockDecomposition,
-    _matching_by_dimension,
-    _verify_decomposition,
-)
+from groupstates.vn import BlockDecomposition, _verify_decomposition
 
 from conftest import (
     LADDER,
+    PRODUCTS,
     algebra_coefficients,
     dense_block_decompose,
     dense_from_algebra,
     dense_to_algebra,
     inverse_descriptor,
     ladder_group,
+    literal_block_layout,
     literal_ideal_rho,
     loop_apply_descriptor,
     loop_coefficient_transport,
@@ -399,9 +397,12 @@ def test_block_transport_matches_basis_vector_loop():
     ]
     for g, h in pairs:
         dg, dh = block_decompose(g, seed=0), block_decompose(h, seed=0)
-        matching = _matching_by_dimension(dg.block_dims, dh.block_dims)
-        fast = dg._transport_to(dh, matching)
-        assert np.abs(fast - loop_coefficient_transport(dg, dh, matching)).max() < 1e-12
+        # both tables list their blocks by ascending dimension: block pi of
+        # g goes to block pi of h
+        assert dg.block_dims == dh.block_dims
+        identity = range(dg.num_blocks)
+        fast = dg._transport_to(dh)
+        assert np.abs(fast - loop_coefficient_transport(dg, dh, identity)).max() < 1e-12
 
 
 def test_trace_formula_oracle_matches_from_coefficients():
@@ -414,6 +415,61 @@ def test_trace_formula_oracle_matches_from_coefficients():
         for fast, slow in zip(decomp.from_coefficients(c), literal):
             assert np.abs(fast - slow).max() < 1e-12
         assert np.abs(dense_to_algebra(decomp, literal) - algebra_matrix(g, c)).max() < 1e-12
+
+
+def _assert_layout_is_literal(layout, dims):
+    rows, block_of_row, diagonal, transposed, runs = literal_block_layout(dims)
+    assert list(layout.rows) == rows
+    assert np.array_equal(layout.block_of_row, block_of_row)
+    assert np.array_equal(layout.diagonal, diagonal)
+    assert np.array_equal(layout.transposed, transposed)
+    assert [(d, list(blocks), slab) for d, blocks, slab in layout.slabs] == runs
+
+
+@pytest.mark.parametrize("kind", list(LADDER.values()) + PRODUCTS)
+def test_tables_ascend_and_slabs_hold_views_of_the_units(kind):
+    """A character table lists its blocks by ascending dimension, so equal
+    invariants mean equal dims and a homeomorphism carries block pi onto
+    block pi.  The layout is the per-block oracle's, with one slab per
+    dimension, and each slab's units are one view into the units'
+    storage."""
+    g = build_named(kind)
+    decomp = block_decompose(g)
+    dims = decomp.block_dims
+    assert list(dims) == sorted(dims)
+    _assert_layout_is_literal(decomp._layout, dims)
+    assert [d for d, _, _ in decomp._layout.slabs] == sorted(set(dims))
+    assert len(decomp._slab_units) == len(decomp._layout.slabs)
+    for (d, blocks, _), units in zip(decomp._layout.slabs, decomp._slab_units):
+        assert units.shape == (len(blocks), d, d, g.order)
+        assert all(np.shares_memory(units, decomp.units[pi]) for pi in blocks)
+        assert np.array_equal(units, np.stack([decomp.units[pi] for pi in blocks]))
+
+
+@pytest.mark.parametrize("dims", [(2, 1, 2), (1, 1, 3, 2, 2, 1), (3,), ()])
+def test_layout_of_unsorted_dims_matches_the_per_block_oracle(dims):
+    _assert_layout_is_literal(vn._stacked_layout(dims), dims)
+
+
+def test_descriptor_with_unsorted_dims_pushes_like_the_block_loop():
+    """Dims (2, 1, 2) make three runs: each block is pushed in its own
+    batch, transposes and the swap of the two 2 x 2 blocks included."""
+    rng = np.random.default_rng(23)
+    dims = (2, 1, 2)
+    desc = AffineHomeoDescriptor(
+        (2, 1, 0), tuple(random_unitary(rng, d) for d in dims), (True, False, False)
+    )
+    assert len(desc._stacked_action) == 3
+    rows = literal_block_layout(dims)[0]
+    stacked = rng.normal(size=(4, 9)) + 1j * rng.normal(size=(4, 9))
+    expected = np.zeros_like(stacked)
+    for pi, d in enumerate(dims):
+        b = stacked[:, rows[pi]].reshape(-1, d, d)
+        body = b.transpose(0, 2, 1) if desc.transpose[pi] else b
+        u = desc.unitaries[pi]
+        expected[:, rows[desc.sigma[pi]]] = (u @ body @ u.conj().T).reshape(-1, d * d)
+    assert np.abs(desc._push(stacked) - expected).max() < 1e-12
+    assert np.abs(desc._push(stacked[1]) - expected[1]).max() < 1e-12
 
 
 def test_unit_storage_is_quadratic():

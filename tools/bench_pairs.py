@@ -14,8 +14,12 @@ tree receives every raw figure (each run's end-to-end metrics, operation
 counts and machine speed) and, for each workload and end-to-end metric
 declared in ``BENCHMARK.json``, both sides' medians and quartiles, the
 parent's IQR/median against the metric's bound, the change/parent ratio of
-the medians and the number of pairs the change won (ties count for
-neither).  The runner writes nothing under ``perfbench/``; each
+the medians with its 95 % bootstrap interval over pairs (whole pairs
+resampled, Kalibera and Jones, "Rigorous benchmarking in reasonable time",
+ISMM 2013; a fixed seed keeps the file reproducible) and the number of
+pairs the change won (ties count for neither).  Where the parent's spread
+leaves a check unresolved, the interval says which ratios the pairs
+support.  The runner writes nothing under ``perfbench/``; each
 ``perfbench/run.py`` keeps its own reports in its checkout's ignored
 ``perfbench/out/``.
 """
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import re
 import signal
 import statistics
@@ -36,6 +41,8 @@ ROOT = Path(__file__).resolve().parent.parent
 COMMAND = ["python3", "perfbench/run.py", "--workload", "all", "--seed", "1", "--seconds", "15",
            "--trace", "0"]
 SPEED = re.compile(r"^\[(\w+)\] machine speed = (\S+)")
+BOOTSTRAP_RESAMPLES = 2000
+BOOTSTRAP_SEED = 0
 
 
 def run_bench(tree: Path) -> dict:
@@ -66,9 +73,28 @@ def _quartiles(xs: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def _bootstrap_ratio(parent: list[float], change: list[float]) -> list[float] | None:
+    """95 % percentile bootstrap interval of median(change) / median(parent):
+    BOOTSTRAP_RESAMPLES resamples of whole pairs, with replacement, from a
+    generator seeded with BOOTSTRAP_SEED; None when every resampled parent
+    median is 0."""
+    rng = random.Random(BOOTSTRAP_SEED)
+    ratios = []
+    for _ in range(BOOTSTRAP_RESAMPLES):
+        picks = rng.choices(range(len(parent)), k=len(parent))
+        base = statistics.median(parent[i] for i in picks)
+        if base:
+            ratios.append(statistics.median(change[i] for i in picks) / base)
+    if not ratios:
+        return None
+    ratios.sort()
+    return [ratios[round(q * (len(ratios) - 1))] for q in (0.025, 0.975)]
+
+
 def summarize(pairs: list[dict], declared: list[dict]) -> dict:
     """Per workload and declared end-to-end metric: medians, quartiles,
-    parent IQR/median, change/parent ratio and the change's win count."""
+    parent IQR/median, change/parent ratio with its bootstrap interval and
+    the change's win count."""
     out = {}
     for workload in pairs[0]["parent"]:
         rows = {}
@@ -86,6 +112,7 @@ def summarize(pairs: list[dict], declared: list[dict]) -> dict:
                 "change_median": cq[1], "change_quartiles": [cq[0], cq[2]],
                 "parent_iqr_over_median": spread,
                 "change_over_parent": ratio,
+                "change_over_parent_ci95": _bootstrap_ratio(parent, change),
                 "wins": sum((c > p) if higher else (c < p) for p, c in zip(parent, change)),
                 "pairs": len(pairs),
                 "bound": metric["bound"],
