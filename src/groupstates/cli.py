@@ -118,9 +118,11 @@ def _render_text(obj, indent: int = 0) -> str:
     pad = "  " * indent
     if isinstance(obj, dict):
         lines = []
-        for key in obj:
-            val = obj[key]
-            if isinstance(val, (dict, list)) and val and not _is_flat(val):
+        for key, val in obj.items():
+            # a non-empty dict, or a list holding a dict or list, nests
+            if (isinstance(val, dict) and val) or (
+                isinstance(val, list) and any(isinstance(x, (dict, list)) for x in val)
+            ):
                 lines.append(f"{pad}{key}:")
                 lines.append(_render_text(val, indent + 1))
             else:
@@ -129,12 +131,6 @@ def _render_text(obj, indent: int = 0) -> str:
     if isinstance(obj, list):
         return "\n".join(f"{pad}- {json.dumps(x)}" for x in obj)
     return f"{pad}{json.dumps(obj)}"
-
-
-def _is_flat(val) -> bool:
-    if isinstance(val, list):
-        return all(not isinstance(x, (dict, list)) for x in val)
-    return False
 
 
 def _complex_list(values) -> dict:

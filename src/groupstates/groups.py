@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import weakref
 from dataclasses import dataclass, field
 from typing import Callable
@@ -361,7 +360,15 @@ def symmetric_group(n: int) -> FiniteGroup:
     """All permutations of {0..n-1} under composition, order n!."""
     if n < 1:
         raise ValueError("symmetric degree must be positive")
-    _refuse_order_above_limit(math.factorial(n))
+    order = 1
+    for k in range(2, n + 1):  # stop once k! passes the limit: no huge n!
+        order *= k
+        if order > DEFAULT_CLOSURE_LIMIT and k < n:
+            raise SizeLimitExceeded(
+                f"S{n} has order at least {k}! = {order}, above limit {DEFAULT_CLOSURE_LIMIT}",
+                witness={"degree": n, "order_at_least": order, "limit": DEFAULT_CLOSURE_LIMIT},
+            )
+    _refuse_order_above_limit(order)
     # lexicographic order
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
     labels = tuple("".join(map(str, p)) for p in perms.tolist())

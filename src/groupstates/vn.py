@@ -129,7 +129,8 @@ class _StackedLayout:
         )
 
 
-_stacked_layout = functools.cache(_StackedLayout)
+# bounded: descriptors read from JSON may bring any number of dims
+_stacked_layout = functools.lru_cache(maxsize=32)(_StackedLayout)
 
 
 # --------------------------------------------------------------------------
@@ -197,10 +198,7 @@ class BlockDecomposition:
         return len(self.units)
 
     def _split(self, stacked: np.ndarray) -> list[np.ndarray]:
-        return [
-            stacked[rows].reshape(d, d)
-            for rows, d in zip(self._layout.rows, self.block_dims)
-        ]
+        return [stacked[rows].reshape(d, d) for rows, d in zip(self._layout.rows, self.block_dims)]
 
     def _vectors(self, values) -> np.ndarray:
         c = np.asarray(values, dtype=complex)

@@ -191,6 +191,13 @@ def test_group_build_refuses_a_huge_order(capsys):
     assert report["witness"] == {"order": 10**12, "limit": 10000}
 
 
+def test_group_build_refuses_a_huge_symmetric_degree(capsys):
+    code, report = run_json(capsys, "group", "build", "--kind", "symmetric:2000")
+    assert code == 1
+    assert report["error"] == "SizeLimitExceeded"
+    assert report["witness"] == {"degree": 2000, "order_at_least": 40320, "limit": 10000}
+
+
 def test_group_file_over_the_order_limit_is_refused_before_conversion(tmp_path, capsys):
     """The row count, and a stated order, are checked against the closure
     limit before the table becomes an array: 10 001 one-entry rows are

@@ -417,6 +417,27 @@ def test_builders_refuse_orders_above_the_limit_before_allocating(build, order):
     assert info.value.witness == {"order": order, "limit": DEFAULT_CLOSURE_LIMIT}
 
 
+@pytest.mark.parametrize(
+    "build, degree",
+    [
+        (lambda: symmetric_group(9), 9),
+        # 2000! has more digits than int-to-str allows, and 10^9! could not
+        # be computed at all: both are refused without their factorial
+        (lambda: symmetric_group(2000), 2000),
+        (lambda: build_named("symmetric:1000000000"), 10**9),
+    ],
+    ids=["S9", "S2000", "build_named_S1e9"],
+)
+def test_symmetric_degrees_past_the_limit_are_refused_without_their_factorial(build, degree):
+    with pytest.raises(SizeLimitExceeded) as info:
+        build()
+    # 8! = 40320 is the first factorial above the limit
+    assert info.value.witness == {
+        "degree": degree, "order_at_least": 40320, "limit": DEFAULT_CLOSURE_LIMIT,
+    }
+    assert "40320" in str(info.value)
+
+
 @pytest.mark.parametrize("name", list(LADDER))
 def test_readers_of_the_index_tables_match_their_literal_oracles(name):
     """algebra_matrix, gram_matrix, the centrality deviation and seeded
