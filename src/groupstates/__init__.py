@@ -4,7 +4,6 @@ Fourier multiplier channels, and the convex face geometry that classifies
 the algebra up to *-isomorphism."""
 
 from .characters import (
-    CentralProjection,
     CharacterTable,
     character_table,
     class_sum_structure_constants,
@@ -61,7 +60,6 @@ from .posdef import (
     delta_e,
     from_state,
     gns,
-    gram_matrix,
     is_extreme,
     is_positive_definite,
     random_hermitian_symmetric,

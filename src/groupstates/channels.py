@@ -10,11 +10,9 @@ Both tests use the same cutoff, so disagreement between them outside the
 undecided band signals a convention bug and raises.
 
 A channel is its symbol, so building one and composing two (a pointwise
-product) cost O(n).  The Schur matrix's indexing convention is checked once
-per group, on the first channel built over it: the matrix is a gather of
-phi through an index that is a fixed function of the group's ``cayley`` and
-``inverses``, so its convention is a property of the builder and the group,
-not of phi (see ``FourierMultiplierChannel``).
+product) cost O(n).  The Schur matrix is ``groups.algebra_matrix``, whose
+index puts phi(u) along the support of every lambda_u for any group that
+``groups.validate_group`` accepts; the tests check that convention.
 """
 
 from __future__ import annotations
@@ -35,8 +33,8 @@ def schur_symbol(fn: GroupFunction) -> np.ndarray:
 
     This is the regular-representation image of sum_s phi(s) lambda_s
     (``groups.algebra_matrix``, which owns the index convention); the Gram
-    matrix of the state side uses phi(s_k^{-1} s_j) and lives in the posdef
-    module.
+    matrix phi(s_k^{-1} s_j) of the state side is its transpose relabelled
+    by inversion.
     """
     return algebra_matrix(fn.group, fn.values)
 
@@ -45,13 +43,7 @@ def schur_symbol(fn: GroupFunction) -> np.ndarray:
 class FourierMultiplierChannel:
     """The map lambda_s -> phi(s) lambda_s, stored through its symbol.
 
-    Construction checks that the symbol lives on ``group`` and, on the first
-    channel over its group, that ``schur_symbol`` puts phi(u) along the
-    support of every lambda_u.  ``schur_symbol`` gathers phi through an
-    index it builds from the group's ``cayley`` and ``inverses``, so one
-    probe with distinct values checks the same thing for every phi; the
-    group keeps the builder it checked and a replaced builder is checked
-    again.  Construction is O(n) once the group is checked.
+    Construction checks that the symbol lives on ``group``; it is O(n).
     """
 
     group: FiniteGroup
@@ -63,33 +55,6 @@ class FourierMultiplierChannel:
                 "symbol lives on a different group",
                 witness={"orders": [self.group.order, self.symbol.group.order]},
             )
-        if self.symbol.group._schur_checked is not schur_symbol:
-            _check_schur_indexing(self.symbol.group)
-
-
-def _check_schur_indexing(group: FiniteGroup) -> None:
-    """Check that ``schur_symbol`` is constant phi(u) along the support of
-    each lambda_u, i.e. a[u t, t] = phi(u) for all (u, t), and keep the
-    checked builder on ``group``.
-
-    ``schur_symbol`` is a gather of phi through the builder's index, a
-    fixed function of the group's ``cayley`` and ``inverses``, so the check
-    holds for every phi exactly when it holds for one phi with distinct
-    values: it runs on the probe phi(s) = s.  The flat index of (u t, t)
-    comes from the Cayley table, not from the index that built the matrix.
-    The witness is the first element u whose diagonal is wrong.
-    """
-    n = group.order
-    a = schur_symbol(GroupFunction(group, np.arange(n)))
-    along = np.take(a, group.cayley * n + np.arange(n)) == np.arange(n)[:, None]
-    bad = np.flatnonzero(~along.all(axis=1))
-    if bad.size:
-        u = int(bad[0])
-        raise InternalDisagreement(
-            f"Schur symbol inconsistent on lambda_{u}",
-            witness={"element": u},
-        )
-    group._schur_checked = schur_symbol
 
 
 def build_channel(fn: GroupFunction) -> FourierMultiplierChannel:
@@ -108,14 +73,9 @@ def apply(ch: FourierMultiplierChannel, element: GroupFunction) -> GroupFunction
 
 
 def is_unital(ch: FourierMultiplierChannel, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff phi(e) = 1; also checks the action on the unit directly."""
-    fe = ch.symbol.values[ch.group.identity]
-    unit = np.zeros(ch.group.order, dtype=complex)
-    unit[ch.group.identity] = 1.0
-    image = apply(ch, GroupFunction(ch.group, unit))
-    direct = abs(fe - 1.0) <= tol.residual_tol
-    acted = float(np.abs(image.values - unit).max()) <= tol.residual_tol
-    return direct and acted
+    """True iff phi(e) = 1: the channel sends the unit lambda_e to
+    phi(e) lambda_e."""
+    return bool(abs(ch.symbol.values[ch.group.identity] - 1.0) <= tol.residual_tol)
 
 
 @dataclass(frozen=True)

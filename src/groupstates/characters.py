@@ -22,13 +22,13 @@ import numpy as np
 from .errors import ConvergenceFailure, DegenerateSpectrum
 from .groups import (
     ConjugacyPartition,
+    FaceDescriptor,
     FiniteGroup,
     _group_repr,
     _keep,
     _read_only,
     _served,
     _WeakGroup,
-    algebra_matrix,
     conjugacy_classes,
 )
 from .linalg import DEFAULT_TOL, Tolerance
@@ -85,29 +85,6 @@ class CharacterTable:
     @cached_property
     def structure(self) -> np.ndarray:
         return _read_only(class_sum_structure_constants(self.group, self.partition))
-
-
-@dataclass(frozen=True, eq=False)
-class CentralProjection:
-    """A central projection p = sum_s coeffs[s] lambda_s in the group algebra.
-
-    ``irreps`` lists the irreducible blocks it supports; a singleton marks a
-    minimal central projection.  ``matrix``, the read-only n x n
-    regular-representation image, is built the first time it is read.
-    """
-
-    group: FiniteGroup
-    coeffs: np.ndarray
-    irreps: tuple[int, ...]
-
-    def __post_init__(self):
-        self.coeffs.setflags(write=False)
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        m = algebra_matrix(self.group, self.coeffs)
-        m.setflags(write=False)
-        return m
 
 
 def class_sum_structure_constants(
@@ -228,7 +205,7 @@ def minimal_central_projections(
     group: FiniteGroup,
     table: CharacterTable,
     tol: Tolerance = DEFAULT_TOL,
-) -> list[CentralProjection]:
+) -> list[FaceDescriptor]:
     """The projections p_pi = (d_pi/|G|) sum_s conj(chi_pi(s)) lambda_s.
 
     Verified in class space (:func:`_verified_projections`): each a
@@ -236,10 +213,13 @@ def minimal_central_projections(
     n p(e), the set pairwise orthogonal and summing to the identity.  When
     ``group`` is the table's own group the verified coefficients are kept
     on the table (see ``groups.FiniteGroup``); each call returns fresh
-    ``CentralProjection`` objects over them.
+    ``groups.FaceDescriptor`` objects over them, the supports of the
+    minimal split faces: central, split, with ``irreps == (pi,)``.
     """
     coeffs = _projection_coeffs(group, table, tol)
-    return [CentralProjection(group, c, (pi,)) for pi, c in enumerate(coeffs)]
+    return [
+        FaceDescriptor(group, c, None, True, True, irreps=(pi,)) for pi, c in enumerate(coeffs)
+    ]
 
 
 def _projection_coeffs(

@@ -10,11 +10,10 @@ block dimension through the rank argument in the block image.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .characters import CharacterTable, CentralProjection, minimal_central_projections
+from .characters import CharacterTable, minimal_central_projections
 from .errors import (
     BoundsViolation,
     ConvergenceFailure,
@@ -23,9 +22,8 @@ from .errors import (
     SizeLimitExceeded,
 )
 from .groups import (
+    FaceDescriptor,
     FiniteGroup,
-    _frozen,
-    algebra_matrix,
     check_projection,
     conjugacy_classes,
     same_group,
@@ -35,42 +33,6 @@ from .posdef import GroupFunction, NormalState, to_state
 from .vn import kept_block_decomposition
 
 SPLIT_FACE_IRREP_LIMIT = 20
-
-
-class FaceDescriptor:
-    """A face given by the coefficient vector of its supporting projection.
-
-    ``coeffs`` and ``matrix`` are read-only: an array passed in is kept as
-    is when it is read-only and copied when it is writable, so the
-    caller's array keeps its flags.  ``matrix`` is the n x n
-    regular-representation image of the coefficients, built the first
-    time it is read unless one is passed in.
-    """
-
-    def __init__(
-        self,
-        group: FiniteGroup,
-        coeffs: np.ndarray,
-        matrix: np.ndarray | None,
-        is_central: bool,
-        is_split: bool,
-        irreps: tuple[int, ...] | None = None,
-    ):
-        if is_split != is_central:
-            raise ValueError("a face is split exactly when its projection is central")
-        if matrix is not None:
-            self.__dict__["matrix"] = _frozen(matrix)
-        self.group = group
-        self.coeffs = _frozen(coeffs)
-        self.is_central = is_central
-        self.is_split = is_split
-        self.irreps = irreps
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        m = algebra_matrix(self.group, self.coeffs)
-        m.setflags(write=False)
-        return m
 
 
 @dataclass(frozen=True)
@@ -174,7 +136,7 @@ def split_faces(
     group: FiniteGroup,
     table: CharacterTable,
     tol: Tolerance = DEFAULT_TOL,
-    minimal: list[CentralProjection] | None = None,
+    minimal: list[FaceDescriptor] | None = None,
 ) -> list[FaceDescriptor]:
     """All 2^k split faces, as subset sums of minimal central projections.
 

@@ -3,7 +3,8 @@
 Elements are dense integer indices 0..n-1; labels are cosmetic metadata.
 The module also holds the small amount of group-algebra plumbing
 (convolution, adjoint, the projection check, the regular-representation
-image of a coefficient vector) that the state and channel modules build on.
+image of a coefficient vector, and ``FaceDescriptor``, which holds a
+projection's coefficients) that the other modules build on.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import functools
 import itertools
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -48,12 +48,7 @@ class FiniteGroup:
       One rule serves them all (:func:`_served`, :func:`_keep`): a value
       is served at its tolerance or a looser one, the tightest is kept,
       the latest among equals, and each equals a fresh build with the
-      same arguments bit for bit;
-    - ``_schur_checked``, the ``channels.schur_symbol`` builder whose
-      indexing check passed: the check tests the builder's index, a fixed
-      function of ``cayley`` and ``inverses``, so it runs again only when
-      the builder is replaced.  It holds a function, not a channel, so it
-      adds no reference cycle.
+      same arguments bit for bit.
 
     Kept tables and decompositions point back at the group weakly
     (:class:`_WeakGroup`), so dropping the last reference to the group
@@ -71,7 +66,6 @@ class FiniteGroup:
     labels: tuple[str, ...] | None = None
     name: str = "group"
     _kept: dict = field(default_factory=dict, init=False, repr=False)
-    _schur_checked: Callable | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.cayley = np.ascontiguousarray(self.cayley, dtype=np.int64)
@@ -308,12 +302,22 @@ def _permutation_table(perms: np.ndarray) -> np.ndarray:
 
 def _refuse_order_above_limit(order: int) -> None:
     """Refuse a group of more than DEFAULT_CLOSURE_LIMIT elements before
-    its n x n table is allocated."""
-    if order > DEFAULT_CLOSURE_LIMIT:
+    its n x n table is allocated.  An order too long to write out in
+    decimal is reported by its bit length."""
+    if order <= DEFAULT_CLOSURE_LIMIT:
+        return
+    try:
+        text = str(order)
+    except ValueError:  # more digits than int-to-str conversion allows
+        bits = order.bit_length()
         raise SizeLimitExceeded(
-            f"group order {order} exceeds limit {DEFAULT_CLOSURE_LIMIT}",
-            witness={"order": order, "limit": DEFAULT_CLOSURE_LIMIT},
-        )
+            f"group order of {bits} bits exceeds limit {DEFAULT_CLOSURE_LIMIT}",
+            witness={"order_bits": bits, "limit": DEFAULT_CLOSURE_LIMIT},
+        ) from None
+    raise SizeLimitExceeded(
+        f"group order {text} exceeds limit {DEFAULT_CLOSURE_LIMIT}",
+        witness={"order": order, "limit": DEFAULT_CLOSURE_LIMIT},
+    )
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -542,9 +546,49 @@ def check_projection(
 
 
 def algebra_matrix(group: FiniteGroup, coeffs) -> np.ndarray:
-    """Regular-representation image of sum_s coeffs[s] lambda_s."""
+    """Regular-representation image of sum_s coeffs[s] lambda_s, the one
+    builder of it: the Schur symbol and the dense PSD test read it.  The
+    Gram matrix [phi(s_k^{-1} s_j)] of a function is this image's
+    transpose with rows and columns relabelled by inversion, so it has
+    the same spectrum."""
     # row t, column u carries coeff(t u^{-1})
     return np.asarray(coeffs, dtype=complex)[group.cayley[:, group.inverses]]
+
+
+class FaceDescriptor:
+    """A projection, and the face of states it supports, given by its
+    coefficient vector.
+
+    ``coeffs`` and ``matrix`` are read-only: an array passed in is kept as
+    is when it is read-only and copied when it is writable, so the
+    caller's array keeps its flags.  ``matrix`` is the n x n
+    regular-representation image of the coefficients, built the first
+    time it is read unless one is passed in.  ``irreps`` lists the blocks
+    of a central projection; a singleton marks a minimal one.
+    """
+
+    def __init__(
+        self,
+        group: FiniteGroup,
+        coeffs: np.ndarray,
+        matrix: np.ndarray | None,
+        is_central: bool,
+        is_split: bool,
+        irreps: tuple[int, ...] | None = None,
+    ):
+        if is_split != is_central:
+            raise ValueError("a face is split exactly when its projection is central")
+        if matrix is not None:
+            self.__dict__["matrix"] = _frozen(matrix)
+        self.group = group
+        self.coeffs = _frozen(coeffs)
+        self.is_central = is_central
+        self.is_split = is_split
+        self.irreps = irreps
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        return _read_only(algebra_matrix(self.group, self.coeffs))
 
 
 def same_group(g: FiniteGroup, h: FiniteGroup) -> bool:

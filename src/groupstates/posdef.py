@@ -133,21 +133,18 @@ def _block_psd_verdict(fn: GroupFunction, decomp, tol: Tolerance) -> PsdVerdict:
     return PsdVerdict.from_witness(wmin, _gram_cutoff(fn, tol))
 
 
-def gram_matrix(fn: GroupFunction) -> np.ndarray:
-    """The |G| x |G| matrix with entry (j, k) = phi(s_k^{-1} s_j)."""
-    return fn.values[fn.group.cayley[fn.group.inverses].T]
-
-
 def is_positive_definite(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> PsdVerdict:
     """PSD verdict for phi, with witness eigenvalue.
 
     When the group holds a block decomposition verified at ``tol`` or
     tighter (``groups.cached_block_decomposition``), the verdict is read from
     the Fourier blocks of phi (:func:`_block_psd_verdict`: phi is positive
-    definite iff every block is PSD); otherwise it is the eigen-test of
-    the full Gram matrix (:func:`linalg.is_psd`).  Both see the same
-    spectrum with the same cutoff.  The dense path stays for a group
-    without one, such as a freshly loaded one: on S5 its Gram test takes
+    definite iff every block is PSD); otherwise it is the eigen-test
+    (:func:`linalg.is_psd`) of phi's regular-representation image
+    ``groups.algebra_matrix``, the Gram matrix transposed and relabelled by
+    inversion.  Both see the Gram spectrum with the same cutoff.  The dense
+    path stays for a group without one, such as a freshly loaded one: on
+    S5 its test takes
     about 1.7 ms, while the table, projections and decomposition a block
     verdict needs take 5.4-6.4 ms (best of 5, one BLAS thread, 2-vCPU
     machine), so building a decomposition here would slow the CLI.  The
@@ -160,7 +157,7 @@ def is_positive_definite(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> Psd
     if verdict is None:
         decomp = cached_block_decomposition(fn.group, tol)
         if decomp is None:
-            verdict = is_psd(gram_matrix(fn), tol)
+            verdict = is_psd(algebra_matrix(fn.group, fn.values), tol)
         else:
             verdict = _block_psd_verdict(fn, decomp, tol)
         fn._psd_verdicts[tol] = verdict
@@ -197,7 +194,7 @@ def to_state(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> NormalState:
     the PSD test, whose witness is the smallest eigenvalue of the Gram
     matrix (equal to the smallest Fourier-block eigenvalue).  The test is
     :func:`is_positive_definite`, on the Fourier blocks when the group
-    holds a decomposition and on the Gram matrix otherwise, so a verdict
+    holds a decomposition and on the dense matrix otherwise, so a verdict
     it already cached on ``fn`` is reused, not recomputed.
     """
     g = fn.group

@@ -98,6 +98,16 @@ def ladder_group(name):
     return build_named(LADDER[name])
 
 
+def relabelled(group, seed):
+    """The same group with its elements renamed by a seeded permutation."""
+    from groupstates.groups import validate_group
+
+    perm = np.random.default_rng(seed).permutation(group.order)
+    table = np.empty_like(group.cayley)
+    table[np.ix_(perm, perm)] = perm[group.cayley]
+    return validate_group(table)
+
+
 def builtin_catalog(max_order: int = 24):
     """Every named constructor instance with order up to the bound."""
     groups = []
@@ -252,12 +262,12 @@ def dense_gns(fn, tol=None):
     coefficient <rho(s) xi, xi> = phi(s) with one vdot."""
     from groupstates.errors import ConvergenceFailure, NotPositiveDefinite
     from groupstates.linalg import DEFAULT_TOL
-    from groupstates.posdef import _require_hermitian_symmetric, gram_matrix
+    from groupstates.posdef import _require_hermitian_symmetric
 
     tol = DEFAULT_TOL if tol is None else tol
     g = fn.group
     _require_hermitian_symmetric(fn, tol)
-    kernel = gram_matrix(fn).T
+    kernel = literal_gram_matrix(fn).T
     w, v = np.linalg.eigh((kernel + kernel.conj().T) / 2)
     cutoff = tol.eig_cutoff(kernel)
     if w[0] < -cutoff:
@@ -339,13 +349,12 @@ def gram_gns(fn, tol=None):
         GnsRepresentation,
         _regular_traces,
         _require_hermitian_symmetric,
-        gram_matrix,
     )
 
     tol = DEFAULT_TOL if tol is None else tol
     g = fn.group
     _require_hermitian_symmetric(fn, tol)
-    kernel = gram_matrix(fn).T
+    kernel = literal_gram_matrix(fn).T
     w, v = np.linalg.eigh((kernel + kernel.conj().T) / 2)
     cutoff = tol.eig_cutoff(kernel)
     if w[0] < -cutoff:
@@ -479,7 +488,9 @@ def literal_algebra_matrix(group, coeffs):
 
 
 def literal_gram_matrix(fn):
-    """Gram matrix phi(s_k^-1 s_j), its index table rebuilt per call."""
+    """Gram matrix phi(s_k^-1 s_j) at (j, k), its index table rebuilt per
+    call: the library builds no Gram matrix, and this oracle shares no
+    code with groups.algebra_matrix."""
     g = fn.group
     return fn.values[g.cayley[g.inverses].T]
 
@@ -594,7 +605,7 @@ def per_block_decompose(group, table=None, seed=0, tol=None):
     from groupstates.errors import DecompositionFailure
     from groupstates.groups import algebra_matrix
     from groupstates.linalg import DEFAULT_TOL
-    from groupstates.posdef import gram_matrix, random_hermitian_symmetric
+    from groupstates.posdef import random_hermitian_symmetric
     from groupstates.vn import _MAX_RETRIES, BlockDecomposition, _verify_decomposition
 
     tol = DEFAULT_TOL if tol is None else tol
@@ -614,7 +625,7 @@ def per_block_decompose(group, table=None, seed=0, tol=None):
         for _ in range(_MAX_RETRIES):
             sketch = algebra_matrix(group, proj.coeffs) @ rng.normal(size=(n, d * d))
             basis = np.linalg.qr(sketch)[0]
-            y = gram_matrix(random_hermitian_symmetric(group, rng))
+            y = literal_gram_matrix(random_hermitian_symmetric(group, rng))
             evals, vecs = np.linalg.eigh(basis.conj().T @ y @ basis)
             clusters = cluster_spectrum(evals, max(float(np.abs(evals).max()), 1.0))
             if len(clusters) != d or any(len(c) != d for c in clusters):
@@ -774,9 +785,8 @@ def dense_block_decompose(group, table=None, seed=0, tol=None):
 def gram_psd_verdict(fn, tol=None):
     """The dense Gram eigen-test: linalg.is_psd of the n x n Gram matrix."""
     from groupstates.linalg import DEFAULT_TOL, is_psd
-    from groupstates.posdef import gram_matrix
 
-    return is_psd(gram_matrix(fn), DEFAULT_TOL if tol is None else tol)
+    return is_psd(literal_gram_matrix(fn), DEFAULT_TOL if tol is None else tol)
 
 
 def dense_a_norm(fn):

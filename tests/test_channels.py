@@ -10,6 +10,7 @@ from groupstates import (
     GroupFunction,
     apply,
     build_channel,
+    build_named,
     block_decompose,
     central_state_function,
     compose,
@@ -32,17 +33,20 @@ from groupstates import (
     to_state,
 )
 from groupstates.cli import dispatch
-from groupstates import channels, vn
-from groupstates.errors import GroupMismatch, InternalDisagreement, NotHermitianSymmetric
+from groupstates import vn
+from groupstates.errors import GroupMismatch, NotHermitianSymmetric
 from groupstates.groups import algebra_matrix, cached_block_decomposition
 from groupstates.jsonio import function_to_json
 from groupstates.linalg import Tolerance
 
 from conftest import (
+    LADDER,
+    PRODUCTS,
     criterion_04_groups,
     literal_choi_matrix,
     rebuilt_block_verdict,
     regular_representation,
+    relabelled,
 )
 
 
@@ -351,65 +355,65 @@ def test_compose_preserves_positive_definiteness(q8):
         )
 
 
-def test_schur_indexing_check_names_first_bad_element(monkeypatch, s3):
-    """A Schur matrix off phi(u) along lambda_u is caught, and the witness
-    is the first element whose diagonal is wrong."""
-    fn = random_hermitian_symmetric(s3, np.random.default_rng(15))
-    real = channels.schur_symbol
+def _first_off_support(group, build):
+    """The first element u with build(group, phi)[u t, t] != phi(u) for
+    some t, or None: the index convention of a dense builder, read on the
+    probe phi(s) = s, whose values are distinct.  The flat index of
+    (u t, t) comes from the Cayley table, not from the builder."""
+    n = group.order
+    a = build(group, np.arange(n))
+    along = a[group.cayley, np.arange(n)] == np.arange(n)[:, None]
+    bad = np.flatnonzero(~along.all(axis=1))
+    return int(bad[0]) if bad.size else None
 
-    def tampered(symbol):
-        a = real(symbol).copy()
+
+def test_algebra_matrix_puts_phi_u_along_every_lambda_u():
+    """a[u t, t] = phi(u) for every (u, t) on the ladder, the generated
+    products and a relabelled D30: the Schur symbol, which is
+    algebra_matrix, holds phi(u) on the support of lambda_u."""
+    groups = [build_named(kind) for kind in (*LADDER.values(), *PRODUCTS)]
+    groups.append(relabelled(dihedral_group(30), 3))
+    assert groups[-1].identity != 0
+    bad = {repr(g): u for g in groups if (u := _first_off_support(g, algebra_matrix)) is not None}
+    assert bad == {}
+
+
+def test_builders_off_the_convention_are_caught_with_the_first_bad_element():
+    """The Gram (translation) convention phi(s^-1 t), and a matrix moved
+    off phi(u) at two entries, fail the check of the test above, which
+    names the first element whose support is wrong."""
+
+    def translation(group, coeffs):
+        return np.asarray(coeffs, dtype=complex)[group.cayley[group.inverses]]
+
+    for g in (symmetric_group(3), quaternion_group(), relabelled(dihedral_group(30), 3)):
+        a = translation(g, np.arange(g.order))
+        first = next(
+            u for u in g.elements()
+            if any(a[g.mul(u, t), t] != u for t in g.elements())
+        )
+        assert _first_off_support(g, translation) == first
+
+    s3 = symmetric_group(3)
+
+    def moved(group, coeffs):
+        a = algebra_matrix(group, coeffs)
         for u in (4, 2):  # lambda_u occupies the entries (u t, t)
-            a[s3.mul(u, 3), 3] += 1e-3
+            a[group.mul(u, 3), 3] += 1e-3
         return a
 
-    monkeypatch.setattr(channels, "schur_symbol", tampered)
-    with pytest.raises(InternalDisagreement) as info:
-        build_channel(fn)
-    assert info.value.witness == {"element": 2}
+    assert _first_off_support(s3, moved) == 2
 
 
-def test_schur_matrix_in_the_translation_convention_is_caught(monkeypatch, s3):
-    """A Schur matrix built as phi(s^-1 t), the Gram convention, is caught
-    with the first element whose diagonal is wrong as witness."""
-    fn = random_hermitian_symmetric(s3, np.random.default_rng(15))
-    translate = s3.cayley[s3.inverses]
-    monkeypatch.setattr(channels, "schur_symbol", lambda symbol: symbol.values[translate])
-
-    def wrong(u, t):  # entry (u t, t) of the tampered matrix against phi(u)
-        return fn(s3.mul(s3.inv(s3.mul(u, t)), t)) != fn(u)
-
-    first = next(u for u in s3.elements() if any(wrong(u, t) for t in s3.elements()))
-    with pytest.raises(InternalDisagreement) as info:
-        build_channel(fn)
-    assert info.value.witness == {"element": first}
-
-
-def test_schur_check_runs_once_per_group(monkeypatch):
-    """Building and composing channels over one group runs the Schur
-    indexing check once; a new group is checked again.  The group keeps the
-    builder, not a channel, so a dropped channel is freed without the
-    cyclic collector."""
-    checked = []
-    real = channels.schur_symbol
-
-    def counted(symbol):
-        checked.append(id(symbol.group))
-        return real(symbol)
-
-    monkeypatch.setattr(channels, "schur_symbol", counted)
+def test_a_dropped_channel_is_freed_without_the_cyclic_collector():
+    """Channels and the structures their certificates keep on the group
+    form no reference cycle with a channel."""
     rng = np.random.default_rng(16)
     g = symmetric_group(4)
     ch = build_channel(random_p1(g, rng))
     for _ in range(10):
         ch = compose(ch, build_channel(random_p1(g, rng)))
-    assert checked == [id(g)]
-    assert g._schur_checked is counted
-
-    h = symmetric_group(4)
-    compose(build_channel(constant_one(h)), build_channel(delta_e(h)))
-    assert checked == [id(g), id(h)]
-
+    assert is_completely_positive(ch).verdict
     dropped = weakref.ref(ch)
     gc.disable()
     try:

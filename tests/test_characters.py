@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from groupstates import (
+    FaceDescriptor,
     character_table,
     class_sum_structure_constants,
     conjugacy_classes,
@@ -12,6 +13,7 @@ from groupstates import (
     direct_product,
     minimal_central_projections,
     quaternion_group,
+    split_faces,
     symmetric_group,
     validate_group,
 )
@@ -24,6 +26,7 @@ from conftest import (
     builtin_catalog,
     ladder_group,
     nspace_projection_residuals,
+    literal_algebra_matrix,
     nspace_verified_projections,
     regular_rep_dims_oracle,
     regular_representation,
@@ -188,6 +191,37 @@ def test_projections_q8_ranks_and_resolution():
         for s in g.elements():
             lam = regular_representation(g, s)
             assert np.abs(lam @ p.matrix - p.matrix @ lam).max() < 1e-10
+
+
+@pytest.mark.parametrize("name", list(LADDER))
+def test_minimal_central_projections_are_minimal_split_face_supports(name):
+    """Each minimal central projection is the FaceDescriptor of its minimal
+    split face: central, split, irreps (pi,), read-only coefficients that
+    are the table's kept row itself, not a copy, and a matrix equal to the
+    literal regular-representation image, built on its first read.
+    split_faces takes them as its minimal projections, and its face of
+    each single block is that block's projection."""
+    g = ladder_group(name)
+    table = character_table(g)
+    projs = minimal_central_projections(g, table)
+    kept = table._kept["projections"][1]
+    assert len(projs) == table.num_irreps == len(kept)
+    for pi, p in enumerate(projs):
+        assert type(p) is FaceDescriptor and p.group is g
+        assert p.is_central and p.is_split and p.irreps == (pi,)
+        assert not p.coeffs.flags.writeable
+        assert np.shares_memory(p.coeffs, kept[pi])
+        assert np.array_equal(p.coeffs, kept[pi])
+        assert "matrix" not in vars(p)
+        m = p.matrix
+        assert p.matrix is m and not m.flags.writeable
+        assert np.array_equal(m, literal_algebra_matrix(g, p.coeffs))
+    # one call: D30's 2^18 faces take about a second
+    faces = split_faces(g, table, minimal=projs)
+    assert len(faces) == 2 ** len(projs)
+    for pi, p in enumerate(projs):
+        face = faces[1 << pi]
+        assert face.irreps == (pi,) and np.array_equal(face.coeffs, p.coeffs)
 
 
 def _count_table_and_projection_work(monkeypatch):

@@ -191,6 +191,17 @@ def test_group_build_refuses_a_huge_order(capsys):
     assert report["witness"] == {"order": 10**12, "limit": 10000}
 
 
+def test_group_build_refuses_a_huge_dihedral_order(capsys):
+    """2n is refused whether or not it can be written out in decimal: a
+    4300-digit n is accepted by int(), and its order 2n has 4301 digits."""
+    code, report = run_json(capsys, "group", "build", "--kind", "dihedral:5001")
+    assert code == 1 and report["error"] == "SizeLimitExceeded"
+    assert report["witness"] == {"order": 10002, "limit": 10000}
+    code, report = run_json(capsys, "group", "build", "--kind", "dihedral:" + "9" * 4300)
+    assert code == 1 and report["error"] == "SizeLimitExceeded"
+    assert report["witness"] == {"order_bits": (2 * (10**4300 - 1)).bit_length(), "limit": 10000}
+
+
 def test_group_build_refuses_a_huge_symmetric_degree(capsys):
     code, report = run_json(capsys, "group", "build", "--kind", "symmetric:2000")
     assert code == 1

@@ -657,8 +657,9 @@ def test_chain_is_certified_without_n_space_products(monkeypatch):
     g = symmetric_group(4)
     table = character_table(g)
     decomp = block_decompose(g, table, seed=0)
-    for name in ("algebra_matrix", "check_projection"):
-        monkeypatch.setattr(faces, name, forbidden(name))
+    # FaceDescriptor.matrix and convolve read algebra_matrix from groups
+    monkeypatch.setattr(groups, "algebra_matrix", forbidden("algebra_matrix"))
+    monkeypatch.setattr(faces, "check_projection", forbidden("check_projection"))
     monkeypatch.setattr(groups, "convolve", forbidden("convolve"))
     monkeypatch.setattr(vn.BlockDecomposition, "from_coefficients", forbidden("from_coefficients"))
     for pi, d in enumerate(table.dims):

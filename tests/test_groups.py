@@ -1,3 +1,4 @@
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -41,7 +42,7 @@ from groupstates.groups import (
 from groupstates.characters import character_table
 from groupstates.faces import _centrality_deviation
 from groupstates.linalg import DEFAULT_TOL
-from groupstates.posdef import gram_matrix, random_hermitian_symmetric, random_p1
+from groupstates.posdef import random_hermitian_symmetric, random_p1
 
 from conftest import (
     IndexOutOfRange,
@@ -408,13 +409,25 @@ def test_swapped_tables_include_both_verdicts():
         # 8! = 40320: refused before the permutations are listed
         (lambda: symmetric_group(8), 40320),
         (lambda: build_named("symmetric:8"), 40320),
+        # 2n has 4301 digits, more than int-to-str conversion allows: the
+        # witness gives its bit length instead
+        (lambda: build_named("dihedral:" + "9" * 4300), None),
     ],
-    ids=["cyclic", "dihedral", "build_named", "direct_product", "symmetric", "build_named_symmetric"],
+    ids=[
+        "cyclic", "dihedral", "build_named", "direct_product", "symmetric",
+        "build_named_symmetric", "dihedral_4300_nines",
+    ],
 )
 def test_builders_refuse_orders_above_the_limit_before_allocating(build, order):
     with pytest.raises(SizeLimitExceeded) as info:
         build()
-    assert info.value.witness == {"order": order, "limit": DEFAULT_CLOSURE_LIMIT}
+    if order is None:
+        bits = (2 * (10**4300 - 1)).bit_length()
+        assert info.value.witness == {"order_bits": bits, "limit": DEFAULT_CLOSURE_LIMIT}
+        assert f"{bits} bits" in str(info.value)
+    else:
+        assert info.value.witness == {"order": order, "limit": DEFAULT_CLOSURE_LIMIT}
+    json.dumps(info.value.witness)
 
 
 @pytest.mark.parametrize(
@@ -438,16 +451,23 @@ def test_symmetric_degrees_past_the_limit_are_refused_without_their_factorial(bu
     assert "40320" in str(info.value)
 
 
+def _relabelled_transpose(g, fn):
+    """algebra_matrix(g, phi) with rows and columns relabelled by inversion,
+    transposed: entry (j, k) is phi(k^-1 j), the Gram matrix."""
+    return algebra_matrix(g, fn.values)[np.ix_(g.inverses, g.inverses)].T
+
+
 @pytest.mark.parametrize("name", list(LADDER))
 def test_readers_of_the_index_tables_match_their_literal_oracles(name):
-    """algebra_matrix, gram_matrix, the centrality deviation and seeded
-    random_p1 give the per-call constructions' results bit for bit."""
+    """algebra_matrix, the centrality deviation and seeded random_p1 give
+    the per-call constructions' results bit for bit, and algebra_matrix
+    relabelled by inversion and transposed is the Gram matrix."""
     g = ladder_group(name)
     rng = np.random.default_rng(31)
     c = rng.normal(size=g.order) + 1j * rng.normal(size=g.order)
     assert np.array_equal(algebra_matrix(g, c), literal_algebra_matrix(g, c))
     fn = random_hermitian_symmetric(g, rng)
-    assert np.array_equal(gram_matrix(fn), literal_gram_matrix(fn))
+    assert np.array_equal(_relabelled_transpose(g, fn), literal_gram_matrix(fn))
     # a class function (deviation 0) and a generic vector
     for coeffs in (character_table(g).char_values(1).astype(complex), c):
         assert _centrality_deviation(g, coeffs) == literal_centrality_deviation(g, coeffs)
@@ -459,17 +479,18 @@ def test_readers_of_the_index_tables_match_their_literal_oracles(name):
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(PRODUCTS), seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_generated_products_gather_like_the_oracles_and_keep_no_n_by_n_index(kind, seed):
-    """On a direct product of two small groups, algebra_matrix, gram_matrix,
-    random_p1 and the centrality deviation equal their literal oracles bit
-    for bit, a class function has deviation exactly 0, and after the whole
-    pipeline the only n x n array the group holds is its Cayley table."""
+    """On a direct product of two small groups, algebra_matrix, random_p1
+    and the centrality deviation equal their literal oracles bit for bit,
+    and so does the Gram matrix read from algebra_matrix, a class function
+    has deviation exactly 0, and after the whole pipeline the only n x n
+    array the group holds is its Cayley table."""
     g = build_named(kind)
     n = g.order
     rng = np.random.default_rng(seed)
     c = rng.normal(size=n) + 1j * rng.normal(size=n)
     assert np.array_equal(algebra_matrix(g, c), literal_algebra_matrix(g, c))
     fn = random_hermitian_symmetric(g, rng)
-    assert np.array_equal(gram_matrix(fn), literal_gram_matrix(fn))
+    assert np.array_equal(_relabelled_transpose(g, fn), literal_gram_matrix(fn))
     assert _centrality_deviation(g, c) == literal_centrality_deviation(g, c)
     part = conjugacy_classes(g)
     k = part.num_classes

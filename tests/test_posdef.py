@@ -21,7 +21,6 @@ from groupstates import (
     direct_product,
     from_state,
     gns,
-    gram_matrix,
     is_extreme,
     is_positive_definite,
     pure_state_function,
@@ -56,6 +55,7 @@ from conftest import (
     gram_psd_verdict,
     kron_commutant_dimension,
     ladder_group,
+    literal_gram_matrix,
     loop_random_hermitian_symmetric,
     loop_random_p1,
     loop_vector_state,
@@ -65,20 +65,24 @@ from conftest import (
 )
 
 
+# the Gram matrix (the oracle) and the dense image the PSD test reads
 def test_gram_constant_one_z2(z2):
     fn = constant_one(z2)
-    assert np.array_equal(gram_matrix(fn), np.ones((2, 2)))
+    assert np.array_equal(literal_gram_matrix(fn), np.ones((2, 2)))
+    assert np.array_equal(algebra_matrix(z2, fn.values), np.ones((2, 2)))
 
 
 def test_gram_delta_is_identity(q8):
-    assert np.array_equal(gram_matrix(delta_e(q8)), np.eye(8))
+    fn = delta_e(q8)
+    assert np.array_equal(literal_gram_matrix(fn), np.eye(8))
+    assert np.array_equal(algebra_matrix(q8, fn.values), np.eye(8))
 
 
 def test_gram_character_z3_rank_one(z3):
     w = np.exp(2j * np.pi / 3)
     fn = GroupFunction(z3, np.array([1.0, w, w**2]))
-    g = gram_matrix(fn)
-    assert np.linalg.matrix_rank(g, tol=1e-10) == 1
+    for g in (literal_gram_matrix(fn), algebra_matrix(z3, fn.values)):
+        assert np.linalg.matrix_rank(g, tol=1e-10) == 1
     assert is_positive_definite(fn).is_psd
 
 
@@ -491,7 +495,7 @@ def test_block_gns_rejects_indefinite_with_the_gram_witness():
         block_decompose(g)
         for _ in range(3):
             fn = random_hermitian_symmetric(g, rng)
-            gram_min = float(np.linalg.eigvalsh(gram_matrix(fn))[0])
+            gram_min = float(np.linalg.eigvalsh(literal_gram_matrix(fn))[0])
             assert gram_min < 0
             with pytest.raises(NotPositiveDefinite) as info:
                 gns(fn)

@@ -70,6 +70,7 @@ from conftest import (
     per_block_decompose,
     random_unitary,
     regular_representation,
+    relabelled,
     to_coefficients,
     unit_matrix,
 )
@@ -935,20 +936,12 @@ def test_canonical_phase():
     assert abs(fixed[0, 0].imag) < 1e-12 and fixed[0, 0].real > 0
 
 
-def _relabelled(group, seed):
-    """The same group with its elements renamed by a seeded permutation."""
-    perm = np.random.default_rng(seed).permutation(group.order)
-    table = np.empty_like(group.cayley)
-    table[np.ix_(perm, perm)] = perm[group.cayley]
-    return validate_group(table)
-
-
 @pytest.mark.parametrize(
     "maker",
     [lambda: symmetric_group(3), quaternion_group, lambda: dihedral_group(30), lambda: symmetric_group(5)],
 )
 def test_homeomorphism_on_kept_structure_matches_fresh_copies(maker, monkeypatch):
-    g, h = maker(), _relabelled(maker(), 3)
+    g, h = maker(), relabelled(maker(), 3)
     # the source keeps the table, projections and decomposition classify builds
     table = character_table(g, partition=conjugacy_classes(g))
     minimal_central_projections(g, table)
@@ -964,7 +957,7 @@ def test_homeomorphism_on_kept_structure_matches_fresh_copies(maker, monkeypatch
     monkeypatch.setattr(vn, "block_decompose", counted)
     kept = construct_affine_homeomorphism(g, h)
     assert built == []
-    fresh = construct_affine_homeomorphism(maker(), _relabelled(maker(), 3))
+    fresh = construct_affine_homeomorphism(maker(), relabelled(maker(), 3))
     assert built and kept.matching == fresh.matching
     assert np.array_equal(kept.forward_matrix, fresh.forward_matrix)
     assert np.array_equal(kept.backward_matrix, fresh.backward_matrix)
@@ -1076,14 +1069,14 @@ def test_block_spectra_read_one_dimensional_blocks_exactly():
 
 def test_fresh_construction_uses_no_n_space_helpers(monkeypatch):
     """A fresh group's table, projections and blocks form no n x n matrix:
-    none of algebra_matrix, gram_matrix or check_projection is called."""
+    neither algebra_matrix nor check_projection is called."""
     from groupstates import characters, groups, posdef
 
     def refuse(*args, **kwargs):
         raise AssertionError("n-space helper called")
 
     for module in (groups, characters, vn, posdef):
-        for name in ("algebra_matrix", "gram_matrix", "check_projection"):
+        for name in ("algebra_matrix", "check_projection"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     for kind in ("symmetric:5", "dihedral:30", "product:symmetric:4,cyclic:2"):
