@@ -29,7 +29,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # global flags live on a shared parent so they can follow the subcommand,
     # matching the documented usage `groupstates chartable --in g.json --seed 7`
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    common.add_argument("--seed", type=int, default=0, help="seed of units and samples (default 0)")
     common.add_argument("--eig-tol", type=float, default=1e-9)
     common.add_argument("--residual-tol", type=float, default=1e-8)
     common.add_argument("--format", choices=("json", "text"), default="json")
@@ -181,7 +181,7 @@ def _handle_group(args, tol) -> dict:
 
 def _handle_chartable(args, tol) -> dict:
     group = io.load_group(args.path)
-    table = character_table(group, seed=args.seed, tol=tol)
+    table = character_table(group, tol=tol)
     payload = io.table_to_json(table)
     if args.out:
         _write_json(args.out, payload)
@@ -238,10 +238,10 @@ def _handle_channel(args, tol) -> dict:
     return io.function_to_json(out, inline_group=False)
 
 
-def _handle_faces(args, tol, seed: int) -> dict:
+def _handle_faces(args, tol) -> dict:
     if args.subcommand == "list":
         group = io.load_group(args.path)
-        table = character_table(group, seed=seed, tol=tol)
+        table = character_table(group, tol=tol)
         descriptors = fc.split_faces(group, table, tol)
         # the regular-representation rank is the trace n c(e)
         traces = group.order * np.array([d.coeffs[group.identity].real for d in descriptors])
@@ -269,12 +269,12 @@ def _handle_faces(args, tol, seed: int) -> dict:
         }
     if args.subcommand == "chain":
         group = io.load_group(args.path)
-        table = character_table(group, seed=seed, tol=tol)
+        table = character_table(group, tol=tol)
         if not 0 <= args.irrep < table.num_irreps:
             raise InputFormatError(
                 f"irrep index {args.irrep} out of range for {table.num_irreps} irreps"
             )
-        length = fc.maximal_chain_length(group, table, args.irrep, seed=seed, tol=tol)
+        length = fc.maximal_chain_length(group, table, args.irrep, tol=tol)
         return {
             "irrep": args.irrep,
             "chain_length": length,
@@ -296,12 +296,12 @@ def _handle_faces(args, tol, seed: int) -> dict:
 def _handle_vn(args, tol, seed: int) -> dict:
     if args.subcommand == "invariant":
         group = io.load_group(args.path)
-        inv = vn.vn_invariant(group, seed)
+        inv = vn.vn_invariant(group)
         return {"invariant": list(inv.dims), "order": inv.order}
     if args.subcommand == "iso":
         g1 = io.load_group(args.g1)
         g2 = io.load_group(args.g2)
-        verdict = vn.vn_isomorphic(g1, g2, seed)
+        verdict = vn.vn_isomorphic(g1, g2)
         report = {
             "isomorphic": verdict.isomorphic,
             "invariant_g1": list(verdict.invariant_g.dims),
@@ -349,7 +349,7 @@ def _handle_vn(args, tol, seed: int) -> dict:
         }
     if args.subcommand == "homeo-group":
         group = io.load_group(args.path)
-        desc = vn.homeo_group_description(group, seed)
+        desc = vn.homeo_group_description(group)
         return {
             "invariant": list(desc.invariant.dims),
             "component_count": desc.component_count,
@@ -392,7 +392,7 @@ def _handle_demo(args, tol, seed: int) -> dict:
 def _demo_q8_d4(tol, seed: int) -> dict:
     q8 = build_named("quaternion8")
     d4 = build_named("dihedral:4")
-    verdict = vn.vn_isomorphic(q8, d4, seed)
+    verdict = vn.vn_isomorphic(q8, d4)
     homeo = vn.construct_affine_homeomorphism(q8, d4, seed, tol)
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -443,10 +443,10 @@ def _demo_bochner(tol, seed: int) -> dict:
 
 def _demo_faces_tour(tol, seed: int) -> dict:
     s3 = build_named("symmetric:3")
-    table = character_table(s3, seed=seed, tol=tol)
+    table = character_table(s3, tol=tol)
     descriptors = fc.split_faces(s3, table, tol)
     lengths = [
-        fc.maximal_chain_length(s3, table, pi, seed=seed, tol=tol)
+        fc.maximal_chain_length(s3, table, pi, tol=tol)
         for pi in range(table.num_irreps)
     ]
     rng = np.random.default_rng(seed)
@@ -500,7 +500,7 @@ def dispatch(argv) -> int:
         elif args.command == "channel":
             report = _handle_channel(args, tol)
         elif args.command == "faces":
-            report = _handle_faces(args, tol, args.seed)
+            report = _handle_faces(args, tol)
         elif args.command == "vn":
             report = _handle_vn(args, tol, args.seed)
         else:

@@ -290,20 +290,18 @@ def maximal_chain_length(
     group: FiniteGroup,
     table: CharacterTable,
     pi: int,
-    seed: int = 0,
     tol: Tolerance = DEFAULT_TOL,
     decomp=None,
 ) -> int:
     """Length of a maximal strictly increasing chain of faces inside the
     minimal split face of block pi: the length of :func:`block_face_chain`,
-    which certifies the chain and its maximality in the block image.
-
-    Without ``decomp``, the group's kept decomposition is used when it was
-    built from ``table`` at ``seed``; otherwise one is built (and then kept
-    on the group), see ``vn.kept_block_decomposition``.
+    which certifies the chain and its maximality in the block image.  It is
+    d_pi in every decomposition of ``table``'s group, so without ``decomp``
+    the group's kept one serves, at any seed, else one is built and kept
+    (``vn.kept_block_decomposition``).
     """
     if not 0 <= pi < table.num_irreps:
         raise ValueError(f"irrep index {pi} out of range")
     if decomp is None:
-        decomp = kept_block_decomposition(group, tol, table, seed)
+        decomp = kept_block_decomposition(group, tol)
     return block_face_chain(decomp, pi, tol).length

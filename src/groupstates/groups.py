@@ -40,10 +40,10 @@ class FiniteGroup:
     - ``_conjugacy`` (:func:`conjugacy_classes`) and ``_generators``
       (:func:`generating_set`);
     - in ``_kept``, with the ``residual_tol`` each was verified at: under
-      ``("table", seed)`` the table ``characters.character_table`` built on
-      the group's own partition, under ``"decomposition"`` the one
-      ``vn.block_decompose`` built.  A table's ``_kept`` holds, under
-      ``"projections"``, the coefficient rows
+      ``"table"`` the table ``characters.character_table`` built on the
+      group's own partition, and under ``"decomposition"`` the last one
+      ``vn.block_decompose`` built from such a table.  A table's ``_kept``
+      holds, under ``"projections"``, the coefficient rows
       ``characters.minimal_central_projections`` verified for its group.
       One rule serves them all (:func:`_served`, :func:`_keep`): a value
       is served at its tolerance or a looser one, the tightest is kept,

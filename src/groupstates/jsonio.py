@@ -71,9 +71,13 @@ def group_from_json(obj: dict, name: str = "group") -> FiniteGroup:
     rows = len(table) if table.ndim else 0
     if order is not None and (type(order) is not int or order != rows):
         raise InputFormatError(f"group order {order!r} does not match the {rows}-row table")
-    labels = obj.get("labels")
+    labels, name = obj.get("labels"), obj.get("name", name)
+    if not (labels is None or type(labels) is list and all(type(x) is str for x in labels)):
+        raise InputFormatError("group labels must be a list of strings")
+    if type(name) is not str:
+        raise InputFormatError("group name must be a string")
     try:
-        return validate_group(table, labels=labels, name=obj.get("name", name))
+        return validate_group(table, labels=labels, name=name)
     except (ValueError, TypeError) as exc:
         raise InputFormatError(f"bad group data: {exc}") from exc
 

@@ -38,6 +38,7 @@ from .groups import (
     _keep,
     _WeakGroup,
     cached_block_decomposition,
+    conjugacy_classes,
     generating_set,
     same_group,
 )
@@ -81,9 +82,9 @@ class VNInvariant:
         return dict(sorted(Counter(self.dims).items()))
 
 
-def vn_invariant(group: FiniteGroup, seed: int = 0, table: CharacterTable | None = None) -> VNInvariant:
+def vn_invariant(group: FiniteGroup, table: CharacterTable | None = None) -> VNInvariant:
     if table is None:
-        table = character_table(group, seed=seed)
+        table = character_table(group)
     return VNInvariant(tuple(sorted(table.dims)))
 
 
@@ -94,10 +95,9 @@ class IsoVerdict:
     invariant_h: VNInvariant
 
 
-def vn_isomorphic(g: FiniteGroup, h: FiniteGroup, seed: int = 0) -> IsoVerdict:
+def vn_isomorphic(g: FiniteGroup, h: FiniteGroup) -> IsoVerdict:
     """Group von Neumann algebras are isomorphic iff the invariants match."""
-    inv_g = vn_invariant(g, seed)
-    inv_h = vn_invariant(h, seed)
+    inv_g, inv_h = vn_invariant(g), vn_invariant(h)
     return IsoVerdict(inv_g.dims == inv_h.dims, inv_g, inv_h)
 
 
@@ -308,11 +308,12 @@ def block_decompose(
     dims ascend, so that is once per slab of the layout
     (:class:`_StackedLayout`), in slab order.
 
-    Always builds; once verified, the result is kept on ``group`` for
+    Always builds; once verified, a decomposition of a table on the
+    group's own partition is kept on ``group`` for
     ``groups.cached_block_decomposition`` by the rule of ``groups._keep``.
     """
     if table is None:
-        table = character_table(group, seed=seed)
+        table = character_table(group)
     coeffs = _projection_coeffs(group, table, tol)
     rng = np.random.default_rng(seed)
     n = group.order
@@ -329,7 +330,8 @@ def block_decompose(
 
     decomp = BlockDecomposition(group, table, units, seed)
     _verify_decomposition(decomp, tol)
-    _keep(group, "decomposition", tol, decomp)
+    if table.partition is conjugacy_classes(group):
+        _keep(group, "decomposition", tol, decomp)
     return decomp
 
 
@@ -485,16 +487,17 @@ def kept_block_decomposition(
     table: CharacterTable | None = None,
     seed: int = 0,
 ) -> BlockDecomposition:
-    """The decomposition ``group`` keeps, else a fresh one that it then keeps.
+    """The decomposition ``group`` keeps, else a fresh one.
 
     Without ``table`` any kept decomposition verified at ``tol`` or tighter
-    serves (the callers that read only blocks).  With ``table`` it must
-    also have been built from that very table at ``seed``, so that it
-    equals ``block_decompose(group, table, seed=seed, tol=tol)`` bit for
-    bit.
+    serves (the callers that read only blocks).  With ``table``, it must be
+    at ``seed`` and ``table`` on the group's own partition, as every kept
+    one's is; such tables are equal bit for bit, so the result equals
+    ``block_decompose(group, table, seed=seed, tol=tol)`` bit for bit.
     """
     decomp = cached_block_decomposition(group, tol)
-    if decomp is None or (table is not None and (decomp.table is not table or decomp.seed != seed)):
+    if decomp is None or table is not None and (
+            decomp.seed != seed or table.partition is not conjugacy_classes(group)):
         decomp = block_decompose(group, table, seed=seed, tol=tol)
     return decomp
 
@@ -627,11 +630,11 @@ def construct_affine_homeomorphism(
     map on coefficient vectors is linear, and its inverse is built the same
     way.  Both character tables list their blocks by ascending dimension,
     so their dims are the sorted invariants, and when these agree block pi
-    of G is carried onto block pi of H.  Tables and decompositions a group
-    already keeps for ``seed`` are reused (see kept_block_decomposition).
+    of G is carried onto block pi of H.  The groups' tables, and their kept
+    decompositions at ``seed``, are reused (see kept_block_decomposition).
     """
-    table_g = character_table(g, seed=seed)
-    table_h = character_table(h, seed=seed)
+    table_g = character_table(g)
+    table_h = character_table(h)
     dims = table_g.dims
     if dims != table_h.dims:
         raise NotIsomorphic(
@@ -679,16 +682,14 @@ class HomeoGroupDescription:
         )
 
 
-def homeo_group_description(
-    group: FiniteGroup, seed: int = 0
-) -> HomeoGroupDescription:
+def homeo_group_description(group: FiniteGroup) -> HomeoGroupDescription:
     """Structure of the affine homeomorphism group of P1(G).
 
     Per block of dimension d >= 2 the symmetry is the projective unitary
     group extended by the transpose involution; 1-dimensional blocks are
     rigid.  Blocks of equal dimension may additionally be permuted.
     """
-    inv = vn_invariant(group, seed)
+    inv = vn_invariant(group)
     factors = []
     count = 1
     for d, m in inv.multiplicities().items():

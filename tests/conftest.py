@@ -91,11 +91,76 @@ PRODUCTS = [
 ]
 
 
+def _affine(m, a):
+    """x -> x + 1 and x -> a x on Z/m, as permutations of 0..m-1."""
+    return [tuple((x + 1) % m for x in range(m)), tuple(a * x % m for x in range(m))]
+
+
+def _line(v, p):
+    """The point of the line through v in F_p^k whose first nonzero
+    coordinate is 1."""
+    inv = pow(next(x for x in v if x), -1, p)
+    return tuple(x * inv % p for x in v)
+
+
+def _matrix_action(mats, p, projective=False):
+    """The matrices over F_p as permutations of F_p^k minus 0, or of the
+    projective space over F_p when ``projective``."""
+    points = [v for v in itertools.product(range(p), repeat=len(mats[0])) if any(v)]
+    if projective:
+        points = sorted({_line(v, p) for v in points})
+    index = {v: i for i, v in enumerate(points)}
+
+    def image(m, v):
+        w = tuple(sum(a * b for a, b in zip(row, v)) % p for row in m)
+        return index[_line(w, p) if projective else w]
+
+    return [tuple(image(m, v) for v in points) for m in mats]
+
+
+_T, _S = ((1, 1), (0, 1)), ((0, -1), (1, 0))
+# groups that are not direct products of the small named groups: label ->
+# permutation generators for groups.from_permutation_generators.  The
+# affine maps x -> a x of Z/8 with a = 7, 3, 5 give the dihedral,
+# semidihedral and modular groups of order 16.
+CORPUS = {
+    "A4": [(1, 2, 0, 3), (0, 2, 3, 1)],
+    "A5": [(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)],
+    "F20": _affine(5, 2), "F21": _affine(7, 2),
+    "D8": _affine(8, 7), "SD16": _affine(8, 3), "M16": _affine(8, 5), "Z9:Z3": _affine(9, 4),
+    "SL(2,3)": _matrix_action([_T, _S], 3),
+    "GL(2,3)": _matrix_action([_T, _S, ((2, 0), (0, 1))], 3),
+    "SL(2,5)": _matrix_action([_T, _S], 5),
+    "PSL(2,7)": _matrix_action([_T, _S], 7, projective=True),
+    "Heis27": _matrix_action(
+        [((1, 1, 0), (0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, 1, 1), (0, 0, 1))], 3
+    ),
+}
+
+
 def ladder_group(name):
     """A group of the benchmark ladder by its label."""
     from groupstates.groups import build_named
 
     return build_named(LADDER[name])
+
+
+def corpus_group(name):
+    """A group of the corpus by its label."""
+    from groupstates.groups import from_permutation_generators
+
+    return from_permutation_generators(CORPUS[name])
+
+
+def class_partition(group, classes):
+    """A ConjugacyPartition over the given classes, in that order."""
+    from groupstates.groups import ConjugacyPartition
+
+    classes = tuple(tuple(sorted(c)) for c in classes)
+    class_of = np.empty(group.order, dtype=np.int64)
+    for ci, members in enumerate(classes):
+        class_of[list(members)] = ci
+    return ConjugacyPartition(classes, class_of, tuple(map(len, classes)), tuple(map(min, classes)))
 
 
 def relabelled(group, seed):
@@ -595,6 +660,38 @@ def literal_ideal_rho(group, w):
     return w.conj().T @ w[group.cayley[group.inverses]]
 
 
+def eig_character_table(group, seed=0):
+    """(dims, chars) by the retired seeded solve: the non-Hermitian ``eig``
+    of a random real combination of the class-sum matrices N_i[l, j] =
+    a[i, j, l], central characters from Rayleigh quotients on its
+    eigenvectors, rows in the table's canonical order."""
+    from groupstates.characters import class_sum_structure_constants
+    from groupstates.groups import conjugacy_classes
+
+    part = conjugacy_classes(group)
+    n, k = group.order, part.num_classes
+    sizes = np.array(part.class_sizes, dtype=float)
+    mats = class_sum_structure_constants(group, part).transpose(0, 2, 1).astype(float)
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        m = np.tensordot(rng.uniform(1.0, 2.0, size=k), mats, axes=1)
+        evals, vecs = np.linalg.eig(m)
+        gaps = np.abs(np.subtract.outer(evals, evals)) + np.diag(np.full(k, np.inf))
+        if gaps.min() > 1e-6 * max(float(np.abs(m).max()), 1.0):
+            break
+    else:
+        raise AssertionError("no simple spectrum in 20 draws")
+    omega = np.array([
+        [vecs[:, p].conj() @ mats[i] @ vecs[:, p] / np.vdot(vecs[:, p], vecs[:, p])
+         for i in range(k)]
+        for p in range(k)
+    ])
+    dims = np.rint(np.sqrt(n / (np.abs(omega) ** 2 / sizes).sum(axis=1))).astype(int)
+    chars = dims[:, None] * omega / sizes
+    order = rounded_row_order(dims, chars)
+    return tuple(int(dims[p]) for p in order), chars[order]
+
+
 def per_block_decompose(group, table=None, seed=0, tol=None):
     """Matrix units one block at a time in n space: the QR of the block's
     regular-representation image applied to d^2 Gaussian columns, the
@@ -610,7 +707,7 @@ def per_block_decompose(group, table=None, seed=0, tol=None):
 
     tol = DEFAULT_TOL if tol is None else tol
     if table is None:
-        table = character_table(group, seed=seed)
+        table = character_table(group)
     projections = minimal_central_projections(group, table, tol)
     rng = np.random.default_rng(seed)
     n = group.order
@@ -722,7 +819,7 @@ def dense_block_decompose(group, table=None, seed=0, tol=None):
 
     tol = DEFAULT_TOL if tol is None else tol
     if table is None:
-        table = character_table(group, seed=seed)
+        table = character_table(group)
     projections = minimal_central_projections(group, table, tol)
     rng = np.random.default_rng(seed)
     n = group.order

@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -62,3 +64,48 @@ def test_pair_summary_bootstraps_the_median_ratio_over_pairs():
     assert summary["ref_ops_per_s"]["change_over_parent_ci95"] == [0.9, 1.1]
     assert summary["peak_rss_mb"]["change_over_parent_ci95"] == pytest.approx([1.2, 1.2])
     assert bench_pairs.summarize(pairs, _DECLARED)["w"] == summary
+
+
+def _git(repo, *argv):
+    subprocess.run(["git", "-c", "user.name=bench", "-c", "user.email=bench@example.org",
+                    *argv], cwd=repo, check=True, capture_output=True)
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["completes", "bench-fails"])
+def test_parent_files_are_extracted_and_removed_afterwards(tmp_path, monkeypatch, fails):
+    """PARENT's committed files, not the working tree's, are what the
+    parent side runs in; the extracted tree is gone after the run, also
+    when a benchmark run fails, and no git worktree is registered."""
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    (repo / "BENCHMARK.json").write_text(json.dumps({"end_to_end": _DECLARED}))
+    (repo / "marker.txt").write_text("parent")
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "parent")
+    (repo / "marker.txt").write_text("change")
+    seen = []
+
+    def run_bench(tree):
+        seen.append((Path(tree), (Path(tree) / "marker.txt").read_text()))
+        if fails and len(seen) == 2:
+            raise RuntimeError("benchmark exited 1")
+        return _run(100.0, 50.0)
+
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
+    monkeypatch.setattr(bench_pairs.signal, "signal", lambda *args: None)
+    if fails:
+        with pytest.raises(RuntimeError):
+            bench_pairs.main(["HEAD", "--pairs", "2", "--pr", "t"])
+    else:
+        assert bench_pairs.main(["HEAD", "--pairs", "2", "--pr", "t"]) == 0
+        written = json.loads((repo / "BENCH_t.json").read_text())
+        assert [p["first"] for p in written["pairs"]] == ["parent", "change"]
+    parent = [(tree, text) for tree, text in seen if tree != repo]
+    assert parent and all(text == "parent" for _, text in parent)
+    assert all(text == "change" for tree, text in seen if tree == repo)
+    assert not parent[0][0].exists()
+    listed = subprocess.run(["git", "worktree", "list"], cwd=repo, check=True,
+                            capture_output=True, text=True).stdout
+    assert len(listed.splitlines()) == 1

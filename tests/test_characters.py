@@ -18,12 +18,19 @@ from groupstates import (
     validate_group,
 )
 from groupstates.characters import CharacterTable
-from groupstates.groups import ConjugacyPartition, convolve
+from groupstates.errors import DegenerateSpectrum
+from groupstates.groups import ConjugacyPartition, build_named, convolve
 from groupstates.jsonio import table_to_json
+from groupstates.linalg import DEFAULT_TOL, Tolerance
 
 from conftest import (
+    CORPUS,
     LADDER,
+    PRODUCTS,
     builtin_catalog,
+    class_partition,
+    corpus_group,
+    eig_character_table,
     ladder_group,
     nspace_projection_residuals,
     literal_algebra_matrix,
@@ -147,16 +154,75 @@ def test_product_table_is_tensor_of_tables():
     assert got == lifted
 
 
-def test_table_deterministic_given_seed():
-    g = quaternion_group()
-    t1 = character_table(g, seed=7)
-    t2 = character_table(g, seed=7)
-    assert json.dumps(table_to_json(t1), sort_keys=True) == json.dumps(
-        table_to_json(t2), sort_keys=True
-    )
-    # canonical sorting makes the table stable across seeds as well
-    t3 = character_table(g, seed=8)
-    assert np.abs(t1.chars - t3.chars).max() < 1e-9
+@pytest.mark.parametrize("name", ["Q8", "S5", "A5", "PSL(2,7)"])
+def test_table_is_bit_identical_across_builds_and_group_objects(name):
+    """The table depends on the group alone: a rebuild at a tighter
+    tolerance, a build on a copy of the partition and a build on a fresh
+    group object all equal the kept table bit for bit."""
+    make = (lambda: ladder_group(name)) if name in LADDER else (lambda: corpus_group(name))
+    g = make()
+    table = character_table(g, tol=Tolerance(residual_tol=1e-6))
+    copy = class_partition(g, conjugacy_classes(g).classes)
+    again = [character_table(g), character_table(g, partition=copy), character_table(make())]
+    assert all(t is not table for t in again)
+    for t in again:
+        assert t.dims == table.dims and t.chars.tobytes() == table.chars.tobytes()
+        assert json.dumps(table_to_json(t), sort_keys=True) == json.dumps(
+            table_to_json(table), sort_keys=True
+        )
+
+
+_ORACLE_GROUPS = [("product", kind) for kind in PRODUCTS] + [
+    ("ladder", name) for name in LADDER
+] + [("corpus", name) for name in CORPUS] + [("named", "symmetric:6")]
+
+
+def test_table_matches_the_retired_eig_solve():
+    """At seed 0 the retired non-Hermitian solve gives the same dims, the
+    same row order and entries within 1e-12, on the ladder, the generated
+    products, the corpus and S6."""
+    makers = {"product": build_named, "ladder": ladder_group, "corpus": corpus_group,
+              "named": build_named}
+    for source, name in _ORACLE_GROUPS:
+        g = makers[source](name)
+        table = character_table(g)
+        dims, chars = eig_character_table(g, seed=0)
+        assert table.dims == dims, name
+        assert np.abs(table.chars - chars).max() < 1e-12, name
+
+
+@pytest.mark.parametrize("kind", ["symmetric:4", "symmetric:5", "symmetric:6"])
+def test_symmetric_group_tables_are_integers_within_1e_13(kind):
+    chars = character_table(build_named(kind)).chars
+    assert np.abs(chars - np.round(chars.real)).max() < 1e-13
+
+
+# textbook irrep dimensions of the corpus groups, ascending
+_CORPUS_DIMS = {
+    "A4": (1, 1, 1, 3),
+    "A5": (1, 3, 3, 4, 5),
+    "F20": (1, 1, 1, 1, 4),
+    "F21": (1, 1, 1, 3, 3),
+    "D8": (1, 1, 1, 1, 2, 2, 2),
+    "SD16": (1, 1, 1, 1, 2, 2, 2),
+    "M16": (1,) * 8 + (2, 2),
+    "Z9:Z3": (1,) * 9 + (3, 3),
+    "SL(2,3)": (1, 1, 1, 2, 2, 2, 3),
+    "GL(2,3)": (1, 1, 2, 2, 2, 3, 3, 4),
+    "SL(2,5)": (1, 2, 2, 3, 3, 4, 4, 5, 6),
+    "PSL(2,7)": (1, 3, 3, 6, 7, 8),
+    "Heis27": (1,) * 9 + (3, 3),
+}
+
+
+@pytest.mark.parametrize("name", list(CORPUS))
+def test_corpus_tables_have_textbook_dims_and_orthogonal_rows(name):
+    g = corpus_group(name)
+    table = character_table(g)
+    assert table.dims == _CORPUS_DIMS[name] and sum(d * d for d in table.dims) == g.order
+    sizes = np.array(table.class_sizes, dtype=float)
+    gram = (table.chars * sizes) @ table.chars.conj().T / g.order
+    assert np.abs(gram - np.eye(table.num_irreps)).max() < 1e-12
 
 
 def test_projection_trivial_group():
@@ -225,24 +291,52 @@ def test_minimal_central_projections_are_minimal_split_face_supports(name):
 
 
 def _count_table_and_projection_work(monkeypatch):
-    """Counts the eigen-solves of the table build and the verifications of
-    a table's projections (one class-space check covers every irrep)."""
+    """Counts the eigen-solves (``eigh``) of the table build and the
+    verifications of a table's projections (one class-space check covers
+    every irrep)."""
     from groupstates import characters
 
-    work = {"eig": 0, "verify_projections": 0}
-    real_eig, real_verify = np.linalg.eig, characters._verified_projections
+    work = {"eigh": 0, "verify_projections": 0}
+    real_eigh, real_verify = np.linalg.eigh, characters._verified_projections
 
-    def eig(*args, **kwargs):
-        work["eig"] += 1
-        return real_eig(*args, **kwargs)
+    def eigh(*args, **kwargs):
+        work["eigh"] += 1
+        return real_eigh(*args, **kwargs)
 
     def verify(*args, **kwargs):
         work["verify_projections"] += 1
         return real_verify(*args, **kwargs)
 
-    monkeypatch.setattr(characters.np.linalg, "eig", eig)
+    monkeypatch.setattr(characters.np.linalg, "eigh", eigh)
     monkeypatch.setattr(characters, "_verified_projections", verify)
     return work
+
+
+@pytest.mark.parametrize("collisions", [1, 20])
+def test_a_spectral_collision_takes_the_next_draw_of_the_stream(monkeypatch, collisions):
+    """A solve whose eigenvalues collide takes the stream's next draw: one
+    collision still gives the table, twenty raise DegenerateSpectrum."""
+    from groupstates import characters
+
+    real_eigh, calls = np.linalg.eigh, []
+
+    def eigh(x):
+        calls.append(x)
+        if len(calls) <= collisions:
+            return np.zeros(len(x)), np.eye(len(x), dtype=complex)
+        return real_eigh(x)
+
+    expected = character_table(symmetric_group(4))
+    monkeypatch.setattr(characters.np.linalg, "eigh", eigh)
+    if collisions < 20:
+        table = character_table(symmetric_group(4))
+        assert len(calls) == 2 and not np.array_equal(calls[0], calls[1])
+        assert table.dims == expected.dims
+        assert np.abs(table.chars - expected.chars).max() < 1e-12
+    else:
+        with pytest.raises(DegenerateSpectrum) as err:
+            character_table(symmetric_group(4))
+        assert len(calls) == 20 and err.value.witness == {"resamples": 20}
 
 
 def test_second_table_and_projection_calls_do_no_work(monkeypatch):
@@ -250,7 +344,7 @@ def test_second_table_and_projection_calls_do_no_work(monkeypatch):
     work = _count_table_and_projection_work(monkeypatch)
     table = character_table(g)
     first = minimal_central_projections(g, table)
-    assert work["eig"] >= 1 and work["verify_projections"] == 1
+    assert work["eigh"] >= 1 and work["verify_projections"] == 1
     done = dict(work)
     assert character_table(g) is table
     # an explicit partition equal to the group's own is the same call
@@ -268,21 +362,17 @@ def test_second_table_and_projection_calls_do_no_work(monkeypatch):
 def test_kept_table_and_projections_match_a_fresh_build():
     for make in (lambda: symmetric_group(4), quaternion_group, lambda: symmetric_group(5)):
         g, fresh = make(), make()
-        for seed in (0, 7):
-            table = character_table(g, seed=seed)
-            minimal_central_projections(g, table)
-            kept = character_table(g, seed=seed)
-            built = character_table(fresh, seed=seed)
-            assert kept.dims == built.dims and np.array_equal(kept.chars, built.chars)
-            for p, q in zip(minimal_central_projections(g, kept),
-                            minimal_central_projections(fresh, built)):
-                assert np.array_equal(p.coeffs, q.coeffs)
-            fresh = make()
+        table = character_table(g)
+        minimal_central_projections(g, table)
+        kept = character_table(g)
+        built = character_table(fresh)
+        assert kept.dims == built.dims and np.array_equal(kept.chars, built.chars)
+        for p, q in zip(minimal_central_projections(g, kept),
+                        minimal_central_projections(fresh, built)):
+            assert np.array_equal(p.coeffs, q.coeffs)
 
 
-def test_kept_table_is_not_served_across_seed_tolerance_or_group(monkeypatch):
-    from groupstates.linalg import Tolerance
-
+def test_kept_table_is_not_served_across_tolerance_or_group(monkeypatch):
     g = quaternion_group()
     loose = Tolerance(residual_tol=1e-6)
     work = _count_table_and_projection_work(monkeypatch)
@@ -293,18 +383,16 @@ def test_kept_table_is_not_served_across_seed_tolerance_or_group(monkeypatch):
         return value, {k: work[k] - before[k] for k in work}
 
     table, spent = costs(lambda: character_table(g, tol=loose))
-    assert spent["eig"] >= 1
+    assert spent["eigh"] >= 1
     # verified at a looser tolerance: the default tolerance builds again
     tight, spent = costs(lambda: character_table(g))
-    assert spent["eig"] >= 1 and np.array_equal(tight.chars, table.chars)
-    assert costs(lambda: character_table(g))[1]["eig"] == 0
-    # another seed builds its own
-    other_seed, spent = costs(lambda: character_table(g, seed=7))
-    assert spent["eig"] >= 1 and other_seed is not tight
+    assert spent["eigh"] >= 1 and np.array_equal(tight.chars, table.chars)
+    assert costs(lambda: character_table(g))[1]["eigh"] == 0
+    assert g._kept["table"] == (DEFAULT_TOL.residual_tol, tight)
     # another group object with an equal table builds its own
     h = quaternion_group()
     other_group, spent = costs(lambda: character_table(h))
-    assert spent["eig"] >= 1 and other_group.group is h
+    assert spent["eigh"] >= 1 and other_group.group is h
     # projections verified at a looser tolerance are verified again
     assert costs(lambda: minimal_central_projections(g, tight, loose))[1]["verify_projections"] == 1
     assert costs(lambda: minimal_central_projections(g, tight))[1]["verify_projections"] == 1
@@ -324,17 +412,20 @@ def test_kept_table_is_not_served_across_seed_tolerance_or_group(monkeypatch):
         classes, class_of, tuple(map(len, classes)), tuple(map(min, classes))
     )
     reordered, spent = costs(lambda: character_table(g, partition=shuffled))
-    assert spent["eig"] >= 1 and reordered.partition is shuffled
+    assert spent["eigh"] >= 1 and reordered.partition is shuffled
     # it is returned, not kept: the group's own table and its verified
     # projections are still served
     again, spent = costs(lambda: character_table(g))
-    assert again is tight and spent["eig"] == 0
+    assert again is tight and spent["eigh"] == 0
     assert costs(lambda: minimal_central_projections(g, tight))[1]["verify_projections"] == 0
 
 
 def test_tables_and_projections_compare_and_hash_by_identity():
     g = symmetric_group(3)
-    first, second = character_table(g, seed=0), character_table(g, seed=1)
+    # equal values, two objects: the kept table and one on a copy of its partition
+    first = character_table(g)
+    second = character_table(g, partition=class_partition(g, first.partition.classes))
+    assert np.array_equal(first.chars, second.chars)
     assert first == first and first != second
     assert len({first, second, first}) == 2
     p0, p1 = minimal_central_projections(g, first)[:2]
@@ -345,20 +436,9 @@ def test_tables_and_projections_compare_and_hash_by_identity():
 @pytest.mark.parametrize("name", list(LADDER))
 def test_irreps_are_ordered_by_their_scalar_rounded_rows(name):
     """The vectorised sort key orders the rows as the per-entry
-    round(value, 8) key does, at several seeds."""
-    g = ladder_group(name)
-    for seed in (0, 3):
-        table = character_table(g, seed=seed)
-        assert rounded_row_order(table.dims, table.chars) == list(range(table.num_irreps))
-
-
-def _partition(group, classes):
-    """A ConjugacyPartition over the given classes, in that order."""
-    classes = tuple(tuple(sorted(c)) for c in classes)
-    class_of = np.empty(group.order, dtype=np.int64)
-    for ci, members in enumerate(classes):
-        class_of[list(members)] = ci
-    return ConjugacyPartition(classes, class_of, tuple(map(len, classes)), tuple(map(min, classes)))
+    round(value, 8) key does."""
+    table = character_table(ladder_group(name))
+    assert rounded_row_order(table.dims, table.chars) == list(range(table.num_irreps))
 
 
 @pytest.mark.parametrize("name", ["S3", "Q8", "D6", "S4"])
@@ -380,7 +460,6 @@ def test_class_space_residuals_match_n_space(name):
     from n x n regular-representation products, to 1e-12, and the
     coefficients equal the n-space ones bit for bit."""
     from groupstates.characters import _projection_residuals, _verified_projections
-    from groupstates.linalg import DEFAULT_TOL
 
     g = ladder_group(name)
     table = character_table(g)
@@ -440,8 +519,8 @@ def test_projections_on_a_wrong_partition_raise(name):
     table = character_table(g)
     classes = list(table.partition.classes)
     big = max(range(len(classes)), key=lambda i: len(classes[i]))
-    merged = _partition(g, classes[:-2] + [classes[-2] + classes[-1]])
-    split = _partition(g, classes[:big] + classes[big + 1:] + [classes[big][:1], classes[big][1:]])
+    merged = class_partition(g, classes[:-2] + [classes[-2] + classes[-1]])
+    split = class_partition(g, classes[:big] + classes[big + 1:] + [classes[big][:1], classes[big][1:]])
     for partition in (merged, split):
         with pytest.raises(ConvergenceFailure) as info:
             minimal_central_projections(g, CharacterTable(g, partition, table.dims, table.chars))
@@ -465,7 +544,7 @@ def test_projections_on_a_wrong_partition_raise(name):
         partition = ConjugacyPartition(own.classes, class_of, own.class_sizes, own.class_reps)
         with pytest.raises(ConvergenceFailure, match="does not label"):
             minimal_central_projections(g, CharacterTable(g, partition, table.dims, table.chars))
-    reordered = _partition(g, classes[:1] + classes[:0:-1])
+    reordered = class_partition(g, classes[:1] + classes[:0:-1])
     got = [p.coeffs for p in minimal_central_projections(g, character_table(g, partition=reordered))]
     for p in minimal_central_projections(g, table):
         assert min(np.abs(q - p.coeffs).max() for q in got) < 1e-12

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from groupstates.cli import dispatch
@@ -110,8 +110,13 @@ def test_malformed_json_exits_2(tmp_path, capsys):
         {"order": 3, "cayley": [[0, 1], [1, 0]]},
         {"order": "2", "cayley": [[0, 1], [1, 0]]},
         {"order": True, "cayley": [[0]]},
+        {"cayley": [[0, 1], [1, 0]], "labels": "ab"},
+        {"cayley": [[0, 1], [1, 0]], "labels": [None, True]},
+        {"cayley": [[0]], "labels": {"x": 1}},
+        {"cayley": [[0]], "name": 5},
     ],
-    ids=["floats", "strings", "booleans", "huge", "ragged", "order", "order-string", "order-bool"],
+    ids=["floats", "strings", "booleans", "huge", "ragged", "order", "order-string", "order-bool",
+         "labels-string", "labels-not-strings", "labels-object", "name-number"],
 )
 def test_malformed_group_tables_exit_2(tmp_path, capsys, content):
     path = tmp_path / "table.json"
@@ -260,12 +265,16 @@ _SMALL_TABLES = st.integers(1, 4).flatmap(
 @given(
     cayley=_SMALL_TABLES | _JSON_VALUES,
     order=st.none() | st.integers(0, 5) | _JSON_VALUES,
-    labels=st.none() | _JSON_VALUES,
+    labels=st.none() | _JSON_VALUES | st.lists(st.text(max_size=2), min_size=1, max_size=4),
 )
+@example(cayley=[[0, 1], [1, 0]], order=None, labels="ab")
+@example(cayley=[[0, 1], [1, 0]], order=None, labels=[None, True])
+@example(cayley=[[0]], order=None, labels={"x": 1})
 def test_group_codec_accepts_exactly_the_integer_tables(cayley, order, labels):
     """Whatever the JSON, the codec either raises InputFormatError or a
     domain error, or returns the group of exactly the integer table it was
-    given, of the stated order; an accepted group survives a round trip."""
+    given, of the stated order, with exactly the labels given; an accepted
+    group survives a round trip."""
     obj = {"cayley": cayley}
     if order is not None:
         obj["order"] = order
@@ -279,6 +288,7 @@ def test_group_codec_accepts_exactly_the_integer_tables(cayley, order, labels):
     table = np.asarray(cayley)
     assert np.issubdtype(table.dtype, np.integer) and np.array_equal(group.cayley, table)
     assert order is None or order == group.order
+    assert labels is None or list(group.labels) == obj["labels"]
     again = group_from_json(json.loads(json.dumps(group_to_json(group))))
     assert np.array_equal(again.cayley, group.cayley) and again.labels == group.labels
 
@@ -600,11 +610,23 @@ def test_unknown_subcommand_exits_2(capsys):
 
 
 def test_seed_changes_nothing_structural(tmp_path, capsys):
-    path = _write_group(tmp_path, "s3.json", "symmetric:3")
+    """The table, the invariant, the isomorphism verdict, the homeomorphism
+    group and a chain length are functions of the group: their stdout is
+    byte-identical under --seed 0 and --seed 7."""
+    s5 = _write_group(tmp_path, "s5.json", "symmetric:5")
+    q8 = _write_group(tmp_path, "q8.json", "quaternion8")
+    d4 = _write_group(tmp_path, "d4.json", "dihedral:4")
     capsys.readouterr()
-    _, r1 = run_json(capsys, "vn", "invariant", "--in", str(path), "--seed", "1")
-    _, r2 = run_json(capsys, "vn", "invariant", "--in", str(path), "--seed", "99")
-    assert r1["invariant"] == r2["invariant"]
+    for command in (
+        ["chartable", "--in", str(s5)],
+        ["vn", "invariant", "--in", str(s5)],
+        ["vn", "iso", "--g1", str(q8), "--g2", str(d4)],
+        ["vn", "homeo-group", "--in", str(s5)],
+        ["faces", "chain", "--in", str(s5), "--irrep", "6"],
+    ):
+        code0, out0 = run(capsys, *command, "--seed", "0")
+        code7, out7 = run(capsys, *command, "--seed", "7")
+        assert code0 == code7 == 0 and out0 == out7, command
 
 
 def test_parser_is_built_once_and_keeps_no_state_between_calls(monkeypatch, capsys):

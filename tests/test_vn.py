@@ -55,9 +55,12 @@ from groupstates.linalg import DEFAULT_TOL, Tolerance
 from groupstates.vn import BlockDecomposition, _verify_decomposition
 
 from conftest import (
+    CORPUS,
     LADDER,
     PRODUCTS,
     algebra_coefficients,
+    class_partition,
+    corpus_group,
     dense_block_decompose,
     dense_from_algebra,
     dense_to_algebra,
@@ -100,6 +103,11 @@ def test_isomorphism_verdicts():
     assert verdict.invariant_g.dims == (1, 1, 2)
     assert verdict.invariant_h.dims == (1,) * 6
     assert not vn_isomorphic(quaternion_group(), cyclic_group(8)).isomorphic
+    # groups that are not direct products: (1^4, 2^3) twice, (1^9, 3^2)
+    # twice, and (1^8, 2^2) against (1^4, 2^3)
+    for a, b in (("D8", "SD16"), ("Heis27", "Z9:Z3")):
+        assert vn_isomorphic(corpus_group(a), corpus_group(b)).isomorphic
+    assert not vn_isomorphic(corpus_group("D8"), corpus_group("M16")).isomorphic
 
 
 def test_block_decomposition_abelian_units_are_projections():
@@ -182,7 +190,7 @@ def test_block_decompose_keeps_its_verified_result_on_the_group():
     assert all(np.array_equal(a, b) for a, b in zip(first.units, second.units))
 
 
-def test_table_verified_tighter_is_new_and_its_decomposition_built_on_it():
+def test_table_verified_tighter_is_new_and_the_kept_decomposition_serves_it():
     q8 = quaternion_group()
     loose = character_table(q8, tol=Tolerance(residual_tol=1e-6))
     on_loose = vn.kept_block_decomposition(q8, DEFAULT_TOL, loose, 0)
@@ -191,10 +199,40 @@ def test_table_verified_tighter_is_new_and_its_decomposition_built_on_it():
     assert table is not loose and character_table(q8) is table
     fresh = character_table(quaternion_group())
     assert table.dims == fresh.dims and table.chars.tobytes() == fresh.chars.tobytes()
-    # the decomposition kept on the old table is not served for the new one
-    decomp = vn.kept_block_decomposition(q8, DEFAULT_TOL, table, 0)
-    assert decomp.table is table and decomp is not on_loose
-    assert all(np.array_equal(a, b) for a, b in zip(decomp.units, on_loose.units))
+    # both tables are on the group's own partition and equal bit for bit,
+    # so the kept decomposition serves the new table at its seed, and it
+    # equals a fresh build from that table
+    assert vn.kept_block_decomposition(q8, DEFAULT_TOL, table, 0) is on_loose
+    built = block_decompose(quaternion_group(), seed=0)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(on_loose.units, built.units))
+    # another seed is built and kept
+    other = vn.kept_block_decomposition(q8, DEFAULT_TOL, table, 1)
+    assert other.seed == 1 and cached_block_decomposition(q8) is other
+
+
+def test_a_decomposition_of_a_table_on_another_partition_is_not_kept():
+    """block_decompose keeps only a decomposition of a table on the group's
+    own partition, and kept_block_decomposition builds afresh for a table
+    on any other partition object, whose blocks it would not list."""
+    g = symmetric_group(4)
+    classes = conjugacy_classes(g).classes
+    other = character_table(g, partition=class_partition(g, classes[:1] + classes[:0:-1]))
+    decomp = block_decompose(g, other)
+    assert decomp.table is other and cached_block_decomposition(g) is None
+    kept = block_decompose(g)
+    served = vn.kept_block_decomposition(g, DEFAULT_TOL, other, 0)
+    assert served is not kept and served.table is other
+    assert cached_block_decomposition(g) is kept
+    assert vn.kept_block_decomposition(g, DEFAULT_TOL, character_table(g), 0) is kept
+
+
+@pytest.mark.parametrize("name", list(CORPUS))
+def test_corpus_block_decompose_verifies_at_seeds_0_to_2(name):
+    g = corpus_group(name)
+    for seed in range(3):
+        decomp = block_decompose(g, seed=seed)
+        assert decomp.block_dims == character_table(g).dims
+        _verify_decomposition(decomp, DEFAULT_TOL)
 
 
 def test_failed_verification_leaves_the_cache_alone(monkeypatch):
@@ -553,6 +591,8 @@ def test_homeo_maps_extreme_to_extreme():
 def test_homeo_rejects_nonisomorphic():
     with pytest.raises(NotIsomorphic):
         construct_affine_homeomorphism(symmetric_group(3), cyclic_group(6))
+    with pytest.raises(NotIsomorphic):
+        construct_affine_homeomorphism(corpus_group("D8"), corpus_group("M16"))
 
 
 def test_homeo_group_descriptions():

@@ -2,9 +2,10 @@
 
     python3 tools/bench_pairs.py PARENT --pairs 10 --pr NAME
 
-The parent is checked out with ``git worktree add`` into a temporary
-directory, removed again on exit, failures and interrupts included.  Each
-pair runs
+The parent's committed files are extracted with ``git archive PARENT | tar
+-x`` into a temporary directory, whose cleanup removes them again on exit,
+failures and interrupts included; the repository's worktree list is not
+touched.  Each pair runs
 
     python3 perfbench/run.py --workload all --seed 1 --seconds 15 --trace 0
 
@@ -142,23 +143,18 @@ def main(argv=None) -> int:
     revision = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT, check=True,
                               capture_output=True, text=True).stdout.strip()
     signal.signal(signal.SIGTERM, _terminate)
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        worktree = Path(tmp) / "parent"
-        subprocess.run(["git", "worktree", "add", "--detach", str(worktree), revision],
-                       cwd=ROOT, check=True, capture_output=True)
-        try:
-            pairs = []
-            for i in range(args.pairs):
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                pair = {"first": order[0]}
-                for side in order:
-                    pair[side] = run_bench(worktree if side == "parent" else ROOT)
-                pairs.append(pair)
-                print(f"pair {i + 1}/{args.pairs} done ({order[0]} first)", file=sys.stderr)
-        finally:
-            subprocess.run(["git", "worktree", "remove", "--force", str(worktree)],
-                           cwd=ROOT, capture_output=True)
-            subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tree:
+        archive = subprocess.run(["git", "archive", revision], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", tree], input=archive, check=True)
+        pairs = []
+        for i in range(args.pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            pair = {"first": order[0]}
+            for side in order:
+                pair[side] = run_bench(Path(tree) if side == "parent" else ROOT)
+            pairs.append(pair)
+            print(f"pair {i + 1}/{args.pairs} done ({order[0]} first)", file=sys.stderr)
 
     result = {"parent": revision, "command": " ".join(COMMAND), "pairs": pairs,
               "summary": summarize(pairs, declared)}
