@@ -1,13 +1,19 @@
-"""Dense complex-matrix kernel: PSD verdicts from eigenvalues with a
-Cholesky certificate, polar decomposition.
+"""Dense complex-matrix kernel: the one Hermitian eigen-solve, PSD
+verdicts from eigenvalues with a Cholesky certificate, polar decomposition.
 
 All spectral verdicts use a dimension- and scale-aware cutoff (see
 :class:`Tolerance`), and verdicts inside the band ``|lambda_min| <= 10 *
 cutoff`` carry an ``undecided`` flag instead of being silently classified.
+Every eigen-test runs in canonical power-of-two units
+(:func:`canonical_exponent`): its input is scaled by 2**-e, exactly, so
+that its largest entry lies in [sqrt(1/2), sqrt(2)), and only the witness,
+cutoff or norm it reports is scaled back.  A verdict is therefore a function of the ray of
+its input, and no symmetrization or eigenvalue overflows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +27,10 @@ class Tolerance:
 
     ``eig_tol`` is the per-unit eigenvalue cutoff scale: the effective
     negativity cutoff for a matrix A is ``eig_tol * dim(A) * max|A|``.
-    ``residual_tol`` is the absolute ceiling for algebraic identity
-    residuals (idempotency, unitarity, reconstruction, ...).
+    ``residual_tol`` is the ceiling for algebraic identity residuals:
+    absolute on normalized and constructed objects (phi(e) = 1,
+    idempotency, unitarity, reconstruction, ...), and relative to max|x|
+    on the Hermitian symmetry of a caller's function or matrix x.
     """
 
     eig_tol: float = 1e-9
@@ -54,14 +62,88 @@ class PsdVerdict:
         return self.is_psd
 
     @classmethod
-    def from_witness(cls, wmin: float, cutoff: float) -> PsdVerdict:
-        """PSD iff ``wmin >= -cutoff``; undecided inside ``|wmin| <= 10 * cutoff``."""
+    def from_witness(cls, wmin: float, cutoff: float, exponent: int = 0) -> PsdVerdict:
+        """PSD iff ``wmin >= -cutoff``; undecided inside ``|wmin| <= 10 * cutoff``.
+
+        ``wmin`` and ``cutoff`` are in units of 2**exponent: the verdict is
+        decided in them, and the witness and cutoff are reported scaled
+        back (:func:`scale_back`).
+        """
         return cls(
             is_psd=wmin >= -cutoff,
-            witness=wmin,
+            witness=scale_back(wmin, exponent),
             undecided=abs(wmin) <= 10.0 * cutoff,
-            cutoff=cutoff,
+            cutoff=scale_back(cutoff, exponent),
         )
+
+
+def canonical_exponent(peak: float) -> int:
+    """The e with peak * 2**-e in [sqrt(1/2), sqrt(2)), or 0 for peak 0:
+    the canonical units of an input whose largest magnitude is ``peak``.
+    The range is centred on 1 so that a normalized state takes e = 0 even
+    when its phi(e) rounds to 1 - 2**-53, as it does for about a third of
+    random states."""
+    if not peak:
+        return 0
+    mantissa, e = math.frexp(peak)  # peak = mantissa * 2**e, mantissa in [1/2, 1)
+    return e - (mantissa < _SQRT_HALF)
+
+
+_SQRT_HALF = math.sqrt(0.5)
+
+
+def pow2_scaled(x: np.ndarray, k: int) -> np.ndarray:
+    """x * 2**k for a complex array x, exact unless an entry falls among the
+    subnormals; x itself for k = 0."""
+    if k == 0:
+        return x
+    out = np.empty_like(x)
+    out.real = np.ldexp(x.real, k)
+    out.imag = np.ldexp(x.imag, k)
+    return out
+
+
+def scale_back(x: float, e: int) -> float:
+    """A value found in units of 2**e, as x * 2**e; +-inf past the float
+    range."""
+    if not e:
+        return x
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def hermitian_spectrum(a: np.ndarray, vectors: bool = False):
+    """Ascending eigenvalues of the Hermitian part (A + A^*) / 2 of a matrix
+    (d, d), or of every matrix of a stack (..., d, d), and with ``vectors``
+    the pair (eigenvalues, eigenvectors as columns) of ``eigh``.
+
+    The one eigen-solve behind every PSD, norm, rank and fit verdict.  A
+    1 x 1 Hermitian part is the real part of its entry, exactly, and is read
+    without a solver call (its eigenvector is 1).  Callers pass finite
+    values in canonical units (:func:`canonical_exponent`), in which the
+    sum cannot overflow; :func:`_solve_hermitian` solves the rest.
+    """
+    a = np.asarray(a)
+    if a.shape[-1] == 1:
+        w = a.real.reshape(a.shape[:-1])
+        return (w, np.ones_like(a)) if vectors else w
+    return _solve_hermitian((a + a.conj().swapaxes(-1, -2)) / 2, vectors)
+
+
+def _solve_hermitian(sym: np.ndarray, vectors: bool):
+    """``eigh`` (with ``vectors``) or ``eigvalsh`` of the Hermitian ``sym``.
+    A solver failure or a non-finite eigenvalue raises ConvergenceFailure;
+    one non-finite eigenvalue makes their sum non-finite, and finite ones in
+    canonical units cannot sum past the float range."""
+    try:
+        spectrum = np.linalg.eigh(sym) if vectors else np.linalg.eigvalsh(sym)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"eigenvalue solver failed: {exc}") from exc
+    if not math.isfinite((spectrum[0] if vectors else spectrum).sum()):
+        raise ConvergenceFailure("eigenvalue solver returned non-finite values")
+    return spectrum
 
 
 def as_matrix(a) -> np.ndarray:
@@ -79,35 +161,42 @@ def as_matrix(a) -> np.ndarray:
 def is_psd(a, tol: Tolerance = DEFAULT_TOL) -> PsdVerdict:
     """PSD test with witness: true iff the minimum eigenvalue >= -cutoff.
 
-    Input within ``residual_tol`` of Hermitian is symmetrized, anything
-    farther raises ``NotHermitian``; verdict and witness come from
-    ``eigvalsh`` alone.  A decided verdict is over 9 * cutoff from the
-    boundary of A + cutoff*I, so its Cholesky factor certifies it: a finite
-    factor for a non-PSD verdict, or none for a PSD one, raises
-    ``ConvergenceFailure``.  Undecided verdicts go uncertified, as do those
-    whose margin is within Cholesky's backward error n**2 * eps * max|A|
-    (``eig_tol`` near n * eps); the input decides both.
+    The test runs in canonical units: A is scaled once by 2**-e
+    (:func:`canonical_exponent` of max|A|), and only the witness and cutoff
+    are scaled back, so the verdict and undecided flag at 2**k A are those
+    at A, and the witness and cutoff are 2**k times theirs, bit for bit.
+    Input within ``residual_tol * max|A|`` of Hermitian is symmetrized,
+    anything farther raises ``NotHermitian``; verdict and witness come from
+    the eigenvalues of the symmetrized A alone, solved by
+    :func:`_solve_hermitian` as in :func:`hermitian_spectrum`.  A decided
+    verdict is over 9 * cutoff from the boundary of A + cutoff*I, so its
+    Cholesky factor certifies it: a finite factor for a non-PSD verdict, or
+    none for a PSD one, raises ``ConvergenceFailure``.  Undecided verdicts
+    go uncertified, as do those whose margin is within Cholesky's backward
+    error n**2 * eps * max|A| (``eig_tol`` near n * eps); the input decides
+    both.
     """
     m = as_matrix(a)
     n = m.shape[0]
+    peak = float(np.abs(m).max()) if m.size else 0.0
+    e = canonical_exponent(peak)
+    m = pow2_scaled(m, -e)
+    peak = math.ldexp(peak, -e)
     dev = float(np.abs(m - m.conj().T).max()) if m.size else 0.0
-    if dev > tol.residual_tol:
+    if dev > tol.residual_tol * peak:
+        dev = scale_back(dev, e)
         raise NotHermitian(
             f"matrix is not Hermitian (max deviation {dev:.3e})",
             witness={"deviation": dev},
         )
     sym = (m + m.conj().T) / 2.0
-    try:
-        w = np.linalg.eigvalsh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigenvalue solver failed: {exc}") from exc
-    if not np.all(np.isfinite(w)):
-        raise ConvergenceFailure("eigenvalue solver returned non-finite values")
-    verdict = PsdVerdict.from_witness(float(w[0]) if n else 0.0, tol.eig_cutoff(m))
+    w = _solve_hermitian(sym, False)
+    cutoff = tol.eig_tol * max(n, 1) * peak
+    verdict = PsdVerdict.from_witness(float(w[0]) if n else 0.0, cutoff, e)
     # 9 * cutoff > n**2 * eps * max|A| iff 9 * eig_tol > n * eps
     if verdict.undecided or 9.0 * tol.eig_tol <= n * np.finfo(float).eps:
         return verdict
-    sym[np.diag_indices(n)] += verdict.cutoff
+    sym[np.diag_indices(n)] += cutoff
     try:
         factored = bool(np.all(np.isfinite(np.linalg.cholesky(sym))))
     except np.linalg.LinAlgError:

@@ -14,6 +14,7 @@ coefficient at the cyclic vector come out as phi(s) rather than phi(s^{-1}).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -35,7 +36,16 @@ from .groups import (
     cached_block_decomposition,
     same_group,
 )
-from .linalg import DEFAULT_TOL, PsdVerdict, Tolerance, is_psd
+from .linalg import (
+    DEFAULT_TOL,
+    PsdVerdict,
+    Tolerance,
+    canonical_exponent,
+    hermitian_spectrum,
+    is_psd,
+    pow2_scaled,
+    scale_back,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,13 +61,15 @@ class GroupFunction:
     decomposition asked for to them, and holds that decomposition alive.
     The PSD verdict, the A-norm and the block ranks of one function on one
     decomposition therefore cost one transform and one ``eigvalsh`` per
-    block dimension between them.
+    block dimension between them.  Those spectra, like every eigen-test of
+    phi, are in its canonical units (:meth:`_canonical`).
     """
 
     group: FiniteGroup
     values: np.ndarray
     _psd_verdicts: dict = field(default_factory=dict, init=False, repr=False)
     _block_spectra: dict = field(default_factory=dict, init=False, repr=False)
+    _units: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         v = np.array(self.values, dtype=complex)
@@ -73,12 +85,26 @@ class GroupFunction:
     def __call__(self, s: int) -> complex:
         return complex(self.values[s])
 
+    def _canonical(self) -> tuple[int, np.ndarray, float]:
+        """(e, phi * 2**-e, max|phi| * 2**-e), e the canonical exponent of
+        max|phi| (``linalg.canonical_exponent``), computed once.  Every
+        eigen-test of phi runs on these values and only its witness, cutoff
+        or norm is scaled back by 2**e, so each verdict is a function of the
+        ray of phi.  For a normalized state e = 0 and the values are phi's
+        own."""
+        if self._units is None:
+            peak = float(np.abs(self.values).max())
+            e = canonical_exponent(peak)
+            units = (e, pow2_scaled(self.values, -e), math.ldexp(peak, -e))
+            object.__setattr__(self, "_units", units)
+        return self._units
+
     def _spectra(self, decomp) -> list[np.ndarray]:
-        """``decomp.block_spectra(self.values)``, computed once while
-        ``decomp`` is the last decomposition asked for."""
+        """``decomp.block_spectra`` of phi in its canonical units, computed
+        once while ``decomp`` is the last decomposition asked for."""
         spectra = self._block_spectra.get(decomp)
         if spectra is None:
-            spectra = decomp.block_spectra(self.values)
+            spectra = decomp.block_spectra(self._canonical()[1])
             self._block_spectra.clear()
             self._block_spectra[decomp] = spectra
         return spectra
@@ -96,15 +122,14 @@ def constant_one(group: FiniteGroup) -> GroupFunction:
     return GroupFunction(group, np.ones(group.order, dtype=complex))
 
 
-def hermitian_symmetry_deviation(fn: GroupFunction) -> float:
-    """Max deviation of phi(s^{-1}) from conj(phi(s))."""
-    v = fn.values
-    return float(np.abs(v[fn.group.inverses] - np.conj(v)).max())
-
-
 def _require_hermitian_symmetric(fn: GroupFunction, tol: Tolerance) -> None:
-    dev = hermitian_symmetry_deviation(fn)
-    if dev > tol.residual_tol:
+    """Raise NotHermitianSymmetric when phi(s^{-1}) deviates from
+    conj(phi(s)) by more than ``residual_tol * max|phi|``, the deviation as
+    witness."""
+    e, v, peak = fn._canonical()
+    dev = float(np.abs(v[fn.group.inverses] - np.conj(v)).max())
+    if dev > tol.residual_tol * peak:
+        dev = scale_back(dev, e)
         raise NotHermitianSymmetric(
             f"phi(s^-1) != conj(phi(s)), max deviation {dev:.3e}",
             witness={"deviation": dev},
@@ -112,9 +137,10 @@ def _require_hermitian_symmetric(fn: GroupFunction, tol: Tolerance) -> None:
 
 
 def _gram_cutoff(fn: GroupFunction, tol: Tolerance) -> float:
-    """The Gram matrix's eigenvalue cutoff, eig_tol * n * max|phi|: every
-    Gram entry is a value of phi."""
-    return tol.eig_tol * fn.group.order * float(np.abs(fn.values).max())
+    """The Gram matrix's eigenvalue cutoff, eig_tol * n * max|phi|, in the
+    canonical units of phi (``GroupFunction._canonical``): every Gram entry
+    is a value of phi."""
+    return tol.eig_tol * fn.group.order * fn._canonical()[2]
 
 
 def _block_psd_verdict(fn: GroupFunction, decomp, tol: Tolerance) -> PsdVerdict:
@@ -126,11 +152,12 @@ def _block_psd_verdict(fn: GroupFunction, decomp, tol: Tolerance) -> PsdVerdict:
     are that matrix up to transposition and relabelling, so the three
     spectra coincide (Serre, 6.2).  The witness is the smallest block
     eigenvalue; the cutoff is the Gram matrix's (:func:`_gram_cutoff`).
+    Both are in the canonical units of phi, as are the dense test's.
     Verdict, cutoff and undecided flag therefore equal the dense test's,
     and the witness equals it up to rounding.
     """
     wmin = min(float(w[0]) for w in fn._spectra(decomp))
-    return PsdVerdict.from_witness(wmin, _gram_cutoff(fn, tol))
+    return PsdVerdict.from_witness(wmin, _gram_cutoff(fn, tol), fn._canonical()[0])
 
 
 def is_positive_definite(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> PsdVerdict:
@@ -148,9 +175,12 @@ def is_positive_definite(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> Psd
     about 1.7 ms, while the table, projections and decomposition a block
     verdict needs take 5.4-6.4 ms (best of 5, one BLAS thread, 2-vCPU
     machine), so building a decomposition here would slow the CLI.  The
-    Hermitian-symmetry check runs on every call; the eigen-test runs once
-    per function and tolerance, and its verdict is cached on ``fn``, as are
-    the block spectra it reads.
+    Hermitian-symmetry check, to ``residual_tol * max|phi|``, runs on every
+    call; the eigen-test runs once per function and tolerance, and its
+    verdict is cached on ``fn``, as are the block spectra it reads.  Both
+    routes run in the canonical units of phi (``linalg.canonical_exponent``):
+    the verdict and undecided flag at 2**k phi are those at phi, and the
+    witness and cutoff 2**k times theirs, bit for bit.
     """
     _require_hermitian_symmetric(fn, tol)
     verdict = fn._psd_verdicts.get(tol)
@@ -227,18 +257,21 @@ def a_norm(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> float:
     whose spectra are kept on ``fn``; otherwise the eigenvalues are those
     of the dense n x n density, which costs less than building a
     decomposition: about 1.5 ms on a freshly loaded S5 against 5.4-6.4 ms
-    (see is_positive_definite).
+    (see is_positive_definite).  The sum is taken in the canonical units of
+    phi and scaled back once, so the norm of 2**k phi is 2**k times that of
+    phi, bit for bit; a norm past the float range reads inf.
     """
     _require_hermitian_symmetric(fn, tol)
+    e, values, _ = fn._canonical()
     decomp = cached_block_decomposition(fn.group, tol)
     if decomp is not None:
         # block pi contributes d_pi times each of its d_pi eigenvalues
         dims = decomp.block_dims
         evals = np.concatenate(fn._spectra(decomp))
-        return float(np.repeat(dims, dims) @ np.abs(evals)) / fn.group.order
-    density = algebra_matrix(fn.group, fn.values)
-    density = (density + density.conj().T) / 2
-    return float(np.abs(np.linalg.eigvalsh(density)).sum()) / fn.group.order
+        total = float(np.repeat(dims, dims) @ np.abs(evals))
+    else:
+        total = float(np.abs(hermitian_spectrum(algebra_matrix(fn.group, values))).sum())
+    return scale_back(total / fn.group.order, e)
 
 
 def convex_combine(
@@ -320,10 +353,16 @@ def gns(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> GnsRepresentation:
     eigenvalue below -cutoff raises NotPositiveDefinite with it as
     witness: the Gram spectrum is the union of the block spectra.
 
-    The matrix coefficients <rho(s) xi, xi> = phi(s) are checked on every s
-    (one gather and product); a deviation above ``residual_tol`` raises
-    ConvergenceFailure.  Unitarity is not checked per element.  It follows
-    from what ``_verify_decomposition`` checked on the transform to
+    Spectra, ranks and scales are taken in the canonical units of phi
+    (``GroupFunction._canonical``), so the dimension and character at
+    2**k phi are those at phi.  The matrix coefficients
+    <rho(s) xi, xi> = phi(s) are checked there on every s (one gather and
+    product); a deviation above ``residual_tol * max|phi|`` raises
+    ConvergenceFailure.  Only then are ``project`` and ``lift`` scaled by
+    2**(e/2) and 2**(-e/2) back to phi's units.
+
+    Unitarity is not checked per element.  It follows from what
+    ``_verify_decomposition`` checked on the transform to
     beta = 10 * residual_tol per entry: it inverts its units, its adjoint
     is its inverse up to the weights d/n, and it is multiplicative on the
     generating set.  An n x n residual with entries at most beta has
@@ -341,11 +380,13 @@ def gns(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> GnsRepresentation:
     g = fn.group
     n = g.order
     _require_hermitian_symmetric(fn, tol)
+    e, values, peak = fn._canonical()
     decomp = kept_block_decomposition(g, tol)
     cutoff = _gram_cutoff(fn, tol)
-    spectra = decomp.block_eigh(np.conj(fn.values))
+    spectra = decomp.block_eigh(np.conj(values))
     wmin = min(float(w[:, 0].min()) for _, _, _, w, _ in spectra)
     if wmin < -cutoff:
+        wmin = scale_back(wmin, e)
         raise NotPositiveDefinite(
             f"Gram matrix has eigenvalue {wmin:.3e}",
             witness={"min_eigenvalue": wmin},
@@ -370,20 +411,25 @@ def gns(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> GnsRepresentation:
         raise NotPositiveDefinite("form has rank zero", witness={})
     project = np.concatenate(project)
     lift = np.ascontiguousarray(np.concatenate(lift).T)
-    table = decomp.table
-    character = (ranks @ table.chars)[table.partition.class_of]
     cyclic = project[:, g.identity].copy()
-    rep = GnsRepresentation(g, len(project), project, lift, cyclic, character)
 
     # <rho(s) xi, xi> = sum_t (xi^* project)[t] (lift xi)[s^{-1} t]
     coefficients = (lift @ cyclic)[g.cayley[g.inverses]] @ (cyclic.conj() @ project)
-    coeff_dev = float(np.abs(coefficients - fn.values).max())
-    if coeff_dev > tol.residual_tol:
+    coeff_dev = float(np.abs(coefficients - values).max())
+    if coeff_dev > tol.residual_tol * peak:
+        coeff_dev = scale_back(coeff_dev, e)
         raise ConvergenceFailure(
             f"GNS verification failed (coefficient {coeff_dev:.2e})",
             witness={"coefficient": coeff_dev},
         )
-    return rep
+    if e:
+        root = math.sqrt(math.ldexp(1.0, e))
+        project *= root
+        lift /= root
+        cyclic *= root
+    table = decomp.table
+    character = (ranks @ table.chars)[table.partition.class_of]
+    return GnsRepresentation(g, len(project), project, lift, cyclic, character)
 
 
 def _integer_character_norm(character: np.ndarray, order: int) -> int:
@@ -413,18 +459,21 @@ def commutant_dimension(rep: GnsRepresentation) -> int:
 
 def _gram_character(fn: GroupFunction, tol: Tolerance) -> tuple[int, np.ndarray]:
     """GNS dimension and character from the Gram kernel alone, with no
-    Fourier input: one ``eigh`` of the symmetrized kernel, the rank above
-    the Gram cutoff, and tr rho(s) = tr(lambda_s K) for the kept spectral
-    projector K, one O(n^2) gather.  Raises NotPositiveDefinite with the
-    smallest kernel eigenvalue as witness."""
+    Fourier input: one ``eigh`` of the symmetrized kernel in the canonical
+    units of phi, the rank above the Gram cutoff, and
+    tr rho(s) = tr(lambda_s K) for the kept spectral projector K, one
+    O(n^2) gather.  Raises NotPositiveDefinite with the smallest kernel
+    eigenvalue as witness."""
+    e, values, _ = fn._canonical()
     translate = fn.group.cayley[fn.group.inverses]
-    kernel = fn.values[translate]  # the transposed Gram matrix
-    w, v = np.linalg.eigh((kernel + kernel.conj().T) / 2)
+    kernel = values[translate]  # the transposed Gram matrix
+    w, v = hermitian_spectrum(kernel, vectors=True)
     cutoff = _gram_cutoff(fn, tol)
     if w[0] < -cutoff:
+        wmin = scale_back(float(w[0]), e)
         raise NotPositiveDefinite(
-            f"Gram matrix has eigenvalue {w[0]:.3e}",
-            witness={"min_eigenvalue": float(w[0])},
+            f"Gram matrix has eigenvalue {wmin:.3e}",
+            witness={"min_eigenvalue": wmin},
         )
     vk = v[:, w > cutoff]
     if vk.shape[1] == 0:
@@ -434,8 +483,9 @@ def _gram_character(fn: GroupFunction, tol: Tolerance) -> tuple[int, np.ndarray]
 
 def _block_ranks(fn: GroupFunction, tol: Tolerance) -> list[int]:
     """rank B_pi of every Fourier block of phi: the block eigenvalues above
-    the Gram cutoff eig_tol * n * max|phi|, on the group's kept
-    decomposition (``vn.kept_block_decomposition``)."""
+    the Gram cutoff eig_tol * n * max|phi|, both in the canonical units of
+    phi, on the group's kept decomposition
+    (``vn.kept_block_decomposition``)."""
     from .vn import kept_block_decomposition
 
     decomp = kept_block_decomposition(fn.group, tol)
@@ -479,7 +529,9 @@ def is_extreme(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> bool:
     built from have the ranks of the conjugate blocks), so it is
     irreducible iff sum_pi rank(B_pi) = 1.  Differing verdicts raise
     InternalDisagreement with both counts as witness, and so does a Gram
-    rank other than sum_pi d_pi rank(B_pi).
+    rank other than sum_pi d_pi rank(B_pi).  Both read spectra in the
+    canonical units of phi against the Gram cutoff there, so the verdict at
+    2**k phi is the one at phi.
     """
     return _extremality(fn, tol)[0]
 

@@ -42,7 +42,7 @@ from .groups import (
     generating_set,
     same_group,
 )
-from .linalg import DEFAULT_TOL, Tolerance, polar_unitary
+from .linalg import DEFAULT_TOL, Tolerance, hermitian_spectrum, polar_unitary
 from .posdef import GroupFunction, random_p1
 
 _CLUSTER_GAP = 1e-6
@@ -236,30 +236,32 @@ class BlockDecomposition:
         whose block dimensions are the same."""
         return dst._inverse_fourier @ self._fourier
 
-    def block_spectra(self, coeffs) -> list[np.ndarray]:
-        """Ascending eigenvalues of each block of sum_s coeffs[s] lambda_s.
+    def _slab_spectra(self, coeffs, vectors: bool):
+        """Per slab (d, blocks, rows, spectrum): ``hermitian_spectrum`` of
+        the slab's blocks of sum_s coeffs[s] lambda_s, one batched solve.
 
         The blocks of Hermitian-symmetric coefficients are Hermitian in
         exact arithmetic; rounding in the transform grows with the
-        magnitude of the coefficients, so each block is symmetrized first;
-        a 1 x 1 block's eigenvalue is then the real part of its entry.
+        magnitude of the coefficients, so each block is symmetrized first,
+        and callers pass coefficients in canonical units
+        (``linalg.canonical_exponent``).
         """
         stacked = self.forward(coeffs)
-        spectra: list[np.ndarray] = [None] * self.num_blocks
         for d, blocks, rows in self._layout.slabs:
-            b = stacked[rows].reshape(len(blocks), d, d)
-            if d == 1:
-                # the symmetrized 1 x 1 block is its real part, exactly
-                evals = b.real.reshape(len(blocks), 1)
-            else:
-                evals = np.linalg.eigvalsh((b + b.conj().transpose(0, 2, 1)) / 2)
-            for pi, w in zip(blocks, evals):
-                spectra[pi] = w
-        return spectra
+            yield d, blocks, rows, hermitian_spectrum(
+                stacked[rows].reshape(len(blocks), d, d), vectors
+            )
+
+    def block_spectra(self, coeffs) -> list[np.ndarray]:
+        """Ascending eigenvalues of each symmetrized block of
+        sum_s coeffs[s] lambda_s (:meth:`_slab_spectra`); a 1 x 1 block's
+        eigenvalue is the real part of its entry."""
+        return [w for _, _, _, evals in self._slab_spectra(coeffs, False) for w in evals]
 
     def block_eigh(self, coeffs) -> list[tuple[int, range, slice, np.ndarray, np.ndarray]]:
         """Eigendecompositions of the symmetrized blocks of
-        sum_s coeffs[s] lambda_s, one batched ``eigh`` per slab.
+        sum_s coeffs[s] lambda_s, one batched ``eigh`` per slab
+        (:meth:`_slab_spectra`).
 
         One (d, blocks, rows, w, v) per slab, in the order of
         ``_slab_units``: ``blocks`` the range of its blocks, ``rows`` the
@@ -267,16 +269,7 @@ class BlockDecomposition:
         eigenvalues and ``v`` (blocks, d, d) the eigenvectors as columns.
         A 1 x 1 block's eigenvalue is the real part of its entry.
         """
-        stacked = self.forward(coeffs)
-        out = []
-        for d, blocks, rows in self._layout.slabs:
-            b = stacked[rows].reshape(len(blocks), d, d)
-            if d == 1:
-                w, v = b.real.reshape(len(blocks), 1), np.ones_like(b)
-            else:
-                w, v = np.linalg.eigh((b + b.conj().transpose(0, 2, 1)) / 2)
-            out.append((d, blocks, rows, w, v))
-        return out
+        return [(d, blocks, rows, *wv) for d, blocks, rows, wv in self._slab_spectra(coeffs, True)]
 
 
 def block_decompose(
@@ -313,7 +306,7 @@ def block_decompose(
     ``groups.cached_block_decomposition`` by the rule of ``groups._keep``.
     """
     if table is None:
-        table = character_table(group)
+        table = character_table(group, tol=tol)
     coeffs = _projection_coeffs(group, table, tol)
     rng = np.random.default_rng(seed)
     n = group.order
@@ -889,7 +882,7 @@ def _fit_block_map(
         # Choi matrix sum_jk E_jk (x) M(E_jk): entry ((j, a), (k, b)) is
         # M(E_jk)[a, b]
         c = images.transpose(0, 2, 1, 3).reshape(d * d, d * d)
-        w, v = np.linalg.eigh((c + c.conj().T) / 2)
+        w, v = hermitian_spectrum(c, vectors=True)
         rest = float(np.abs(w[:-1]).max()) if d > 1 else 0.0
         if abs(w[-1] - d) > 1e-6 * d or rest > 1e-6 * d:
             return None

@@ -118,16 +118,29 @@ def _matrix_action(mats, p, projective=False):
     return [tuple(image(m, v) for v in points) for m in mats]
 
 
+def _dicyclic(m):
+    """Right multiplication by a and by b on the elements a^k b^e of the
+    dicyclic group of order 4m (a^2m = 1, b^2 = a^m, b^-1 a b = a^-1), as
+    permutations of the indices 2m e + k: a sends (k, e) to (k + 1, e), b
+    sends (k, 0) to (-k, 1) and (k, 1) to (m - k, 0), all mod 2m."""
+    n = 2 * m
+    a = [n * e + (k + 1) % n for e in (0, 1) for k in range(n)]
+    b = [n + (-k) % n if e == 0 else (m - k) % n for e in (0, 1) for k in range(n)]
+    return [tuple(a), tuple(b)]
+
+
 _T, _S = ((1, 1), (0, 1)), ((0, -1), (1, 0))
 # groups that are not direct products of the small named groups: label ->
 # permutation generators for groups.from_permutation_generators.  The
 # affine maps x -> a x of Z/8 with a = 7, 3, 5 give the dihedral,
-# semidihedral and modular groups of order 16.
+# semidihedral and modular groups of order 16; the dicyclic groups of
+# orders 12 and 16 are Dic3 and the generalized quaternion group Q16.
 CORPUS = {
     "A4": [(1, 2, 0, 3), (0, 2, 3, 1)],
     "A5": [(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)],
     "F20": _affine(5, 2), "F21": _affine(7, 2),
     "D8": _affine(8, 7), "SD16": _affine(8, 3), "M16": _affine(8, 5), "Z9:Z3": _affine(9, 4),
+    "Dic3": _dicyclic(3), "Q16": _dicyclic(4),
     "SL(2,3)": _matrix_action([_T, _S], 3),
     "GL(2,3)": _matrix_action([_T, _S, ((2, 0), (0, 1))], 3),
     "SL(2,5)": _matrix_action([_T, _S], 5),

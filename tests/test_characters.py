@@ -207,6 +207,8 @@ _CORPUS_DIMS = {
     "SD16": (1, 1, 1, 1, 2, 2, 2),
     "M16": (1,) * 8 + (2, 2),
     "Z9:Z3": (1,) * 9 + (3, 3),
+    "Dic3": (1, 1, 1, 1, 2, 2),
+    "Q16": (1, 1, 1, 1, 2, 2, 2),
     "SL(2,3)": (1, 1, 1, 2, 2, 2, 3),
     "GL(2,3)": (1, 1, 2, 2, 2, 3, 3, 4),
     "SL(2,5)": (1, 2, 2, 3, 3, 4, 4, 5, 6),

@@ -163,19 +163,51 @@ def test_out_into_a_missing_directory_exits_2(tmp_path, capsys, command):
     assert not out.parent.exists()
 
 
-# 1e308 overflows the symmetrized matrices to inf and nan; numpy warns
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("command", ["posdef check", "posdef norm", "posdef extreme", "channel cp"])
-def test_a_failed_solver_exits_1_whatever_the_command(tmp_path, capsys, command):
+_SOLVER_COMMANDS = ["posdef check", "posdef norm", "posdef extreme", "channel cp"]
+
+
+@pytest.mark.parametrize("command", _SOLVER_COMMANDS)
+def test_a_failed_solver_exits_1_whatever_the_command(tmp_path, capsys, monkeypatch, command):
     """numpy's LinAlgError is a ValueError, but the file is well formed:
     every command reports the failed eigensolver as ConvergenceFailure."""
     _write_group(tmp_path, "s3.json", "symmetric:3")
-    fn = tmp_path / "big.json"
-    fn.write_text(json.dumps({"group": "s3.json", "re": [1e308] * 6, "im": [0.0] * 6}))
+    fn = tmp_path / "one.json"
+    fn.write_text(json.dumps({"group": "s3.json", "re": [1.0] * 6, "im": [0.0] * 6}))
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    monkeypatch.setattr(np.linalg, "eigh", fail)
     capsys.readouterr()
     code, report = run_json(capsys, *command.split(), "--fn", str(fn))
     assert code == 1
     assert report["error"] == "ConvergenceFailure" and report["witness"] == {}
+
+
+def test_values_near_the_float_limit_get_the_answers_of_their_ray(tmp_path, capsys):
+    """The constant 1e308 on S3 is 1e308 times the trivial character: a
+    positive definite, extreme and completely positive function of A-norm
+    1e308, whose Gram matrix has rank one, so its smallest eigenvalue is 0
+    and inside the undecided band.  Every eigen-test runs in canonical
+    power-of-two units, so no symmetrization or eigenvalue overflows."""
+    _write_group(tmp_path, "s3.json", "symmetric:3")
+    fn = tmp_path / "big.json"
+    fn.write_text(json.dumps({"group": "s3.json", "re": [1e308] * 6, "im": [0.0] * 6}))
+    capsys.readouterr()
+    reports = {}
+    for command in _SOLVER_COMMANDS:
+        code, reports[command] = run_json(capsys, *command.split(), "--fn", str(fn))
+        assert code == 0, reports[command]
+    check = reports["posdef check"]
+    assert check["positive_definite"] and not check["normalized"]
+    # within the cutoff eig_tol * n * max|phi|
+    assert abs(check["min_eigenvalue"]) <= 1e-9 * 6 * 1e308
+    assert reports["posdef norm"]["a_norm"] == pytest.approx(1e308, rel=1e-12)
+    assert reports["posdef extreme"] == {"extreme": True, "gns_dimension": 1}
+    cp = reports["channel cp"]
+    assert cp["completely_positive"] and not cp["unital"]
+    assert cp["symbol_min_eigenvalue"] == check["min_eigenvalue"]
 
 
 @pytest.mark.parametrize(

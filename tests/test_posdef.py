@@ -4,13 +4,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from groupstates import (
     GroupFunction,
     a_norm,
+    apply_descriptor,
     block_decompose,
+    build_channel,
     central_state_function,
     character_table,
     constant_one,
@@ -21,14 +23,18 @@ from groupstates import (
     direct_product,
     from_state,
     gns,
+    is_completely_positive,
     is_extreme,
     is_positive_definite,
+    is_psd,
     pure_state_function,
     quaternion_group,
+    random_descriptor,
     random_hermitian_symmetric,
     random_p1,
     symmetric_group,
     to_state,
+    verify_jordan_form,
 )
 from groupstates.errors import (
     BadWeights,
@@ -48,6 +54,7 @@ from groupstates.vn import BlockDecomposition
 from conftest import (
     LADDER,
     PRODUCTS,
+    corpus_group,
     dense_a_norm,
     dense_gns,
     gns_unitarity_bound,
@@ -891,3 +898,164 @@ def test_normal_state_leaves_the_callers_array_writable(z3):
     # to_state keeps the function's read-only values, no copy
     fn = GroupFunction(z3, [1.0, 0.25, 0.25])
     assert to_state(fn).coefficients is fn.values
+
+
+# --------------------------------------------------------------------------
+# verdicts on the ray of phi: canonical power-of-two units
+# --------------------------------------------------------------------------
+
+# S3, Q8, S4 and D30 of the ladder, and three corpus groups
+_SCALE_GROUPS = ["S3", "Q8", "S4", "D30", "A4", "Dic3", "SD16"]
+
+
+def _scale_group(name):
+    return ladder_group(name) if name in LADDER else corpus_group(name)
+
+
+@functools.cache
+def _kept_scale_group(name):
+    """One group per name holding a decomposition: the block route."""
+    g = _scale_group(name)
+    block_decompose(g)
+    return g
+
+
+@functools.cache
+def _fresh_scale_group(name):
+    """One group per name that never holds a decomposition: the dense
+    route, which only PSD verdicts and A-norms are read from."""
+    return _scale_group(name)
+
+
+def _scale_input(g, kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "p1":
+        return random_p1(g, rng).values
+    if kind == "hermitian":
+        return random_hermitian_symmetric(g, rng).values
+    if kind == "spike":
+        # delta_e + c (delta_s + delta_{s^-1}): positive definite iff c is small
+        s = int(rng.integers(1, g.order))
+        values = np.zeros(g.order, dtype=complex)
+        values[g.identity] = 1.0
+        values[s] += rng.uniform(0.0, 1.5)
+        values[g.inverses[s]] = values[s]
+        return values
+    # a central state of one block minus one of another: indefinite, with
+    # two blocks of full rank
+    table = character_table(g)
+    pi, rho = rng.choice(table.num_irreps, size=2, replace=False)
+    t = rng.uniform(0.1, 0.9)
+    return (t * central_state_function(table, pi).values
+            - (1 - t) * central_state_function(table, rho).values)
+
+
+def _outcome(query):
+    """A query's value, or its exception's name and witness."""
+    try:
+        return query()
+    except (NotPositiveDefinite, NotHermitianSymmetric) as exc:
+        return exc.name, exc.witness
+
+
+def _scaled_outcomes(fresh, kept, values):
+    """Everything scale-dependent that the two routes report on phi:
+    verdicts and flags, ranks, and the witnesses, cutoffs and norms."""
+    def psd(g):
+        v = is_positive_definite(GroupFunction(g, values))
+        return v.is_psd, v.undecided, v.witness, v.cutoff
+
+    def cp():
+        cert = is_completely_positive(build_channel(GroupFunction(kept, values)))
+        return (cert.verdict, cert.undecided, cert.symbol_verdict.witness,
+                cert.symbol_verdict.cutoff, cert.block_verdict.witness, cert.block_verdict.cutoff)
+
+    def on_blocks(query):
+        return _outcome(lambda: query(GroupFunction(kept, values), DEFAULT_TOL))
+
+    return {
+        "dense psd": _outcome(lambda: psd(fresh)),
+        "dense norm": _outcome(lambda: a_norm(GroupFunction(fresh, values))),
+        "block psd": _outcome(lambda: psd(kept)),
+        "block norm": on_blocks(a_norm),
+        # the extremality verdict and the Gram rank
+        "extremality": on_blocks(posdef._extremality),
+        "block ranks": on_blocks(posdef._block_ranks),
+        "cp": _outcome(cp),
+    }
+
+
+def _times_pow2(outcome, k):
+    """``outcome`` with every float in it multiplied by 2**k: booleans and
+    integers (verdicts, flags, ranks) are left as they are."""
+    if isinstance(outcome, float):
+        return float(np.ldexp(outcome, k))
+    if isinstance(outcome, dict):
+        return {key: _times_pow2(v, k) for key, v in outcome.items()}
+    if isinstance(outcome, (tuple, list)):
+        return type(outcome)(_times_pow2(v, k) for v in outcome)
+    return outcome
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(_SCALE_GROUPS),
+    kind=st.sampled_from(["p1", "hermitian", "spike", "two blocks"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    k=st.integers(min_value=-900, max_value=900),
+)
+@example(name="S4", kind="p1", seed=3, k=29)
+@example(name="S3", kind="hermitian", seed=0, k=900)
+@example(name="D30", kind="two blocks", seed=1, k=-900)
+def test_verdicts_are_functions_of_the_ray(name, kind, seed, k):
+    """At 2**k phi the PSD, extremality and CP verdicts, the undecided
+    flags, the Gram rank and the block ranks are those at phi, and every
+    witness, cutoff and A-norm is 2**k times its value at phi, bit for bit,
+    on the dense route (a group holding no decomposition) and the block
+    route (a kept decomposition).  |k| <= 900 keeps every value of phi out
+    of the subnormals, where scaling is not exact."""
+    fresh, kept = _fresh_scale_group(name), _kept_scale_group(name)
+    values = _scale_input(kept, kind, seed)
+    scaled = np.ldexp(values.real, k) + 1j * np.ldexp(values.imag, k)
+    assume(np.array_equal(np.ldexp(scaled.real, -k) + 1j * np.ldexp(scaled.imag, -k), values))
+    assert cached_block_decomposition(fresh) is None
+    at_phi = _scaled_outcomes(fresh, kept, values)
+    assert _scaled_outcomes(fresh, kept, scaled) == _times_pow2(at_phi, k)
+    assert cached_block_decomposition(fresh) is None
+
+
+def _failing_solver(*args, **kwargs):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+_SOLVER_QUERIES = {
+    "is_psd": lambda fresh, kept, decomp, values: is_psd(algebra_matrix(fresh, values)),
+    "dense is_positive_definite":
+        lambda fresh, kept, decomp, values: is_positive_definite(GroupFunction(fresh, values)),
+    "dense a_norm": lambda fresh, kept, decomp, values: a_norm(GroupFunction(fresh, values)),
+    "block is_positive_definite":
+        lambda fresh, kept, decomp, values: is_positive_definite(GroupFunction(kept, values)),
+    "block a_norm": lambda fresh, kept, decomp, values: a_norm(GroupFunction(kept, values)),
+    "gns": lambda fresh, kept, decomp, values: gns(GroupFunction(kept, values)),
+    "is_extreme": lambda fresh, kept, decomp, values: is_extreme(GroupFunction(kept, values)),
+    "is_completely_positive": lambda fresh, kept, decomp, values: is_completely_positive(
+        build_channel(GroupFunction(kept, values))),
+    "verify_jordan_form": lambda fresh, kept, decomp, values: verify_jordan_form(
+        functools.partial(apply_descriptor, random_descriptor(decomp, np.random.default_rng(1)),
+                          decomp=decomp), decomp),
+}
+
+
+@pytest.mark.parametrize("query", list(_SOLVER_QUERIES))
+def test_a_failed_solver_raises_convergence_failure_on_every_route(monkeypatch, query):
+    """Every eigen-test reaches the solver through the one solve in linalg
+    (hermitian_spectrum), which turns its failure into ConvergenceFailure.  ``fresh`` holds no
+    decomposition (the dense route), ``kept`` holds one (the block route)."""
+    kept, fresh = symmetric_group(3), symmetric_group(3)
+    decomp = block_decompose(kept)
+    values = random_p1(kept, np.random.default_rng(0)).values
+    monkeypatch.setattr(np.linalg, "eigvalsh", _failing_solver)
+    monkeypatch.setattr(np.linalg, "eigh", _failing_solver)
+    with pytest.raises(ConvergenceFailure, match="solver failed"):
+        _SOLVER_QUERIES[query](fresh, kept, decomp, values)
+    assert cached_block_decomposition(fresh) is None

@@ -25,10 +25,12 @@ from groupstates import (
     delta_e,
     dihedral_group,
     direct_product,
+    face_membership,
     fit_affine_map_from_pairs,
     homeo_group_description,
     is_extreme,
     is_positive_definite,
+    maximal_chain_length,
     minimal_central_projections,
     pure_state_function,
     quaternion_group,
@@ -36,6 +38,7 @@ from groupstates import (
     random_hermitian_symmetric,
     random_p1,
     symmetric_group,
+    to_state,
     verify_jordan_form,
     vn_invariant,
     vn_isomorphic,
@@ -586,6 +589,68 @@ def test_homeo_maps_extreme_to_extreme():
     for fn in samples:
         assert is_extreme(fn)
         assert is_extreme(homeo.forward(fn))
+
+
+# groups that are not direct products, with equal invariants: D8, SD16 and
+# Q16 are (1^4, 2^3), Heis27 and Z9:Z3 are (1^9, 3^2), Dic3 and D6 are
+# (1^4, 2^2), and Dic3 has a quaternionic 2-block where D6 has none
+_EQUAL_INVARIANT_PAIRS = [
+    ("D8", "SD16"), ("D8", "Q16"), ("SD16", "Q16"), ("Heis27", "Z9:Z3"), ("Dic3", "dihedral:6"),
+]
+
+
+@pytest.mark.parametrize("a, b", _EQUAL_INVARIANT_PAIRS)
+def test_theorem_1_on_corpus_pairs_with_equal_invariants(a, b):
+    """VN(G) and VN(H) are *-isomorphic, and the affine homeomorphism maps
+    P1(G) into P1(H), pure states to extreme points and Face(p_pi) into the
+    target's Face(p_pi), and its round trip stays within the bound it is
+    built to."""
+    g = corpus_group(a)
+    h = corpus_group(b) if b in CORPUS else build_named(b)
+    assert vn_isomorphic(g, h).isomorphic
+    homeo = construct_affine_homeomorphism(g, h)
+    bound = 100 * DEFAULT_TOL.residual_tol
+    assert np.abs(homeo.backward_matrix @ homeo.forward_matrix - np.eye(g.order)).max() <= bound
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        fn = random_p1(g, rng)
+        image = homeo.forward(fn)
+        assert is_positive_definite(image).is_psd
+        assert abs(image.values[h.identity] - 1.0) <= DEFAULT_TOL.residual_tol
+        assert np.abs(homeo.backward(image).values - fn.values).max() <= bound
+    decomp = vn.kept_block_decomposition(g)
+    faces_g = minimal_central_projections(g, character_table(g))
+    faces_h = minimal_central_projections(h, character_table(h))
+    for pi, d in enumerate(decomp.block_dims):
+        pure = pure_state_function(decomp, pi, rng.normal(size=d) + 1j * rng.normal(size=d))
+        assert is_extreme(homeo.forward(pure))
+        # a mixed state of block pi
+        x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        density = x @ x.conj().T
+        inside = GroupFunction(g, decomp._block_states(pi, density / np.trace(density).real)[0])
+        assert face_membership(faces_g[pi], to_state(inside))
+        assert face_membership(faces_h[pi], to_state(homeo.forward(inside)))
+
+
+def test_block_decompose_builds_its_table_at_its_own_tolerance(monkeypatch):
+    """Without a table, block_decompose reads the group's table at the
+    tolerance it is given, so a table built at that tolerance serves it:
+    the table of S4 is built once, not again at the default tolerance."""
+    from groupstates import characters
+
+    calls = []
+    real = characters._build_table
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(characters, "_build_table", counted)
+    s4 = symmetric_group(4)
+    loose = Tolerance(residual_tol=1e-6)
+    table = character_table(s4, tol=loose)
+    assert maximal_chain_length(s4, table, 4, tol=loose) == 3
+    assert len(calls) == 1
 
 
 def test_homeo_rejects_nonisomorphic():
