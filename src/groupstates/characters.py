@@ -34,7 +34,7 @@ from .groups import (
     _WeakGroup,
     conjugacy_classes,
 )
-from .linalg import DEFAULT_TOL, Tolerance
+from .linalg import DEFAULT_TOL, Tolerance, hermitian_spectrum
 
 _GAP_FACTOR = 1e-6
 _MAX_RESAMPLES = 20
@@ -142,13 +142,14 @@ def _build_table(
     mats = structure.transpose(0, 2, 1) * (root[:, None] / root)
 
     # x = A + A^H + i (B - B^H) with A, B real combinations of the M_i is
-    # Hermitian, and on character pi its eigenvalue is
-    # 2 Re omega_pi(A) - 2 Im omega_pi(B), which also parts conjugate pairs
+    # Hermitian bit for bit, so hermitian_spectrum solves it unchanged, and
+    # on character pi its eigenvalue is 2 Re omega_pi(A) - 2 Im omega_pi(B),
+    # which also parts conjugate pairs
     rng = np.random.default_rng(0)
     for _ in range(_MAX_RESAMPLES):
         a, b = np.tensordot(rng.uniform(1.0, 2.0, size=(2, k)), mats, axes=1)
         x = a + a.T + 1j * (b - b.T)
-        evals, vecs = np.linalg.eigh(x)
+        evals, vecs = hermitian_spectrum(x, vectors=True)
         if (np.diff(evals) > _GAP_FACTOR * max(float(np.abs(x).max()), 1.0)).all():
             break
     else:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -114,6 +115,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _json(obj, **kwargs) -> str:
+    """Standard JSON of a report: a float past the float range, or NaN, is
+    written as the string "Infinity", "-Infinity" or "NaN", never as the
+    non-standard bare token, and anything else non-standard fails loudly
+    (``allow_nan=False``)."""
+    try:
+        return json.dumps(obj, allow_nan=False, **kwargs)
+    except ValueError:
+        return json.dumps(_finite(obj), allow_nan=False, **kwargs)
+
+
+def _finite(obj):
+    """``obj`` with every non-finite float replaced by its name."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "NaN" if math.isnan(obj) else "Infinity" if obj > 0 else "-Infinity"
+    if isinstance(obj, dict):
+        return {key: _finite(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(val) for val in obj]
+    return obj
+
+
 def _render_text(obj, indent: int = 0) -> str:
     pad = "  " * indent
     if isinstance(obj, dict):
@@ -126,11 +149,11 @@ def _render_text(obj, indent: int = 0) -> str:
                 lines.append(f"{pad}{key}:")
                 lines.append(_render_text(val, indent + 1))
             else:
-                lines.append(f"{pad}{key}: {json.dumps(val)}")
+                lines.append(f"{pad}{key}: {_json(val)}")
         return "\n".join(lines)
     if isinstance(obj, list):
-        return "\n".join(f"{pad}- {json.dumps(x)}" for x in obj)
-    return f"{pad}{json.dumps(obj)}"
+        return "\n".join(f"{pad}- {_json(x)}" for x in obj)
+    return f"{pad}{_json(obj)}"
 
 
 def _complex_list(values) -> dict:
@@ -141,7 +164,7 @@ def _complex_list(values) -> dict:
 def _write_json(path: str, payload: dict) -> None:
     """Write a report to ``--out``; a path that cannot be written is bad input."""
     try:
-        Path(path).write_text(json.dumps(payload, sort_keys=True))
+        Path(path).write_text(_json(payload, sort_keys=True))
     except OSError as exc:
         raise InputFormatError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -475,7 +498,7 @@ _parser: argparse.ArgumentParser | None = None
 
 def _report_error(args, payload: dict, code: int) -> int:
     if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
+        print(_json(payload, sort_keys=True))
     else:
         print(f"ERROR {payload['error']}: {payload['message']}")
     return code
@@ -507,9 +530,6 @@ def dispatch(argv) -> int:
             report = _handle_demo(args, tol, args.seed)
     except DomainError as exc:
         return _report_error(args, {"error": exc.name, "message": str(exc), "witness": exc.witness}, 1)
-    except np.linalg.LinAlgError as exc:
-        # a ValueError, but raised by a solver on well-formed input
-        return _report_error(args, {"error": "ConvergenceFailure", "message": str(exc), "witness": {}}, 1)
     except (InputFormatError, ValueError) as exc:
         return _report_error(args, {"error": type(exc).__name__, "message": str(exc)}, 2)
     except MemoryError as exc:
@@ -518,7 +538,7 @@ def dispatch(argv) -> int:
         return _report_error(args, {"error": "MemoryError", "message": str(exc)}, 1)
 
     if args.format == "json":
-        print(json.dumps(report, sort_keys=True))
+        print(_json(report, sort_keys=True))
     else:
         print(_render_text(report))
     return 0

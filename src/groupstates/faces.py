@@ -28,7 +28,7 @@ from .groups import (
     conjugacy_classes,
     same_group,
 )
-from .linalg import DEFAULT_TOL, Tolerance
+from .linalg import DEFAULT_TOL, Tolerance, pow2_scaled
 from .posdef import GroupFunction, NormalState, to_state
 from .vn import kept_block_decomposition
 
@@ -183,13 +183,14 @@ def state_decomposition(
     ``block_decompose(group)``'s decomposition.
 
     p is central exactly when each of its blocks is scalar (Schur's
-    lemma), and a central projection has every block 0 or I.  So p and
-    phi are each transformed once, and every block of p is certified to
-    be 0 or I within ``residual_tol``: a block off its scalar part raises
-    NotCentral with the largest deviation as witness, a scalar block other
-    than 0 or 1 raises ConvergenceFailure, whatever t is.  The cuts are
+    lemma), and a central projection has every block 0 or I.  So p is
+    transformed once, and every block of p is certified to be 0 or I
+    within ``residual_tol``: a block off its scalar part raises NotCentral
+    with the largest deviation as witness, a scalar block other than 0 or
+    1 raises ConvergenceFailure, whatever t is.  The cuts are
     ``decomp.inverse`` of phi's stacked blocks kept or dropped by that
-    mask.
+    mask, the blocks the state's function holds (``GroupFunction._blocks``),
+    so no query on one state transforms phi again.
 
     The reconstruction residual is the max-abs coefficient of
     t w1 + (1 - t) w2 - omega, which equals the max-abs entry of its
@@ -203,7 +204,7 @@ def state_decomposition(
             witness={"orders": [face.group.order, group.order]},
         )
     p = face.coeffs
-    phi = state.coefficients
+    phi = state.function
     decomp = kept_block_decomposition(group, tol)
     keep = _block_mask(decomp, decomp.forward(p), tol)
     t = state.expectation(p).real
@@ -213,10 +214,11 @@ def state_decomposition(
         return 0.0, None, state
 
     # p phi p and q phi q keep and drop phi's blocks in the face
-    blocks = decomp.forward(phi)
-    cut1 = decomp.inverse(keep * blocks) / t
-    cut2 = decomp.inverse(~keep * blocks) / (1.0 - t)
-    recon = float(np.abs(t * cut1 + (1.0 - t) * cut2 - phi).max())
+    e = phi._canonical()[0]
+    blocks = phi._blocks(decomp)
+    cut1 = pow2_scaled(decomp.inverse(keep * blocks), e) / t
+    cut2 = pow2_scaled(decomp.inverse(~keep * blocks), e) / (1.0 - t)
+    recon = float(np.abs(t * cut1 + (1.0 - t) * cut2 - phi.values).max())
     if recon > tol.residual_tol:
         raise ConvergenceFailure(
             f"decomposition reconstruction residual {recon:.3e}",

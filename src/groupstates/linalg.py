@@ -132,15 +132,23 @@ def hermitian_spectrum(a: np.ndarray, vectors: bool = False):
     return _solve_hermitian((a + a.conj().swapaxes(-1, -2)) / 2, vectors)
 
 
+def solver_call(name: str, solver, *args, **kwargs):
+    """``solver(*args, **kwargs)`` for a numpy solver named ``name``, its
+    ``LinAlgError`` raised as ConvergenceFailure (witness ``{}``), so that
+    no numpy error leaves the library."""
+    try:
+        return solver(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"{name} failed: {exc}") from exc
+
+
 def _solve_hermitian(sym: np.ndarray, vectors: bool):
     """``eigh`` (with ``vectors``) or ``eigvalsh`` of the Hermitian ``sym``.
     A solver failure or a non-finite eigenvalue raises ConvergenceFailure;
     one non-finite eigenvalue makes their sum non-finite, and finite ones in
     canonical units cannot sum past the float range."""
-    try:
-        spectrum = np.linalg.eigh(sym) if vectors else np.linalg.eigvalsh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigenvalue solver failed: {exc}") from exc
+    solver = np.linalg.eigh if vectors else np.linalg.eigvalsh
+    spectrum = solver_call("eigenvalue solver", solver, sym)
     if not math.isfinite((spectrum[0] if vectors else spectrum).sum()):
         raise ConvergenceFailure("eigenvalue solver returned non-finite values")
     return spectrum
@@ -213,7 +221,7 @@ def is_psd(a, tol: Tolerance = DEFAULT_TOL) -> PsdVerdict:
 def polar_unitary(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Unitary factor U of the polar decomposition A = U (A*A)^(1/2)."""
     m = as_matrix(a)
-    u, s, vh = np.linalg.svd(m)
+    u, s, vh = solver_call("singular value solver", np.linalg.svd, m)
     cutoff = tol.eig_cutoff(m)
     if s.size and float(s[-1]) <= cutoff:
         raise SingularInput(

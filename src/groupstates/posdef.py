@@ -31,7 +31,7 @@ from .errors import (
 )
 from .groups import (
     FiniteGroup,
-    _frozen,
+    _read_only,
     algebra_matrix,
     cached_block_decomposition,
     same_group,
@@ -55,20 +55,20 @@ class GroupFunction:
     Immutable: ``values`` is a private read-only copy of the input and
     cannot be reassigned, so the PSD verdict that
     :func:`is_positive_definite` computes is cached per ``Tolerance`` and
-    reused by later queries on the same object.  So are the ascending
-    eigenvalues of its Fourier blocks (``BlockDecomposition.block_spectra``),
-    for one decomposition at a time: ``_block_spectra`` maps the last
-    decomposition asked for to them, and holds that decomposition alive.
-    The PSD verdict, the A-norm and the block ranks of one function on one
-    decomposition therefore cost one transform and one ``eigvalsh`` per
-    block dimension between them.  Those spectra, like every eigen-test of
-    phi, are in its canonical units (:meth:`_canonical`).
+    reused by later queries on the same object.  It also owns its Fourier
+    transform on the last decomposition asked for, which it holds alive:
+    its stacked blocks (:meth:`_blocks`) and their eigenvalues
+    (:meth:`_spectra`), in its canonical units (:meth:`_canonical`), like
+    every eigen-test of phi.  Its PSD verdict, A-norm, block ranks,
+    ``vn.apply_descriptor`` image and ``faces.state_decomposition`` split
+    on one decomposition cost one transform between them; a reader that
+    needs phi's own units scales back by 2**e, no scaling for a state.
     """
 
     group: FiniteGroup
     values: np.ndarray
     _psd_verdicts: dict = field(default_factory=dict, init=False, repr=False)
-    _block_spectra: dict = field(default_factory=dict, init=False, repr=False)
+    _fourier: dict = field(default_factory=dict, init=False, repr=False)
     _units: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -99,15 +99,29 @@ class GroupFunction:
             object.__setattr__(self, "_units", units)
         return self._units
 
+    def _blocks(self, decomp) -> np.ndarray:
+        """``decomp.forward`` of phi in its canonical units, read-only,
+        computed once while ``decomp`` is the last decomposition asked for."""
+        return self._on(decomp)[0]
+
     def _spectra(self, decomp) -> list[np.ndarray]:
-        """``decomp.block_spectra`` of phi in its canonical units, computed
-        once while ``decomp`` is the last decomposition asked for."""
-        spectra = self._block_spectra.get(decomp)
-        if spectra is None:
-            spectra = decomp.block_spectra(self._canonical()[1])
-            self._block_spectra.clear()
-            self._block_spectra[decomp] = spectra
-        return spectra
+        """Ascending eigenvalues of each symmetrized block of :meth:`_blocks`
+        (a 1 x 1 block's the real part of its entry), computed once while
+        ``decomp`` is the last decomposition asked for."""
+        kept = self._on(decomp)
+        if len(kept) == 1:
+            slabs = decomp._slab_spectra(kept[0], False)
+            kept.append([w for _, _, _, evals in slabs for w in evals])
+        return kept[1]
+
+    def _on(self, decomp) -> list:
+        """[blocks] or [blocks, spectra] of phi on ``decomp``, in place of
+        what the last decomposition asked for kept."""
+        kept = self._fourier.get(decomp)
+        if kept is None:
+            self._fourier.clear()
+            kept = self._fourier[decomp] = [_read_only(decomp.forward(self._canonical()[1]))]
+        return kept
 
 
 def delta_e(group: FiniteGroup) -> GroupFunction:
@@ -194,21 +208,26 @@ def is_positive_definite(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> Psd
     return verdict
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class NormalState:
-    """A normal state of the group algebra, held as its density element.
+    """A normal state of the group algebra, held as the positive definite
+    function it was verified from (:func:`to_state`).
 
-    ``coefficients`` are the lambda-basis coefficients of the density (equal
-    to the values of the corresponding positive definite function).  The
-    pairing is omega(x) = tr(x . density) / |G|.  They are read-only: a
-    read-only array is kept as is, a writable one is copied.
+    ``coefficients``, the lambda-basis coefficients of the density, are the
+    function's read-only values, not a copy, and its cached verdicts,
+    blocks and spectra serve the state.  The pairing is
+    omega(x) = tr(x . density) / |G|.
     """
 
-    group: FiniteGroup
-    coefficients: np.ndarray
+    function: GroupFunction
 
-    def __post_init__(self):
-        self.coefficients = _frozen(self.coefficients)
+    @property
+    def group(self) -> FiniteGroup:
+        return self.function.group
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        return self.function.values
 
     def expectation(self, coeffs) -> complex:
         """omega applied to the algebra element sum_s coeffs[s] lambda_s."""
@@ -217,7 +236,8 @@ class NormalState:
 
 
 def to_state(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> NormalState:
-    """Realize a normalized positive definite function as a normal state.
+    """Realize a normalized positive definite function as a normal state,
+    the state that holds ``fn``.
 
     Membership in P1 is verified here, never taken from the caller: raises
     NotNormalized when phi(e) != 1 and NotPositiveDefinite when phi fails
@@ -239,12 +259,13 @@ def to_state(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> NormalState:
             f"Gram matrix has eigenvalue {verdict.witness:.3e}",
             witness={"min_eigenvalue": verdict.witness, "cutoff": verdict.cutoff},
         )
-    return NormalState(g, fn.values)
+    return NormalState(fn)
 
 
 def from_state(state: NormalState) -> GroupFunction:
-    """The positive definite function phi(s) = omega(lambda_s^*)."""
-    return GroupFunction(state.group, state.coefficients)
+    """The positive definite function phi(s) = omega(lambda_s^*): the one
+    the state holds, so ``from_state(to_state(fn)) is fn``."""
+    return state.function
 
 
 def a_norm(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> float:

@@ -42,7 +42,9 @@ from .groups import (
     generating_set,
     same_group,
 )
-from .linalg import DEFAULT_TOL, Tolerance, hermitian_spectrum, polar_unitary
+from .linalg import (
+    DEFAULT_TOL, Tolerance, hermitian_spectrum, polar_unitary, pow2_scaled, solver_call,
+)
 from .posdef import GroupFunction, random_p1
 
 _CLUSTER_GAP = 1e-6
@@ -142,24 +144,23 @@ class BlockDecomposition:
     """Matrix units e^pi_{jk} realizing the group algebra as matrix blocks.
 
     ``units[pi]`` has shape (d, d, n): the coefficient vectors of the matrix
-    units of block pi, n^2 numbers over all blocks.  The group Fourier
-    transform takes a coefficient vector to its stacked blocks, entry
-    (pi, j, k) of sum_s c(s) lambda_s being
-    (n / d_pi) sum_s u^pi_{kj}(s^{-1}) c(s): :meth:`forward`.  Its inverse,
-    :meth:`inverse`, weights each unit's coefficient vector by its stacked
-    entry.  These two methods are the only way to the transform: the two
-    n x n matrices behind them are private, and ``from_coefficients``
-    splits the stacked blocks into blocks.  The embedding is a verified
-    *-isomorphism.
-
-    Rows are stacked by the layout of ``block_dims`` (:class:`_StackedLayout`).
-    Each slab's units are also held as one view (m, d, d, n) into the
-    storage of ``units``, and the batched block methods read a slab as one
-    slice of the stacked blocks.
+    units of block pi, n^2 numbers over all blocks, stored once, as the
+    rows of one array stacked by the layout of ``block_dims``
+    (:class:`_StackedLayout`); each slab's units are a view (m, d, d, n)
+    into it too.  The group Fourier transform takes a coefficient vector
+    to its stacked blocks, entry (pi, j, k) of sum_s c(s) lambda_s being
+    (n / d_pi) sum_s u^pi_{kj}(s^{-1}) c(s): :meth:`forward`, a gather of c
+    by inverses, one product with the stacked units, the ``transposed``
+    row permutation and the weights.  Its inverse, :meth:`inverse`, weights
+    each unit's coefficient vector by its stacked entry.  These two methods
+    are the only way to the transform, and ``from_coefficients`` splits
+    the stacked blocks into blocks.  The embedding is a verified
+    *-isomorphism; only the verification and the transport read the
+    transform as one n x n matrix (:meth:`_fourier_matrix`), and drop it.
 
     ``group`` is a weak back-reference (see ``groups._WeakGroup``): the
     group keeps its decomposition, and the decomposition does not keep its
-    group alive.  The hot paths read the order from ``_order`` instead.
+    group alive.  The hot paths read ``_order`` and ``_inverses`` instead.
     """
 
     group: FiniteGroup = _WeakGroup()
@@ -169,19 +170,16 @@ class BlockDecomposition:
 
     def __post_init__(self):
         n = self._order = self.group.order
+        self._inverses = self.group.inverses
         dims = self.block_dims
         layout = self._layout = _stacked_layout(dims)
-        stacked = np.concatenate([u.reshape(-1, n) for u in self.units])
+        # row (pi, j, k) is the coefficient vector of e^pi_jk
+        stacked = self._stacked = np.concatenate([u.reshape(-1, n) for u in self.units])
         self.units = [stacked[rows].reshape(d, d, n) for rows, d in zip(layout.rows, dims)]
         self._slab_units = [
             stacked[rows].reshape(len(blocks), d, d, n) for d, blocks, rows in layout.slabs
         ]
-        # column (pi, j, k) of the inverse is the coefficient vector of e^pi_jk
-        self._inverse_fourier = stacked.T
-        weights = np.repeat([n / d for d in dims], [d * d for d in dims])
-        # gathered rows then columns, the result Fortran-ordered: one 2-D
-        # gather gives C order, and products with it round differently
-        self._fourier = weights[:, None] * stacked[layout.transposed][:, self.group.inverses]
+        self._weights = np.repeat([n / d for d in dims], [d * d for d in dims])
 
     def __repr__(self) -> str:
         return (
@@ -212,16 +210,27 @@ class BlockDecomposition:
     def forward(self, values) -> np.ndarray:
         """Stacked blocks of sum_s values[s] lambda_s, for one coefficient
         vector (n,) or for a stack of them, one per row (m, n)."""
-        return self._vectors(values) @ self._fourier.T
+        # the transposes put the entries on the first axis, so one vector
+        # takes plain 1-D gathers and a stack gathers whole rows
+        c = self._vectors(values).T
+        return (self._stacked @ c[self._inverses])[self._layout.transposed].T * self._weights
 
     def inverse(self, stacked) -> np.ndarray:
         """Coefficients of the element whose stacked blocks are ``stacked``,
         one vector (n,) or one per row (m, n): :meth:`forward` undone."""
-        return self._vectors(stacked) @ self._inverse_fourier.T
+        return self._vectors(stacked) @ self._stacked
 
     def from_coefficients(self, coeffs) -> list[np.ndarray]:
         """Blocks of sum_s coeffs[s] lambda_s: :meth:`forward`, split."""
         return self._split(self.forward(coeffs))
+
+    def _fourier_matrix(self) -> np.ndarray:
+        """The transform as one n x n matrix, its row (pi, j, k) the units'
+        row (pi, k, j) read at inverses and weighted by n / d_pi: formed for
+        the verification and the transport only, and not kept."""
+        # gathered rows then columns, the result Fortran-ordered: one 2-D
+        # gather gives C order, and products with it round differently
+        return self._weights[:, None] * self._stacked[self._layout.transposed][:, self._inverses]
 
     def _block_states(self, pi: int, densities: np.ndarray) -> np.ndarray:
         """Coefficients of the states whose densities (m, d, d) live in block
@@ -234,34 +243,27 @@ class BlockDecomposition:
     def _transport_to(self, dst: BlockDecomposition) -> np.ndarray:
         """Coefficient map carrying each block onto the same block of dst,
         whose block dimensions are the same."""
-        return dst._inverse_fourier @ self._fourier
+        return dst._stacked.T @ self._fourier_matrix()
 
-    def _slab_spectra(self, coeffs, vectors: bool):
+    def _slab_spectra(self, stacked: np.ndarray, vectors: bool):
         """Per slab (d, blocks, rows, spectrum): ``hermitian_spectrum`` of
-        the slab's blocks of sum_s coeffs[s] lambda_s, one batched solve.
+        the slab's blocks in the stacked blocks ``stacked``, one batched solve.
 
         The blocks of Hermitian-symmetric coefficients are Hermitian in
         exact arithmetic; rounding in the transform grows with the
         magnitude of the coefficients, so each block is symmetrized first,
-        and callers pass coefficients in canonical units
+        and callers transform coefficients in canonical units
         (``linalg.canonical_exponent``).
         """
-        stacked = self.forward(coeffs)
         for d, blocks, rows in self._layout.slabs:
             yield d, blocks, rows, hermitian_spectrum(
                 stacked[rows].reshape(len(blocks), d, d), vectors
             )
 
-    def block_spectra(self, coeffs) -> list[np.ndarray]:
-        """Ascending eigenvalues of each symmetrized block of
-        sum_s coeffs[s] lambda_s (:meth:`_slab_spectra`); a 1 x 1 block's
-        eigenvalue is the real part of its entry."""
-        return [w for _, _, _, evals in self._slab_spectra(coeffs, False) for w in evals]
-
     def block_eigh(self, coeffs) -> list[tuple[int, range, slice, np.ndarray, np.ndarray]]:
         """Eigendecompositions of the symmetrized blocks of
         sum_s coeffs[s] lambda_s, one batched ``eigh`` per slab
-        (:meth:`_slab_spectra`).
+        (:meth:`_slab_spectra` of :meth:`forward`).
 
         One (d, blocks, rows, w, v) per slab, in the order of
         ``_slab_units``: ``blocks`` the range of its blocks, ``rows`` the
@@ -269,7 +271,8 @@ class BlockDecomposition:
         eigenvalues and ``v`` (blocks, d, d) the eigenvectors as columns.
         A 1 x 1 block's eigenvalue is the real part of its entry.
         """
-        return [(d, blocks, rows, *wv) for d, blocks, rows, wv in self._slab_spectra(coeffs, True)]
+        spectra = self._slab_spectra(self.forward(coeffs), True)
+        return [(d, blocks, rows, *wv) for d, blocks, rows, wv in spectra]
 
 
 def block_decompose(
@@ -385,7 +388,8 @@ def _block_range(
     weights = rng.normal(size=(m, dd, _SKETCH_TRANSLATES))
     # entry [t, b, j, r] indexes p_b(t u^{-1}) with u = translates[b, j, r]
     flat = group.cayley[:, group.inverses[translates]] + n * np.arange(m)[:, None, None]
-    basis, tri = np.linalg.qr(np.einsum("tbjr,bjr->btj", p.ravel()[flat], weights))
+    sketch = np.einsum("tbjr,bjr->btj", p.ravel()[flat], weights)
+    basis, tri = solver_call("QR factorization", np.linalg.qr, sketch)
     pivots = np.abs(np.diagonal(tri, axis1=1, axis2=2))
     return basis, pivots.min(axis=1) > _CLUSTER_GAP * pivots.max(axis=1)
 
@@ -411,7 +415,8 @@ def _lowest_ideal(
     for h in range(_SPLIT_SUPPORT):
         image += c[:, h, None, None] * basis[at, group.cayley[:, group.inverses[support[:, h]]].T]
     half = basis.conj().transpose(0, 2, 1) @ image
-    evals, vecs = np.linalg.eigh(half + half.conj().transpose(0, 2, 1))
+    # Hermitian bit for bit, so hermitian_spectrum solves it unchanged
+    evals, vecs = hermitian_spectrum(half + half.conj().transpose(0, 2, 1), vectors=True)
     scale = np.maximum(np.abs(evals).max(axis=1), 1.0)
     # ascending eigenvalues: a gap after every d-th one and nowhere else
     gaps = np.diff(evals, axis=1) > _CLUSTER_GAP * scale[:, None]
@@ -523,7 +528,8 @@ def _verify_decomposition(decomp: BlockDecomposition, tol: Tolerance) -> None:
             "diagonal units do not sum to the identity",
             witness={"residual": float(np.abs(total).max())},
         )
-    gram = np.abs(decomp._fourier @ decomp._inverse_fourier - np.eye(n))
+    f = decomp._fourier_matrix()
+    gram = np.abs(f @ decomp._stacked.T - np.eye(n))
     row, col = (int(x) for x in np.unravel_index(int(np.argmax(gram)), gram.shape))
     if gram[row, col] > bound:
         labels = {}
@@ -535,7 +541,6 @@ def _verify_decomposition(decomp: BlockDecomposition, tol: Tolerance) -> None:
             f"column {tuple(labels[col])} (residual {gram[row, col]:.2e})",
             witness={"row": labels[row], "column": labels[col], "residual": float(gram[row, col])},
         )
-    f = decomp._fourier
     for g in generating_set(group) or [group.identity]:
         # F(lambda_g x) = F(lambda_g) F(x) blockwise, for every x at once
         shifted = f[:, group.cayley[g]]
@@ -790,9 +795,10 @@ def apply_descriptor(
 
     The density transforms blockwise as B -> u B u* (or u B^T u*), landing
     in block sigma[pi]; transposition preserves positivity, so the image
-    stays inside P1.  In stacked coordinates: ``decomp.forward``, one
-    gather, batched product and scatter per slab
-    (``AffineHomeoDescriptor._push``), and ``decomp.inverse``.
+    stays inside P1.  In stacked coordinates: the blocks ``fn`` holds on
+    ``decomp`` (``GroupFunction._blocks``), one gather, batched product
+    and scatter per slab (``AffineHomeoDescriptor._push``), and
+    ``decomp.inverse``, scaled back from the canonical units of ``fn``.
     """
     if desc.dims != decomp.block_dims:
         raise DimensionMismatch(
@@ -800,7 +806,8 @@ def apply_descriptor(
             f"{decomp.block_dims}",
             witness={"descriptor": list(desc.dims), "decomposition": list(decomp.block_dims)},
         )
-    return GroupFunction(decomp.group, decomp.inverse(desc._push(decomp.forward(fn.values))))
+    image = decomp.inverse(desc._push(fn._blocks(decomp)))
+    return GroupFunction(decomp.group, pow2_scaled(image, fn._canonical()[0]))
 
 
 def random_descriptor(
@@ -820,7 +827,7 @@ def random_descriptor(
             transpose.append(False)
         else:
             z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            q, r = np.linalg.qr(z)
+            q, r = solver_call("QR factorization", np.linalg.qr, z)
             q = q * (np.diag(r) / np.abs(np.diag(r)))
             unitaries.append(q)
             transpose.append(bool(rng.integers(2)))
@@ -1037,7 +1044,7 @@ def fit_affine_map_from_pairs(
     x = np.stack([p[0].values for p in pairs])
     y = np.stack([p[1].values for p in pairs])
     design = np.hstack([x, np.ones((len(pairs), 1), dtype=complex)])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    coef, *_ = solver_call("least squares solver", np.linalg.lstsq, design, y, rcond=None)
     fit_residual = float(np.abs(design @ coef - y).max())
     if fit_residual > 100 * tol.residual_tol:
         raise NotAffine(

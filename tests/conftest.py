@@ -1165,6 +1165,28 @@ def literal_block_layout(dims):
     return rows, block_of_row, diagonal, transposed, runs
 
 
+def gathered_fourier(decomp):
+    """The group Fourier transform as one n x n matrix, from the units
+    alone: row (pi, j, k) is (n / d_pi) u^pi_kj(s^-1) over s, so that
+    ``decomp.forward(c)`` is this matrix times c up to rounding."""
+    n, inv = decomp.group.order, decomp.group.inverses
+    return np.concatenate([
+        (n / d) * u.transpose(1, 0, 2).reshape(d * d, n)[:, inv]
+        for u, d in zip(decomp.units, decomp.block_dims)
+    ])
+
+
+def block_spectra(decomp, coeffs):
+    """Ascending eigenvalues of each symmetrized block of
+    sum_s coeffs[s] lambda_s on ``decomp``, as the function with these
+    values reads them (in its canonical units), scaled back exactly."""
+    from groupstates.posdef import GroupFunction
+
+    fn = GroupFunction(decomp.group, coeffs)
+    e = fn._canonical()[0]
+    return [np.ldexp(w, e) for w in fn._spectra(decomp)]
+
+
 def to_coefficients(decomp, blocks):
     """Coefficients of sum_pi sum_jk blocks[pi][j, k] e^pi_jk: the inverse
     transform of the stacked blocks."""

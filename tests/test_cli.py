@@ -210,6 +210,31 @@ def test_values_near_the_float_limit_get_the_answers_of_their_ray(tmp_path, caps
     assert cp["symbol_min_eigenvalue"] == check["min_eigenvalue"]
 
 
+def _refuse_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def test_witnesses_past_the_float_range_are_written_as_standard_json(tmp_path, capsys):
+    """On the constant -1e308 on S3 the smallest eigenvalue, -6e308, is
+    past the float range: it is written as the string "-Infinity", and
+    every output parses as standard JSON."""
+    _write_group(tmp_path, "s3.json", "symmetric:3")
+    fn = tmp_path / "negative.json"
+    fn.write_text(json.dumps({"group": "s3.json", "re": [-1e308] * 6, "im": [0.0] * 6}))
+    capsys.readouterr()
+    reports = {}
+    for command in ("posdef check", "channel cp"):
+        code, out = run(capsys, *command.split(), "--fn", str(fn))
+        assert code == 0
+        reports[command] = json.loads(out, parse_constant=_refuse_constant)
+    assert reports["posdef check"]["min_eigenvalue"] == "-Infinity"
+    assert not reports["posdef check"]["positive_definite"]
+    cp = reports["channel cp"]
+    assert cp["symbol_min_eigenvalue"] == cp["block_min_eigenvalue"] == "-Infinity"
+    code, out = run(capsys, "posdef", "check", "--fn", str(fn), "--format", "text")
+    assert code == 0 and 'min_eigenvalue: "-Infinity"' in out.splitlines()
+
+
 @pytest.mark.parametrize(
     "flag", [("--eig-tol", "-1"), ("--residual-tol", "nan"), ("--eig-tol", "inf")]
 )

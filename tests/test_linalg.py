@@ -191,3 +191,82 @@ def test_trace_norm_unitary_invariance():
         u, v = random_unitary(rng, n), random_unitary(rng, n)
         base = trace_norm(a)
         assert abs(trace_norm(u @ a @ v) - base) <= 1e-8 * max(base, 1.0)
+
+
+def _prepared_calls():
+    """(solver, public call) -> a function that builds the call's inputs and
+    returns the call: S3 has a block of dimension 2, so its decomposition
+    and descriptors run QR, its table and ideals eigh and its fit SVD."""
+    from groupstates import (
+        GroupFunction,
+        a_norm,
+        apply_descriptor,
+        block_decompose,
+        character_table,
+        construct_affine_homeomorphism,
+        fit_affine_map_from_pairs,
+        is_positive_definite,
+        random_descriptor,
+        random_p1,
+        symmetric_group,
+        verify_jordan_form,
+        vn_isomorphic,
+    )
+
+    def decompose():
+        g = symmetric_group(3)
+        table = character_table(g)
+        return lambda: block_decompose(g, table)
+
+    def describe():
+        g = symmetric_group(3)
+        decomp = block_decompose(g)
+        # a decomposition holds its group weakly, so the call holds g
+        return lambda: (g, random_descriptor(decomp, np.random.default_rng(0)))
+
+    def fit():
+        g = symmetric_group(3)
+        decomp = block_decompose(g)
+        desc = random_descriptor(decomp, np.random.default_rng(0))
+        return lambda: (g, verify_jordan_form(lambda f: apply_descriptor(desc, f, decomp), decomp))
+
+    def interpolate():
+        g = symmetric_group(3)
+        rng = np.random.default_rng(0)
+        pairs = [(f, f) for f in (random_p1(g, rng) for _ in range(g.order + 1))]
+        return lambda: fit_affine_map_from_pairs(g, pairs)
+
+    def dense(query):
+        fn = GroupFunction(symmetric_group(3), np.ones(6))
+        return lambda: lambda: query(fn)
+
+    return {
+        ("eigh", "character_table"): lambda: lambda: character_table(symmetric_group(4)),
+        ("eigh", "vn_isomorphic"):
+            lambda: lambda: vn_isomorphic(symmetric_group(4), symmetric_group(4)),
+        ("eigh", "construct_affine_homeomorphism"):
+            lambda: lambda: construct_affine_homeomorphism(symmetric_group(3), symmetric_group(3)),
+        ("eigh", "block_decompose"): decompose,
+        ("eigvalsh", "is_positive_definite"): dense(is_positive_definite),
+        ("eigvalsh", "a_norm"): dense(a_norm),
+        ("qr", "block_decompose"): decompose,
+        ("qr", "random_descriptor"): describe,
+        ("svd", "polar_unitary"): lambda: lambda: polar_unitary(np.eye(2)),
+        ("svd", "verify_jordan_form"): fit,
+        ("lstsq", "fit_affine_map_from_pairs"): interpolate,
+    }
+
+
+@pytest.mark.parametrize("solver, entry", list(_prepared_calls()))
+def test_no_numpy_linalg_error_leaves_the_library(monkeypatch, solver, entry):
+    """A numpy solver that fails raises ConvergenceFailure, witness {},
+    from every public call that reaches it."""
+    call = _prepared_calls()[solver, entry]()
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError(f"{solver} did not converge")
+
+    monkeypatch.setattr(np.linalg, solver, fail)
+    with pytest.raises(ConvergenceFailure, match="failed") as info:
+        call()
+    assert info.value.witness == {}

@@ -21,6 +21,7 @@ from groupstates import (
     delta_e,
     dihedral_group,
     direct_product,
+    face_membership,
     from_state,
     gns,
     is_completely_positive,
@@ -32,6 +33,8 @@ from groupstates import (
     random_descriptor,
     random_hermitian_symmetric,
     random_p1,
+    split_faces,
+    state_decomposition,
     symmetric_group,
     to_state,
     verify_jordan_form,
@@ -798,13 +801,13 @@ def test_block_spectra_are_computed_once_per_function(monkeypatch):
     s4 = symmetric_group(4)
     decomp = block_decompose(s4)
     calls = []
-    real = BlockDecomposition.block_spectra
+    real = BlockDecomposition.forward
 
-    def counted(self, coeffs):
+    def counted(self, values):
         calls.append(self)
-        return real(self, coeffs)
+        return real(self, values)
 
-    monkeypatch.setattr(BlockDecomposition, "block_spectra", counted)
+    monkeypatch.setattr(BlockDecomposition, "forward", counted)
     fn = random_p1(s4, np.random.default_rng(21))
     is_positive_definite(fn)
     norm = a_norm(fn)
@@ -818,6 +821,37 @@ def test_block_spectra_are_computed_once_per_function(monkeypatch):
     rebuilt = block_decompose(s4, seed=1)
     assert a_norm(fn) == pytest.approx(norm, abs=1e-12)
     assert calls == [decomp, decomp, rebuilt]
+
+
+def test_one_state_is_transformed_once(monkeypatch):
+    """Every query on one S5 state reads the blocks its function holds:
+    phi is transformed once, and the split transforms only its projection
+    and its two cuts, each a function of its own."""
+    s5 = symmetric_group(5)
+    decomp = block_decompose(s5)
+    face = split_faces(s5, decomp.table)[0b0101]
+    desc = random_descriptor(decomp, np.random.default_rng(24))
+    phi = random_p1(s5, np.random.default_rng(23))
+    inputs = []
+    real = BlockDecomposition.forward
+
+    def counted(self, values):
+        inputs.append(np.array(values))
+        return real(self, values)
+
+    monkeypatch.setattr(BlockDecomposition, "forward", counted)
+    assert is_positive_definite(phi).is_psd
+    a_norm(phi)
+    apply_descriptor(desc, phi, decomp)
+    state = to_state(phi)
+    assert from_state(state) is phi
+    face_membership(face, state)
+    t, w1, w2 = state_decomposition(state, face)
+    assert 0.0 < t < 1.0
+    assert sum(np.array_equal(c, phi.values) for c in inputs) == 1
+    assert [c.shape for c in inputs] == [(120,)] * 4
+    assert np.array_equal(inputs[1], face.coeffs)
+    assert np.array_equal(inputs[2], w1.coefficients) and np.array_equal(inputs[3], w2.coefficients)
 
 
 def test_decomposition_at_looser_tolerance_is_not_reused(monkeypatch):
@@ -890,14 +924,18 @@ def test_group_function_is_immutable(z3):
 
 
 def test_normal_state_leaves_the_callers_array_writable(z3):
+    # a state holds the function it was verified from, and its
+    # coefficients are that function's read-only values: no copy
     coefficients = np.array([1.0, 0.25, 0.25], dtype=complex)
-    state = posdef.NormalState(z3, coefficients)
+    fn = GroupFunction(z3, coefficients)
+    state = to_state(fn)
+    assert state.function is fn and from_state(state) is fn and state.group is z3
+    assert state.coefficients is fn.values
     assert coefficients.flags.writeable and not state.coefficients.flags.writeable
     coefficients[1] = 9.0
     assert state.coefficients[1] == 0.25
-    # to_state keeps the function's read-only values, no copy
-    fn = GroupFunction(z3, [1.0, 0.25, 0.25])
-    assert to_state(fn).coefficients is fn.values
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.function = constant_one(z3)
 
 
 # --------------------------------------------------------------------------

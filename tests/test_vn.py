@@ -62,11 +62,13 @@ from conftest import (
     LADDER,
     PRODUCTS,
     algebra_coefficients,
+    block_spectra,
     class_partition,
     corpus_group,
     dense_block_decompose,
     dense_from_algebra,
     dense_to_algebra,
+    gathered_fourier,
     inverse_descriptor,
     ladder_group,
     literal_block_layout,
@@ -302,7 +304,7 @@ def test_block_decompose_agrees_with_dense_construction(maker):
     rng = np.random.default_rng(21)
     for _ in range(5):
         c = random_hermitian_symmetric(g, rng).values
-        fast, *oracles = (decomp.block_spectra(c) for decomp in built)
+        fast, *oracles = (block_spectra(decomp, c) for decomp in built)
         for oracle in oracles:
             for got, expected in zip(fast, oracle):
                 assert np.abs(got - expected).max() < 1e-9
@@ -321,6 +323,78 @@ def test_block_decompose_s5_memory(s5):
     assert peak < 4 * 2**20
 
 
+def _named_group(label):
+    """A group of the ladder, of the corpus or of the products by its label."""
+    if label in LADDER:
+        return ladder_group(label)
+    return corpus_group(label) if label in CORPUS else build_named(label)
+
+
+@pytest.mark.parametrize("label", [*LADDER, *PRODUCTS, *CORPUS])
+def test_forward_agrees_with_the_gathered_matrix(label):
+    """The transform from the stacked units alone, of one vector and of a
+    stack, is the product with the n x n matrix gathered from the units,
+    to 1e-13 n max|c|."""
+    g = _named_group(label)
+    n = g.order
+    decomp = block_decompose(g)
+    f = gathered_fourier(decomp)
+    rng = np.random.default_rng(n)
+    rows = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+    bound = 1e-13 * n * np.abs(rows).max(axis=1)
+    for c, b in zip(rows, bound):
+        assert np.abs(decomp.forward(c) - f @ c).max() <= b
+    assert (np.abs(decomp.forward(rows) - rows @ f.T).max(axis=1) <= bound).all()
+
+
+def _retained_bytes(decomp):
+    """nbytes summed over the distinct base arrays a decomposition holds in
+    its attributes and its layout, the table aside: the group keeps that."""
+    bases = {}
+
+    def visit(x):
+        if isinstance(x, np.ndarray):
+            while isinstance(x.base, np.ndarray):
+                x = x.base
+            bases[id(x)] = x
+        elif isinstance(x, (list, tuple)):
+            for y in x:
+                visit(y)
+
+    for key, value in [*vars(decomp).items(), *vars(decomp._layout).items()]:
+        if key != "table":
+            visit(value)
+    return sum(a.nbytes for a in bases.values())
+
+
+@pytest.mark.parametrize("name", list(LADDER))
+def test_kept_decomposition_holds_one_transform_copy(name):
+    # n^2 complex numbers, 16 n^2 bytes, plus per-row and per-element indices
+    g = ladder_group(name)
+    n = g.order
+    decomp = block_decompose(g)
+    assert cached_block_decomposition(g) is decomp
+    assert _retained_bytes(decomp) <= 16 * n * n + 64 * n
+
+
+@pytest.mark.parametrize("name", list(CORPUS))
+def test_verify_recovers_random_descriptors_on_the_corpus(name):
+    """Theorem 2 on quaternionic and complex blocks as well: the fit of a
+    random descriptor's map recovers sigma, every transpose flag of a block
+    of dimension d >= 2 and every unitary up to phase."""
+    g = corpus_group(name)
+    for seed in range(3):
+        decomp = block_decompose(g, seed=seed)
+        desc = random_descriptor(decomp, np.random.default_rng(seed))
+        fit = verify_jordan_form(lambda fn: apply_descriptor(desc, fn, decomp), decomp, seed=seed)
+        assert fit.sigma == desc.sigma
+        for pi, d in enumerate(decomp.block_dims):
+            if d >= 2:
+                assert fit.transpose[pi] == desc.transpose[pi]
+                expected = canonical_phase(desc.unitaries[pi])
+                assert np.abs(canonical_phase(fit.unitaries[pi]) - expected).max() < 1e-8
+
+
 _SEED_GROUPS = {
     "S3": lambda: symmetric_group(3),
     "Q8": quaternion_group,
@@ -337,7 +411,7 @@ def _seed_zero_reference(name):
     decomp = block_decompose(g, seed=0)
     coeffs = random_hermitian_symmetric(g, np.random.default_rng(31)).values
     projections = minimal_central_projections(g, decomp.table)
-    return g, decomp.table, projections, coeffs, decomp.block_spectra(coeffs)
+    return g, decomp.table, projections, coeffs, block_spectra(decomp, coeffs)
 
 
 @pytest.mark.parametrize("name", sorted(_SEED_GROUPS))
@@ -348,7 +422,7 @@ def test_block_structure_is_stable_under_seed(name, seed):
     decomp = block_decompose(g, seed=seed)
     assert decomp.block_dims == table.dims
     assert _diagonal_sum_residual(decomp, projections) < 1e-10
-    for got, expected in zip(decomp.block_spectra(coeffs), spectra):
+    for got, expected in zip(block_spectra(decomp, coeffs), spectra):
         assert np.abs(got - expected).max() < 1e-9
 
 
@@ -1105,7 +1179,7 @@ def test_dropped_group_is_freed_without_the_collector(collector_off):
     assert is_positive_definite(state).is_psd
     channel = build_channel(state)
     homeo = construct_affine_homeomorphism(g, symmetric_group(4))
-    kept = [g, table, decomp, table._kept["projections"][1], decomp._fourier]
+    kept = [g, table, decomp, table._kept["projections"][1], decomp._stacked]
     refs = [weakref.ref(x) for x in kept]
     del g, table, projections, decomp, state, channel, homeo, kept
     assert [ref() for ref in refs] == [None] * len(refs)
@@ -1163,7 +1237,7 @@ def test_block_spectra_read_one_dimensional_blocks_exactly():
     for g in (symmetric_group(4), dihedral_group(30)):
         decomp = block_decompose(g)
         for fn in (random_p1(g, rng), random_hermitian_symmetric(g, rng)):
-            spectra = decomp.block_spectra(fn.values)
+            spectra = block_spectra(decomp, fn.values)
             for b, w in zip(decomp.from_coefficients(fn.values), spectra):
                 symmetrized = (b + b.conj().T) / 2
                 if b.shape == (1, 1):
