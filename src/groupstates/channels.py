@@ -25,7 +25,7 @@ from .errors import GroupMismatch, InternalDisagreement
 from .groups import FiniteGroup, algebra_matrix, same_group
 from .linalg import DEFAULT_TOL, PsdVerdict, Tolerance, is_psd
 from .posdef import GroupFunction, _block_psd_verdict, _require_hermitian_symmetric
-from .vn import kept_block_decomposition
+from .vn import block_decompose
 
 
 def schur_symbol(fn: GroupFunction) -> np.ndarray:
@@ -97,7 +97,7 @@ def is_completely_positive(
     """CP certificate; verdict must match is_positive_definite(symbol)."""
     _require_hermitian_symmetric(ch.symbol, tol)
     symbol_verdict = is_psd(schur_symbol(ch.symbol), tol)
-    decomp = kept_block_decomposition(ch.group, tol)
+    decomp = block_decompose(ch.group, tol=tol)
     block_verdict = _block_psd_verdict(ch.symbol, decomp, tol)
     if symbol_verdict.is_psd != block_verdict.is_psd and not (
         symbol_verdict.undecided or block_verdict.undecided

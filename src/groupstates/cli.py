@@ -26,11 +26,17 @@ from .groups import build_named, conjugacy_classes, cyclic_group
 from .linalg import Tolerance
 
 
+def _seed(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"seed must be nonnegative, got {text}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     # global flags live on a shared parent so they can follow the subcommand,
     # matching the documented usage `groupstates chartable --in g.json --seed 7`
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="seed of units and samples (default 0)")
+    common.add_argument("--seed", type=_seed, default=0, help="seed of samples (default 0)")
     common.add_argument("--eig-tol", type=float, default=1e-9)
     common.add_argument("--residual-tol", type=float, default=1e-8)
     common.add_argument("--format", choices=("json", "text"), default="json")
@@ -335,7 +341,7 @@ def _handle_vn(args, tol, seed: int) -> dict:
         return report
     if args.subcommand == "decompose":
         group = io.load_group(args.path)
-        decomp = vn.block_decompose(group, seed=seed, tol=tol)
+        decomp = vn.block_decompose(group, tol=tol)
         units = {
             f"block_{pi}": [
                 [_complex_list(decomp.units[pi][j, k]) for k in range(d)]
@@ -351,7 +357,7 @@ def _handle_vn(args, tol, seed: int) -> dict:
     if args.subcommand == "homeo":
         g1 = io.load_group(args.g1)
         g2 = io.load_group(args.g2)
-        homeo = vn.construct_affine_homeomorphism(g1, g2, seed, tol)
+        homeo = vn.construct_affine_homeomorphism(g1, g2, tol)
         rng = np.random.default_rng(seed)
         worst = 0.0
         for _ in range(50):
@@ -392,7 +398,7 @@ def _handle_vn(args, tol, seed: int) -> dict:
     base = Path(args.samples).parent
     group = io._resolve_group(io._need(obj, "group", "samples"), base)
     pairs = io.pairs_from_json(obj, group, base)
-    decomp = vn.block_decompose(group, seed=seed, tol=tol)
+    decomp = vn.block_decompose(group, tol=tol)
     fitted = vn.fit_affine_map_from_pairs(group, pairs, tol)
     desc = vn.verify_jordan_form(fitted, decomp, seed=seed, tol=tol)
     worst = max(
@@ -416,7 +422,7 @@ def _demo_q8_d4(tol, seed: int) -> dict:
     q8 = build_named("quaternion8")
     d4 = build_named("dihedral:4")
     verdict = vn.vn_isomorphic(q8, d4)
-    homeo = vn.construct_affine_homeomorphism(q8, d4, seed, tol)
+    homeo = vn.construct_affine_homeomorphism(q8, d4, tol)
     rng = np.random.default_rng(seed)
     worst = 0.0
     all_p1 = 0

@@ -30,7 +30,7 @@ from .groups import (
 )
 from .linalg import DEFAULT_TOL, Tolerance, pow2_scaled
 from .posdef import GroupFunction, NormalState, to_state
-from .vn import kept_block_decomposition
+from .vn import block_decompose
 
 SPLIT_FACE_IRREP_LIMIT = 20
 
@@ -178,9 +178,8 @@ def state_decomposition(
     t = 1 the undetermined component is returned as None.  The cuts are
     p*phi*p / t and q*phi*q / (1 - t), with q = delta_e - p, formed in the
     Fourier blocks of the group's kept decomposition, built and kept on
-    the first call when there is none (``vn.kept_block_decomposition``),
-    so a fresh group splits bit for bit as one that kept
-    ``block_decompose(group)``'s decomposition.
+    the first call when there is none (``vn.block_decompose``), so a
+    fresh group splits bit for bit as one that kept its decomposition.
 
     p is central exactly when each of its blocks is scalar (Schur's
     lemma), and a central projection has every block 0 or I.  So p is
@@ -205,7 +204,7 @@ def state_decomposition(
         )
     p = face.coeffs
     phi = state.function
-    decomp = kept_block_decomposition(group, tol)
+    decomp = block_decompose(group, tol=tol)
     keep = _block_mask(decomp, decomp.forward(p), tol)
     t = state.expectation(p).real
     if t >= 1.0 - tol.residual_tol:
@@ -299,11 +298,10 @@ def maximal_chain_length(
     minimal split face of block pi: the length of :func:`block_face_chain`,
     which certifies the chain and its maximality in the block image.  It is
     d_pi in every decomposition of ``table``'s group, so without ``decomp``
-    the group's kept one serves, at any seed, else one is built and kept
-    (``vn.kept_block_decomposition``).
+    the group's decomposition serves (``vn.block_decompose``).
     """
     if not 0 <= pi < table.num_irreps:
         raise ValueError(f"irrep index {pi} out of range")
     if decomp is None:
-        decomp = kept_block_decomposition(group, tol)
+        decomp = block_decompose(group, tol=tol)
     return block_face_chain(decomp, pi, tol).length

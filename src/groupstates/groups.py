@@ -41,7 +41,7 @@ class FiniteGroup:
       (:func:`generating_set`);
     - in ``_kept``, with the ``residual_tol`` each was verified at: under
       ``"table"`` the table ``characters.character_table`` built on the
-      group's own partition, and under ``"decomposition"`` the last one
+      group's own partition, and under ``"decomposition"`` the one
       ``vn.block_decompose`` built from such a table.  A table's ``_kept``
       holds, under ``"projections"``, the coefficient rows
       ``characters.minimal_central_projections`` verified for its group.

@@ -338,7 +338,9 @@ class GnsRepresentation:
     vector back to a representative, and rho(s) = project . lambda_s . lift
     is built on demand by :meth:`matrix`; no (n, dim, dim) array is held.
     The cyclic vector satisfies <rho(s) xi, xi> = phi(s) (inner product
-    linear in the first slot), and ``character[s]`` = tr rho(s).
+    linear in the first slot), and ``character[s]`` = tr rho(s).  The basis
+    is fixed by the units only up to a unitary on each degenerate block
+    eigenspace, as ``eigh`` returns it; no CLI output reads it.
     """
 
     group: FiniteGroup
@@ -354,8 +356,7 @@ class GnsRepresentation:
 
 
 def gns(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> GnsRepresentation:
-    """GNS construction in block form, on the group's kept decomposition
-    (``vn.kept_block_decomposition``).
+    """GNS construction in block form, on ``vn.block_decompose``'s units.
 
     The form <a, b> = sum_s (b^* a)_s phi(s) is tau(b^* a D) with density
     D = sum_s conj(phi(s)) lambda_s, so in Fourier blocks it is
@@ -396,13 +397,13 @@ def gns(fn: GroupFunction, tol: Tolerance = DEFAULT_TOL) -> GnsRepresentation:
 
     with l the longest word an element needs in the generating set.
     """
-    from .vn import kept_block_decomposition
+    from .vn import block_decompose
 
     g = fn.group
     n = g.order
     _require_hermitian_symmetric(fn, tol)
     e, values, peak = fn._canonical()
-    decomp = kept_block_decomposition(g, tol)
+    decomp = block_decompose(g, tol=tol)
     cutoff = _gram_cutoff(fn, tol)
     spectra = decomp.block_eigh(np.conj(values))
     wmin = min(float(w[:, 0].min()) for _, _, _, w, _ in spectra)
@@ -483,8 +484,10 @@ def _gram_character(fn: GroupFunction, tol: Tolerance) -> tuple[int, np.ndarray]
     Fourier input: one ``eigh`` of the symmetrized kernel in the canonical
     units of phi, the rank above the Gram cutoff, and
     tr rho(s) = tr(lambda_s K) for the kept spectral projector K, one
-    O(n^2) gather.  Raises NotPositiveDefinite with the smallest kernel
-    eigenvalue as witness."""
+    O(n^2) gather.  The eigenvectors are fixed only up to a unitary on each
+    degenerate eigenspace, which K does not see; no CLI output reads them.
+    Raises NotPositiveDefinite with the smallest kernel eigenvalue as
+    witness."""
     e, values, _ = fn._canonical()
     translate = fn.group.cayley[fn.group.inverses]
     kernel = values[translate]  # the transposed Gram matrix
@@ -505,11 +508,10 @@ def _gram_character(fn: GroupFunction, tol: Tolerance) -> tuple[int, np.ndarray]
 def _block_ranks(fn: GroupFunction, tol: Tolerance) -> list[int]:
     """rank B_pi of every Fourier block of phi: the block eigenvalues above
     the Gram cutoff eig_tol * n * max|phi|, both in the canonical units of
-    phi, on the group's kept decomposition
-    (``vn.kept_block_decomposition``)."""
-    from .vn import kept_block_decomposition
+    phi, on the group's decomposition (``vn.block_decompose``)."""
+    from .vn import block_decompose
 
-    decomp = kept_block_decomposition(fn.group, tol)
+    decomp = block_decompose(fn.group, tol=tol)
     cutoff = _gram_cutoff(fn, tol)
     return [int(np.count_nonzero(w > cutoff)) for w in fn._spectra(decomp)]
 
@@ -517,13 +519,13 @@ def _block_ranks(fn: GroupFunction, tol: Tolerance) -> list[int]:
 def _extremality(fn: GroupFunction, tol: Tolerance) -> tuple[bool, int]:
     """The verdict of :func:`is_extreme` and the GNS dimension, the rank of
     the Gram kernel."""
-    from .vn import kept_block_decomposition
+    from .vn import block_decompose
 
     _require_hermitian_symmetric(fn, tol)
     rank, character = _gram_character(fn, tol)
     commutant = _integer_character_norm(character, fn.group.order)
     ranks = _block_ranks(fn, tol)
-    dims = kept_block_decomposition(fn.group, tol).block_dims
+    dims = block_decompose(fn.group, tol=tol).block_dims
     witness = {"commutant_dimension": commutant, "gram_rank": rank, "block_ranks": ranks}
     if (commutant == 1) != (sum(ranks) == 1):
         raise InternalDisagreement(

@@ -50,6 +50,8 @@ from .posdef import GroupFunction, random_p1
 _CLUSTER_GAP = 1e-6
 # resamples per block before block_decompose gives up
 _MAX_RETRIES = 20
+# stream of block_decompose's sketch and split draws; no unit depends on it
+_DRAWS = 0
 # random right translates p lambda_u mixed into each column of a block's
 # range sketch; with one or two, small groups' sketches fell short of rank
 _SKETCH_TRANSLATES = 3
@@ -166,7 +168,6 @@ class BlockDecomposition:
     group: FiniteGroup = _WeakGroup()
     table: CharacterTable
     units: list[np.ndarray]
-    seed: int
 
     def __post_init__(self):
         n = self._order = self.group.order
@@ -182,10 +183,7 @@ class BlockDecomposition:
         self._weights = np.repeat([n / d for d in dims], [d * d for d in dims])
 
     def __repr__(self) -> str:
-        return (
-            f"BlockDecomposition({_group_repr(self)}, dims={self.block_dims}, "
-            f"seed={self.seed})"
-        )
+        return f"BlockDecomposition({_group_repr(self)}, dims={self.block_dims})"
 
     @property
     def block_dims(self) -> tuple[int, ...]:
@@ -278,10 +276,9 @@ class BlockDecomposition:
 def block_decompose(
     group: FiniteGroup,
     table: CharacterTable | None = None,
-    seed: int = 0,
     tol: Tolerance = DEFAULT_TOL,
 ) -> BlockDecomposition:
-    """Construct matrix units for every block, deterministically from a seed.
+    """Matrix units for every block, a function of the labelled group alone.
 
     The blocks of each dimension d >= 2 are built together, in one batched
     pass per attempt (:func:`_block_units`); a block of dimension 1 is its
@@ -293,25 +290,26 @@ def block_decompose(
     left ideal; with W an orthonormal basis of it, lambda_s W = W rho(s)
     for an irreducible unitary representation rho, and Schur orthogonality
     gives the units e_jk = (d/n) sum_s conj(rho(s)_jk) lambda_s (Serre,
-    Linear Representations of Finite Groups, 2.2 and 2.6).  Every spectral
+    Linear Representations of Finite Groups, 2.2 and 2.6).  rho is unique
+    up to a unitary, fixed by :func:`_canonical_basis`, so no unit depends
+    on the draws, the threads or the table's last bits.  Every spectral
     step is on a d^2 x d^2 matrix, and no n x n matrix is formed before
     the units are assembled.  A rank-deficient sketch or a spectral
     collision triggers a resample of that block, then DecompositionFailure
     once the retry budget is exhausted.
 
-    The draws are taken per block dimension, in order of first appearance
-    in ``table.dims``, in the order :func:`_block_units` states: a table's
-    dims ascend, so that is once per slab of the layout
-    (:class:`_StackedLayout`), in slab order.
-
-    Always builds; once verified, a decomposition of a table on the
-    group's own partition is kept on ``group`` for
-    ``groups.cached_block_decomposition`` by the rule of ``groups._keep``.
+    Served as ``characters.character_table`` is: with no ``table`` or one on
+    the group's own partition, the kept one verified at ``tol`` or tighter;
+    else one is built, verified and, on that partition, kept (``groups._keep``).
     """
+    own = table is None or table.partition is conjugacy_classes(group)
+    decomp = cached_block_decomposition(group, tol) if own else None
+    if decomp is not None:
+        return decomp
     if table is None:
         table = character_table(group, tol=tol)
     coeffs = _projection_coeffs(group, table, tol)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_DRAWS)
     n = group.order
 
     units: list[np.ndarray] = [None] * len(coeffs)
@@ -324,9 +322,9 @@ def block_decompose(
         for pi, u in zip(blocks, built):
             units[pi] = u
 
-    decomp = BlockDecomposition(group, table, units, seed)
+    decomp = BlockDecomposition(group, table, units)
     _verify_decomposition(decomp, tol)
-    if table.partition is conjugacy_classes(group):
+    if own:
         _keep(group, "decomposition", tol, decomp)
     return decomp
 
@@ -340,18 +338,19 @@ def _block_units(
     tree: tuple,
 ) -> np.ndarray:
     """Units (m, d, d, n) of the m blocks of dimension d with central
-    projections ``p`` (m, n).
+    projections ``p`` (m, n); block_decompose passes its one stream of
+    draws, ``rng`` at ``_DRAWS``, to each slab of the layout in turn.
 
     Each attempt runs on the blocks still pending, at most _MAX_RETRIES
     times: a block passes when its range is full rank (:func:`_block_range`)
-    and it splits (:func:`_lowest_ideal`), and rho on its ideal is then
-    multiplied out along the breadth-first ``tree`` of
-    :func:`_cayley_layers` (:func:`_ideal_rho`).  An attempt draws, in this
-    order: the translates (pending, d^2, K) and the mixing weights
-    (pending, d^2, K) of the range sketch, then the support (pending, S)
-    and the real and imaginary parts (pending, S, 2) of the coefficients of
-    the self-adjoint element, with K = _SKETCH_TRANSLATES and
-    S = _SPLIT_SUPPORT.
+    and it splits (:func:`_lowest_ideal`), and rho on its ideal, in its
+    canonical basis (:func:`_canonical_basis`), is then multiplied out
+    along the breadth-first ``tree`` of :func:`_cayley_layers`
+    (:func:`_ideal_rho`).  An attempt draws, in this order: the translates
+    (pending, d^2, K) and the mixing weights (pending, d^2, K) of the range
+    sketch, then the support (pending, S) and the real and imaginary parts
+    (pending, S, 2) of the coefficients of the self-adjoint element, with
+    K = _SKETCH_TRANSLATES and S = _SPLIT_SUPPORT.
     """
     units = np.empty((len(p), d, d, group.order), dtype=complex)
     pending = np.arange(len(p))
@@ -360,7 +359,8 @@ def _block_units(
         split, ideal = _lowest_ideal(group, basis, d, rng)
         ok = full_rank & split
         if ok.any():
-            rho = _ideal_rho(group, ideal[ok], tree)
+            w = _canonical_basis(group, ideal[ok], tree[0], [blocks[i] for i in pending[ok]])
+            rho = _ideal_rho(group, w, tree)
             np.conjugate(rho, out=rho)
             rho *= d / group.order
             units[pending[ok]] = rho.transpose(0, 2, 3, 1)
@@ -454,50 +454,64 @@ def _cayley_layers(group: FiniteGroup) -> tuple[np.ndarray, list[tuple[np.ndarra
         frontier = elements
 
 
-def _ideal_rho(group: FiniteGroup, w: np.ndarray, tree: tuple) -> np.ndarray:
-    """rho (m, n, d, d) with lambda_s W = W rho(s), for orthonormal bases
-    W (m, n, d) of left ideals.
-
-    On each generator g, rho(g) = W^* lambda_g W, whose row t of lambda_g W
-    is W[g^{-1} t]: one gather of n d values, and rho(g^{-1}) = rho(g)^*.
-    This compression is second-order in the error of W, which lies in the
-    other eigenspaces, left ideals orthogonal to it; interpolating rho from
-    a few rows of W would be first-order, about 1e-12 on S5.  Every other
-    element is a product along the breadth-first ``tree`` of
-    :func:`_cayley_layers`: n d^3 flops, one batched product per layer.
-    """
-    m, n, d = w.shape
-    steps, layers = tree
+def _step_rho(group: FiniteGroup, w: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """rho (m, len(steps), d, d) on the ``steps`` of :func:`_cayley_layers`
+    for orthonormal bases W (m, n, d) of left ideals: on each generator g,
+    rho(g) = W^* lambda_g W, one gather W[g^{-1} t] of n d values, and
+    rho(g^{-1}) = rho(g)^*.  This compression is second-order in the error
+    of W, which lies in orthogonal left ideals; interpolating rho from a
+    few rows of W would be first-order, about 1e-12 on S5."""
     gens = steps[:len(steps) // 2]
     shifted = w[:, group.cayley[group.inverses[gens]]]
     on_gens = w.conj().transpose(0, 2, 1)[:, None] @ shifted
-    on_steps = np.concatenate([on_gens, on_gens.conj().transpose(0, 1, 3, 2)], axis=1)
+    return np.concatenate([on_gens, on_gens.conj().transpose(0, 1, 3, 2)], axis=1)
+
+
+def _canonical_basis(group: FiniteGroup, w: np.ndarray, steps: np.ndarray, blocks) -> np.ndarray:
+    """Ideal bases W (m, n, d) of ``blocks`` turned in place to W V, so that
+    rho on W V, V^* rho V, depends on the class of rho alone: x = sum_s c_s
+    lambda_s lies on the ``steps`` and their products of two, V diagonalises
+    rho(x + x^*), eigenvalues ascending, and its column phases make entries
+    1.. of row 0 of V^* rho(x) V positive (the phase left over cancels).
+    The c_s come from a fixed stream of their own, default_rng(1); a block
+    whose relative eigen-gap or row-0 entry is below _CLUSTER_GAP takes the
+    next x, and after _MAX_RETRIES the rest raise DecompositionFailure."""
+    on_steps = _step_rho(group, w, steps)
+    pairs = on_steps[:, :, None] @ on_steps[:, None]
+    rho = np.concatenate([on_steps, pairs.reshape(len(w), -1, *on_steps.shape[2:])], axis=1)
+    pending = np.arange(len(w))
+    rng = np.random.default_rng(1)
+    for _ in range(_MAX_RETRIES):
+        x = np.einsum("l,bljk->bjk", rng.normal(size=(rho.shape[1], 2)) @ [1, 1j], rho[pending])
+        # the Hermitian part of rho(x) is half of rho(x + x^*)
+        evals, vecs = hermitian_spectrum(x, vectors=True)
+        row = (vecs[:, :, :1].conj().transpose(0, 2, 1) @ x @ vecs)[:, 0]
+        floor = _CLUSTER_GAP * np.abs(evals).max(axis=1, keepdims=True)
+        ok = (np.diff(evals, axis=1) > floor).all(axis=1) & (np.abs(row[:, 1:]) > floor).all(axis=1)
+        row[:, 0] = 1.0
+        w[pending[ok]] = w[pending[ok]] @ (vecs[ok] * (row[ok].conj() / np.abs(row[ok]))[:, None])
+        pending = pending[~ok]
+        if not pending.size:
+            return w
+    failed = [blocks[i] for i in pending]
+    raise DecompositionFailure(
+        f"no canonical frame for blocks {failed} after {_MAX_RETRIES} draws",
+        witness={"blocks": failed, "retries": _MAX_RETRIES},
+    )
+
+
+def _ideal_rho(group: FiniteGroup, w: np.ndarray, tree: tuple) -> np.ndarray:
+    """rho (m, n, d, d) with lambda_s W = W rho(s): :func:`_step_rho` on the
+    steps, and every other element a product along the breadth-first
+    ``tree`` of :func:`_cayley_layers`, n d^3 flops, one product per layer."""
+    m, n, d = w.shape
+    steps, layers = tree
+    on_steps = _step_rho(group, w, steps)
     rho = np.empty((m, n, d, d), dtype=complex)
     rho[:, group.identity] = np.eye(d)
     for elements, parents, step in layers:
         rho[:, elements] = rho[:, parents] @ on_steps[:, step]
     return rho
-
-
-def kept_block_decomposition(
-    group: FiniteGroup,
-    tol: Tolerance = DEFAULT_TOL,
-    table: CharacterTable | None = None,
-    seed: int = 0,
-) -> BlockDecomposition:
-    """The decomposition ``group`` keeps, else a fresh one.
-
-    Without ``table`` any kept decomposition verified at ``tol`` or tighter
-    serves (the callers that read only blocks).  With ``table``, it must be
-    at ``seed`` and ``table`` on the group's own partition, as every kept
-    one's is; such tables are equal bit for bit, so the result equals
-    ``block_decompose(group, table, seed=seed, tol=tol)`` bit for bit.
-    """
-    decomp = cached_block_decomposition(group, tol)
-    if decomp is None or table is not None and (
-            decomp.seed != seed or table.partition is not conjugacy_classes(group)):
-        decomp = block_decompose(group, table, seed=seed, tol=tol)
-    return decomp
 
 
 def _verify_decomposition(decomp: BlockDecomposition, tol: Tolerance) -> None:
@@ -619,7 +633,6 @@ class AffineHomeomorphism:
 def construct_affine_homeomorphism(
     g: FiniteGroup,
     h: FiniteGroup,
-    seed: int = 0,
     tol: Tolerance = DEFAULT_TOL,
 ) -> AffineHomeomorphism:
     """Explicit affine homeomorphism P1(G) -> P1(H) from matched blocks.
@@ -628,8 +641,8 @@ def construct_affine_homeomorphism(
     map on coefficient vectors is linear, and its inverse is built the same
     way.  Both character tables list their blocks by ascending dimension,
     so their dims are the sorted invariants, and when these agree block pi
-    of G is carried onto block pi of H.  The groups' tables, and their kept
-    decompositions at ``seed``, are reused (see kept_block_decomposition).
+    of G is carried onto block pi of H.  The groups' tables and
+    decompositions are the ones they keep (see block_decompose).
     """
     table_g = character_table(g)
     table_h = character_table(h)
@@ -639,8 +652,8 @@ def construct_affine_homeomorphism(
             f"invariants differ: {list(dims)} vs {list(table_h.dims)}",
             witness={"invariant_g": list(dims), "invariant_h": list(table_h.dims)},
         )
-    decomp_g = kept_block_decomposition(g, tol, table_g, seed)
-    decomp_h = kept_block_decomposition(h, tol, table_h, seed)
+    decomp_g = block_decompose(g, table_g, tol)
+    decomp_h = block_decompose(h, table_h, tol)
 
     forward = decomp_g._transport_to(decomp_h)
     backward = decomp_h._transport_to(decomp_g)

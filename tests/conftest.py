@@ -750,7 +750,7 @@ def per_block_decompose(group, table=None, seed=0, tol=None):
             )
         units.append(block_units)
 
-    decomp = BlockDecomposition(group, table, units, seed)
+    decomp = BlockDecomposition(group, table, units)
     _verify_decomposition(decomp, tol)
     return decomp
 
@@ -887,7 +887,7 @@ def dense_block_decompose(group, table=None, seed=0, tol=None):
             )
         units.append(block_units)
 
-    decomp = BlockDecomposition(group, table, units, seed)
+    decomp = BlockDecomposition(group, table, units)
     _verify_decomposition(decomp, tol)
     return decomp
 

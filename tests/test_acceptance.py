@@ -65,7 +65,7 @@ def test_criterion_01_q8_d4_fixture():
     inv_q8 = vn_invariant(q8).dims
     inv_d4 = vn_invariant(d4).dims
     verdict = vn_isomorphic(q8, d4)
-    homeo = construct_affine_homeomorphism(q8, d4, seed=0)
+    homeo = construct_affine_homeomorphism(q8, d4)
     rng = np.random.default_rng(101)
     worst = 0.0
     for _ in range(200):
@@ -186,7 +186,7 @@ def test_criterion_05_bijection_and_affinity():
 def test_criterion_06_split_face_structure_q8():
     q8 = quaternion_group()
     table = character_table(q8)
-    decomp = block_decompose(q8, table, seed=0)
+    decomp = block_decompose(q8, table)
     faces = split_faces(q8, table)
     by_set = {f.irreps: f for f in faces}
     rng = np.random.default_rng(106)
@@ -250,7 +250,7 @@ def test_criterion_07_chain_lengths():
     ok = True
     for g in groups:
         table = character_table(g)
-        decomp = block_decompose(g, table, seed=0)
+        decomp = block_decompose(g, table)
         for pi, d in enumerate(table.dims):
             length = maximal_chain_length(g, table, pi, decomp=decomp)
             if length != d:
@@ -266,7 +266,7 @@ def test_criterion_08_block_decomposition():
         table = character_table(g)
         if sum(d * d for d in table.dims) != g.order:
             ok = False
-        decomp = block_decompose(g, table, seed=0)
+        decomp = block_decompose(g, table)
         n = g.order
         units = [
             (pi, j, k, unit_matrix(decomp, pi, j, k))
@@ -309,7 +309,7 @@ def test_criterion_09_jordan_round_trip():
     ok = True
     worst = 0.0
     for g in (dihedral_group(4), quaternion_group()):
-        decomp = block_decompose(g, seed=0)
+        decomp = block_decompose(g)
         rng = np.random.default_rng(109)
         for trial in range(50):
             desc = random_descriptor(decomp, rng)
@@ -367,7 +367,7 @@ def test_criterion_10_extremality_mixtures():
     trials = 0
     for g in (symmetric_group(3), dihedral_group(4), quaternion_group()):
         table = character_table(g)
-        decomp = block_decompose(g, table, seed=0)
+        decomp = block_decompose(g, table)
         done = 0
         while done < 34:  # 102 mixture trials across the three groups
             pi = int(rng.integers(0, len(table.dims)))

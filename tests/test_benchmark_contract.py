@@ -69,7 +69,7 @@ def test_fields_read_by_the_workloads_exist():
     face = FaceDescriptor(g, p.coeffs, p.matrix, True, True, irreps=p.irreps)
     assert face.matrix is p.matrix
     assert np.array_equal(to_state(delta_e(g)).coefficients, delta_e(g).values)
-    units = block_decompose(g, table, seed=0).units
+    units = block_decompose(g, table).units
     assert sorted(u.shape for u in units) == [(1, 1, 3)] * 3
     # the certify workload and the envelope probe read the GNS dimension
     # and call is_extreme

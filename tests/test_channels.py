@@ -231,13 +231,13 @@ def test_block_verdict_of_pure_and_central_states():
 
 def test_block_verdict_reads_the_cached_decomposition(monkeypatch):
     built = []
-    real = vn.block_decompose
+    real = vn._verify_decomposition
 
-    def counted(group, *args, **kwargs):
-        built.append(group)
-        return real(group, *args, **kwargs)
+    def counted(decomp, tol):
+        built.append(decomp.group)
+        return real(decomp, tol)
 
-    monkeypatch.setattr(vn, "block_decompose", counted)
+    monkeypatch.setattr(vn, "_verify_decomposition", counted)
     rng = np.random.default_rng(18)
     g = symmetric_group(4)
     assert cached_block_decomposition(g) is None

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import groupstates
 from groupstates.cli import dispatch
 from groupstates.errors import DomainError, InputFormatError
 from groupstates.jsonio import (
@@ -586,9 +591,7 @@ def test_vn_homeo_builds_its_file_payload_only_for_out(tmp_path, capsys, monkeyp
         capsys, "vn", "homeo", "--g1", str(q8), "--g2", str(d4), "--out", str(out_path)
     )
     assert code == 0
-    homeo = construct_affine_homeomorphism(
-        jsonio.load_group(q8), jsonio.load_group(d4), 0
-    )
+    homeo = construct_affine_homeomorphism(jsonio.load_group(q8), jsonio.load_group(d4))
     assert json.loads(out_path.read_text()) == {
         "matching": list(homeo.matching),
         "forward": jsonio.matrix_to_json(homeo.forward_matrix),
@@ -613,7 +616,7 @@ def test_vn_fit_cli(tmp_path, capsys):
     )
 
     g = dihedral_group(4)
-    decomp = block_decompose(g, seed=0)
+    decomp = block_decompose(g)
     rng = np.random.default_rng(1)
     desc = random_descriptor(decomp, rng)
     pairs = []
@@ -668,8 +671,10 @@ def test_unknown_subcommand_exits_2(capsys):
 
 def test_seed_changes_nothing_structural(tmp_path, capsys):
     """The table, the invariant, the isomorphism verdict, the homeomorphism
-    group and a chain length are functions of the group: their stdout is
-    byte-identical under --seed 0 and --seed 7."""
+    group, a chain length, the matrix units and the homeomorphism's
+    matrices are functions of the group: their output is byte-identical
+    under --seed 0 and --seed 7.  The homeomorphism is compared in its
+    file, since its stdout reports a residual over seeded samples."""
     s5 = _write_group(tmp_path, "s5.json", "symmetric:5")
     q8 = _write_group(tmp_path, "q8.json", "quaternion8")
     d4 = _write_group(tmp_path, "d4.json", "dihedral:4")
@@ -680,10 +685,58 @@ def test_seed_changes_nothing_structural(tmp_path, capsys):
         ["vn", "iso", "--g1", str(q8), "--g2", str(d4)],
         ["vn", "homeo-group", "--in", str(s5)],
         ["faces", "chain", "--in", str(s5), "--irrep", "6"],
+        ["vn", "decompose", "--in", str(s5)],
     ):
         code0, out0 = run(capsys, *command, "--seed", "0")
         code7, out7 = run(capsys, *command, "--seed", "7")
         assert code0 == code7 == 0 and out0 == out7, command
+    maps = []
+    for seed in ("0", "7"):
+        path = tmp_path / f"map{seed}.json"
+        code, _ = run(capsys, "vn", "homeo", "--g1", str(q8), "--g2", str(d4),
+                      "--out", str(path), "--seed", seed)
+        assert code == 0
+        maps.append(path.read_bytes())
+    assert maps[0] == maps[1]
+
+
+@pytest.mark.parametrize("command", [
+    ["chartable", "--in", "{g}"],
+    ["vn", "decompose", "--in", "{g}"],
+    ["vn", "homeo", "--g1", "{g}", "--g2", "{g}"],
+], ids=["chartable", "vn-decompose", "vn-homeo"])
+def test_negative_seed_exits_2(tmp_path, capsys, command):
+    q8 = _write_group(tmp_path, "q8.json", "quaternion8")
+    capsys.readouterr()
+    argv = [arg.format(g=q8) for arg in command]
+    assert dispatch([*argv, "--seed", "-1"]) == 2
+    assert "seed must be nonnegative" in capsys.readouterr().err
+
+
+def test_units_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """vn decompose --out on S6 in two child processes, one and two BLAS
+    threads set only in their environment: every number of the units
+    agrees to 1e-12."""
+    s6 = _write_group(tmp_path, "s6.json", "symmetric:6")
+    src = str(Path(groupstates.__file__).parents[1])
+    children = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / f"units{threads}.json"
+        argv = [sys.executable, "-m", "groupstates.cli", "vn", "decompose",
+                "--in", str(s6), "--out", str(out)]
+        children.append((subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL), out))
+    units = []
+    for child, out in children:
+        assert child.wait(timeout=120) == 0
+        stored = json.loads(out.read_text())
+        units.append(np.concatenate([
+            np.array([[[unit["re"], unit["im"]] for unit in row] for row in block]).ravel()
+            for block in stored["units"].values()
+        ]))
+    assert units[0].size == units[1].size == 2 * 720 ** 2
+    assert np.abs(units[0] - units[1]).max() < 1e-12
 
 
 def test_parser_is_built_once_and_keeps_no_state_between_calls(monkeypatch, capsys):

@@ -38,6 +38,7 @@ from groupstates.errors import (
     NotCentral,
     SizeLimitExceeded,
 )
+from groupstates import vn
 from groupstates.faces import FaceDescriptor, _centrality_deviation
 from groupstates.groups import (
     algebra_matrix,
@@ -149,7 +150,7 @@ def test_split_faces_size_limit():
 
 def test_order_correspondence(q8):
     table = character_table(q8)
-    decomp = block_decompose(q8, table, seed=0)
+    decomp = block_decompose(q8, table)
     faces = split_faces(q8, table)
     by_set = {f.irreps: f for f in faces}
     rng = np.random.default_rng(2)
@@ -162,7 +163,7 @@ def test_order_correspondence(q8):
 
 def test_disjointness_correspondence(q8):
     table = character_table(q8)
-    decomp = block_decompose(q8, table, seed=0)
+    decomp = block_decompose(q8, table)
     faces = split_faces(q8, table)
     by_set = {f.irreps: f for f in faces}
     rng = np.random.default_rng(3)
@@ -204,7 +205,7 @@ def test_complement_of_two_dim_block_q8(q8):
 
 def test_complement_requires_central(q8):
     table = character_table(q8)
-    decomp = block_decompose(q8, table, seed=0)
+    decomp = block_decompose(q8, table)
     two_dim = table.dims.index(2)
     # a minimal (non-central) projection inside the 2-dim block
     mat = unit_matrix(decomp, two_dim, 0, 0)
@@ -218,7 +219,7 @@ def test_complement_requires_central(q8):
 def test_chain_lengths(z4, s3, d4, q8, s4):
     for g in (z4, s3, d4, q8, s4):
         table = character_table(g)
-        decomp = block_decompose(g, table, seed=0)
+        decomp = block_decompose(g, table)
         for pi, d in enumerate(table.dims):
             assert maximal_chain_length(g, table, pi, decomp=decomp) == d
 
@@ -226,16 +227,14 @@ def test_chain_lengths(z4, s3, d4, q8, s4):
 def test_chain_lengths_share_one_decomposition(monkeypatch):
     # without a decomposition passed in, the chains of every block read the
     # one the group keeps once the first of them has built it
-    from groupstates import vn
-
     calls = []
-    real = vn.block_decompose
+    real = vn._verify_decomposition
 
-    def counted(*args, **kwargs):
-        calls.append(args[0].order)
-        return real(*args, **kwargs)
+    def counted(decomp, tol):
+        calls.append(decomp)
+        return real(decomp, tol)
 
-    monkeypatch.setattr(vn, "block_decompose", counted)
+    monkeypatch.setattr(vn, "_verify_decomposition", counted)
     s4 = symmetric_group(4)
     table = character_table(s4)
     lengths = [maximal_chain_length(s4, table, pi) for pi in range(table.num_irreps)]
@@ -245,7 +244,7 @@ def test_chain_lengths_share_one_decomposition(monkeypatch):
 
 def test_chain_structure_d4(d4):
     table = character_table(d4)
-    decomp = block_decompose(d4, table, seed=0)
+    decomp = block_decompose(d4, table)
     pi = table.dims.index(2)
     chain = block_face_chain(decomp, pi)
     assert chain.length == 2
@@ -256,7 +255,7 @@ def test_chain_structure_d4(d4):
 
 def test_state_decomposition_supported_case(q8):
     table = character_table(q8)
-    decomp = block_decompose(q8, table, seed=0)
+    decomp = block_decompose(q8, table)
     faces = split_faces(q8, table)
     rng = np.random.default_rng(4)
     state = _face_supported_state(decomp, (0, 1), rng)
@@ -295,7 +294,7 @@ def test_state_decomposition_reconstruction(q8):
 
 def test_state_decomposition_requires_central(q8):
     table = character_table(q8)
-    decomp = block_decompose(q8, table, seed=0)
+    decomp = block_decompose(q8, table)
     two_dim = table.dims.index(2)
     mat = unit_matrix(decomp, two_dim, 0, 0)
     face = FaceDescriptor(
@@ -342,7 +341,7 @@ def test_nonisomorphic_groups_have_different_face_data(s3):
     data = {}
     for g in (s3, z6):
         table = character_table(g)
-        decomp = block_decompose(g, table, seed=0)
+        decomp = block_decompose(g, table)
         lengths = sorted(
             maximal_chain_length(g, table, pi, decomp=decomp)
             for pi in range(table.num_irreps)
@@ -355,7 +354,7 @@ def test_nonisomorphic_groups_have_different_face_data(s3):
 
 def test_faces_are_convex(q8):
     table = character_table(q8)
-    decomp = block_decompose(q8, table, seed=0)
+    decomp = block_decompose(q8, table)
     faces = split_faces(q8, table)
     face = [f for f in faces if f.irreps == (2, 4)][0]
     rng = np.random.default_rng(7)
@@ -404,11 +403,11 @@ def test_state_decomposition_matches_dense_oracle(name):
 )
 def test_split_does_not_depend_on_what_the_group_keeps(name, seed, face_index):
     """A fresh group, which builds and keeps a decomposition on the first
-    split, and a copy that ran block_decompose(seed=0) before, split a
+    split, and a copy that ran block_decompose before, split a
     random state across the same face with bit-identical t and
     components, both within 1e-12 of the dense oracle."""
     fresh, kept = ladder_group(name), ladder_group(name)
-    block_decompose(kept, seed=0)
+    block_decompose(kept)
     assert cached_block_decomposition(fresh) is None
     values = random_p1(fresh, np.random.default_rng(seed)).values
     splits = []
@@ -452,7 +451,7 @@ def _group_from(name, start):
     """A fresh ``name`` group holding what ``start`` of SPLIT_STARTS says."""
     group = ladder_group(name)
     if start == "blocks":
-        block_decompose(group, seed=0)
+        block_decompose(group)
     assert (cached_block_decomposition(group) is None) == (start == "coefficients")
     return group
 
@@ -465,7 +464,7 @@ def test_state_decomposition_rejects_a_non_central_face(start):
     decomposition itself."""
     group = _group_from("Q8", start)
     other = quaternion_group()
-    decomp = block_decompose(other, character_table(other), seed=0)
+    decomp = block_decompose(other, character_table(other))
     unit = decomp.units[decomp.block_dims.index(2)][0, 0]
     face = descriptor_from_projection(group, unit)
     assert not face.is_central
@@ -537,7 +536,7 @@ def test_coefficient_centrality_matches_commutators(q8, s3):
     for group in (q8, s3):
         table = character_table(group)
         cases += [(group, f.coeffs, True) for f in split_faces(group, table)]
-    decomp = block_decompose(q8, character_table(q8), seed=0)
+    decomp = block_decompose(q8, character_table(q8))
     two_dim = decomp.block_dims.index(2)
     cases.append((q8, decomp.units[two_dim][0, 0], False))  # the unit e_00
     for group, coeffs, central in cases:
@@ -549,7 +548,7 @@ def test_coefficient_centrality_matches_commutators(q8, s3):
 
 
 def test_block_face_chain_rejects_out_of_range_irrep(s3):
-    decomp = block_decompose(s3, character_table(s3), seed=0)
+    decomp = block_decompose(s3, character_table(s3))
     for pi in (9, decomp.num_blocks, -1):
         with pytest.raises(ValueError, match="out of range"):
             block_face_chain(decomp, pi)
@@ -558,7 +557,7 @@ def test_block_face_chain_rejects_out_of_range_irrep(s3):
 def _non_hermitian_idempotent(group):
     """e_00 + e_01 in the first block of dimension 2: idempotent, not
     self-adjoint."""
-    decomp = block_decompose(group, character_table(group), seed=0)
+    decomp = block_decompose(group, character_table(group))
     pi = decomp.block_dims.index(2)
     blocks = [np.zeros((d, d), dtype=complex) for d in decomp.block_dims]
     blocks[pi][0, :] = 1.0
@@ -604,7 +603,7 @@ def test_projection_check_matches_dense_oracle(name, request):
     chain ranks read from the trace equal the eigenvalue count."""
     group = request.getfixturevalue(name)
     table = character_table(group)
-    decomp = block_decompose(group, table, seed=0)
+    decomp = block_decompose(group, table)
     rng = np.random.default_rng(15)
     candidates = [p.coeffs for p in minimal_central_projections(group, table)]
     candidates += [f.coeffs for f in split_faces(group, table)]
@@ -624,16 +623,16 @@ def test_projection_check_matches_dense_oracle(name, request):
 
 
 @pytest.mark.parametrize("name", ["S3", "Q8", "D4", "D6", "S4", "S4xZ2", "D30", "S5"])
-def test_chain_matches_the_coefficient_oracle(name):
+def test_chain_matches_the_coefficient_oracle(name, monkeypatch):
     """The chain certified in the block image is the chain the coefficient
     oracle certifies one element at a time with check_projection and
     convolve: the same projections and ranks, bit for bit, and every
     Hermitian, idempotent and order residual of the dense n-space checks
-    within residual_tol, at two decomposition seeds."""
-    g = dihedral_group(4) if name == "D4" else ladder_group(name)
-    table = character_table(g)
-    for seed in (0, 7):
-        decomp = block_decompose(g, table, seed=seed)
+    within residual_tol, at two draw streams, each on a fresh group."""
+    for draws in (0, 7):
+        monkeypatch.setattr(vn, "_DRAWS", draws)
+        g = dihedral_group(4) if name == "D4" else ladder_group(name)
+        decomp = block_decompose(g, character_table(g))
         for pi, d in enumerate(decomp.block_dims):
             chain = block_face_chain(decomp, pi)
             projections, ranks, residuals = coefficient_face_chain(decomp, pi)
@@ -656,7 +655,7 @@ def test_chain_is_certified_without_n_space_products(monkeypatch):
 
     g = symmetric_group(4)
     table = character_table(g)
-    decomp = block_decompose(g, table, seed=0)
+    decomp = block_decompose(g, table)
     # FaceDescriptor.matrix and convolve read algebra_matrix from groups
     monkeypatch.setattr(groups, "algebra_matrix", forbidden("algebra_matrix"))
     monkeypatch.setattr(faces, "check_projection", forbidden("check_projection"))
@@ -670,7 +669,7 @@ def test_chain_is_certified_without_n_space_products(monkeypatch):
 def _edited_decomposition(decomp, edit):
     units = [u.copy() for u in decomp.units]
     edit(units)
-    return BlockDecomposition(decomp.group, decomp.table, units, decomp.seed)
+    return BlockDecomposition(decomp.group, decomp.table, units)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -678,7 +677,7 @@ def test_chain_rejects_a_scaled_diagonal_unit(dim):
     """One diagonal unit scaled by 1.01 is no longer idempotent in the
     block image, whatever its position in the chain."""
     g = symmetric_group(4)
-    decomp = block_decompose(g, character_table(g), seed=0)
+    decomp = block_decompose(g, character_table(g))
     pi = decomp.block_dims.index(dim)
 
     def scale(units):
@@ -691,7 +690,7 @@ def test_chain_rejects_a_scaled_diagonal_unit(dim):
 
 def test_chain_rejects_leakage_into_another_block():
     g = symmetric_group(4)
-    decomp = block_decompose(g, character_table(g), seed=0)
+    decomp = block_decompose(g, character_table(g))
     pi, other = decomp.block_dims.index(2), decomp.block_dims.index(3)
 
     def pollute(units):

@@ -315,7 +315,7 @@ def test_extreme_pure_block_states(s3, d4, q8):
     rng = np.random.default_rng(11)
     for g in (s3, d4, q8):
         table = character_table(g)
-        decomp = block_decompose(g, table, seed=1)
+        decomp = block_decompose(g, table)
         for pi, d in enumerate(table.dims):
             v = rng.normal(size=d) + 1j * rng.normal(size=d)
             assert is_extreme(pure_state_function(decomp, pi, v))
@@ -326,7 +326,7 @@ def test_normalized_higher_character_is_a_proper_mixture(s3):
     states, hence not extreme; its GNS space has dimension d^2."""
     table = character_table(s3)
     pi = table.dims.index(2)
-    decomp = block_decompose(s3, table, seed=2)
+    decomp = block_decompose(s3, table)
     p1 = pure_state_function(decomp, pi, np.array([1.0, 0.0]))
     p2 = pure_state_function(decomp, pi, np.array([0.0, 1.0]))
     assert np.abs(p1.values - p2.values).max() > 0.1  # genuinely distinct
@@ -349,7 +349,7 @@ def test_commutant_dimension_matches_kron_oracle():
     for g in (symmetric_group(3), quaternion_group(), dihedral_group(4),
               dihedral_group(6), symmetric_group(4)):
         table = character_table(g)
-        decomp = block_decompose(g, table, seed=4)
+        decomp = block_decompose(g, table)
         pure = [
             pure_state_function(decomp, pi, rng.normal(size=d) + 1j * rng.normal(size=d))
             for pi, d in enumerate(table.dims)
@@ -430,7 +430,7 @@ def test_is_extreme_raises_when_gram_rank_and_block_ranks_disagree(monkeypatch, 
     has its rank in a 1-dimensional one: both verdicts still say extreme,
     but sum_pi d_pi rank(B_pi) = 2 differs from the Gram rank 1."""
     pure = constant_one(q8)
-    dims = vn.kept_block_decomposition(q8).block_dims
+    dims = block_decompose(q8).block_dims
     moved = [int(d == 2) for d in dims]
     monkeypatch.setattr(posdef, "_block_ranks", lambda fn, tol: moved)
     with pytest.raises(InternalDisagreement) as info:
@@ -550,13 +550,13 @@ def test_block_gns_on_s6():
 
 def test_is_extreme_builds_a_decomposition_only_when_none_is_cached(monkeypatch):
     calls = []
-    real = vn.block_decompose
+    real = vn._verify_decomposition
 
-    def counted(*args, **kwargs):
-        calls.append(args[0].order)
-        return real(*args, **kwargs)
+    def counted(decomp, tol):
+        calls.append(decomp.group.order)
+        return real(decomp, tol)
 
-    monkeypatch.setattr(vn, "block_decompose", counted)
+    monkeypatch.setattr(vn, "_verify_decomposition", counted)
     d6 = dihedral_group(6)
     rng = np.random.default_rng(17)
     for _ in range(3):
@@ -586,7 +586,7 @@ def test_is_extreme_holds_no_per_element_stack(s5):
 def test_extreme_on_d30():
     d30 = dihedral_group(30)
     table = character_table(d30)
-    decomp = block_decompose(d30, table, seed=0)
+    decomp = block_decompose(d30, table)
     pi = table.dims.index(2)
     assert is_extreme(pure_state_function(decomp, pi, np.array([1.0, 1j])))
     assert not is_extreme(central_state_function(table, pi))
@@ -599,7 +599,7 @@ def test_extreme_on_d30():
 def test_extremality_closed_under_inner_automorphisms(d4):
     rng = np.random.default_rng(12)
     table = character_table(d4)
-    decomp = block_decompose(d4, table, seed=3)
+    decomp = block_decompose(d4, table)
     samples = [
         pure_state_function(decomp, table.dims.index(2), rng.normal(size=2)),
         central_state_function(table, 0),
@@ -818,7 +818,8 @@ def test_block_spectra_are_computed_once_per_function(monkeypatch):
     # another function, and another kept decomposition, compute them again
     a_norm(random_p1(s4, np.random.default_rng(22)))
     assert calls == [decomp, decomp]
-    rebuilt = block_decompose(s4, seed=1)
+    rebuilt = block_decompose(s4, tol=Tolerance(residual_tol=1e-10))
+    assert rebuilt is not decomp
     assert a_norm(fn) == pytest.approx(norm, abs=1e-12)
     assert calls == [decomp, decomp, rebuilt]
 
@@ -872,13 +873,15 @@ def test_decomposition_at_looser_tolerance_is_not_reused(monkeypatch):
 
 def test_looser_decomposition_keeps_the_tighter_one():
     q8 = quaternion_group()
+    loose_tol = Tolerance(residual_tol=1e-6)
+    loose = block_decompose(q8, tol=loose_tol)
+    # the looser one does not serve the default tolerance, so this builds
     tight = block_decompose(q8)
-    loose = block_decompose(q8, tol=Tolerance(residual_tol=1e-6))
+    assert loose is not tight
     assert cached_block_decomposition(q8) is tight
-    assert cached_block_decomposition(q8, Tolerance(residual_tol=1e-6)) is tight
-    # an equally tight one replaces it
-    again = block_decompose(q8)
-    assert loose is not tight and cached_block_decomposition(q8) is again
+    assert cached_block_decomposition(q8, loose_tol) is tight
+    # and the tighter one serves a looser call
+    assert block_decompose(q8, tol=loose_tol) is tight
 
 
 def test_repeated_query_still_checks_hermitian_symmetry(monkeypatch, z2):

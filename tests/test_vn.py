@@ -118,7 +118,7 @@ def test_isomorphism_verdicts():
 def test_block_decomposition_abelian_units_are_projections():
     g = cyclic_group(5)
     table = character_table(g)
-    decomp = block_decompose(g, table, seed=0)
+    decomp = block_decompose(g, table)
     projs = minimal_central_projections(g, table)
     for pi in range(5):
         assert np.abs(unit_matrix(decomp, pi, 0, 0) - projs[pi].matrix).max() < 1e-12
@@ -128,7 +128,7 @@ def test_block_decomposition_abelian_units_are_projections():
 def test_block_decomposition_relations(maker):
     g = maker()
     table = character_table(g)
-    decomp = block_decompose(g, table, seed=0)
+    decomp = block_decompose(g, table)
     n = g.order
     units = [
         (pi, j, k, unit_matrix(decomp, pi, j, k))
@@ -155,7 +155,7 @@ def test_block_decomposition_relations(maker):
 def test_block_decomposition_d4_two_dim_identities():
     g = dihedral_group(4)
     table = character_table(g)
-    decomp = block_decompose(g, table, seed=0)
+    decomp = block_decompose(g, table)
     pi = table.dims.index(2)
     projs = minimal_central_projections(g, table)
     e11 = unit_matrix(decomp, pi, 0, 0)
@@ -168,7 +168,7 @@ def test_block_decomposition_d4_two_dim_identities():
 
 def test_block_decomposition_tau_of_diagonal_units():
     g = symmetric_group(4)
-    decomp = block_decompose(g, seed=0)
+    decomp = block_decompose(g)
     for pi, d in enumerate(decomp.block_dims):
         for j in range(d):
             tau = np.trace(unit_matrix(decomp, pi, j, j)).real / g.order
@@ -176,9 +176,8 @@ def test_block_decomposition_tau_of_diagonal_units():
 
 
 def test_block_decomposition_deterministic():
-    g = quaternion_group()
-    d1 = block_decompose(g, seed=5)
-    d2 = block_decompose(g, seed=5)
+    d1 = block_decompose(quaternion_group())
+    d2 = block_decompose(quaternion_group())
     for pi in range(d1.num_blocks):
         assert np.array_equal(d1.units[pi], d2.units[pi])
 
@@ -186,58 +185,106 @@ def test_block_decomposition_deterministic():
 def test_block_decompose_keeps_its_verified_result_on_the_group():
     g = quaternion_group()
     assert cached_block_decomposition(g) is None
-    first = block_decompose(g, seed=1)
+    first = block_decompose(g)
     assert g._kept["decomposition"] == (DEFAULT_TOL.residual_tol, first)
     assert cached_block_decomposition(g) is first
-    # it always builds, and the group keeps the last one
-    second = block_decompose(g, seed=1)
-    assert second is not first and cached_block_decomposition(g) is second
+    # a fresh group builds units equal to the kept ones bit for bit
+    second = block_decompose(quaternion_group())
+    assert second is not first and cached_block_decomposition(g) is first
     assert all(np.array_equal(a, b) for a, b in zip(first.units, second.units))
+
+
+def test_block_decompose_serves_what_the_group_keeps(monkeypatch):
+    """block_decompose follows character_table's rule: the kept
+    decomposition serves a call at its tolerance or a looser one, with no
+    table or one on the group's own partition; a tighter tolerance builds
+    and is kept, and a table on another partition builds and is not."""
+    builds = []
+    real = vn._block_units
+
+    def counted(group, p, *args):
+        builds.append(len(p))
+        return real(group, p, *args)
+
+    monkeypatch.setattr(vn, "_block_units", counted)
+    g = symmetric_group(4)
+    first = block_decompose(g)
+    built = len(builds)
+    assert built and block_decompose(g) is first
+    assert block_decompose(g, character_table(g)) is first and len(builds) == built
+    tight = block_decompose(g, tol=Tolerance(residual_tol=1e-10))
+    assert tight is not first and len(builds) > built
+    assert cached_block_decomposition(g) is tight and block_decompose(g) is tight
+    built = len(builds)
+    classes = conjugacy_classes(g).classes
+    other = character_table(g, partition=class_partition(g, classes[:1] + classes[:0:-1]))
+    decomp = block_decompose(g, other)
+    assert decomp.table is other and len(builds) > built
+    assert cached_block_decomposition(g) is tight
 
 
 def test_table_verified_tighter_is_new_and_the_kept_decomposition_serves_it():
     q8 = quaternion_group()
     loose = character_table(q8, tol=Tolerance(residual_tol=1e-6))
-    on_loose = vn.kept_block_decomposition(q8, DEFAULT_TOL, loose, 0)
+    on_loose = block_decompose(q8, loose)
     # asked for at a tighter tolerance, the table is built and kept again
     table = character_table(q8)
     assert table is not loose and character_table(q8) is table
     fresh = character_table(quaternion_group())
     assert table.dims == fresh.dims and table.chars.tobytes() == fresh.chars.tobytes()
     # both tables are on the group's own partition and equal bit for bit,
-    # so the kept decomposition serves the new table at its seed, and it
-    # equals a fresh build from that table
-    assert vn.kept_block_decomposition(q8, DEFAULT_TOL, table, 0) is on_loose
-    built = block_decompose(quaternion_group(), seed=0)
+    # so the kept decomposition serves the new table, and it equals a
+    # fresh build from that table
+    assert block_decompose(q8, table) is on_loose
+    built = block_decompose(quaternion_group())
     assert all(a.tobytes() == b.tobytes() for a, b in zip(on_loose.units, built.units))
-    # another seed is built and kept
-    other = vn.kept_block_decomposition(q8, DEFAULT_TOL, table, 1)
-    assert other.seed == 1 and cached_block_decomposition(q8) is other
 
 
 def test_a_decomposition_of_a_table_on_another_partition_is_not_kept():
     """block_decompose keeps only a decomposition of a table on the group's
-    own partition, and kept_block_decomposition builds afresh for a table
-    on any other partition object, whose blocks it would not list."""
+    own partition, and builds afresh for a table on any other partition
+    object, whose blocks the kept one would not list."""
     g = symmetric_group(4)
     classes = conjugacy_classes(g).classes
     other = character_table(g, partition=class_partition(g, classes[:1] + classes[:0:-1]))
     decomp = block_decompose(g, other)
     assert decomp.table is other and cached_block_decomposition(g) is None
     kept = block_decompose(g)
-    served = vn.kept_block_decomposition(g, DEFAULT_TOL, other, 0)
+    served = block_decompose(g, other)
     assert served is not kept and served.table is other
     assert cached_block_decomposition(g) is kept
-    assert vn.kept_block_decomposition(g, DEFAULT_TOL, character_table(g), 0) is kept
+    assert block_decompose(g, character_table(g)) is kept
 
 
-@pytest.mark.parametrize("name", list(CORPUS))
-def test_corpus_block_decompose_verifies_at_seeds_0_to_2(name):
-    g = corpus_group(name)
-    for seed in range(3):
-        decomp = block_decompose(g, seed=seed)
+@pytest.mark.parametrize("label", [*CORPUS, *LADDER, "symmetric:6"])
+def test_corpus_block_decompose_verifies_at_seeds_0_to_2(label, monkeypatch):
+    """On the corpus, the ladder and S6, at draw streams 0-2, each on a
+    fresh group: every decomposition verifies, and the units are
+    canonical, equal at every stream to 1e-13."""
+    units = []
+    for draws in range(3):
+        monkeypatch.setattr(vn, "_DRAWS", draws)
+        g = _named_group(label)
+        decomp = block_decompose(g)
         assert decomp.block_dims == character_table(g).dims
         _verify_decomposition(decomp, DEFAULT_TOL)
+        units.append(decomp._stacked)
+    assert max(float(np.abs(u - units[0]).max()) for u in units) < 1e-13
+
+
+def test_canonical_basis_gives_up_on_a_scalar_representation(monkeypatch):
+    # with rho scalar on the steps, rho(x + x^*) never has a simple
+    # spectrum: the block takes _MAX_RETRIES draws of x, then fails by name
+    def scalar(group, w, steps):
+        d = w.shape[2]
+        return np.broadcast_to(np.eye(d, dtype=complex), (len(w), len(steps), d, d))
+
+    monkeypatch.setattr(vn, "_step_rho", scalar)
+    g = symmetric_group(4)
+    with pytest.raises(DecompositionFailure) as info:
+        block_decompose(g)
+    assert info.value.witness == {"blocks": [2], "retries": vn._MAX_RETRIES}
+    assert cached_block_decomposition(g) is None
 
 
 def test_failed_verification_leaves_the_cache_alone(monkeypatch):
@@ -248,8 +295,9 @@ def test_failed_verification_leaves_the_cache_alone(monkeypatch):
         raise DecompositionFailure("rejected", witness={})
 
     monkeypatch.setattr(vn, "_verify_decomposition", reject)
+    # the kept one does not serve a tighter tolerance, so this one builds
     with pytest.raises(DecompositionFailure):
-        block_decompose(g, seed=1)
+        block_decompose(g, tol=Tolerance(residual_tol=1e-10))
     assert cached_block_decomposition(g) is kept
 
 
@@ -294,9 +342,9 @@ def test_block_decompose_agrees_with_dense_construction(maker):
     table = character_table(g)
     projections = minimal_central_projections(g, table)
     built = [
-        block_decompose(g, table, seed=0),
-        per_block_decompose(g, table, seed=0),
-        dense_block_decompose(g, table, seed=0),
+        block_decompose(g, table),
+        per_block_decompose(g, table),
+        dense_block_decompose(g, table),
     ]
     for decomp in built:
         _verify_decomposition(decomp, DEFAULT_TOL)
@@ -383,8 +431,8 @@ def test_verify_recovers_random_descriptors_on_the_corpus(name):
     random descriptor's map recovers sigma, every transpose flag of a block
     of dimension d >= 2 and every unitary up to phase."""
     g = corpus_group(name)
+    decomp = block_decompose(g)
     for seed in range(3):
-        decomp = block_decompose(g, seed=seed)
         desc = random_descriptor(decomp, np.random.default_rng(seed))
         fit = verify_jordan_form(lambda fn: apply_descriptor(desc, fn, decomp), decomp, seed=seed)
         assert fit.sigma == desc.sigma
@@ -408,7 +456,7 @@ def _seed_zero_reference(name):
     """Group, seed-0 table and projections, one fixed Hermitian element and
     its seed-0 block spectra."""
     g = _SEED_GROUPS[name]()
-    decomp = block_decompose(g, seed=0)
+    decomp = block_decompose(g)
     coeffs = random_hermitian_symmetric(g, np.random.default_rng(31)).values
     projections = minimal_central_projections(g, decomp.table)
     return g, decomp.table, projections, coeffs, block_spectra(decomp, coeffs)
@@ -418,9 +466,14 @@ def _seed_zero_reference(name):
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_block_structure_is_stable_under_seed(name, seed):
+    # the draw stream varied on a fresh group: the units are the reference's
     g, table, projections, coeffs, spectra = _seed_zero_reference(name)
-    decomp = block_decompose(g, seed=seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vn, "_DRAWS", seed)
+        fresh = _SEED_GROUPS[name]()
+        decomp = block_decompose(fresh)
     assert decomp.block_dims == table.dims
+    assert np.abs(decomp._stacked - cached_block_decomposition(g)._stacked).max() < 1e-13
     assert _diagonal_sum_residual(decomp, projections) < 1e-10
     for got, expected in zip(block_spectra(decomp, coeffs), spectra):
         assert np.abs(got - expected).max() < 1e-9
@@ -439,7 +492,7 @@ def test_block_decompose_rejects_scaled_character_row(maker):
         chars[pi] *= 1 + 1e-3
         tampered = CharacterTable(g, table.partition, table.dims, chars)
         with pytest.raises(ConvergenceFailure):
-            block_decompose(g, tampered, seed=0)
+            block_decompose(g, tampered)
 
 
 @pytest.mark.parametrize(
@@ -456,14 +509,14 @@ def test_block_decompose_rejects_scaled_character_row(maker):
 def test_state_constructors_reject_bad_block_or_vector(build):
     g = quaternion_group()
     table = character_table(g)
-    decomp = block_decompose(g, table, seed=0)
+    decomp = block_decompose(g, table)
     with pytest.raises(ValueError, match="out of range|zero"):
         build(decomp, table)
 
 def _tampered(decomp, pi, edit):
     units = [u.copy() for u in decomp.units]
     edit(units[pi])
-    return BlockDecomposition(decomp.group, decomp.table, units, decomp.seed)
+    return BlockDecomposition(decomp.group, decomp.table, units)
 
 
 def _add_phase(u):
@@ -495,7 +548,7 @@ def _scale_pair(u):
 def test_verification_rejects_tampered_units(edit, check):
     g = symmetric_group(3)
     table = character_table(g)
-    decomp = block_decompose(g, table, seed=0)
+    decomp = block_decompose(g, table)
     _verify_decomposition(decomp, DEFAULT_TOL)
     bad = _tampered(decomp, table.dims.index(2), edit)
     with pytest.raises(DecompositionFailure, match=check):
@@ -512,7 +565,7 @@ def test_block_transport_matches_basis_vector_loop():
         (s4, validate_group(relabelled)),
     ]
     for g, h in pairs:
-        dg, dh = block_decompose(g, seed=0), block_decompose(h, seed=0)
+        dg, dh = block_decompose(g), block_decompose(h)
         # both tables list their blocks by ascending dimension: block pi of
         # g goes to block pi of h
         assert dg.block_dims == dh.block_dims
@@ -523,7 +576,7 @@ def test_block_transport_matches_basis_vector_loop():
 
 def test_trace_formula_oracle_matches_from_coefficients():
     g = symmetric_group(3)
-    decomp = block_decompose(g, seed=0)
+    decomp = block_decompose(g)
     rng = np.random.default_rng(14)
     for _ in range(5):
         c = rng.normal(size=6) + 1j * rng.normal(size=6)
@@ -590,14 +643,14 @@ def test_descriptor_with_unsorted_dims_pushes_like_the_block_loop():
 
 def test_unit_storage_is_quadratic():
     g = direct_product(symmetric_group(4), cyclic_group(2))
-    decomp = block_decompose(g, seed=0)
+    decomp = block_decompose(g)
     n = g.order
     assert sum(u.nbytes for u in decomp.units) <= 16 * n * n
 
 
 def test_embedding_is_star_isomorphism():
     g = dihedral_group(4)
-    decomp = block_decompose(g, seed=1)
+    decomp = block_decompose(g)
     rng = np.random.default_rng(2)
     n = g.order
     for _ in range(50):
@@ -620,14 +673,14 @@ def test_embedding_is_star_isomorphism():
 
 def test_homeo_identity_matching():
     g = quaternion_group()
-    homeo = construct_affine_homeomorphism(g, g, seed=0)
+    homeo = construct_affine_homeomorphism(g, g)
     assert homeo.matching == (0, 1, 2, 3, 4)
     assert np.abs(homeo.forward_matrix - np.eye(8)).max() < 1e-9
 
 
 def test_homeo_q8_d4_properties():
     q8, d4 = quaternion_group(), dihedral_group(4)
-    homeo = construct_affine_homeomorphism(q8, d4, seed=0)
+    homeo = construct_affine_homeomorphism(q8, d4)
     rng = np.random.default_rng(3)
     for _ in range(50):
         fn = random_p1(q8, rng)
@@ -650,9 +703,9 @@ def test_homeo_q8_d4_properties():
 
 def test_homeo_maps_extreme_to_extreme():
     q8, d4 = quaternion_group(), dihedral_group(4)
-    homeo = construct_affine_homeomorphism(q8, d4, seed=0)
+    homeo = construct_affine_homeomorphism(q8, d4)
     table = character_table(q8)
-    decomp = block_decompose(q8, table, seed=0)
+    decomp = block_decompose(q8, table)
     rng = np.random.default_rng(4)
     # linear characters and random pure states of the 2-dim block
     samples = [GroupFunction(q8, table.char_values(pi)) for pi in range(4)]
@@ -692,7 +745,7 @@ def test_theorem_1_on_corpus_pairs_with_equal_invariants(a, b):
         assert is_positive_definite(image).is_psd
         assert abs(image.values[h.identity] - 1.0) <= DEFAULT_TOL.residual_tol
         assert np.abs(homeo.backward(image).values - fn.values).max() <= bound
-    decomp = vn.kept_block_decomposition(g)
+    decomp = block_decompose(g)
     faces_g = minimal_central_projections(g, character_table(g))
     faces_h = minimal_central_projections(h, character_table(h))
     for pi, d in enumerate(decomp.block_dims):
@@ -746,7 +799,7 @@ def test_homeo_group_descriptions():
 
 def test_apply_identity_descriptor():
     g = dihedral_group(4)
-    decomp = block_decompose(g, seed=0)
+    decomp = block_decompose(g)
     desc = AffineHomeoDescriptor(
         tuple(range(5)),
         tuple(np.eye(d, dtype=complex) for d in decomp.block_dims),
@@ -761,7 +814,7 @@ def test_apply_identity_descriptor():
 def test_transpose_descriptor_fixes_class_functions():
     g = quaternion_group()
     table = character_table(g)
-    decomp = block_decompose(g, table, seed=0)
+    decomp = block_decompose(g, table)
     pi = table.dims.index(2)
     unitaries = tuple(
         np.eye(d, dtype=complex) for d in decomp.block_dims
@@ -784,7 +837,7 @@ def test_transpose_descriptor_fixes_class_functions():
 
 def test_descriptor_inverse_roundtrip():
     g = dihedral_group(4)
-    decomp = block_decompose(g, seed=1)
+    decomp = block_decompose(g)
     rng = np.random.default_rng(7)
     for _ in range(10):
         desc = random_descriptor(decomp, rng)
@@ -815,7 +868,7 @@ def test_stacked_descriptor_action_matches_the_block_loop(name):
 
 def test_descriptor_validation():
     g = dihedral_group(4)
-    decomp = block_decompose(g, seed=0)
+    decomp = block_decompose(g)
     with pytest.raises(DimensionMismatch):
         AffineHomeoDescriptor((1, 0), (np.eye(1),) * 3, (False,) * 3)
     # sigma must preserve dimensions
@@ -841,7 +894,7 @@ def test_descriptor_validation():
 
 def test_verify_identity_map():
     g = quaternion_group()
-    decomp = block_decompose(g, seed=0)
+    decomp = block_decompose(g)
     desc = verify_jordan_form(lambda fn: fn, decomp, seed=1)
     assert desc.sigma == (0, 1, 2, 3, 4)
     assert desc.transpose == (False,) * 5
@@ -852,7 +905,7 @@ def test_verify_identity_map():
 @pytest.mark.parametrize("maker", [lambda: dihedral_group(4), quaternion_group])
 def test_verify_recovers_random_descriptors(maker):
     g = maker()
-    decomp = block_decompose(g, seed=2)
+    decomp = block_decompose(g)
     rng = np.random.default_rng(8)
     for trial in range(10):
         desc = random_descriptor(decomp, rng)
@@ -870,7 +923,7 @@ def test_verify_recovers_random_descriptors(maker):
 
 def test_verify_inner_automorphism_pushforward():
     g = quaternion_group()
-    decomp = block_decompose(g, seed=3)
+    decomp = block_decompose(g)
     conjugator = 2  # the element i
 
     def pushforward(fn):
@@ -889,7 +942,7 @@ def test_verify_inner_automorphism_pushforward():
 
 def test_verify_rejects_nonaffine():
     g = cyclic_group(4)
-    decomp = block_decompose(g, seed=0)
+    decomp = block_decompose(g)
 
     def squash(fn):
         squared = fn.values * np.conj(fn.values)
@@ -912,7 +965,7 @@ def _blockwise(decomp, edit):
 def test_verify_rejects_map_leaving_one_block():
     # phi -> phi/2 + delta_e/2 spreads every central state over all blocks
     g = symmetric_group(3)
-    decomp = block_decompose(g, seed=0)
+    decomp = block_decompose(g)
     e = delta_e(g).values
     with pytest.raises(FitFailure) as info:
         verify_jordan_form(lambda fn: GroupFunction(g, (fn.values + e) / 2), decomp, seed=1)
@@ -922,7 +975,7 @@ def test_verify_rejects_map_leaving_one_block():
 def test_verify_rejects_non_permutation():
     # every central state goes to the trivial block
     g = cyclic_group(3)
-    decomp = block_decompose(g, seed=0)
+    decomp = block_decompose(g)
     with pytest.raises(FitFailure) as info:
         verify_jordan_form(lambda fn: constant_one(g), decomp, seed=2)
     assert set(info.value.witness) == {"sigma"}
@@ -931,7 +984,7 @@ def test_verify_rejects_non_permutation():
 def test_verify_rejects_dimension_change():
     # the weights of block 0 and of the 2-dimensional block trade places
     g = quaternion_group()
-    decomp = block_decompose(g, seed=0)
+    decomp = block_decompose(g)
     n, big = g.order, decomp.block_dims.index(2)
 
     def swap(blocks):
@@ -948,7 +1001,7 @@ def test_verify_rejects_dimension_change():
 def test_verify_rejects_pinching():
     # B -> diag B inside the 2-dimensional block is neither u B u* nor u B^T u*
     g = symmetric_group(3)
-    decomp = block_decompose(g, seed=0)
+    decomp = block_decompose(g)
     big = decomp.block_dims.index(2)
 
     def pinch(blocks):
@@ -965,7 +1018,7 @@ def test_verify_calls_the_map_once_per_frame_state(name, calls, monkeypatch):
     # sample (two draws and their mixture), whose images the reproduction
     # check reuses; no per-block list layout is used
     g = ladder_group(name)
-    decomp = block_decompose(g, seed=0)
+    decomp = block_decompose(g)
     desc = random_descriptor(decomp, np.random.default_rng(11))
     seen = []
 
@@ -989,7 +1042,7 @@ def test_fit_does_not_depend_on_its_probes(kind):
     fitted from the frame images alone: seeds 0-4 give the same sigma and
     flags and bit for bit the same unitaries."""
     g = build_named(kind)
-    decomp = block_decompose(g, seed=0)
+    decomp = block_decompose(g)
     desc = random_descriptor(decomp, np.random.default_rng(23))
     fits = [
         verify_jordan_form(lambda f: apply_descriptor(desc, f, decomp), decomp, seed=s)
@@ -1009,7 +1062,7 @@ def test_verify_rejects_a_map_that_leaks_off_diagonal_entries():
     # the block's own frame images are untouched, so only the reproduction
     # check on the affinity probes sees it
     g = symmetric_group(3)
-    decomp = block_decompose(g, seed=0)
+    decomp = block_decompose(g)
     big = decomp.block_dims.index(2)
     ones = [pi for pi, d in enumerate(decomp.block_dims) if d == 1]
 
@@ -1040,7 +1093,7 @@ def test_stacked_replay_matches_apply_descriptor(name):
 
 def test_fit_affine_map_from_pairs_roundtrip():
     g = dihedral_group(4)
-    decomp = block_decompose(g, seed=4)
+    decomp = block_decompose(g)
     rng = np.random.default_rng(9)
     desc = random_descriptor(decomp, rng)
     pairs = []
@@ -1069,7 +1122,7 @@ def test_descriptor_map_satisfies_defining_equation():
     """(T phi)(s) equals the original state paired with the inverse Jordan
     image of lambda_s^*, computed on the algebra side."""
     g = dihedral_group(4)
-    decomp = block_decompose(g, seed=6)
+    decomp = block_decompose(g)
     rng = np.random.default_rng(13)
     desc = random_descriptor(decomp, rng)
     inv = inverse_descriptor(desc)
@@ -1094,7 +1147,7 @@ def test_descriptor_map_satisfies_defining_equation():
 
 def test_apply_descriptor_preserves_a_norm_distances():
     g = quaternion_group()
-    decomp = block_decompose(g, seed=5)
+    decomp = block_decompose(g)
     rng = np.random.default_rng(12)
     desc = random_descriptor(decomp, rng)
     for _ in range(10):
@@ -1127,36 +1180,19 @@ def test_homeomorphism_on_kept_structure_matches_fresh_copies(maker, monkeypatch
     block_decompose(g, table)
     construct_affine_homeomorphism(h, g)
     built = []
-    real = vn.block_decompose
+    real = vn._block_units
 
-    def counted(group, *args, **kwargs):
+    def counted(group, *args):
         built.append(group)
-        return real(group, *args, **kwargs)
+        return real(group, *args)
 
-    monkeypatch.setattr(vn, "block_decompose", counted)
+    monkeypatch.setattr(vn, "_block_units", counted)
     kept = construct_affine_homeomorphism(g, h)
     assert built == []
     fresh = construct_affine_homeomorphism(maker(), relabelled(maker(), 3))
     assert built and kept.matching == fresh.matching
     assert np.array_equal(kept.forward_matrix, fresh.forward_matrix)
     assert np.array_equal(kept.backward_matrix, fresh.backward_matrix)
-
-
-def test_homeomorphism_at_another_seed_builds_its_own_decomposition(monkeypatch):
-    g, h = quaternion_group(), dihedral_group(4)
-    construct_affine_homeomorphism(g, h, seed=0)
-    built = []
-    real = vn.block_decompose
-
-    def counted(group, *args, **kwargs):
-        built.append(kwargs.get("seed"))
-        return real(group, *args, **kwargs)
-
-    monkeypatch.setattr(vn, "block_decompose", counted)
-    other = construct_affine_homeomorphism(g, h, seed=5)
-    assert built == [5, 5]
-    fresh = construct_affine_homeomorphism(quaternion_group(), dihedral_group(4), seed=5)
-    assert np.array_equal(other.forward_matrix, fresh.forward_matrix)
 
 
 def test_kept_structure_does_not_keep_the_group_alive(collector_off):
@@ -1275,11 +1311,10 @@ _RETRY_GROUPS = [
 
 @pytest.mark.parametrize("kind", _RETRY_GROUPS)
 def test_decompositions_stay_within_the_retry_budget(kind, monkeypatch):
-    """Eight seeds on each of ten groups, small ones included where a
-    sketch of d^2 mixed translates is most often rank-deficient: every
-    block is built within _MAX_RETRIES attempts, about one on average."""
-    g = build_named(kind)
-    table = character_table(g)
+    """Eight draw streams on each of ten groups, each on a fresh group,
+    small ones included where a sketch of d^2 mixed translates is most
+    often rank-deficient: every block is built within _MAX_RETRIES
+    attempts, about one on average."""
     attempts = []
     real = vn._block_range
 
@@ -1288,8 +1323,11 @@ def test_decompositions_stay_within_the_retry_budget(kind, monkeypatch):
         return real(group, p, d, rng)
 
     monkeypatch.setattr(vn, "_block_range", counted)
-    for seed in range(8):
-        assert block_decompose(g, table, seed=seed).block_dims == table.dims
+    for draws in range(8):
+        monkeypatch.setattr(vn, "_DRAWS", draws)
+        g = build_named(kind)
+        table = character_table(g)
+        assert block_decompose(g, table).block_dims == table.dims
     blocks = 8 * sum(d > 1 for d in table.dims)
     assert blocks <= sum(attempts) < 1.5 * blocks
 
@@ -1300,7 +1338,7 @@ def test_fit_extracts_the_transposed_form_only_when_needed(kind, monkeypatch):
     dimension d >= 2; a transposed block costs a second, and is still
     recovered with its flag."""
     g = build_named(kind)
-    decomp = block_decompose(g, seed=1)
+    decomp = block_decompose(g)
     dims = decomp.block_dims
     rng = np.random.default_rng(4)
     unitaries = tuple(random_unitary(rng, d) for d in dims)
